@@ -24,44 +24,51 @@ _PATTERN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class KakFactorization:
-    """Triple (L, D, R) with A = L . diag(D) . R, D ascending positive."""
+    """Triple (L, D, R) with A = L . diag(D) . R, D ascending positive.
+
+    From `kak_stack` every field carries a leading term axis.
+    """
 
     L: np.ndarray
     D: np.ndarray
     R: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.L @ np.diag(self.D) @ self.R
+        return (self.L * self.D[..., None, :]) @ self.R
 
     @property
     def dim(self) -> int:
-        return self.D.shape[0]
+        return self.D.shape[-1]
 
 
-def kak(A) -> KakFactorization:
-    """Factor an invertible matrix as rotation . positive-diagonal . rotation.
+def kak_stack(terms) -> KakFactorization:
+    """Factor a stack (n x d x d) of invertible matrices, term by term, as
+    rotation . positive-diagonal . rotation, with one batched SVD.
 
     D is the ascending singular-value list.  If det A > 0 both factors land
     in SO(d); for det A < 0 one factor necessarily has determinant -1 (the
     sign is pushed into R).  Ties in D leave L and R non-unique; only D is
     contract-stable under such ties.
     """
-    m = _as_matrix(A)
-    u, s, vt = np.linalg.svd(m)
-    if s[-1] == 0 or s[-1] < _SINGULAR_TOL * s[0] or s[0] == 0:
+    u, s, vt = np.linalg.svd(terms)
+    if np.any((s[:, -1] == 0) | (s[:, -1] < _SINGULAR_TOL * s[:, 0]) | (s[:, 0] == 0)):
         raise SingularMatrixError("matrix is numerically singular")
-    order = np.argsort(s)  # ascending
-    L = u[:, order]
-    D = s[order]
-    R = vt[order, :]
+    order = np.argsort(s, axis=-1)  # ascending
+    L = np.take_along_axis(u, order[:, None, :], axis=2)
+    D = np.take_along_axis(s, order, axis=1)
+    R = np.take_along_axis(vt, order[:, :, None], axis=1)
     # Land L in SO(d) without disturbing D: flip the last column of L and the
     # matching row of R.
-    if np.linalg.det(L) < 0:
-        L = L.copy()
-        R = R.copy()
-        L[:, -1] = -L[:, -1]
-        R[-1, :] = -R[-1, :]
+    flip = np.linalg.det(L) < 0
+    L[flip, :, -1] = -L[flip, :, -1]
+    R[flip, -1, :] = -R[flip, -1, :]
     return KakFactorization(L=L, D=D, R=R)
+
+
+def kak(A) -> KakFactorization:
+    """Cartan factorization of one invertible matrix; see `kak_stack`."""
+    f = kak_stack(_as_matrix(A)[None])
+    return KakFactorization(L=f.L[0], D=f.D[0], R=f.R[0])
 
 
 def norm_growth(A) -> float:

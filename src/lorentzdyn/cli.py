@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,21 +19,13 @@ from .minkowski import QuadraticForm
 from .projective import HyperbolicPoint
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    output_path: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise PreconditionError("tolerance overrides must be positive")
+# Options that must be positive, on the subcommands that have them.
+_TOLERANCES = ("bound_threshold", "cluster_angle", "divergence_threshold")
 
 
-def _emit(config: RunConfig, text: str):
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+def _emit(args, text: str):
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -49,25 +40,11 @@ def _parse_inline_vector(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")])
 
 
-def _config(args) -> RunConfig:
-    tolerances = {}
-    for name in ("bound_threshold", "cluster_angle", "divergence_threshold"):
-        if getattr(args, name, None) is not None:
-            tolerances[name] = float(getattr(args, name))
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        tolerances=tolerances,
-        output_path=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_kak(args) -> int:
-    config = _config(args)
     a = jsonio.load_matrix(args.matrix)
     report = {"input": a.tolist(), "norm_growth": norm_growth(a)}
     if args.form:
@@ -82,12 +59,11 @@ def cmd_kak(args) -> int:
     report["L"] = fact.L.tolist()
     report["D"] = fact.D.tolist()
     report["R"] = fact.R.tolist()
-    _emit(config, jsonio.dumps(report))
+    _emit(args, jsonio.dumps(report))
     return 0
 
 
 def cmd_as(args) -> int:
-    config = _config(args)
     seq = jsonio.load_sequence(args.sequence)
     form = jsonio.load_form(args.form) if args.form else None
     report: dict = {"n_terms": len(seq), "d": seq.dim}
@@ -96,7 +72,7 @@ def cmd_as(args) -> int:
         report["oracles"] = {k: jsonio.as_result_to_dict(v) for k, v in results.items()}
     elif args.oracle == "brute":
         scores = stability.brute_force_as(seq, directions=args.directions,
-                                          seed=config.seed)
+                                          seed=args.seed)
         report["brute_force"] = jsonio.brute_to_dict(scores)
     else:
         op = {
@@ -117,12 +93,11 @@ def cmd_as(args) -> int:
         check = stability.lorentz_as_check(form, seq,
                                            bound_threshold=args.bound_threshold)
         report["lorentz_check"] = jsonio.lorentz_report_to_dict(check)
-    _emit(config, jsonio.dumps(report))
+    _emit(args, jsonio.dumps(report))
     return 0
 
 
 def cmd_limit_set(args) -> int:
-    config = _config(args)
     form = jsonio.load_form(args.form)
     gens = jsonio.load_matrices(args.generators)
     if args.point:
@@ -132,7 +107,7 @@ def cmd_limit_set(args) -> int:
     trace: list | None = [] if args.trace else None
     estimate = projective.limit_set(
         form, gens, depth=args.depth, samples=args.samples, s=s,
-        cluster_angle=np.deg2rad(args.cluster_angle), seed=config.seed,
+        cluster_angle=np.deg2rad(args.cluster_angle), seed=args.seed,
         divergence_threshold=args.divergence_threshold, trace=trace,
     )
     classification = projective.classify_elementary(estimate)
@@ -156,7 +131,7 @@ def cmd_limit_set(args) -> int:
         header = ["word_length"] + [f"ray_{i}" for i in range(d)] + ["growth"]
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(jsonio.csv_lines(header, trace))
-    _emit(config, jsonio.dumps(report))
+    _emit(args, jsonio.dumps(report))
     return 0
 
 
@@ -170,11 +145,10 @@ def _default_base_point(form: QuadraticForm) -> HyperbolicPoint:
 
 
 def cmd_model(args) -> int:
-    config = _config(args)
     if args.model_command == "torus-isoms":
         g = models.RationalLorentzForm(gram=np.rint(jsonio.load_matrix(args.gram)).astype(np.int64))
         elems = models.integer_isometries(g, args.height)
-        _emit(config, jsonio.dumps({
+        _emit(args, jsonio.dumps({
             "count": len(elems),
             "height": args.height,
             "elements": [a.tolist() for a in elems],
@@ -187,7 +161,7 @@ def cmd_model(args) -> int:
             elems = models.integer_isometries(g, args.height)
         fixed = models.fixed_isotropic_directions(g, elems)
         if isinstance(fixed, models.EntireCone):
-            _emit(config, jsonio.dumps({"fixed": "entire-cone"}))
+            _emit(args, jsonio.dumps({"fixed": "entire-cone"}))
         else:
             rays = []
             for b in fixed:
@@ -197,7 +171,7 @@ def cmd_model(args) -> int:
                     "rational_approximation": [str(f) for f in fracs],
                     "rational_error": err,
                 })
-            _emit(config, jsonio.dumps({"fixed": rays}))
+            _emit(args, jsonio.dumps({"fixed": rays}))
     elif args.model_command == "hopf":
         model = models.HopfModel(alpha=args.alpha, lam=getattr(args, "lambda"))
         x = _parse_inline_vector(args.point)
@@ -205,18 +179,18 @@ def cmd_model(args) -> int:
         for n in range(args.n + 1):
             m, rep = models.hopf_return_cocycle(model, x, n)
             rows.append((n, m, rep[0, 0], rep[1, 1], float(np.linalg.norm(rep, 2))))
-        _emit(config, jsonio.csv_lines(["n", "m", "rep_00", "rep_11", "norm"], rows))
+        _emit(args, jsonio.csv_lines(["n", "m", "rep_00", "rep_11", "norm"], rows))
     elif args.model_command == "ads-orbit":
         p1 = models.ads_plane_family(args.alpha1)
         p2 = models.ads_plane_family(args.alpha2)
-        _emit(config, jsonio.dumps({
+        _emit(args, jsonio.dumps({
             "intersection_dim": models.ads_pair_orbit(p1, p2),
         }))
     elif args.model_command == "ads-circle":
         h = _parse_inline_matrix(getattr(args, "h"))
         alpha = float("inf") if args.alpha in ("inf", "infinity") else float(args.alpha)
         out = models.ads_second_factor_action(h, alpha)
-        _emit(config, jsonio.dumps({
+        _emit(args, jsonio.dumps({
             "alpha": alpha,
             "alpha_image": out,
         }))
@@ -226,12 +200,11 @@ def cmd_model(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    config = _config(args)
     g = models.RationalLorentzForm(gram=np.rint(jsonio.load_matrix(args.gram)).astype(np.int64))
     a = np.rint(jsonio.load_matrix(args.matrix)).astype(np.int64)
     aut = cocycles.TorusAutomorphism(matrix=a, form=g)
     report = cocycles.entropy_dichotomy(aut)
-    _emit(config, jsonio.dumps({
+    _emit(args, jsonio.dumps({
         "eigenvalues": [list(z) for z in report.eigenvalues],
         "exponents": list(report.exponents),
         "entropy": report.entropy,
@@ -256,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for every random choice (default 0)")
-        p.add_argument("--parallel", action="store_true",
-                       help="allow data-parallel evaluation (the analyses "
-                            "are vectorized; results are identical either way)")
 
     p = sub.add_parser("kak", help="Cartan factorization of a matrix file")
     p.add_argument("matrix", help="JSON matrix (array of rows)")
@@ -337,6 +307,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if any(getattr(args, name, 1.0) <= 0 for name in _TOLERANCES):
+            raise PreconditionError("tolerance overrides must be positive")
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,11 +21,12 @@ sequences, so plain tails converge too slowly to be useful).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cartan import kak, norm_growth
+from .cartan import KakFactorization, kak, kak_stack  # noqa: F401  (kak stays importable here)
 from .errors import (
     ConvergenceError,
     EquicontinuousError,
@@ -72,10 +73,17 @@ class MatrixSequence:
 
     ``generator_spec`` is free-form provenance (e.g. "powers of A", "words in
     two boosts") used only in reports.
+
+    The spectral data every detector reads is computed once per sequence:
+    ``norms`` (the operator norm of each term, equal to ``norm_growth``)
+    comes from the singularity check, and ``cartan`` (the stacked
+    ``kak`` factors) on first use.  Both are pure functions of the frozen
+    terms.
     """
 
     terms: np.ndarray
     generator_spec: str | None = None
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.terms, dtype=float)
@@ -86,7 +94,18 @@ class MatrixSequence:
             raise SingularMatrixError("sequence contains a numerically singular term")
         t = t.copy()
         t.flags.writeable = False
+        norms = sv[:, 0].copy()
+        norms.flags.writeable = False
         object.__setattr__(self, "terms", t)
+        object.__setattr__(self, "norms", norms)
+
+    @functools.cached_property
+    def cartan(self) -> KakFactorization:
+        """`kak` of every term, stacked along a leading term axis (read-only)."""
+        fact = kak_stack(self.terms)
+        for a in (fact.L, fact.D, fact.R):
+            a.flags.writeable = False
+        return fact
 
     @classmethod
     def from_powers(cls, a, count: int, start: int = 1) -> "MatrixSequence":
@@ -144,7 +163,7 @@ def is_divergent(seq: MatrixSequence, threshold: float = BOUND_THRESHOLD,
     `trend_ratio` from its midpoint; a bounded subsequence (e.g. alternating
     boosts and identities) fails the first clause.
     """
-    norms = np.array([norm_growth(t) for t in seq.terms])
+    norms = seq.norms
     n = len(norms)
     if n < 2:
         return False
@@ -265,12 +284,12 @@ def _extrapolate_projector(bases: list[np.ndarray], labels: np.ndarray,
 def _subspace_limit(seq: MatrixSequence, bases_by_index: dict[int, np.ndarray],
                     rank: int):
     """Cluster tail candidates, extrapolate the dominant family, intersect
-    the rest.  Returns (subspace, converged, dominant_indices, cluster_bases)."""
+    the rest.  Returns (subspace, converged, dominant_indices)."""
     d = seq.dim
     if rank == 0:
-        return Subspace.zero(d), True, tuple(sorted(bases_by_index)), []
+        return Subspace.zero(d), True, tuple(sorted(bases_by_index))
     if rank == d:
-        return Subspace.full(d), True, tuple(sorted(bases_by_index)), []
+        return Subspace.full(d), True, tuple(sorted(bases_by_index))
     indices = sorted(bases_by_index)
     bases = [bases_by_index[i] for i in indices]
     clusters = _cluster_by_linkage(bases)
@@ -289,11 +308,11 @@ def _subspace_limit(seq: MatrixSequence, bases_by_index: dict[int, np.ndarray],
     dominant_members, dominant_basis = limits[0]
     dominant_indices = tuple(indices[i] for i in dominant_members)
     if len(limits) == 1 and len(dominant_members) >= 0.9 * len(indices):
-        return Subspace(basis=dominant_basis), True, dominant_indices, limits
+        return Subspace(basis=dominant_basis), True, dominant_indices
     # No single limit: the stable set is the intersection of the
     # subsequential limit subspaces.
     inter = _intersect_bases([b for _, b in limits])
-    return Subspace(basis=inter), False, dominant_indices, limits
+    return Subspace(basis=inter), False, dominant_indices
 
 
 def _intersect_bases(bases: list[np.ndarray], tol: float = INTERSECTION_TOL) -> np.ndarray:
@@ -334,28 +353,35 @@ def _gate(seq: MatrixSequence, check_divergent: bool):
         )
 
 
+def _detected(seq: MatrixSequence, bases, rank: int,
+              kind: StabilityKind = StabilityKind.STABLE) -> ASResult:
+    """Subspace limit of the leading `rank` columns of the tail terms'
+    candidate bases (``bases[i]`` is the d x d basis of term i)."""
+    n = len(seq)
+    cands = {i: bases[i][:, :rank] for i in range(n // 2, n)}
+    sub, conv, used = _subspace_limit(seq, cands, rank)
+    return ASResult(
+        subspace=sub,
+        kind=kind,
+        modulus=_modulus(seq, cands, used),
+        converged=conv,
+        subsequence_indices=used,
+    )
+
+
+def _right_singular_bases(seq: MatrixSequence) -> np.ndarray:
+    # ascending D puts the bounded directions first; R rows are the
+    # right-singular vectors, so R^T columns realize R^{-1}(R^i x {0}).
+    return np.swapaxes(seq.cartan.R, 1, 2)
+
+
 def as_subspace_kak(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,
                     check_divergent: bool = True) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
     _gate(seq, check_divergent)
-    n = len(seq)
-    facts = [kak(t) for t in seq.terms]
-    sig = np.array([f.D for f in facts])
-    growing = _growing_flags(sig, bound_threshold, GROWTH_RATIO)
-    rank = int(np.sum(~growing))
-    tail = range(n // 2, n)
-    # ascending D puts the bounded directions first; R rows are the
-    # right-singular vectors, so R^T columns realize R^{-1}(R^i x {0}).
-    cands = {i: facts[i].R[:rank, :].T for i in tail}
-    sub, conv, used, _ = _subspace_limit(seq, cands, rank)
-    return ASResult(
-        subspace=sub,
-        kind=StabilityKind.STABLE,
-        modulus=_modulus(seq, cands, used),
-        converged=conv,
-        subsequence_indices=used,
-    )
+    growing = _growing_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
+    return _detected(seq, _right_singular_bases(seq), int(np.sum(~growing)))
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence,
@@ -371,27 +397,15 @@ def as_subspace_ellipsoid(seq: MatrixSequence,
     from the SVD route of `as_subspace_kak`.
     """
     _gate(seq, check_divergent)
-    n = len(seq)
-    ops = np.array([norm_growth(t) for t in seq.terms])
     sig_rows = []
     vecs = []
-    for t, op in zip(seq.terms, ops):
+    for t, op in zip(seq.terms, seq.norms):
         mu, v = np.linalg.eigh((t.T @ t) / (op * op))
         mu = np.maximum(mu, 0.0)
         sig_rows.append(np.sqrt(mu) * op)  # ascending, equals singular values
         vecs.append(v)
-    sig = np.array(sig_rows)
-    growing = _growing_flags(sig, bound_threshold, GROWTH_RATIO)
-    rank = int(np.sum(~growing))
-    cands = {i: vecs[i][:, :rank] for i in range(n // 2, n)}
-    sub, conv, used, _ = _subspace_limit(seq, cands, rank)
-    return ASResult(
-        subspace=sub,
-        kind=StabilityKind.STABLE,
-        modulus=_modulus(seq, cands, used),
-        converged=conv,
-        subsequence_indices=used,
-    )
+    growing = _growing_flags(np.array(sig_rows), bound_threshold, GROWTH_RATIO)
+    return _detected(seq, vecs, int(np.sum(~growing)))
 
 
 def as_subspace_graph(seq: MatrixSequence, check_divergent: bool = True) -> ASResult:
@@ -414,16 +428,7 @@ def as_subspace_graph(seq: MatrixSequence, check_divergent: bool = True) -> ASRe
     s_all = np.array([s for _, s in tops])
     mid, last = s_all[n // 2], s_all[-1]
     collapsing = (last < 0.25) & (last < 0.6 * mid)
-    rank = int(np.sum(~collapsing))
-    cands = {i: tops[i][0][:, :rank] for i in range(n // 2, n)}
-    sub, conv, used, _ = _subspace_limit(seq, cands, rank)
-    return ASResult(
-        subspace=sub,
-        kind=StabilityKind.STABLE,
-        modulus=_modulus(seq, cands, used),
-        converged=conv,
-        subsequence_indices=used,
-    )
+    return _detected(seq, [u for u, _ in tops], int(np.sum(~collapsing)))
 
 
 def as_all_oracles(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,
@@ -568,6 +573,24 @@ def _min_image_on_cap(eigvals: np.ndarray, eigvecs: np.ndarray, gram: np.ndarray
     return float(np.sqrt(max(0.0, min(best, boundary))))
 
 
+def _tail_spectra(seq: MatrixSequence) -> list[tuple]:
+    """(eigenvalues, eigenvectors, Gram) of A_n^T A_n over the tail."""
+    spectra = []
+    for t in seq.terms[_tail_slice(len(seq))]:
+        gram = t.T @ t
+        vals, vecs = np.linalg.eigh(gram)
+        spectra.append((vals, vecs, gram))
+    return spectra
+
+
+def _cap_score(spectra: list[tuple], v: np.ndarray, r: float) -> float:
+    """m(v, r): max over the tail of the exact cap minimum around v."""
+    worst = 0.0
+    for vals, vecs, gram in spectra:
+        worst = max(worst, _min_image_on_cap(vals, vecs, gram, v, r))
+    return worst
+
+
 def brute_force_as(seq: MatrixSequence, directions: int = 64,
                    radii: tuple = (0.3, 0.1, 0.03, 0.01),
                    budget: int = 20_000_000, seed: int = 0) -> BruteForceScores:
@@ -579,30 +602,19 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     stable vector sequence.
     """
     _require_usable(seq)
-    d = seq.dim
-    n = len(seq)
-    tail = seq.terms[_tail_slice(n)]
-    dirs = sphere_points(d, directions, seed)
+    dirs = sphere_points(seq.dim, directions, seed)
     radii = tuple(sorted(radii, reverse=True))
-    grams = [t.T @ t for t in tail]
-    eig = [np.linalg.eigh(m) for m in grams]
-    scores = np.full((directions, len(radii)), np.nan)
-    spent = 0
-    complete = True
-    for k in range(directions):
-        v = dirs[k]
-        for ri, r in enumerate(radii):
-            cost = len(tail)
-            if spent + cost > budget:
-                complete = False
-                break
-            spent += cost
-            worst = 0.0
-            for (vals, vecs), m in zip(eig, grams):
-                worst = max(worst, _min_image_on_cap(vals, vecs, m, v, r))
-            scores[k, ri] = worst
-        if not complete:
-            break
+    spectra = _tail_spectra(seq)
+    # Each (direction, radius) score costs one cap minimum per tail term;
+    # the budget pays for the first `done` of them in row-major order.
+    total = directions * len(radii)
+    done = min(total, budget // len(spectra))
+    scores = np.full(total, np.nan)
+    for j in range(done):
+        k, ri = divmod(j, len(radii))
+        scores[j] = _cap_score(spectra, dirs[k], radii[ri])
+    scores = scores.reshape(directions, len(radii))
+    complete = done == total
     return BruteForceScores(directions=dirs, radii=radii, scores=scores,
                             complete=complete)
 
@@ -617,16 +629,8 @@ def brute_force_score(seq: MatrixSequence, v,
     _require_usable(seq)
     u = np.asarray(v, dtype=float)
     u = u / np.linalg.norm(u)
-    tail = seq.terms[_tail_slice(len(seq))]
-    out = []
-    for r in sorted(radii, reverse=True):
-        worst = 0.0
-        for t in tail:
-            m = t.T @ t
-            vals, vecs = np.linalg.eigh(m)
-            worst = max(worst, _min_image_on_cap(vals, vecs, m, u, r))
-        out.append(worst)
-    return np.array(out)
+    spectra = _tail_spectra(seq)
+    return np.array([_cap_score(spectra, u, r) for r in sorted(radii, reverse=True)])
 
 
 def spas_subspace(seq: MatrixSequence, form: QuadraticForm | None = None,
@@ -640,20 +644,9 @@ def spas_subspace(seq: MatrixSequence, form: QuadraticForm | None = None,
     isotropic line.
     """
     _gate(seq, check_divergent)
-    n = len(seq)
-    facts = [kak(t) for t in seq.terms]
-    sig = np.array([f.D for f in facts])
-    decaying = _decaying_flags(sig, bound_threshold, GROWTH_RATIO)
-    rank = int(np.sum(decaying))
-    cands = {i: facts[i].R[:rank, :].T for i in range(n // 2, n)}
-    sub, conv, used, _ = _subspace_limit(seq, cands, rank)
-    result = ASResult(
-        subspace=sub,
-        kind=StabilityKind.STRONGLY_STABLE,
-        modulus=_modulus(seq, cands, used),
-        converged=conv,
-        subsequence_indices=used,
-    )
+    decaying = _decaying_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
+    result = _detected(seq, _right_singular_bases(seq), int(np.sum(decaying)),
+                       StabilityKind.STRONGLY_STABLE)
     if form is not None and form.is_lorentz():
         stable = as_subspace_kak(seq, bound_threshold, check_divergent=False)
         if stable.converged and stable.subspace.dim == seq.dim - 1:

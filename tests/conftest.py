@@ -76,7 +76,7 @@ def random_divergent_sequence(d: int, rng: np.random.Generator):
         if d >= 4:
             phi = rng.uniform(0, 2 * np.pi)
             k = np.eye(d)
-            k[2:, 2:] = [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
+            k[2:4, 2:4] = [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
             term = acc @ (c @ k @ c.T)
         terms.append(term)
     contracted = c @ np.concatenate([[1.0, -1.0], np.zeros(d - 2)])

@@ -84,6 +84,20 @@ class TestAsCommand:
     def test_equicontinuous_exit_code(self, files):
         assert main(["as", files["rot_seq.json"], "--oracle", "kak"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["as", "fund_seq.json", "--bound-threshold", "0"],
+        ["as", "fund_seq.json", "--bound-threshold", "-1"],
+        ["limit-set", "boost_gen.json", "--form", "mink3.json", "--cluster-angle", "0"],
+        ["limit-set", "boost_gen.json", "--form", "mink3.json",
+         "--divergence-threshold", "-2"],
+    ])
+    def test_non_positive_tolerance_exit_code(self, files, capsys, args):
+        argv = [files.get(a, a) for a in args]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tolerance overrides must be positive\n"
+        assert captured.out == ""
+
     def test_chaos_with_form_reports_lightlike(self, files, tmp_path):
         from lorentzdyn import split_boost, split_unipotent
         terms = [(split_boost(n) @ split_unipotent(n)).tolist() for n in range(1, 41)]

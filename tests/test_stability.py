@@ -14,7 +14,9 @@ from lorentzdyn import (
     brute_force_as,
     evaluate,
     is_divergent,
+    kak,
     lorentz_as_check,
+    norm_growth,
     spas_subspace,
     spatial_rotation,
     split_boost,
@@ -36,6 +38,18 @@ from .conftest import (
     random_divergent_sequence,
 )
 
+
+def _per_term_kak(a):
+    """Reference: the one-matrix Cartan factorization that kak_stack batches."""
+    u, s, vt = np.linalg.svd(a)
+    order = np.argsort(s)
+    L, D, R = u[:, order], s[order], vt[order, :]
+    if np.linalg.det(L) < 0:
+        L[:, -1] = -L[:, -1]
+        R[-1, :] = -R[-1, :]
+    return L, D, R
+
+
 E12 = Subspace.spanned_by([1, 0, 0], [0, 1, 0])
 E1 = Subspace.spanned_by([1, 0, 0])
 
@@ -53,6 +67,29 @@ class TestMatrixSequence:
     def test_powers_labels(self):
         seq = MatrixSequence.from_powers(np.diag([2.0, 0.5]), 5)
         assert np.allclose(seq.terms[4], np.diag([32.0, 1 / 32.0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_cached_spectra_equal_per_term_kak(self, d):
+        # the shared factors and norms must be bit-for-bit what the per-term
+        # kak and norm_growth return, including on tied singular values,
+        # det < 0 terms and identities
+        rng = np.random.default_rng(40 + d)
+        flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
+        tied = np.diag(np.concatenate([[3.0], np.ones(d - 2), [1 / 3.0]]))
+        terms = [np.eye(d), flip, tied, flip @ tied, 2.0 * np.eye(d)]
+        for _ in range(20):
+            a = rng.normal(size=(d, d)) + np.diag(rng.uniform(1, 3, d))
+            terms += [a, flip @ a]
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        terms += [q, q @ tied @ q.T, flip @ q @ tied]
+        seq = MatrixSequence.from_terms(terms)
+        for i, t in enumerate(terms):
+            f = kak(t)
+            for got in ((seq.cartan.L[i], seq.cartan.D[i], seq.cartan.R[i]),
+                        (f.L, f.D, f.R)):
+                for a, b in zip(got, _per_term_kak(t)):
+                    assert np.array_equal(a, b)
+            assert seq.norms[i] == norm_growth(t)
 
 
 class TestIsDivergent:
@@ -283,6 +320,19 @@ class TestLorentzCheck:
         assert fwd.subspace.distance(Subspace.spanned_by([1, -1, 0])) < 1e-9
         assert bwd.subspace.distance(Subspace.spanned_by([1, 1, 0])) < 1e-9
         assert fwd.subspace.distance(bwd.subspace) > 0.5
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_random_sequences_in_higher_dimensions(self, d):
+        rng = np.random.default_rng(60 + d)
+        form = QuadraticForm.minkowski(d)
+        for trial in range(30):
+            seq, _, contracted = random_divergent_sequence(d, rng)
+            rep = lorentz_as_check(form, seq)
+            assert rep.passed, (trial, rep.failures)
+            assert rep.stable.subspace.dim == d - 1
+            assert rep.kernel_dim == 1
+            assert rep.strongly_stable.subspace.distance(
+                Subspace.spanned_by(contracted)) < 1e-5
 
     def test_non_isometry_rejected(self, mink3):
         from lorentzdyn.errors import NotIsometryError
