@@ -69,13 +69,32 @@ def csv_lines(header: list[str], rows) -> str:
 
 # ---------------------------------------------------------------------------
 # readers
+#
+# Unreadable files, malformed JSON and non-numeric or ragged arrays are bad
+# input: they surface as PreconditionError naming the file.
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError
+        raise PreconditionError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _float_array(path, data) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"{path}: expected numeric arrays ({exc})") from exc
 
 
 def load_matrix(path) -> np.ndarray:
     """A matrix stored as a JSON array of rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    m = np.asarray(data, dtype=float)
+    data = _read_json(path)
+    m = _float_array(path, data)
     if m.ndim != 2:
         raise PreconditionError(f"{path}: expected a JSON array of rows")
     return m
@@ -87,20 +106,18 @@ def load_form(path) -> QuadraticForm:
 
 def load_matrices(path) -> list[np.ndarray]:
     """A JSON array of matrices (each an array of rows)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, list) or not data:
         raise PreconditionError(f"{path}: expected a non-empty JSON array of matrices")
-    return [np.asarray(m, dtype=float) for m in data]
+    return [_float_array(path, m) for m in data]
 
 
 def load_sequence(path) -> MatrixSequence:
     """Sequence schema: {"d": int, "terms": [[...], ...], "generator_spec": str?}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or "terms" not in data:
         raise PreconditionError(f"{path}: expected an object with a 'terms' field")
-    terms = np.asarray(data["terms"], dtype=float)
+    terms = _float_array(path, data["terms"])
     if "d" in data and terms.shape[1:] != (data["d"], data["d"]):
         raise PreconditionError(f"{path}: terms do not match the declared dimension")
     return MatrixSequence(terms=terms, generator_spec=data.get("generator_spec"))

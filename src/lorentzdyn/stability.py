@@ -89,6 +89,8 @@ class MatrixSequence:
         t = np.asarray(self.terms, dtype=float)
         if t.ndim != 3 or t.shape[1] != t.shape[2]:
             raise SingularMatrixError("terms must be a list of square matrices")
+        if not np.all(np.isfinite(t)):
+            raise SingularMatrixError("terms must be finite (no NaN or infinity)")
         sv = np.linalg.svd(t, compute_uv=False)
         if np.any(sv[:, -1] <= 1e-13 * sv[:, 0]):
             raise SingularMatrixError("sequence contains a numerically singular term")
@@ -205,26 +207,35 @@ def _decaying_flags(sig: np.ndarray, threshold: float, ratio: float) -> np.ndarr
     return below & falling
 
 
-def _cluster_by_linkage(bases: list[np.ndarray], link: float = CLUSTER_LINK) -> list[list[int]]:
-    """Single-linkage components of subspaces at Grassmannian scale `link`."""
+def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`grassmann_distance(a[i], b[i])` for stacks of equal-rank bases; `a`
+    may also be one basis, compared with every basis of `b`."""
+    residual = b - a @ (np.swapaxes(a, -1, -2) @ b)
+    s = np.linalg.svd(residual, compute_uv=False)[:, 0]
+    return np.arcsin(np.minimum(1.0, s))
+
+
+def _cluster_by_linkage(bases: np.ndarray, link: float = CLUSTER_LINK) -> list[list[int]]:
+    """Single-linkage components of the subspaces ``bases[i]`` at
+    Grassmannian scale `link`.
+
+    The components of the graph "distance <= link" do not depend on which
+    edges are looked at, so long as no pair joining two separate components
+    is skipped.  Consecutive tail candidates are linked first; then each i
+    is compared only with the later candidates still outside its component.
+    A converging tail costs m - 1 distances instead of m(m - 1)/2.
+    """
     m = len(bases)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    close = _sine_distances(bases[:-1], bases[1:]) <= link
+    comp = np.concatenate([[0], np.cumsum(~close)])
     for i in range(m):
-        for j in range(i + 1, m):
-            if grassmann_distance(bases[i], bases[j]) <= link:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+        js = i + 1 + np.flatnonzero(comp[i + 1:] != comp[i])
+        if js.size:
+            linked = js[_sine_distances(bases[i], bases[js]) <= link]
+            comp[np.isin(comp, comp[linked])] = comp[i]
     groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+    for i, c in enumerate(comp.tolist()):
+        groups.setdefault(c, []).append(i)
     return sorted(groups.values(), key=lambda g: (len(g), max(g)), reverse=True)
 
 
@@ -281,17 +292,17 @@ def _extrapolate_projector(bases: list[np.ndarray], labels: np.ndarray,
     return basis
 
 
-def _subspace_limit(seq: MatrixSequence, bases_by_index: dict[int, np.ndarray],
-                    rank: int):
-    """Cluster tail candidates, extrapolate the dominant family, intersect
-    the rest.  Returns (subspace, converged, dominant_indices)."""
+def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
+    """Cluster the tail candidates ``bases`` (one per tail term, in order),
+    extrapolate the dominant family, intersect the rest.  Returns
+    (subspace, converged, dominant_indices)."""
     d = seq.dim
+    n = len(seq)
+    indices = range(n // 2, n)
     if rank == 0:
-        return Subspace.zero(d), True, tuple(sorted(bases_by_index))
+        return Subspace.zero(d), True, tuple(indices)
     if rank == d:
-        return Subspace.full(d), True, tuple(sorted(bases_by_index))
-    indices = sorted(bases_by_index)
-    bases = [bases_by_index[i] for i in indices]
+        return Subspace.full(d), True, tuple(indices)
     clusters = _cluster_by_linkage(bases)
     labels = seq.labels
     limits = []
@@ -324,19 +335,15 @@ def _intersect_bases(bases: list[np.ndarray], tol: float = INTERSECTION_TOL) -> 
     return vt[keep].T
 
 
-def _restricted_norms(seq: MatrixSequence, bases_by_index: dict[int, np.ndarray],
-                      indices) -> float:
-    worst = 0.0
-    for i in indices:
-        b = bases_by_index[i]
-        if b.shape[1] == 0:
-            continue
-        worst = max(worst, float(np.linalg.norm(seq.terms[i] @ b, 2)))
-    return worst
+def _restricted_norms(terms: np.ndarray, bases: np.ndarray) -> float:
+    """Largest operator norm of ``terms[i]`` restricted to the span of ``bases[i]``."""
+    if bases.shape[2] == 0:
+        return 0.0
+    return float(np.max(np.linalg.svd(terms @ bases, compute_uv=False)[:, 0]))
 
 
-def _modulus(seq, bases_by_index, indices) -> float:
-    worst = _restricted_norms(seq, bases_by_index, indices)
+def _modulus(terms: np.ndarray, bases: np.ndarray) -> float:
+    worst = _restricted_norms(terms, bases)
     return float("inf") if worst == 0.0 else 1.0 / worst
 
 
@@ -356,14 +363,13 @@ def _gate(seq: MatrixSequence, check_divergent: bool):
 def _detected(seq: MatrixSequence, bases, rank: int,
               kind: StabilityKind = StabilityKind.STABLE) -> ASResult:
     """Subspace limit of the leading `rank` columns of the tail terms'
-    candidate bases (``bases[i]`` is the d x d basis of term i)."""
-    n = len(seq)
-    cands = {i: bases[i][:, :rank] for i in range(n // 2, n)}
-    sub, conv, used = _subspace_limit(seq, cands, rank)
+    candidate bases (``bases`` stacks the d x d basis of every term)."""
+    sub, conv, used = _subspace_limit(seq, bases[_tail_slice(len(seq)), :, :rank], rank)
+    used_idx = list(used)
     return ASResult(
         subspace=sub,
         kind=kind,
-        modulus=_modulus(seq, cands, used),
+        modulus=_modulus(seq.terms[used_idx], bases[used_idx, :, :rank]),
         converged=conv,
         subsequence_indices=used,
     )
@@ -397,14 +403,11 @@ def as_subspace_ellipsoid(seq: MatrixSequence,
     from the SVD route of `as_subspace_kak`.
     """
     _gate(seq, check_divergent)
-    sig_rows = []
-    vecs = []
-    for t, op in zip(seq.terms, seq.norms):
-        mu, v = np.linalg.eigh((t.T @ t) / (op * op))
-        mu = np.maximum(mu, 0.0)
-        sig_rows.append(np.sqrt(mu) * op)  # ascending, equals singular values
-        vecs.append(v)
-    growing = _growing_flags(np.array(sig_rows), bound_threshold, GROWTH_RATIO)
+    t = seq.terms
+    op = seq.norms[:, None]
+    mu, vecs = np.linalg.eigh((np.swapaxes(t, 1, 2) @ t) / (op * op)[:, :, None])
+    sig = np.sqrt(np.maximum(mu, 0.0)) * op  # ascending, equals singular values
+    growing = _growing_flags(sig, bound_threshold, GROWTH_RATIO)
     return _detected(seq, vecs, int(np.sum(~growing)))
 
 
@@ -420,15 +423,12 @@ def as_subspace_graph(seq: MatrixSequence, check_divergent: bool = True) -> ASRe
     _gate(seq, check_divergent)
     n = len(seq)
     d = seq.dim
-    tops = []
-    for t in seq.terms:
-        q, _ = np.linalg.qr(np.vstack([np.eye(d), t]))
-        u, s, _ = np.linalg.svd(q[:d, :])
-        tops.append((u, s))  # s descending in [0, 1]
-    s_all = np.array([s for _, s in tops])
-    mid, last = s_all[n // 2], s_all[-1]
+    graphs = np.concatenate([np.broadcast_to(np.eye(d), seq.terms.shape), seq.terms], axis=1)
+    q, _ = np.linalg.qr(graphs)
+    u, s, _ = np.linalg.svd(q[:, :d, :])  # s descending in [0, 1]
+    mid, last = s[n // 2], s[-1]
     collapsing = (last < 0.25) & (last < 0.6 * mid)
-    return _detected(seq, [u for u, _ in tops], int(np.sum(~collapsing)))
+    return _detected(seq, u, int(np.sum(~collapsing)))
 
 
 def as_all_oracles(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,

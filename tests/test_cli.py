@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lorentzdyn import boost, jsonio
 from lorentzdyn.cli import main
@@ -96,6 +100,25 @@ class TestAsCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: tolerance overrides must be positive\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name, content", [
+        ("missing.json", None),
+        ("bad_json.json", "{not json"),
+        ("non_numeric.json", json.dumps({"d": 2, "terms": [[["a", 0], [0, 1]]] * 8})),
+        ("ragged.json", json.dumps({"terms": [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]] * 4})),
+        ("nan.json", json.dumps({"terms": [[[float("nan"), 0], [0, 1]]] * 8})),
+    ], ids=["missing", "invalid-json", "non-numeric", "ragged", "nan"])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, name, content):
+        # bad input files are a precondition failure: exit 2, one error line
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        assert main(["as", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_chaos_with_form_reports_lightlike(self, files, tmp_path):
@@ -217,6 +240,46 @@ class TestDeterminism:
                                str(tmp_path / "o.json"))
         assert rc == 0
         assert isinstance(json.loads(text), dict)
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+                 | st.floats() | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _sequence_payloads(draw):
+    """Sequence objects: n square d x d terms (n may be 0) whose entries may be
+    NaN or infinite, and sometimes a `d` field of any JSON type."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12))
+    entry = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-100, 100)
+    terms = draw(st.lists(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                   min_size=d, max_size=d),
+                          min_size=n, max_size=n))
+    payload = {"terms": terms}
+    if draw(st.booleans()):
+        payload["d"] = draw(st.integers(0, 5) | _JSON_SCALARS)
+    return payload
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_JSON_VALUES | _sequence_payloads())
+def test_as_fuzzed_payloads_honour_exit_codes(tmp_path, payload):
+    # whatever the file holds, `as` ends with a documented exit code
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["as", str(path)])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_console_entry_point(files):

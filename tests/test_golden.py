@@ -1,0 +1,52 @@
+"""CLI golden reports: `lorentzdyn as --oracle all` on checked-in inputs.
+
+The reports under tests/golden/ were written by the per-pair and per-term
+loops that the batched L2/L3 kernels replaced.  Keys, list lengths, strings
+and booleans must match exactly and numbers to 1e-12 relative, so a later
+speed-up that drifts the answers shows here.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from lorentzdyn.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("fundamental40.as.json", ["fundamental40.json"]),
+    ("chaos40-split3.as.json", ["chaos40.json", "--form", "split3.json"]),
+    ("lorentz4-mink4.as.json", ["lorentz4.json", "--form", "mink4.json"]),
+]
+
+
+def _assert_matches(got, want, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        # integral floats print without a fraction, so int and float mix here
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        if math.isnan(want):
+            assert math.isnan(got), where
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (where, got, want)
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("report, args", CASES, ids=[c[0] for c in CASES])
+def test_as_all_oracles_matches_golden_report(report, args, tmp_path):
+    argv = ["as"] + [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--oracle", "all", "--output", str(out)]) == 0
+    want = json.loads((GOLDEN / report).read_text())
+    _assert_matches(json.loads(out.read_text()), want, "report")

@@ -27,8 +27,9 @@ from lorentzdyn.errors import (
     InsufficientDataError,
     SingularMatrixError,
 )
-from lorentzdyn.minkowski import orthogonal_complement
-from lorentzdyn.stability import brute_force_score
+from lorentzdyn import stability
+from lorentzdyn.minkowski import grassmann_distance, orthogonal_complement
+from lorentzdyn.stability import CLUSTER_LINK, brute_force_score
 
 from .conftest import (
     boost_sequence,
@@ -352,3 +353,206 @@ class TestGates:
         seq = fundamental_sequence(5)
         with pytest.raises(InsufficientDataError):
             as_subspace_kak(seq)
+
+
+# ---------------------------------------------------------------------------
+# batched L2/L3 kernels against the per-pair and per-term loops they replaced
+
+
+def _per_pair_linkage(bases, link=CLUSTER_LINK):
+    """Reference: single linkage by a union-find over every pair i < j."""
+    m = len(bases)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if grassmann_distance(bases[i], bases[j]) <= link:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: (len(g), max(g)), reverse=True)
+
+
+def _orth(x):
+    return np.linalg.qr(x)[0]
+
+
+def _drifting(rng, d, k, labels, scale):
+    """Candidates drifting like scale/n towards a random k-plane."""
+    base, step = rng.normal(size=(d, k)), rng.normal(size=(d, k))
+    return np.array([_orth(base + scale * step / n) for n in labels])
+
+
+def _interleaved(rng, d, k, m, families, scale):
+    """Candidate i drifts with family i % families: every consecutive link breaks."""
+    fams = [_drifting(rng, d, k, range(5, 5 + m), scale) for _ in range(families)]
+    return np.array([fams[i % families][i] for i in range(m)])
+
+
+def _rotating(d, k, m, angle):
+    """Each candidate is the previous one turned by `angle` in one plane."""
+    e = np.eye(d)
+    return np.array([np.column_stack([e[:, :k - 1],
+                                      np.cos(i * angle) * e[:, k - 1]
+                                      + np.sin(i * angle) * e[:, k]])
+                     for i in range(m)])
+
+
+def _linkage_scenarios(d, k, rng):
+    yield "converging", _drifting(rng, d, k, range(5, 65), 0.01)
+    yield "partly-broken", _drifting(rng, d, k, range(1, 41), 1.0)
+    for families in (2, 3):
+        yield f"{families}-interleaved", _interleaved(rng, d, k, 45, families, 0.01)
+    yield "singletons", np.array([_orth(rng.normal(size=(d, k))) for _ in range(12)])
+    yield "m=1", _drifting(rng, d, k, [3], 0.01)
+    yield "m=2", _drifting(rng, d, k, [3, 4], 0.01)
+    yield "m=2-apart", np.array([_orth(rng.normal(size=(d, k))) for _ in range(2)])
+    yield "inside-link", _rotating(d, k, 12, CLUSTER_LINK - 1e-9)
+    yield "outside-link", _rotating(d, k, 12, CLUSTER_LINK + 1e-9)
+
+
+class TestBatchedLinkage:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_partitions_equal_per_pair_linkage(self, d):
+        rng = np.random.default_rng(70 + d)
+        for k in range(1, d):
+            for name, bases in _linkage_scenarios(d, k, rng):
+                got = stability._cluster_by_linkage(bases)
+                assert got == _per_pair_linkage(bases), (d, k, name)
+                if name == "inside-link":
+                    assert got == [list(range(len(bases)))]
+                if name == "outside-link":
+                    assert len(got) == len(bases)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_sine_distances_equal_grassmann_distance(self, d):
+        rng = np.random.default_rng(80 + d)
+        for k in range(1, d):
+            for _, bases in _linkage_scenarios(d, k, rng):
+                if len(bases) < 2:
+                    continue
+                got = np.concatenate([stability._sine_distances(bases[:-1], bases[1:]),
+                                      stability._sine_distances(bases[0], bases[1:])])
+                ref = np.array([grassmann_distance(bases[i], bases[i + 1])
+                                for i in range(len(bases) - 1)]
+                               + [grassmann_distance(bases[0], b) for b in bases[1:]])
+                assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_converging_tail_costs_m_minus_one_distances(self, monkeypatch):
+        # consecutive links join a converging family at once, so no later
+        # candidate is compared again: the path is linear in m
+        bases = _drifting(np.random.default_rng(5), 4, 2, range(5, 505), 0.01)
+        pairs = []
+        batched = stability._sine_distances
+
+        def counting(a, b):
+            out = batched(a, b)
+            pairs.append(len(out))
+            return out
+
+        monkeypatch.setattr(stability, "_sine_distances", counting)
+        assert stability._cluster_by_linkage(bases) == [list(range(500))]
+        assert sum(pairs) == 499
+
+
+def _awkward_sequence(d, seed):
+    """Identities, det < 0 terms, tied singular values and random terms."""
+    rng = np.random.default_rng(seed)
+    flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
+    tied = np.diag(np.concatenate([[3.0], np.ones(d - 2), [1 / 3.0]]))
+    q = _orth(rng.normal(size=(d, d)))
+    terms = [np.eye(d), flip, tied, flip @ tied, 2.0 * np.eye(d), q @ tied @ q.T, flip @ q]
+    for n in range(1, 13):
+        a = rng.normal(size=(d, d)) + np.diag(rng.uniform(1, 3, d))
+        terms += [a, flip @ a @ np.diag(np.geomspace(1.0, 1.5 ** n, d))]
+    return MatrixSequence.from_terms(terms)
+
+
+def _per_term_ellipsoid(seq):
+    """Reference: the per-term eigh of the normalized Gram."""
+    sig_rows, vecs = [], []
+    for t, op in zip(seq.terms, seq.norms):
+        mu, v = np.linalg.eigh((t.T @ t) / (op * op))
+        sig_rows.append(np.sqrt(np.maximum(mu, 0.0)) * op)
+        vecs.append(v)
+    growing = stability._growing_flags(np.array(sig_rows), stability.BOUND_THRESHOLD,
+                                       stability.GROWTH_RATIO)
+    return vecs, int(np.sum(~growing))
+
+
+def _per_term_graph(seq):
+    """Reference: the per-term QR of the graph and SVD of its top block."""
+    n, d = len(seq), seq.dim
+    us, ss = [], []
+    for t in seq.terms:
+        q, _ = np.linalg.qr(np.vstack([np.eye(d), t]))
+        u, s, _ = np.linalg.svd(q[:d, :])
+        us.append(u)
+        ss.append(s)
+    collapsing = (ss[-1] < 0.25) & (ss[-1] < 0.6 * ss[n // 2])
+    return us, int(np.sum(~collapsing))
+
+
+def _per_index_restricted_norm(terms, bases, indices, rank):
+    """Reference: the per-index operator norm on each candidate."""
+    worst = 0.0
+    for i in indices:
+        b = bases[i][:, :rank]
+        if b.shape[1] == 0:
+            continue
+        worst = max(worst, float(np.linalg.norm(terms[i] @ b, 2)))
+    return worst
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestBatchedDetectorLoops:
+    @staticmethod
+    def _candidates(monkeypatch, detector, seq):
+        seen = {}
+
+        def capture(seq, bases, rank, kind=None):
+            seen.update(bases=bases, rank=rank)
+            raise _Captured
+
+        monkeypatch.setattr(stability, "_detected", capture)
+        with pytest.raises(_Captured):
+            detector(seq, check_divergent=False)
+        return seen["bases"], seen["rank"]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_candidates_equal_per_term_loops(self, d, monkeypatch):
+        seq = _awkward_sequence(d, 90 + d)
+        for detector, reference in ((as_subspace_ellipsoid, _per_term_ellipsoid),
+                                    (as_subspace_graph, _per_term_graph)):
+            bases, rank = self._candidates(monkeypatch, detector, seq)
+            ref_bases, ref_rank = reference(seq)
+            assert rank == ref_rank
+            for i, b in enumerate(ref_bases):
+                assert np.array_equal(bases[i], b)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_restricted_norms_equal_per_index_loop(self, d):
+        seq = _awkward_sequence(d, 100 + d)
+        n = len(seq)
+        stacks = [np.swapaxes(seq.cartan.R, 1, 2),
+                  np.array(_per_term_ellipsoid(seq)[0]),
+                  np.array(_per_term_graph(seq)[0])]
+        for bases in stacks:
+            for indices in (list(range(n // 2, n)), list(range(n // 2, n, 3))):
+                for rank in range(d + 1):
+                    got = stability._restricted_norms(seq.terms[indices],
+                                                      bases[indices, :, :rank])
+                    ref = _per_index_restricted_norm(seq.terms, bases, indices, rank)
+                    assert got == ref
