@@ -309,6 +309,8 @@ def main(argv=None) -> int:
     try:
         if any(getattr(args, name, 1.0) <= 0 for name in _TOLERANCES):
             raise PreconditionError("tolerance overrides must be positive")
+        if getattr(args, "directions", 1) < 1:
+            raise PreconditionError("--directions must be at least 1")
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,8 +70,9 @@ def csv_lines(header: list[str], rows) -> str:
 # ---------------------------------------------------------------------------
 # readers
 #
-# Unreadable files, malformed JSON and non-numeric or ragged arrays are bad
-# input: they surface as PreconditionError naming the file.
+# Unreadable files, malformed JSON, non-numeric or ragged arrays and NaN or
+# infinite matrix entries are bad input: they surface as PreconditionError
+# naming the file.
 
 
 def _read_json(path):
@@ -91,13 +92,22 @@ def _float_array(path, data) -> np.ndarray:
         raise PreconditionError(f"{path}: expected numeric arrays ({exc})") from exc
 
 
+def _finite_array(path, data) -> np.ndarray:
+    a = _float_array(path, data)
+    if not np.all(np.isfinite(a)):
+        raise PreconditionError(f"{path}: entries must be finite (no NaN or infinity)")
+    return a
+
+
 def load_matrix(path) -> np.ndarray:
-    """A matrix stored as a JSON array of rows."""
+    """A square matrix stored as a JSON array of rows, with finite entries."""
     data = _read_json(path)
     m = _float_array(path, data)
     if m.ndim != 2:
         raise PreconditionError(f"{path}: expected a JSON array of rows")
-    return m
+    if m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"{path}: expected a square matrix, got shape {m.shape}")
+    return _finite_array(path, m)
 
 
 def load_form(path) -> QuadraticForm:
@@ -105,11 +115,11 @@ def load_form(path) -> QuadraticForm:
 
 
 def load_matrices(path) -> list[np.ndarray]:
-    """A JSON array of matrices (each an array of rows)."""
+    """A JSON array of matrices (each an array of rows) with finite entries."""
     data = _read_json(path)
     if not isinstance(data, list) or not data:
         raise PreconditionError(f"{path}: expected a non-empty JSON array of matrices")
-    return [_float_array(path, m) for m in data]
+    return [_finite_array(path, m) for m in data]
 
 
 def load_sequence(path) -> MatrixSequence:

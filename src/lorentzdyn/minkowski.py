@@ -146,7 +146,8 @@ def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
     Forming A^T g A loses about eps * |A|^2 of absolute accuracy to
     cancellation, so matrices of large norm cannot be checked against
     tol * |g| alone; the allowance keeps genuinely non-preserving matrices
-    (defect of order |A|^2 |g|) detectable at every scale.
+    (defect of order |A|^2 |g|) detectable at every scale.  A defect that
+    overflows cannot be checked, so it fails the gate.
     """
     m = _as_matrix(A)
     if m.shape != form.gram.shape:
@@ -154,7 +155,7 @@ def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
     op = np.linalg.norm(m, 2)
     allowance = 64.0 * form.dim * np.finfo(float).eps * op * op * np.linalg.norm(form.gram, 2)
     defect = np.linalg.norm(m.T @ form.gram @ m - form.gram)
-    if defect > tol * np.linalg.norm(form.gram) + allowance:
+    if not np.isfinite(defect) or defect > tol * np.linalg.norm(form.gram) + allowance:
         raise NotIsometryError("matrix does not preserve the form")
     return m
 

@@ -11,6 +11,7 @@ group (one point: parabolic; two: hyperbolic; more: non-elementary).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,9 @@ from .errors import (
     ConvergenceError,
     EquicontinuousError,
     NotIsotropicError,
+    NumericalError,
     PreconditionError,
+    SingularMatrixError,
 )
 from .minkowski import (
     ISOTROPY_TOL,
@@ -297,7 +300,10 @@ def _merge_close_clusters(form: QuadraticForm, clusters: list[RayCluster],
 def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
                   rng: np.random.Generator):
     """Reduced random words up to the given length over generators and inverses."""
-    letters = list(generators) + [np.linalg.inv(g) for g in generators]
+    try:
+        letters = list(generators) + [np.linalg.inv(g) for g in generators]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("a generator is singular") from exc
     g = len(generators)
     inverse_of = {i: i + g for i in range(g)} | {i + g: i for i in range(g)}
     for _ in range(samples):
@@ -335,7 +341,12 @@ def limit_set(form: QuadraticForm, generators, depth: int = 8,
     rays = []
     divergent = 0
     for wlen, word in _sample_words(gens, depth, samples, rng):
-        growth = norm_growth(word)
+        try:
+            growth = norm_growth(word)
+        except np.linalg.LinAlgError:
+            growth = math.nan
+        if not math.isfinite(growth):
+            raise NumericalError(f"a word of length {wlen} overflows the floating-point range")
         if growth < divergence_threshold:
             continue
         divergent += 1

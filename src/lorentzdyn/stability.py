@@ -502,49 +502,79 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> float:
-    """min of y^T diag(beta) y + 2 gamma . y over the unit sphere.
+# Cap minima are solved a chunk of whole directions at a time, each chunk
+# holding about this many (direction, radius, tail term) problems, so
+# memory stays bounded for any number of directions.
+_CAP_CHUNK = 4096
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b over the last axis.  Stacked 1 x m by m x 1 products
+    run the same BLAS dot as `a @ b` on 1-D rows, so the bits match a
+    per-row loop (`einsum` and `norm(axis=...)` sum in another order)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _nonneg(x: np.ndarray) -> np.ndarray:
+    """``max(0.0, x)`` elementwise, as Python's `max` resolves it."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _sphere_quadratic(beta: np.ndarray, gamma: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _dots(y, beta * y) + _dots(2.0 * gamma, y)
+
+
+def _y_norm2(beta: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return np.sum((gamma / (beta + mu[:, None])) ** 2, axis=-1)
+
+
+def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """min of y^T diag(beta) y + 2 gamma . y over the unit sphere, for each
+    row of the (problems x m) stacks beta (ascending) and gamma.
 
     Trust-region secular equation: y(mu) = -gamma / (beta + mu) with
     |y(mu)| = 1 and mu >= -beta_min, including the hard case where gamma
-    has no component on the bottom eigenspace.
+    has no component on the bottom eigenspace.  Every problem bisects until
+    its own stopping test holds; the rest of the batch is masked out.
     """
-    b0 = float(beta[0])
-    gnorm = float(np.linalg.norm(gamma))
-    if gnorm == 0.0:
-        return b0
-
-    def y_norm2(mu):
-        return float(np.sum((gamma / (beta + mu)) ** 2))
-
+    b0 = beta[:, 0]
+    gnorm = np.sqrt(_dots(gamma, gamma))
+    out = b0.copy()  # gamma = 0: the bottom eigenvalue
     lo, hi = -b0, -b0 + gnorm
-    eps = 1e-14 * max(1.0, abs(b0))
-    if y_norm2(lo + eps) < 1.0:
-        # hard case: pad the limit solution along the bottom eigendirection
-        denom = beta - b0
-        y = np.where(denom > eps, -gamma / np.where(denom > eps, denom, 1.0), 0.0)
-        pad = np.sqrt(max(0.0, 1.0 - float(y @ y)))
-        y[int(np.argmin(beta))] += pad
-        return float(y @ (beta * y) + 2.0 * gamma @ y)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if y_norm2(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    mu = 0.5 * (lo + hi)
-    y = -gamma / (beta + mu)
-    ny = np.linalg.norm(y)
-    if ny > 0:
-        y = y / ny
-    return float(y @ (beta * y) + 2.0 * gamma @ y)
+    eps = 1e-14 * np.maximum(1.0, np.abs(b0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hard = (gnorm != 0.0) & (_y_norm2(beta, gamma, lo + eps) < 1.0)
+        if np.any(hard):
+            # pad the limit solution along the bottom eigendirection
+            b, g, e = beta[hard], gamma[hard], eps[hard, None]
+            denom = b - b[:, :1]
+            y = np.where(denom > e, -g / np.where(denom > e, denom, 1.0), 0.0)
+            y[np.arange(len(y)), np.argmin(b, axis=1)] += np.sqrt(_nonneg(1.0 - _dots(y, y)))
+            out[hard] = _sphere_quadratic(b, g, y)
+        rows = np.flatnonzero((gnorm != 0.0) & ~hard)
+        idx, b, g, l, h = rows, beta[rows], gamma[rows], lo[rows], hi[rows]
+        for _ in range(200):
+            mid = 0.5 * (l + h)
+            above = _y_norm2(b, g, mid) > 1.0
+            l, h = np.where(above, mid, l), np.where(above, h, mid)
+            done = h - l <= 1e-15 * np.maximum(1.0, np.abs(h))
+            if np.any(done):  # most steps finish no problem: skip the compaction
+                lo[idx[done]], hi[idx[done]] = l[done], h[done]
+                idx, b, g, l, h = idx[~done], b[~done], g[~done], l[~done], h[~done]
+                if not idx.size:
+                    break
+        lo[idx], hi[idx] = l, h  # out of steps
+        b, g = beta[rows], gamma[rows]
+        y = -g / (b + (0.5 * (lo[rows] + hi[rows]))[:, None])
+        ny = np.sqrt(_dots(y, y))[:, None]
+        out[rows] = _sphere_quadratic(b, g, np.where(ny > 0, y / ny, y))
+    return out
 
 
-def _min_image_on_cap(eigvals: np.ndarray, eigvecs: np.ndarray, gram: np.ndarray,
-                      v: np.ndarray, r: float) -> float:
-    """min |A w| over unit w with |w - v| <= r, given eigh(A^T A).
+def _cap_minima(spectra: tuple, dirs: np.ndarray, radii: np.ndarray,
+                start: int, stop: int) -> np.ndarray:
+    """min |A_n w| over unit w with |w - v| <= r, for the (direction v,
+    radius r) pairs start..stop-1 in row-major order (pairs x tail terms).
 
     Exact: interior candidates are the eigendirections falling inside the
     cap, and the cap boundary reduces to a quadratic-on-a-sphere problem in
@@ -552,43 +582,62 @@ def _min_image_on_cap(eigvals: np.ndarray, eigvecs: np.ndarray, gram: np.ndarray
     for exponentially divergent sequences the bounded-image region near the
     stable hyperplane is a slab of width ~ 1/|A| that samples never hit.
     """
-    c = 1.0 - 0.5 * r * r
-    best = np.inf
-    inside = np.abs(eigvecs.T @ v) >= c
-    if np.any(inside):
-        best = float(np.min(eigvals[inside]))
-    if c >= 1.0:
-        base = float(v @ gram @ v)
-        return float(np.sqrt(max(0.0, min(best, base))))
-    d = len(v)
-    # orthonormal basis of v-perp
-    q, _ = np.linalg.qr(np.column_stack([v, np.eye(d)]))
-    perp = q[:, 1:d]
-    s = np.sqrt(max(0.0, 1.0 - c * c))
-    b_mat = perp.T @ gram @ perp
-    g_vec = perp.T @ (gram @ v)
-    beta, w_mat = np.linalg.eigh(s * s * b_mat)
-    gamma = w_mat.T @ (c * s * g_vec)
-    boundary = _min_quadratic_on_sphere(beta, gamma) + c * c * float(v @ gram @ v)
-    return float(np.sqrt(max(0.0, min(best, boundary))))
+    vals, vecs, grams = spectra
+    nr = len(radii)
+    pair = np.arange(start, stop)
+    k0 = start // nr
+    v = dirs[k0:(stop - 1) // nr + 1]
+    kk = pair // nr - k0
+    c = (1.0 - 0.5 * radii * radii)[pair % nr]
+    col = v[:, None, :, None]
+    base = ((v[:, None, None, :] @ grams) @ col)[..., 0, 0]
+    inside = np.abs(np.swapaxes(vecs, 1, 2) @ col)[kk, ..., 0] >= c[:, None, None]
+    best = np.min(np.where(inside, vals, np.inf), axis=2)
+    bound = base[kk]
+    d = v.shape[1]
+    cap = (c < 1.0) & (d > 1)  # on S^0 the cap has no boundary to search
+    if np.any(cap):
+        q, _ = np.linalg.qr(np.concatenate(
+            [col[:, 0], np.broadcast_to(np.eye(d), (len(v), d, d))], axis=2))
+        perp = q[:, None, :, 1:d]  # orthonormal basis of v-perp
+        perp_t = np.swapaxes(perp, 2, 3)
+        b_mat = (perp_t @ grams) @ perp
+        g_vec = perp_t @ (grams @ col)
+        kc, cc = kk[cap], c[cap]
+        s = np.sqrt(_nonneg(1.0 - cc * cc))
+        beta, w_mat = np.linalg.eigh((s * s)[:, None, None, None] * b_mat[kc])
+        gamma = np.swapaxes(w_mat, 2, 3) @ ((cc * s)[:, None, None, None] * g_vec[kc])
+        quad = _min_quadratic_on_sphere(beta.reshape(-1, d - 1), gamma.reshape(-1, d - 1))
+        bound[cap] = quad.reshape(beta.shape[:2]) + (cc * cc)[:, None] * base[kc]
+    return np.sqrt(_nonneg(np.where(bound < best, bound, best)))
 
 
-def _tail_spectra(seq: MatrixSequence) -> list[tuple]:
-    """(eigenvalues, eigenvectors, Gram) of A_n^T A_n over the tail."""
-    spectra = []
-    for t in seq.terms[_tail_slice(len(seq))]:
-        gram = t.T @ t
-        vals, vecs = np.linalg.eigh(gram)
-        spectra.append((vals, vecs, gram))
-    return spectra
+def _min_image_on_cap(eigvals: np.ndarray, eigvecs: np.ndarray, gram: np.ndarray,
+                      v: np.ndarray, r: float) -> float:
+    """min |A w| over unit w with |w - v| <= r, given eigh(A^T A): the
+    one-pair, one-term case of `_cap_minima`."""
+    spectra = (eigvals[None], eigvecs[None], gram[None])
+    return float(_cap_minima(spectra, np.asarray(v)[None], np.array([r], float), 0, 1)[0, 0])
 
 
-def _cap_score(spectra: list[tuple], v: np.ndarray, r: float) -> float:
-    """m(v, r): max over the tail of the exact cap minimum around v."""
-    worst = 0.0
-    for vals, vecs, gram in spectra:
-        worst = max(worst, _min_image_on_cap(vals, vecs, gram, v, r))
-    return worst
+def _tail_spectra(seq: MatrixSequence) -> tuple:
+    """(eigenvalues, eigenvectors, Gram) of A_n^T A_n, stacked over the tail."""
+    tail = seq.terms[_tail_slice(len(seq))]
+    grams = np.swapaxes(tail, 1, 2) @ tail
+    vals, vecs = np.linalg.eigh(grams)
+    return vals, vecs, grams
+
+
+def _cap_scores(spectra: tuple, dirs: np.ndarray, radii, count: int) -> np.ndarray:
+    """m(v, r) = max over the tail of the cap minimum, for the first `count`
+    (direction, radius) pairs in row-major order."""
+    radii = np.asarray(radii, dtype=float)
+    step = len(radii) * max(1, _CAP_CHUNK // (len(radii) * len(spectra[0])))
+    scores = np.empty(max(count, 0))
+    for start in range(0, count, step):
+        stop = min(count, start + step)
+        scores[start:stop] = np.max(_cap_minima(spectra, dirs, radii, start, stop), axis=1)
+    return scores
 
 
 def brute_force_as(seq: MatrixSequence, directions: int = 64,
@@ -608,19 +657,13 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     # Each (direction, radius) score costs one cap minimum per tail term;
     # the budget pays for the first `done` of them in row-major order.
     total = directions * len(radii)
-    done = min(total, budget // len(spectra))
+    done = min(total, budget // len(spectra[0]))
     scores = np.full(total, np.nan)
-    for j in range(done):
-        k, ri = divmod(j, len(radii))
-        scores[j] = _cap_score(spectra, dirs[k], radii[ri])
+    scores[:max(done, 0)] = _cap_scores(spectra, dirs, radii, done)
     scores = scores.reshape(directions, len(radii))
     complete = done == total
     return BruteForceScores(directions=dirs, radii=radii, scores=scores,
                             complete=complete)
-
-
-# ---------------------------------------------------------------------------
-# strongly stable space and the Lorentz structure check
 
 
 def brute_force_score(seq: MatrixSequence, v,
@@ -629,8 +672,12 @@ def brute_force_score(seq: MatrixSequence, v,
     _require_usable(seq)
     u = np.asarray(v, dtype=float)
     u = u / np.linalg.norm(u)
-    spectra = _tail_spectra(seq)
-    return np.array([_cap_score(spectra, u, r) for r in sorted(radii, reverse=True)])
+    radii = sorted(radii, reverse=True)
+    return _cap_scores(_tail_spectra(seq), u[None], radii, len(radii))
+
+
+# ---------------------------------------------------------------------------
+# strongly stable space and the Lorentz structure check
 
 
 def spas_subspace(seq: MatrixSequence, form: QuadraticForm | None = None,

@@ -71,6 +71,24 @@ class TestKakCommand:
     def test_singular_exit_code(self, files):
         assert main(["kak", files["singular.json"]]) == 2
 
+    @pytest.mark.parametrize("command, content", [
+        ("kak", "[[1, 0, 0], [0, 1, 0]]"),
+        ("kak", "[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        ("limit-set", "[[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]]"),
+        ("limit-set", "[[[1, 0, 0], [0, 1, 0], [0, 0, Infinity]]]"),
+    ], ids=["kak-non-square", "kak-nan", "limit-set-nan", "limit-set-inf"])
+    def test_malformed_matrix_exit_code(self, files, tmp_path, capsys, command, content):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        argv = [command, str(path)]
+        if command == "limit-set":
+            argv += ["--form", files["mink3.json"]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestAsCommand:
     def test_all_oracles_agree(self, files, tmp_path):
@@ -133,6 +151,14 @@ class TestAsCommand:
         assert rep["lorentz_check"]["passed"] is True
         assert rep["lorentz_check"]["kernel_dim"] == 1
 
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_non_positive_directions_exit_code(self, files, capsys, count):
+        argv = ["as", files["fund_seq.json"], "--oracle", "brute", "--directions", count]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --directions must be at least 1\n"
+        assert captured.out == ""
+
     def test_brute_oracle(self, files, tmp_path):
         rc, text = run_to_file(
             ["as", files["fund_seq.json"], "--oracle", "brute", "--directions", "16"],
@@ -165,6 +191,23 @@ class TestLimitSetCommand:
         lines = trace.read_text().strip().split("\n")
         assert lines[0] == "word_length,ray_0,ray_1,ray_2,growth"
         assert len(lines) > 100
+
+    @pytest.mark.parametrize("generator, depth, code, err", [
+        # so large that the isometry gate's roundoff allowance admits it
+        ([[4507073.0, 0, 0], [4507073.0, 0, 0], [0, 0, 0]], 8, 2,
+         "error: a generator is singular\n"),
+        (boost(3, 15.0).tolist(), 60, 3,
+         "numerical failure: a word of length 52 overflows the floating-point range\n"),
+    ], ids=["singular", "overflow"])
+    def test_unusable_generator_exit_code(self, files, tmp_path, capsys,
+                                          generator, depth, code, err):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps([generator]))
+        argv = ["limit-set", str(path), "--form", files["mink3.json"],
+                "--depth", str(depth), "--samples", "50"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == code
+        assert capsys.readouterr().err == err
 
 
 class TestModelCommands:
@@ -268,6 +311,26 @@ def _sequence_payloads(draw):
     return payload
 
 
+@st.composite
+def _matrix_payloads(draw):
+    """One d x d matrix, or a list of 1-3 of them (d = 3 or not), whose
+    entries may be NaN, infinite or huge."""
+    d = draw(st.integers(1, 4))
+    entry = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-100, 100)
+    matrix = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    if draw(st.booleans()):
+        return draw(matrix)
+    return draw(st.lists(matrix, min_size=1, max_size=3))
+
+
+def _exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return rc
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=_JSON_VALUES | _sequence_payloads())
@@ -275,11 +338,20 @@ def test_as_fuzzed_payloads_honour_exit_codes(tmp_path, payload):
     # whatever the file holds, `as` ends with a documented exit code
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(["as", str(path)])
-    assert rc in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert _exit_code(["as", str(path)]) in (0, 2, 3)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_JSON_VALUES | _matrix_payloads())
+def test_kak_and_limit_set_fuzzed_payloads_honour_exit_codes(files, payload):
+    # the same for `kak FILE` and `limit-set GENS` (a Minkowski form)
+    path = f"{files['dir']}/payload.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload))
+    assert _exit_code(["kak", path]) in (0, 2, 3)
+    assert _exit_code(["limit-set", path, "--form", files["mink3.json"],
+                       "--depth", "4", "--samples", "50"]) in (0, 2, 3)
 
 
 def test_console_entry_point(files):

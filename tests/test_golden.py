@@ -1,9 +1,11 @@
-"""CLI golden reports: `lorentzdyn as --oracle all` on checked-in inputs.
+"""CLI golden reports: `lorentzdyn as` on checked-in inputs.
 
 The reports under tests/golden/ were written by the per-pair and per-term
-loops that the batched L2/L3 kernels replaced.  Keys, list lengths, strings
-and booleans must match exactly and numbers to 1e-12 relative, so a later
-speed-up that drifts the answers shows here.
+loops that the batched kernels replaced.  For `--oracle all`, keys, list
+lengths, strings and booleans must match exactly and numbers to 1e-12
+relative, so a later speed-up that drifts the answers shows here.  The
+brute-force report must match byte for byte: its batched cap solver does
+the scalar solver's arithmetic.
 """
 
 import json
@@ -50,3 +52,11 @@ def test_as_all_oracles_matches_golden_report(report, args, tmp_path):
     assert main(argv + ["--oracle", "all", "--output", str(out)]) == 0
     want = json.loads((GOLDEN / report).read_text())
     _assert_matches(json.loads(out.read_text()), want, "report")
+
+
+def test_brute_oracle_matches_golden_report_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["as", str(GOLDEN / "fundamental40.json"), "--oracle", "brute",
+            "--directions", "16", "--seed", "2", "--output", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "fundamental40.brute.json").read_bytes()

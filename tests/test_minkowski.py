@@ -108,6 +108,14 @@ class TestIsometry:
     def test_scaling_is_not(self, mink3):
         assert not is_isometry(mink3, np.diag([2.0, 1.0, 1.0]), tol=1e-9)
 
+    def test_overflowing_defect_fails_the_gate(self, mink3):
+        # A^T g A overflows, and so does the roundoff allowance: nothing is checked
+        from lorentzdyn.errors import NotIsometryError
+        from lorentzdyn.minkowski import require_isometry
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotIsometryError):
+                require_isometry(mink3, np.diag([1e300, 1.0, 1e-300]), tol=1e-8)
+
     def test_closure_under_product_and_inverse(self, mink3):
         from lorentzdyn import boost, spatial_rotation
         rot = spatial_rotation(3, np.array([[0.0, -1.0], [1.0, 0.0]]))

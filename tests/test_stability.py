@@ -212,6 +212,116 @@ class TestOscillation:
         assert res.subspace.distance(Subspace.spanned_by([1, -1, -1])) < 1e-4
 
 
+def _ref_min_quadratic_on_sphere(beta, gamma, branches):
+    """Reference: the scalar secular-equation bisection, one problem at a
+    time; `branches` records which exit each problem took."""
+    b0 = float(beta[0])
+    gnorm = float(np.linalg.norm(gamma))
+    if gnorm == 0.0:
+        branches.add("gamma=0")
+        return b0
+
+    def y_norm2(mu):
+        return float(np.sum((gamma / (beta + mu)) ** 2))
+
+    lo, hi = -b0, -b0 + gnorm
+    eps = 1e-14 * max(1.0, abs(b0))
+    if y_norm2(lo + eps) < 1.0:
+        branches.add("hard")
+        denom = beta - b0
+        y = np.where(denom > eps, -gamma / np.where(denom > eps, denom, 1.0), 0.0)
+        pad = np.sqrt(max(0.0, 1.0 - float(y @ y)))
+        y[int(np.argmin(beta))] += pad
+        return float(y @ (beta * y) + 2.0 * gamma @ y)
+    branches.add("bisection")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if y_norm2(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    mu = 0.5 * (lo + hi)
+    y = -gamma / (beta + mu)
+    ny = np.linalg.norm(y)
+    if ny > 0:
+        y = y / ny
+    return float(y @ (beta * y) + 2.0 * gamma @ y)
+
+
+def _ref_min_image_on_cap(eigvals, eigvecs, gram, v, r, branches):
+    """Reference: one (direction, radius, term) cap minimum."""
+    c = 1.0 - 0.5 * r * r
+    best = np.inf
+    inside = np.abs(eigvecs.T @ v) >= c
+    if np.any(inside):
+        best = float(np.min(eigvals[inside]))
+    if c >= 1.0:
+        branches.add("c>=1")
+        base = float(v @ gram @ v)
+        return float(np.sqrt(max(0.0, min(best, base))))
+    d = len(v)
+    q, _ = np.linalg.qr(np.column_stack([v, np.eye(d)]))
+    perp = q[:, 1:d]
+    s = np.sqrt(max(0.0, 1.0 - c * c))
+    b_mat = perp.T @ gram @ perp
+    g_vec = perp.T @ (gram @ v)
+    beta, w_mat = np.linalg.eigh(s * s * b_mat)
+    gamma = w_mat.T @ (c * s * g_vec)
+    boundary = (_ref_min_quadratic_on_sphere(beta, gamma, branches)
+                + c * c * float(v @ gram @ v))
+    return float(np.sqrt(max(0.0, min(best, boundary))))
+
+
+def _ref_cap_score(seq, v, r, branches):
+    """Reference: the per-term loop over the tail, maximized."""
+    worst = 0.0
+    for t in seq.terms[len(seq) // 2:]:
+        gram = t.T @ t
+        vals, vecs = np.linalg.eigh(gram)
+        worst = max(worst, _ref_min_image_on_cap(vals, vecs, gram, v, r, branches))
+    return worst
+
+
+def _ref_brute_force_scores(seq, directions, radii, budget, seed, branches):
+    """Reference: the per-pair loop of `brute_force_as`."""
+    dirs = stability.sphere_points(seq.dim, directions, seed)
+    radii = sorted(radii, reverse=True)
+    total = directions * len(radii)
+    done = min(total, budget // (len(seq) - len(seq) // 2))
+    scores = np.full(total, np.nan)
+    for j in range(done):
+        k, ri = divmod(j, len(radii))
+        scores[j] = _ref_cap_score(seq, dirs[k], radii[ri], branches)
+    return scores.reshape(directions, len(radii)), done == total
+
+
+def _cap_scenarios(d, rng):
+    """Sequences for the cap solver: random terms, det < 0 terms, terms
+    whose Grams put the boundary problem of v = e1 in the hard case
+    (gamma off the bottom eigenspace), and diagonal terms (e1 is an
+    eigenvector, so gamma = 0)."""
+    flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
+    random_terms = []
+    for n in range(1, 12):
+        a = rng.normal(size=(d, d)) + np.diag(rng.uniform(1, 3, d))
+        random_terms.append(a @ np.diag(np.geomspace(1.0, 1.3 ** n, d)))
+    hard_terms = []
+    for n in range(1, 10):
+        # A^T A = [[1, b], [b, p]] + diag(q_3..q_d), q below p
+        a = np.diag(np.sqrt(np.concatenate([[1.0, 3.0 + n], 1.0 + 0.1 * np.arange(d - 2)])))
+        a[0, 1] = 1e-3
+        hard_terms.append(a)
+    diagonal = [np.diag(np.geomspace(1.0 / n, 2.0 * n, d)) for n in range(1, 10)]
+    return {
+        "random": MatrixSequence.from_terms(random_terms),
+        "det<0": MatrixSequence.from_terms([flip @ t for t in random_terms]),
+        "hard": MatrixSequence.from_terms(hard_terms),
+        "diagonal": MatrixSequence.from_terms(diagonal),
+    }
+
+
 class TestBruteForce:
     def test_fundamental_scores_split_three_ways(self):
         bf = brute_force_as(fundamental_sequence(40), directions=96,
@@ -242,6 +352,12 @@ class TestBruteForce:
         unstable_ray = brute_force_score(seq, [1, 1, 0], radii=(0.3, 0.01))
         assert np.all(spas_ray < 0.05)
         assert np.all(unstable_ray > 1e3)
+
+    def test_one_dimensional_scores_are_tail_maxima(self):
+        # on S^0 the cap around v is {v} (or {v, -v}): the score is max |a_n|
+        seq = MatrixSequence.from_terms([[[(-1.0) ** n * n]] for n in range(1, 11)])
+        bf = brute_force_as(seq, directions=3, radii=(2.5, 0.3, 0.0))
+        assert np.array_equal(bf.scores, np.full((3, 3), 10.0))
 
     def test_budget_flag(self):
         bf = brute_force_as(fundamental_sequence(12), directions=16,
@@ -274,6 +390,33 @@ class TestBruteForce:
             # sampling only approaches the exact minimum from above; the gap
             # is resolution-limited and widens with the ball dimension
             assert sampled - exact <= 0.1 * d * max(sampled, 0.1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_batched_solver_equals_scalar_loop(self, d, monkeypatch):
+        # every score, bit for bit, equals the per-(direction, radius, term)
+        # scalar solver; the scenarios reach each of its exits
+        rng = np.random.default_rng(70 + d)
+        radii = (0.5, 0.3, 0.0, 2.5)
+        branches = set()
+        e1 = np.eye(d)[0]
+        for name, seq in _cap_scenarios(d, rng).items():
+            tail = len(seq) - len(seq) // 2
+            for v in (e1, rng.normal(size=d)):
+                got = brute_force_score(seq, v, radii=radii)
+                u = v / np.linalg.norm(v)
+                want = [_ref_cap_score(seq, u, r, branches) for r in sorted(radii, reverse=True)]
+                assert np.array_equal(got, want), name
+            for budget in (0, -5, tail - 1, 2 * tail + 3, 7 * tail, 10 ** 9):
+                want, complete = _ref_brute_force_scores(seq, 5, radii, budget, d, branches)
+                for chunk in (1, 2 * tail + 1, 10 ** 6):
+                    # 1 direction per chunk, 2 per chunk with a short last
+                    # one, or all 5 in one chunk
+                    monkeypatch.setattr(stability, "_CAP_CHUNK", chunk * len(radii))
+                    bf = brute_force_as(seq, directions=5, radii=radii, budget=budget, seed=d)
+                    assert np.array_equal(bf.scores, want, equal_nan=True), (name, budget)
+                    assert bf.complete == complete
+        assert branches == ({"gamma=0", "bisection", "c>=1", "hard"} if d > 2
+                            else {"gamma=0", "bisection", "c>=1"})
 
 
 class TestStronglyStable:
