@@ -87,6 +87,14 @@ def standardizing_congruence(form: QuadraticForm) -> np.ndarray:
     return v / np.sqrt(np.abs(w))
 
 
+def is_standard_lorentz(form: QuadraticForm) -> bool:
+    """True when the Gram matrix is diag(-1, 1, ..., 1) to 1e-12 absolute, so
+    `lorentz_kak` factors the matrix itself and not a standardized conjugate."""
+    standard = np.eye(form.dim)
+    standard[0, 0] = -1.0
+    return bool(np.allclose(form.gram, standard, rtol=0, atol=1e-12))
+
+
 def lorentz_kak(form: QuadraticForm, A, tol: float = _PATTERN_TOL):
     """KAK of a Lorentz isometry with the D-pattern (lambda, 1, ..., 1, 1/lambda).
 
@@ -101,9 +109,7 @@ def lorentz_kak(form: QuadraticForm, A, tol: float = _PATTERN_TOL):
             f"form has signature {form.signature}, expected Lorentz (1, d-1)"
         )
     m = require_isometry(form, A, tol=1e-8)
-    standard = np.eye(form.dim)
-    standard[0, 0] = -1.0
-    if not np.allclose(form.gram, standard, rtol=0, atol=1e-12):
+    if not is_standard_lorentz(form):
         c = standardizing_congruence(form)
         m = np.linalg.solve(c, m @ c)
     fact = kak(m)

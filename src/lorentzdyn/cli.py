@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import cocycles, jsonio, models, projective, stability
-from .cartan import kak, lorentz_kak, norm_growth
+from .cartan import is_standard_lorentz, kak, lorentz_kak, norm_growth
 from .errors import NumericalError, PreconditionError
 from .minkowski import QuadraticForm
 from .projective import HyperbolicPoint
@@ -51,9 +51,7 @@ def cmd_kak(args) -> int:
         form = jsonio.load_form(args.form)
         fact, lam = lorentz_kak(form, a)
         report["lambda"] = lam
-        report["standardized"] = not np.allclose(
-            form.gram, QuadraticForm.minkowski(form.dim).gram, atol=1e-12
-        )
+        report["standardized"] = not is_standard_lorentz(form)
     else:
         fact = kak(a)
     report["L"] = fact.L.tolist()
@@ -146,7 +144,7 @@ def _default_base_point(form: QuadraticForm) -> HyperbolicPoint:
 
 def cmd_model(args) -> int:
     if args.model_command == "torus-isoms":
-        g = models.RationalLorentzForm(gram=np.rint(jsonio.load_matrix(args.gram)).astype(np.int64))
+        g = models.RationalLorentzForm(gram=jsonio.load_matrix(args.gram))
         elems = models.integer_isometries(g, args.height)
         _emit(args, jsonio.dumps({
             "count": len(elems),
@@ -154,7 +152,7 @@ def cmd_model(args) -> int:
             "elements": [a.tolist() for a in elems],
         }))
     elif args.model_command == "torus-fixed":
-        g = models.RationalLorentzForm(gram=np.rint(jsonio.load_matrix(args.gram)).astype(np.int64))
+        g = models.RationalLorentzForm(gram=jsonio.load_matrix(args.gram))
         if args.elements:
             elems = jsonio.load_matrices(args.elements)
         else:
@@ -200,9 +198,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    g = models.RationalLorentzForm(gram=np.rint(jsonio.load_matrix(args.gram)).astype(np.int64))
-    a = np.rint(jsonio.load_matrix(args.matrix)).astype(np.int64)
-    aut = cocycles.TorusAutomorphism(matrix=a, form=g)
+    g = models.RationalLorentzForm(gram=jsonio.load_matrix(args.gram))
+    aut = cocycles.TorusAutomorphism(matrix=jsonio.load_matrix(args.matrix), form=g)
     report = cocycles.entropy_dichotomy(aut)
     _emit(args, jsonio.dumps({
         "eigenvalues": [list(z) for z in report.eigenvalues],

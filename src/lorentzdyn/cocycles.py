@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotHyperbolicError, PreconditionError
 from .minkowski import evaluate
-from .models import RationalLorentzForm
+from .models import RationalLorentzForm, _exact_integers
 from .projective import BoundaryPoint, ray_angle
 from .stability import MatrixSequence, as_subspace_kak, is_divergent
 
@@ -32,14 +32,7 @@ class TorusAutomorphism:
     form: RationalLorentzForm
 
     def __post_init__(self):
-        a = np.asarray(self.matrix)
-        if not np.issubdtype(a.dtype, np.integer):
-            ai = np.rint(a).astype(np.int64)
-            if not np.array_equal(ai, a):
-                raise PreconditionError("automorphism entries must be integers")
-            a = ai
-        else:
-            a = a.astype(np.int64)
+        a = _exact_integers(self.matrix, "automorphism")
         g = self.form.gram
         if not np.array_equal(a.T @ g @ a, g):
             raise PreconditionError("matrix does not preserve the integer form")

@@ -141,7 +141,8 @@ def is_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> bool:
 
 
 def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
-    """Gate variant of `is_isometry` with a roundoff allowance.
+    """Gate variant of `is_isometry` with a roundoff allowance, for one
+    matrix or a stack (... x d x d) checked term by term.
 
     Forming A^T g A loses about eps * |A|^2 of absolute accuracy to
     cancellation, so matrices of large norm cannot be checked against
@@ -149,13 +150,17 @@ def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
     (defect of order |A|^2 |g|) detectable at every scale.  A defect that
     overflows cannot be checked, so it fails the gate.
     """
-    m = _as_matrix(A)
-    if m.shape != form.gram.shape:
+    m = np.asarray(A, dtype=float)
+    if m.ndim < 2:
+        raise DimensionError(f"expected a matrix, got shape {m.shape}")
+    if m.shape[-2:] != form.gram.shape:
         raise DimensionError("matrix dimension does not match the form")
-    op = np.linalg.norm(m, 2)
-    allowance = 64.0 * form.dim * np.finfo(float).eps * op * op * np.linalg.norm(form.gram, 2)
-    defect = np.linalg.norm(m.T @ form.gram @ m - form.gram)
-    if not np.isfinite(defect) or defect > tol * np.linalg.norm(form.gram) + allowance:
+    g = form.gram
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = np.linalg.norm(m, 2, axis=(-2, -1))
+        allowance = 64.0 * form.dim * np.finfo(float).eps * op * op * np.linalg.norm(g, 2)
+        defect = np.linalg.norm(np.swapaxes(m, -1, -2) @ g @ m - g, axis=(-2, -1))
+    if not np.isfinite(defect).all() or np.any(defect > tol * np.linalg.norm(g) + allowance):
         raise NotIsometryError("matrix does not preserve the form")
     return m
 

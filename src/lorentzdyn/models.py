@@ -33,6 +33,15 @@ ENUMERATION_BUDGET = 50_000_000
 INFINITY = float("inf")
 
 
+def _exact_integers(a, what: str) -> np.ndarray:
+    """`a` as int64, when every entry is an integer of magnitude below 2**53
+    (past it float64 no longer holds every integer, and casts can wrap)."""
+    f = np.asarray(a).astype(float)
+    if not (np.all(np.abs(f) < 2.0 ** 53) and np.array_equal(np.rint(f), a)):
+        raise PreconditionError(f"{what} entries must be integers of magnitude below 2**53")
+    return f.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class RationalLorentzForm:
     """Integer symmetric Gram matrix of Lorentz signature (1, d-1)."""
@@ -43,13 +52,7 @@ class RationalLorentzForm:
         g = np.asarray(self.gram)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionError("Gram matrix must be square")
-        if not np.issubdtype(g.dtype, np.integer):
-            gi = np.rint(g).astype(np.int64)
-            if not np.array_equal(gi, g):
-                raise DegenerateFormError("entries must be exact integers")
-            g = gi
-        else:
-            g = g.astype(np.int64)
+        g = _exact_integers(g, "Gram")
         if not np.array_equal(g, g.T):
             raise DegenerateFormError("Gram matrix is not symmetric")
         eig = np.linalg.eigvalsh(g.astype(float))

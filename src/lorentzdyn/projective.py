@@ -11,12 +11,10 @@ group (one point: parabolic; two: hyperbolic; more: non-elementary).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import norm_growth
 from .errors import (
     CertificateError,
     ConvergenceError,
@@ -134,8 +132,7 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     breakdown.  The limit is snapped onto the cone.  By the section-
     independence fact the result does not depend on s.
     """
-    for t in seq.terms:
-        require_isometry(form, t, tol=1e-8)
+    require_isometry(form, seq.terms, tol=1e-8)
     orbit = seq.terms @ s.v
     norms = np.linalg.norm(orbit, axis=1)
     n = len(norms)
@@ -176,8 +173,10 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     pts = sphere_points(form.dim, grid)
     src = stable.subspace
     dst = unstable.subspace
-    outside = np.array([src.angle_to_vector(p) > u_angle for p in pts])
-    probes = pts[outside]
+    cosines = np.linalg.norm(pts @ src.basis, axis=1) / np.linalg.norm(pts, axis=1)
+    probes = pts[np.arccos(np.minimum(1.0, cosines)) > u_angle]
+    # one term at a time: a stacked (terms x probes x d) pass is no faster
+    # and its temporaries raise the peak memory by megabytes
     ok = np.empty(len(seq), dtype=bool)
     for i, t in enumerate(seq.terms):
         images = probes @ t.T
@@ -298,26 +297,26 @@ def _merge_close_clusters(form: QuadraticForm, clusters: list[RayCluster],
 
 
 def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
-                  rng: np.random.Generator):
-    """Reduced random words up to the given length over generators and inverses."""
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced random words up to the given length over generators and their
+    inverses (letter i + g inverts letter i), as (lengths, stacked words)."""
     try:
         letters = list(generators) + [np.linalg.inv(g) for g in generators]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("a generator is singular") from exc
     g = len(generators)
-    inverse_of = {i: i + g for i in range(g)} | {i + g: i for i in range(g)}
-    for _ in range(samples):
-        length = int(rng.integers(1, depth + 1))
-        word = np.eye(generators[0].shape[0])
-        prev = -1
-        wlen = 0
-        for _ in range(length):
-            choices = [i for i in range(2 * g) if prev < 0 or i != inverse_of[prev]]
-            i = int(choices[rng.integers(0, len(choices))])
+    lengths = np.empty(samples, dtype=int)
+    words = np.empty((samples,) + generators[0].shape)
+    for k in range(samples):
+        lengths[k] = rng.integers(1, depth + 1)
+        word, banned, high = np.eye(generators[0].shape[0]), 2 * g, 2 * g
+        for _ in range(lengths[k]):
+            i = int(rng.integers(0, high))
+            i += i >= banned
             word = word @ letters[i]
-            prev = i
-            wlen += 1
-        yield wlen, word
+            banned, high = (i + g) % (2 * g), 2 * g - 1
+        words[k] = word
+    return lengths, words
 
 
 def limit_set(form: QuadraticForm, generators, depth: int = 8,
@@ -337,24 +336,23 @@ def limit_set(form: QuadraticForm, generators, depth: int = 8,
     gens = [require_isometry(form, g, tol=1e-8) for g in generators]
     if s is None:
         raise PreconditionError("a hyperboloid base point s is required")
-    rng = np.random.default_rng(seed)
-    rays = []
-    divergent = 0
-    for wlen, word in _sample_words(gens, depth, samples, rng):
-        try:
-            growth = norm_growth(word)
-        except np.linalg.LinAlgError:
-            growth = math.nan
-        if not math.isfinite(growth):
-            raise NumericalError(f"a word of length {wlen} overflows the floating-point range")
-        if growth < divergence_threshold:
-            continue
-        divergent += 1
-        img = word @ s.v
-        ray = canonical_ray(img)
-        rays.append(ray)
-        if trace is not None:
-            trace.append((wlen, *ray.tolist(), growth))
+    if depth < 1 or samples < 1:
+        raise PreconditionError("depth and samples must be at least 1")
+    # an overflowing word is reported below, so its products need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths, words = _sample_words(gens, depth, samples, np.random.default_rng(seed))
+    finite = np.isfinite(words).all(axis=(1, 2))
+    growth = np.full(samples, np.inf)
+    growth[finite] = np.linalg.svd(words[finite], compute_uv=False)[:, 0]
+    overflow = ~np.isfinite(growth)
+    if overflow.any():
+        raise NumericalError(f"a word of length {lengths[np.argmax(overflow)]} overflows "
+                             "the floating-point range")
+    kept = np.flatnonzero(~(growth < divergence_threshold))  # a NaN threshold keeps all
+    rays = [canonical_ray(words[k] @ s.v) for k in kept]
+    if trace is not None:
+        trace.extend((int(lengths[k]), *ray.tolist(), float(growth[k]))
+                     for k, ray in zip(kept, rays))
     if not rays:
         raise EquicontinuousError(
             "no sampled word exceeded the divergence threshold: group appears "
@@ -384,7 +382,7 @@ def limit_set(form: QuadraticForm, generators, depth: int = 8,
         clusters=tuple(clusters),
         cardinality_class=card,
         words_sampled=samples,
-        divergent_words=divergent,
+        divergent_words=len(rays),
         min_intercluster_gap=gap,
     )
 

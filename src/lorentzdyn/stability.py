@@ -405,7 +405,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence,
     _gate(seq, check_divergent)
     t = seq.terms
     op = seq.norms[:, None]
-    mu, vecs = np.linalg.eigh((np.swapaxes(t, 1, 2) @ t) / (op * op)[:, :, None])
+    mu, vecs = np.linalg.eigh(_grams(t) / (op * op)[:, :, None])
     sig = np.sqrt(np.maximum(mu, 0.0)) * op  # ascending, equals singular values
     growing = _growing_flags(sig, bound_threshold, GROWTH_RATIO)
     return _detected(seq, vecs, int(np.sum(~growing)))
@@ -620,10 +620,19 @@ def _min_image_on_cap(eigvals: np.ndarray, eigvecs: np.ndarray, gram: np.ndarray
     return float(_cap_minima(spectra, np.asarray(v)[None], np.array([r], float), 0, 1)[0, 0])
 
 
+def _grams(terms: np.ndarray) -> np.ndarray:
+    """Stacked A^T A; entries past about 1e154 overflow it, which raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = np.swapaxes(terms, 1, 2) @ terms
+    if not np.isfinite(grams).all():
+        raise NumericalError("a term's Gram matrix A^T A overflows the floating-point range")
+    return grams
+
+
 def _tail_spectra(seq: MatrixSequence) -> tuple:
     """(eigenvalues, eigenvectors, Gram) of A_n^T A_n, stacked over the tail."""
     tail = seq.terms[_tail_slice(len(seq))]
-    grams = np.swapaxes(tail, 1, 2) @ tail
+    grams = _grams(tail)
     vals, vecs = np.linalg.eigh(grams)
     return vals, vecs, grams
 
@@ -733,8 +742,7 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence,
     Preconditions (isometry terms, divergence) raise; structural violations
     come back as named failures in the report.
     """
-    for t in seq.terms:
-        require_isometry(form, t, tol=1e-8)
+    require_isometry(form, seq.terms, tol=1e-8)
     _gate(seq, check_divergent=True)
     failures = []
     stable = as_subspace_kak(seq, bound_threshold, check_divergent=False)

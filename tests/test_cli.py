@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ class TestKakCommand:
 
     def test_singular_exit_code(self, files):
         assert main(["kak", files["singular.json"]]) == 2
+
+    def test_near_standard_form_reports_standardization(self, tmp_path):
+        # lorentz_kak conjugates by the standardizing congruence unless the
+        # Gram matrix is diag(-1, 1, 1) to 1e-12; the report must say so
+        eye, gram = tmp_path / "eye.json", tmp_path / "gram.json"
+        eye.write_text(json.dumps(np.eye(3).tolist()))
+        gram.write_text(json.dumps(np.diag([-1.0, 1.0 + 1e-7, 1.0]).tolist()))
+        rc, text = run_to_file(["kak", str(eye), "--form", str(gram)], str(tmp_path / "o.json"))
+        assert rc == 0
+        assert json.loads(text)["standardized"] is True
 
     @pytest.mark.parametrize("command, content", [
         ("kak", "[[1, 0, 0], [0, 1, 0]]"),
@@ -159,6 +170,21 @@ class TestAsCommand:
         assert captured.err == "error: --directions must be at least 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("oracle, code", [
+        ("ellipsoid", 3), ("all", 3), ("brute", 3), ("kak", 0), ("graph", 0),
+    ])
+    def test_overflowing_gram_exit_code(self, tmp_path, capsys, oracle, code):
+        # entries of 1e160 overflow A^T A; the SVD and QR routes do not form it
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d": 3, "terms": (fundamental_sequence(40).terms
+                                                      * 1e160).tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["as", str(path), "--oracle", oracle]) == code
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: a term's Gram matrix A^T A overflows the "
+                       "floating-point range\n" if code else "")
+
     def test_brute_oracle(self, files, tmp_path):
         rc, text = run_to_file(
             ["as", files["fund_seq.json"], "--oracle", "brute", "--directions", "16"],
@@ -208,6 +234,18 @@ class TestLimitSetCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(argv) == code
         assert capsys.readouterr().err == err
+
+
+    @pytest.mark.parametrize("option, value", [
+        ("--depth", "0"), ("--depth", "-1"), ("--samples", "0"),
+    ])
+    def test_non_positive_depth_or_samples_exit_code(self, files, capsys, option, value):
+        argv = ["limit-set", files["boost_gen.json"], "--form", files["mink3.json"],
+                option, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: depth and samples must be at least 1\n"
+        assert captured.out == ""
 
 
 class TestModelCommands:
@@ -268,6 +306,31 @@ class TestEntropyCommand:
         assert rep["entropy"] == pytest.approx(np.log(3 + 2 * np.sqrt(2)), rel=1e-12)
         assert rep["as_equal"] is False
         assert rep["p_threshold"] == 1
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("argv, what", [
+        (["entropy", "non_integer.json", "--gram", "gram.json"], "automorphism"),
+        (["entropy", "huge.json", "--gram", "gram.json"], "automorphism"),
+        (["model", "torus-isoms", "--gram", "non_integer_gram.json", "--height", "1"], "Gram"),
+        (["model", "torus-isoms", "--gram", "huge_gram.json", "--height", "1"], "Gram"),
+        (["model", "torus-fixed", "--gram", "non_integer_gram.json"], "Gram"),
+    ], ids=["entropy-fraction", "entropy-huge", "isoms-fraction", "isoms-huge",
+            "fixed-fraction"])
+    def test_non_integer_or_huge_entries_exit_code(self, files, tmp_path, capsys, argv, what):
+        # the CLI used to round these to int64 and report on another matrix
+        for name, m in [("non_integer.json", np.diag([1.4, 1.0, 1.0])),
+                        ("huge.json", np.diag([1e300, 1.0, 1.0])),
+                        ("non_integer_gram.json", np.diag([-1.4, 1.0, 1.0])),
+                        ("huge_gram.json", np.diag([-1e300, 1.0, 1.0]))]:
+            files[name] = str(tmp_path / name)
+            (tmp_path / name).write_text(json.dumps(m.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([files.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {what} entries must be integers of magnitude below 2**53\n"
+        assert captured.out == ""
 
 
 class TestDeterminism:

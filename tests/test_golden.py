@@ -5,7 +5,9 @@ loops that the batched kernels replaced.  For `--oracle all`, keys, list
 lengths, strings and booleans must match exactly and numbers to 1e-12
 relative, so a later speed-up that drifts the answers shows here.  The
 brute-force report must match byte for byte: its batched cap solver does
-the scalar solver's arithmetic.
+the scalar solver's arithmetic.  So must the `limit-set` reports and traces,
+written by the per-word sampling loop: the stacked words are the same
+products and the stacked SVD the same LAPACK call.
 """
 
 import json
@@ -60,3 +62,20 @@ def test_brute_oracle_matches_golden_report_bytes(tmp_path):
             "--directions", "16", "--seed", "2", "--output", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / "fundamental40.brute.json").read_bytes()
+
+
+LIMIT_CASES = [
+    ("schottky3-mink3", ["schottky3.gens.json", "--form", "mink3.json", "--samples", "300",
+                         "--divergence-threshold", "20"]),
+    ("boosts4-mink4", ["boosts4.gens.json", "--form", "mink4.json", "--samples", "200",
+                       "--depth", "6", "--seed", "2", "--divergence-threshold", "50"]),
+]
+
+
+@pytest.mark.parametrize("name, args", LIMIT_CASES, ids=[c[0] for c in LIMIT_CASES])
+def test_limit_set_matches_golden_report_and_trace_bytes(name, args, tmp_path):
+    out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    argv = ["limit-set"] + [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
+    assert main(argv + ["--output", str(out), "--trace", str(trace)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.limit.json").read_bytes()
+    assert trace.read_bytes() == (GOLDEN / f"{name}.trace.csv").read_bytes()

@@ -116,6 +116,46 @@ class TestIsometry:
             with pytest.raises(NotIsometryError):
                 require_isometry(mink3, np.diag([1e300, 1.0, 1e-300]), tol=1e-8)
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_stacked_gate_matches_per_term_loop(self, d):
+        from lorentzdyn.cartan import boost, random_lorentz
+        from lorentzdyn.errors import NotIsometryError
+        from lorentzdyn.minkowski import require_isometry
+
+        def loop_gate(form, terms, tol):
+            # the one-matrix gate, run term by term, that the stacked call replaced
+            for m in terms:
+                op = np.linalg.norm(m, 2)
+                allowance = (64.0 * form.dim * np.finfo(float).eps * op * op
+                             * np.linalg.norm(form.gram, 2))
+                defect = np.linalg.norm(m.T @ form.gram @ m - form.gram)
+                if not np.isfinite(defect) or defect > tol * np.linalg.norm(form.gram) + allowance:
+                    return False
+            return True
+
+        form = QuadraticForm.minkowski(d)
+        huge = np.diag([1e300] + [1.0] * (d - 2) + [1e-300])
+        outcomes = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            terms = np.array([random_lorentz(d, rng) for _ in range(8)]
+                             + [boost(d, 8.0 * seed)])
+            stacks = [terms, terms * (1 + 1e-9), np.concatenate([terms, huge[None]])]
+            for k in (4, 6, 8, 9, 10, 12):
+                bad = terms.copy()
+                bad[seed] *= 1 + 10.0 ** -k
+                stacks.append(bad)
+            for stack in stacks:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = loop_gate(form, stack, 1e-8)
+                try:
+                    got = require_isometry(form, stack, tol=1e-8) is not None
+                except NotIsometryError:
+                    got = False
+                assert got == want
+                outcomes.append(want)
+        assert True in outcomes and False in outcomes
+
     def test_closure_under_product_and_inverse(self, mink3):
         from lorentzdyn import boost, spatial_rotation
         rot = spatial_rotation(3, np.array([[0.0, -1.0], [1.0, 0.0]]))

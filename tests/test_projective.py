@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,15 +22,25 @@ from lorentzdyn import (
     split_form_3d,
     split_unipotent,
 )
+from lorentzdyn.cartan import norm_growth, random_lorentz
 from lorentzdyn.errors import (
+    CertificateError,
     ConvergenceError,
     EquicontinuousError,
     NotIsotropicError,
+    NumericalError,
     PreconditionError,
 )
+from lorentzdyn.minkowski import canonical_ray
 from lorentzdyn.projective import ray_angle
+from lorentzdyn.stability import as_subspace_kak, sphere_points
 
-from .conftest import boost_sequence, chaos_sequence, hyperboloid_point
+from .conftest import (
+    boost_sequence,
+    chaos_sequence,
+    hyperboloid_point,
+    random_divergent_sequence,
+)
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -226,3 +238,124 @@ class TestLimitSet:
                         s=su, seed=0)
         assert len(est.clusters) == 1
         assert kernel.angle_to_vector(est.clusters[0].centroid.ray) < np.deg2rad(5)
+
+
+def _outcome(f):
+    try:
+        return ("ok", f())
+    except (PreconditionError, NumericalError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _loop_words(generators, depth, samples, rng):
+    """The per-word sampler that the stacked `_sample_words` replaced."""
+    letters = list(generators) + [np.linalg.inv(g) for g in generators]
+    g = len(generators)
+    inverse_of = {i: i + g for i in range(g)} | {i + g: i for i in range(g)}
+    for _ in range(samples):
+        length = int(rng.integers(1, depth + 1))
+        word = np.eye(generators[0].shape[0])
+        prev = -1
+        for _ in range(length):
+            choices = [i for i in range(2 * g) if prev < 0 or i != inverse_of[prev]]
+            i = int(choices[rng.integers(0, len(choices))])
+            word = word @ letters[i]
+            prev = i
+        yield length, word
+
+
+def _loop_limit_trace(generators, depth, samples, s, seed, threshold):
+    """Trace rows (length, ray..., growth) of the per-word `limit_set` loop."""
+    rows = []
+    for length, word in _loop_words(generators, depth, samples, np.random.default_rng(seed)):
+        try:
+            growth = norm_growth(word)
+        except np.linalg.LinAlgError:
+            growth = math.nan
+        if not math.isfinite(growth):
+            raise NumericalError(f"a word of length {length} overflows the floating-point range")
+        if growth >= threshold:
+            ray = canonical_ray(word @ s.v)
+            rows.append((length, *ray.tolist(), growth))
+    if not rows:
+        raise EquicontinuousError("no sampled word exceeded the divergence threshold: group "
+                                  "appears equicontinuous at this depth")
+    return rows
+
+
+def _loop_north_south(form, seq, u_angle, v_angle, grid):
+    """The per-point, per-term `north_south_certificate` loop."""
+    stable = as_subspace_kak(seq)
+    unstable = as_subspace_kak(seq.inverse())
+    assert stable.converged and unstable.converged
+    pts = sphere_points(form.dim, grid)
+    probes = pts[np.array([stable.subspace.angle_to_vector(p) > u_angle for p in pts])]
+    ok = np.empty(len(seq), dtype=bool)
+    for i, t in enumerate(seq.terms):
+        images = probes @ t.T
+        images /= np.linalg.norm(images, axis=1, keepdims=True)
+        cosines = np.linalg.norm(images @ unstable.subspace.basis, axis=1)
+        ok[i] = bool(np.all(np.arccos(np.minimum(1.0, cosines)) <= v_angle))
+    if ok.all():
+        return 0
+    first = int(np.where(~ok)[0][-1]) + 1
+    if first >= len(seq):
+        raise CertificateError("insufficient length: expansion never traps the "
+                               "grid within the target cone")
+    return first
+
+
+class TestStackedAgainstLoops:
+    """The stacked passes give the answers of the loops they replaced."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_limit_set_words_match_per_word_loop(self, d):
+        form = QuadraticForm.minkowski(d)
+        s = HyperbolicPoint.from_timelike(form, np.eye(d)[0])
+        cases = [([boost(d, 15.0)], 60, 50, 0, 1e3),  # a word overflows
+                 ([boost(d, 0.1)], 4, 200, 0, 1e3)]  # no word diverges
+        for seed in range(6):
+            rng = np.random.default_rng(100 * d + seed)
+            gens = [random_lorentz(d, rng, max_rapidity=3.0) for _ in range(1 + seed % 3)]
+            cases.append((gens, 1 + seed, 50 + 97 * seed, seed, (1e3, 20.0)[seed % 2]))
+        outcomes = []
+        for gens, depth, samples, seed, threshold in cases:
+            trace = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _outcome(lambda: _loop_limit_trace(gens, depth, samples, s, seed,
+                                                          threshold))
+                got = _outcome(lambda: limit_set(form, gens, depth=depth, samples=samples, s=s,
+                                                 seed=seed, divergence_threshold=threshold,
+                                                 trace=trace))
+            if want[0] == "ok":
+                assert got[0] == "ok" and got[1].divergent_words == len(want[1])
+                assert trace == want[1]
+            else:
+                assert got == want
+            outcomes.append(want[0])
+        assert outcomes[:2] == ["NumericalError", "EquicontinuousError"]
+        assert outcomes.count("ok") >= 3
+
+    def test_schottky_limit_set_matches_per_word_loop(self, mink3):
+        s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
+        trace = []
+        est = limit_set(mink3, list(schottky_pair()), s=s, seed=4, trace=trace)
+        assert trace == _loop_limit_trace(list(schottky_pair()), 8, 2000, s, 4, 1e3)
+        assert est.divergent_words == len(trace)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_north_south_matches_per_term_loop(self, d):
+        form = QuadraticForm.minkowski(d)
+        results = []
+        for seed in range(4):
+            rng = np.random.default_rng(10 * d + seed)
+            seq = (random_divergent_sequence(d, rng)[0] if d > 2
+                   else boost_sequence(2, 0.6 + 0.2 * seed, 12))
+            for u, v in [(5, 5), (10, 10), (2, 20), (30, 1), (0.5, 1e-3), (0.01, 1e-8)]:
+                grid = 400 + 300 * seed
+                args = (form, seq, np.deg2rad(u), np.deg2rad(v), grid)
+                want = _outcome(lambda: _loop_north_south(*args))
+                assert _outcome(lambda: north_south_certificate(*args)) == want
+                results.append(want)
+        assert any(r[0] == "ok" and r[1] > 0 for r in results)
+        assert any(r[0] == "CertificateError" for r in results)
