@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if any(getattr(args, name, 1.0) <= 0 for name in _TOLERANCES):
+        if any(not getattr(args, name, 1.0) > 0 for name in _TOLERANCES):  # NaN fails too
             raise PreconditionError("tolerance overrides must be positive")
         if getattr(args, "directions", 1) < 1:
             raise PreconditionError("--directions must be at least 1")

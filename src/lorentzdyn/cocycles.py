@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHyperbolicError, PreconditionError
+from .errors import DimensionError, NotHyperbolicError, PreconditionError
 from .minkowski import evaluate
 from .models import RationalLorentzForm, _exact_integers
 from .projective import BoundaryPoint, ray_angle
@@ -34,6 +34,8 @@ class TorusAutomorphism:
     def __post_init__(self):
         a = _exact_integers(self.matrix, "automorphism")
         g = self.form.gram
+        if a.shape != g.shape:
+            raise DimensionError("matrix dimension does not match the form")
         if not np.array_equal(a.T @ g @ a, g):
             raise PreconditionError("matrix does not preserve the integer form")
         det = int(round(np.linalg.det(a.astype(float))))

@@ -46,6 +46,13 @@ def _as_vector(v, d: int | None = None) -> np.ndarray:
     return u
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b over the last axis.  Stacked 1 x m by m x 1 products
+    run the same BLAS dot as `a @ b` on 1-D rows, so the bits match a
+    per-row loop (`einsum` and `norm(axis=...)` sum in another order)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Non-degenerate symmetric bilinear form with its signature (p, q).
@@ -165,57 +172,81 @@ def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
     return m
 
 
-def canonical_ray(v) -> np.ndarray:
-    """Deterministic projective representative: Euclidean unit length,
-    first coordinate of magnitude > 1e-9 made positive."""
-    u = _as_vector(v)
-    n = np.linalg.norm(u)
-    if n == 0:
+def canonical_rays(vs) -> np.ndarray:
+    """Deterministic projective representatives of the rows of an n x d
+    stack: Euclidean unit length, first coordinate of magnitude > 1e-9
+    made positive."""
+    u = np.asarray(vs, dtype=float)
+    n = np.sqrt(_dots(u, u))
+    if np.any(n == 0):
         raise NotIsotropicError("zero vector has no ray representative")
-    u = u / n
-    for x in u:
-        if abs(x) > 1e-9:
-            if x < 0:
-                u = -u
-            break
+    u = u / n[:, None]
+    big = np.abs(u) > 1e-9
+    lead = u[np.arange(len(u)), np.argmax(big, axis=1)]
+    np.negative(u, out=u, where=(big.any(axis=1) & (lead < 0))[:, None])
     u.flags.writeable = False
     return u
 
 
-def project_to_cone(form: QuadraticForm, v) -> np.ndarray:
-    """Nearest-by-one-step isotropic vector to v (Newton step along gram.v).
+def canonical_ray(v) -> np.ndarray:
+    """`canonical_rays` of one vector."""
+    return canonical_rays(_as_vector(v)[None])[0]
 
-    Used to land nearly isotropic limit directions exactly on the cone;
-    fails if v is far from the cone (no small real step exists).
+
+# Why `project_rows_to_cone` cannot project a row, by its failure code.
+_CONE_FAILURES = (
+    "cannot project the zero vector",
+    "vector cannot be projected onto the cone",
+    "vector is not close to the isotropic cone",
+)
+
+
+def project_rows_to_cone(form: QuadraticForm, vs) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-by-one-step isotropic rays to the rows of an n x d stack
+    (Newton step along gram.v), with one failure code per row.
+
+    Used to land nearly isotropic limit directions exactly on the cone.
+    A row far from the cone (no small real step exists) has code k > 0,
+    the 1-based index of its reason in `_CONE_FAILURES`, and a NaN ray.
     """
-    u = _as_vector(v, form.dim)
-    q = evaluate(form, u, u)
-    n2 = float(u @ u)
-    if n2 == 0:
-        raise NotIsotropicError("cannot project the zero vector")
-    if abs(q) <= 1e-15 * n2:
-        return canonical_ray(u)
-    w = form.gram @ u
-    a = evaluate(form, w, w)
-    b = -2.0 * float(w @ form.gram @ u)
-    # q(u - t w) = q + b t + a t^2 ; take the root of smaller magnitude
-    if abs(a) <= 1e-300:
-        if b == 0.0:
-            raise NotIsotropicError("vector cannot be projected onto the cone")
-        t = -q / b
-    else:
+    u = np.asarray(vs, dtype=float)
+    g = form.gram
+    # row @ gram as one vector-matrix product per row, as the 1-D product is
+    ug = (u[:, None, :] @ g)[:, 0]
+    q = _dots(ug, u)
+    n2 = _dots(u, u)
+    w = (g @ u[:, :, None])[:, :, 0]
+    wg = (w[:, None, :] @ g)[:, 0]
+    a = _dots(wg, w)
+    b = -2.0 * _dots(wg, u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # q(u - t w) = q + b t + a t^2 ; take the root of smaller magnitude
+        linear = np.abs(a) <= 1e-300
         disc = b * b - 4.0 * a * q
-        if disc < 0:
-            raise NotIsotropicError("vector cannot be projected onto the cone")
         # cancellation-free small root: t = 2q / (-b -+ sqrt(disc))
-        r = np.sqrt(disc)
-        big = -(b + np.copysign(r, b)) / 2.0
+        big = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
         t_big = big / a
-        t_small = q / big if big != 0.0 else 0.0
-        t = t_small if abs(t_small) <= abs(t_big) else t_big
-    if abs(t) * np.linalg.norm(w) > 0.5 * np.sqrt(n2):
-        raise NotIsotropicError("vector is not close to the isotropic cone")
-    return canonical_ray(u - t * w)
+        t_small = np.where(big != 0.0, q / big, 0.0)
+        t = np.where(linear, -q / b,
+                     np.where(np.abs(t_small) <= np.abs(t_big), t_small, t_big))
+        far = np.abs(t) * np.sqrt(_dots(w, w)) > 0.5 * np.sqrt(n2)
+        on_cone = np.abs(q) <= 1e-15 * n2
+        target = np.where(on_cone[:, None], u, u - t[:, None] * w)
+    code = np.select(
+        [n2 == 0, on_cone, np.where(linear, b == 0.0, disc < 0), far], [1, 0, 2, 3], 0)
+    rays = np.full(u.shape, np.nan)
+    rays[code == 0] = canonical_rays(target[code == 0])
+    return rays, code
+
+
+def project_to_cone(form: QuadraticForm, v) -> np.ndarray:
+    """`project_rows_to_cone` of one vector; raises NotIsotropicError when
+    it cannot be projected."""
+    rays, code = project_rows_to_cone(form, _as_vector(v, form.dim)[None])
+    if code[0]:
+        raise NotIsotropicError(_CONE_FAILURES[code[0] - 1])
+    rays.flags.writeable = False
+    return rays[0]
 
 
 @dataclass(frozen=True)

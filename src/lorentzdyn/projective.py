@@ -29,8 +29,11 @@ from .minkowski import (
     QuadraticForm,
     Subspace,
     _as_vector,
+    _dots,
     canonical_ray,
+    canonical_rays,
     evaluate,
+    project_rows_to_cone,
     project_to_cone,
     require_isometry,
 )
@@ -226,56 +229,72 @@ class LimitSetEstimate:
 
 
 def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
-    """Greedy angular clustering with antipodal identification."""
-    sums: list[np.ndarray] = []
-    members: list[list[np.ndarray]] = []
-    for r in rays:
-        placed = False
-        for i, s in enumerate(sums):
-            c = s / np.linalg.norm(s)
-            if ray_angle(c, r) <= angle:
-                aligned = r if np.dot(c, r) >= 0 else -r
-                sums[i] = s + aligned
-                members[i].append(aligned)
-                placed = True
-                break
-        if not placed:
-            sums.append(r.copy())
-            members.append([r])
+    """Greedy angular clustering with antipodal identification: each ray
+    joins the first cluster whose normalized running sum is within `angle`,
+    aligned with it, else starts a new cluster."""
+    rays = np.asarray(rays, dtype=float)
+    norms = np.sqrt(_dots(rays, rays))
+    sums = np.empty_like(rays)
+    # each cluster's normalized sum and its norm, and each ray's cluster
+    cents = np.empty_like(rays)
+    cnorms = np.empty(len(rays))
+    labels = np.empty(len(rays), dtype=int)
+    k = 0
+    for m, r in enumerate(rays):
+        dots = _dots(cents[:k], r)
+        near = np.arccos(np.minimum(1.0, np.abs(dots) / (cnorms[:k] * norms[m]))) <= angle
+        i = near.argmax() if k else 0
+        if k and near[i]:
+            sums[i] += r if dots[i] >= 0 else -r
+        else:
+            i, k = k, k + 1
+            sums[i] = r
+        labels[m] = i
+        c = sums[i] / np.sqrt(sums[i] @ sums[i])
+        cents[i], cnorms[i] = c, np.sqrt(c @ c)
+    centroids = canonical_rays(sums[:k])
     clusters = []
-    for s, mem in zip(sums, members):
-        c = canonical_ray(s)
-        radius = max(ray_angle(c, m) for m in mem)
-        clusters.append(RayCluster(centroid=BoundaryPoint(ray=c),
-                                   weight=len(mem), angular_radius=radius))
+    for i, c in enumerate(centroids):
+        # a member's sign does not change its angle, so take the rays as drawn
+        mine = labels == i
+        cos = np.abs(_dots(c, rays[mine])) / (np.sqrt(c @ c) * norms[mine])
+        clusters.append(RayCluster(centroid=BoundaryPoint(ray=c), weight=int(mine.sum()),
+                                   angular_radius=float(np.arccos(np.minimum(1.0, cos)).max())))
     clusters.sort(key=lambda cl: cl.weight, reverse=True)
     return clusters
 
 
-def _snap_cluster(form: QuadraticForm, c: RayCluster) -> RayCluster:
-    try:
-        centroid = BoundaryPoint(ray=project_to_cone(form, c.centroid.ray))
-    except NotIsotropicError:
-        return c
-    return RayCluster(centroid=centroid, weight=c.weight,
-                      angular_radius=c.angular_radius)
+def _snap_clusters(form: QuadraticForm, clusters: list[RayCluster]) -> list[RayCluster]:
+    """Snap each centroid onto the cone; one that cannot be snapped stays."""
+    rays, failed = project_rows_to_cone(form, [c.centroid.ray for c in clusters])
+    return [c if f else RayCluster(centroid=BoundaryPoint(ray=r), weight=c.weight,
+                                   angular_radius=c.angular_radius)
+            for c, r, f in zip(clusters, rays, failed)]
+
+
+def _centroid_gaps(clusters: list[RayCluster]) -> np.ndarray:
+    """Pairwise angles between the cluster centroids, as `ray_angle`."""
+    c = np.array([cl.centroid.ray for cl in clusters])
+    norms = np.sqrt(_dots(c, c))
+    cos = np.abs(_dots(c[:, None], c[None])) / (norms[:, None] * norms[None])
+    return np.arccos(np.minimum(1.0, cos))
 
 
 def _merge_close_clusters(form: QuadraticForm, clusters: list[RayCluster],
-                          angle: float) -> list[RayCluster]:
+                          angle: float) -> tuple[list[RayCluster], float | None]:
     """Merge cluster pairs until all centroids are separated by more than
-    the clustering angle."""
+    the clustering angle, closest pair first (the first pair in row-major
+    order on a tie).  Also returns the smallest remaining gap, None for a
+    single cluster."""
     clusters = list(clusters)
     while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                gap = clusters[i].centroid.angle_to(clusters[j].centroid)
-                if gap <= angle and (best is None or gap < best[0]):
-                    best = (gap, i, j)
-        if best is None:
-            break
-        _, i, j = best
+        k = len(clusters)
+        gaps = np.where(np.triu(np.ones((k, k), dtype=bool), 1), _centroid_gaps(clusters),
+                        np.inf)
+        best = int(np.argmin(gaps))
+        if not gaps.flat[best] <= angle:
+            return clusters, float(gaps.flat[best])
+        i, j = divmod(best, k)
         a, b = clusters[i], clusters[j]
         u = a.centroid.ray * a.weight
         v = b.centroid.ray * b.weight
@@ -290,32 +309,54 @@ def _merge_close_clusters(form: QuadraticForm, clusters: list[RayCluster],
                 b.angular_radius + centroid.angle_to(b.centroid),
             ),
         )
-        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
-        clusters.append(_snap_cluster(form, merged))
+        clusters = [c for n, c in enumerate(clusters) if n not in (i, j)]
+        clusters += _snap_clusters(form, [merged])
         clusters.sort(key=lambda cl: cl.weight, reverse=True)
-    return clusters
+    return clusters, None
 
 
 def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Reduced random words up to the given length over generators and their
-    inverses (letter i + g inverts letter i), as (lengths, stacked words)."""
+    inverses (letter i + g inverts letter i), as (lengths, stacked words).
+
+    Each word draws its length from [1, depth], then its letters: the
+    first from all 2g letters, each later one from the 2g - 1 that do not
+    undo the letter before.  The stream is that of one scalar
+    `rng.integers` call per draw, taken in as few calls as it allows.
+    """
     try:
-        letters = list(generators) + [np.linalg.inv(g) for g in generators]
+        letters = np.array(list(generators) + [np.linalg.inv(g) for g in generators])
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("a generator is singular") from exc
     g = len(generators)
-    lengths = np.empty(samples, dtype=int)
-    words = np.empty((samples,) + generators[0].shape)
-    for k in range(samples):
-        lengths[k] = rng.integers(1, depth + 1)
-        word, banned, high = np.eye(generators[0].shape[0]), 2 * g, 2 * g
-        for _ in range(lengths[k]):
-            i = int(rng.integers(0, high))
-            i += i >= banned
-            word = word @ letters[i]
-            banned, high = (i + g) % (2 * g), 2 * g - 1
-        words[k] = word
+    picks = np.zeros((samples, depth), dtype=int)
+    if g == 1:
+        # every later letter comes from a one-value range, which draws nothing
+        draws = rng.integers(np.tile([1, 0], samples), np.tile([depth + 1, 2], samples))
+        lengths, picks[:, 0] = draws[0::2], draws[1::2]
+    else:
+        # one call per word: its n letters, then the length of the next word
+        highs = np.full(depth, 2 * g - 1)
+        highs[0] = 2 * g
+        bounds = [(np.append(np.zeros(n, dtype=int), 1), np.append(highs[:n], depth + 1))
+                  for n in range(depth + 1)]
+        lengths = np.empty(samples, dtype=int)
+        lengths[0] = rng.integers(1, depth + 1)
+        for k in range(samples):
+            n = lengths[k]
+            last = k + 1 == samples
+            low, high = (0, highs[:n]) if last else bounds[n]
+            draws = rng.integers(low, high)
+            picks[k, :n] = draws[:n]
+            if not last:
+                lengths[k + 1] = draws[n]
+    for level in range(1, depth):
+        picks[:, level] += picks[:, level] >= (picks[:, level - 1] + g) % (2 * g)
+    words = np.broadcast_to(np.eye(letters.shape[1]), (samples,) + letters.shape[1:]).copy()
+    for level in range(depth):
+        act = np.flatnonzero(lengths > level)
+        words[act] = words[act] @ letters[picks[act, level]]
     return lengths, words
 
 
@@ -349,35 +390,31 @@ def limit_set(form: QuadraticForm, generators, depth: int = 8,
         raise NumericalError(f"a word of length {lengths[np.argmax(overflow)]} overflows "
                              "the floating-point range")
     kept = np.flatnonzero(~(growth < divergence_threshold))  # a NaN threshold keeps all
-    rays = [canonical_ray(words[k] @ s.v) for k in kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = words[kept] @ s.v
+        overflow = ~np.isfinite(_dots(images, images))
+    if overflow.any():
+        raise NumericalError(f"the image of a word of length {lengths[kept][np.argmax(overflow)]} "
+                             "overflows the floating-point range")
+    rays = canonical_rays(images)
     if trace is not None:
         trace.extend((int(lengths[k]), *ray.tolist(), float(growth[k]))
                      for k, ray in zip(kept, rays))
-    if not rays:
+    if not kept.size:
         raise EquicontinuousError(
             "no sampled word exceeded the divergence threshold: group appears "
             "equicontinuous at this depth"
         )
-    snapped = []
-    for r in rays:
-        try:
-            snapped.append(project_to_cone(form, r))
-        except NotIsotropicError:
-            snapped.append(canonical_ray(r))
-    clusters = _cluster_rays(np.array(snapped), cluster_angle)
+    snapped, failed = project_rows_to_cone(form, rays)
+    # a ray too far from the cone to snap is clustered unsnapped
+    snapped[failed > 0] = canonical_rays(rays[failed > 0])
+    clusters = _cluster_rays(snapped, cluster_angle)
     # cluster means drift off the cone; snap the representatives back, then
     # merge any pair the snap pushed inside the clustering angle
-    clusters = [_snap_cluster(form, c) for c in clusters]
-    clusters = _merge_close_clusters(form, clusters, cluster_angle)
+    clusters, gap = _merge_close_clusters(form, _snap_clusters(form, clusters), cluster_angle)
     k = len(clusters)
     card = CardinalityClass.ONE if k == 1 else (
         CardinalityClass.TWO if k == 2 else CardinalityClass.LARGE)
-    gap = None
-    if k > 1:
-        gap = min(
-            clusters[i].centroid.angle_to(clusters[j].centroid)
-            for i in range(k) for j in range(i + 1, k)
-        )
     return LimitSetEstimate(
         clusters=tuple(clusters),
         cardinality_class=card,

@@ -37,6 +37,7 @@ from .errors import (
 from .minkowski import (
     QuadraticForm,
     Subspace,
+    _dots,
     degenerate_kernel,
     evaluate,
     grassmann_distance,
@@ -506,13 +507,6 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
 # holding about this many (direction, radius, tail term) problems, so
 # memory stays bounded for any number of directions.
 _CAP_CHUNK = 4096
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a . b over the last axis.  Stacked 1 x m by m x 1 products
-    run the same BLAS dot as `a @ b` on 1-D rows, so the bits match a
-    per-row loop (`einsum` and `norm(axis=...)` sum in another order)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _nonneg(x: np.ndarray) -> np.ndarray:

@@ -131,6 +131,17 @@ class TestAsCommand:
         assert captured.err == "error: tolerance overrides must be positive\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args", [
+        ["limit-set", "boost_gen.json", "--form", "mink3.json", "--divergence-threshold", "nan"],
+        ["as", "fund_seq.json", "--bound-threshold", "nan", "--oracle", "kak"],
+        ["limit-set", "boost_gen.json", "--form", "mink3.json", "--cluster-angle", "nan"],
+    ], ids=["divergence-threshold", "bound-threshold", "cluster-angle"])
+    def test_nan_tolerance_exit_code(self, files, capsys, args):
+        assert main([files.get(a, a) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tolerance overrides must be positive\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name, content", [
         ("missing.json", None),
         ("bad_json.json", "{not json"),
@@ -236,6 +247,18 @@ class TestLimitSetCommand:
         assert capsys.readouterr().err == err
 
 
+    def test_overflowing_image_exit_code(self, files, tmp_path, capsys):
+        # every word's growth is finite, but the Euclidean norm of one image is not
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps([boost(3, 15.0).tolist()]))
+        argv = ["limit-set", str(path), "--form", files["mink3.json"],
+                "--depth", "40", "--samples", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert capsys.readouterr().err == ("numerical failure: the image of a word of length "
+                                           "35 overflows the floating-point range\n")
+
     @pytest.mark.parametrize("option, value", [
         ("--depth", "0"), ("--depth", "-1"), ("--samples", "0"),
     ])
@@ -306,6 +329,15 @@ class TestEntropyCommand:
         assert rep["entropy"] == pytest.approx(np.log(3 + 2 * np.sqrt(2)), rel=1e-12)
         assert rep["as_equal"] is False
         assert rep["p_threshold"] == 1
+
+
+    def test_matrix_and_gram_dimensions_must_match(self, files, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([[2, 1], [1, 1]]))
+        assert main(["entropy", str(path), "--gram", files["gram.json"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix dimension does not match the form\n"
+        assert captured.out == ""
 
 
 class TestIntegerInputs:

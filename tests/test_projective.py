@@ -31,8 +31,19 @@ from lorentzdyn.errors import (
     NumericalError,
     PreconditionError,
 )
-from lorentzdyn.minkowski import canonical_ray
-from lorentzdyn.projective import ray_angle
+from lorentzdyn.minkowski import (
+    canonical_ray,
+    canonical_rays,
+    project_rows_to_cone,
+    project_to_cone,
+)
+from lorentzdyn.projective import (
+    RayCluster,
+    _cluster_rays,
+    _merge_close_clusters,
+    _sample_words,
+    ray_angle,
+)
 from lorentzdyn.stability import as_subspace_kak, sphere_points
 
 from .conftest import (
@@ -283,6 +294,158 @@ def _loop_limit_trace(generators, depth, samples, s, seed, threshold):
     return rows
 
 
+def _loop_canonical_ray(v):
+    """The per-vector `canonical_ray` that the stacked `canonical_rays` replaced."""
+    u = np.asarray(v, dtype=float).reshape(-1)
+    n = np.linalg.norm(u)
+    if n == 0:
+        raise NotIsotropicError("zero vector has no ray representative")
+    u = u / n
+    for x in u:
+        if abs(x) > 1e-9:
+            if x < 0:
+                u = -u
+            break
+    return u
+
+
+def _loop_project_to_cone(form, v):
+    """The per-vector `project_to_cone` that `project_rows_to_cone` replaced."""
+    u = np.asarray(v, dtype=float).reshape(-1)
+    q = float(u @ form.gram @ u)
+    n2 = float(u @ u)
+    if n2 == 0:
+        raise NotIsotropicError("cannot project the zero vector")
+    if abs(q) <= 1e-15 * n2:
+        return _loop_canonical_ray(u)
+    w = form.gram @ u
+    a = float(w @ form.gram @ w)
+    b = -2.0 * float(w @ form.gram @ u)
+    if abs(a) <= 1e-300:
+        if b == 0.0:
+            raise NotIsotropicError("vector cannot be projected onto the cone")
+        t = -q / b
+    else:
+        disc = b * b - 4.0 * a * q
+        if disc < 0:
+            raise NotIsotropicError("vector cannot be projected onto the cone")
+        r = np.sqrt(disc)
+        big = -(b + np.copysign(r, b)) / 2.0
+        t_big = big / a
+        t_small = q / big if big != 0.0 else 0.0
+        t = t_small if abs(t_small) <= abs(t_big) else t_big
+    if abs(t) * np.linalg.norm(w) > 0.5 * np.sqrt(n2):
+        raise NotIsotropicError("vector is not close to the isotropic cone")
+    return _loop_canonical_ray(u - t * w)
+
+
+def _loop_cluster_rays(rays, angle):
+    """The greedy per-ray, per-cluster `_cluster_rays` loop."""
+    sums, members = [], []
+    for r in rays:
+        for i, s in enumerate(sums):
+            c = s / np.linalg.norm(s)
+            if ray_angle(c, r) <= angle:
+                aligned = r if np.dot(c, r) >= 0 else -r
+                sums[i] = s + aligned
+                members[i].append(aligned)
+                break
+        else:
+            sums.append(r.copy())
+            members.append([r])
+    clusters = []
+    for s, mem in zip(sums, members):
+        c = _loop_canonical_ray(s)
+        clusters.append(RayCluster(centroid=BoundaryPoint(ray=c), weight=len(mem),
+                                   angular_radius=max(ray_angle(c, m) for m in mem)))
+    clusters.sort(key=lambda cl: cl.weight, reverse=True)
+    return clusters
+
+
+def _loop_snap_cluster(form, c):
+    try:
+        centroid = BoundaryPoint(ray=_loop_project_to_cone(form, c.centroid.ray))
+    except NotIsotropicError:
+        return c
+    return RayCluster(centroid=centroid, weight=c.weight, angular_radius=c.angular_radius)
+
+
+def _loop_merge_close_clusters(form, clusters, angle):
+    """The pair-by-pair merge loop, with the smallest gap left (None for one
+    cluster)."""
+    clusters = list(clusters)
+    while len(clusters) > 1:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                gap = clusters[i].centroid.angle_to(clusters[j].centroid)
+                if gap <= angle and (best is None or gap < best[0]):
+                    best = (gap, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        a, b = clusters[i], clusters[j]
+        u = a.centroid.ray * a.weight
+        v = b.centroid.ray * b.weight
+        if np.dot(a.centroid.ray, b.centroid.ray) < 0:
+            v = -v
+        centroid = BoundaryPoint(ray=_loop_canonical_ray(u + v))
+        merged = RayCluster(
+            centroid=centroid,
+            weight=a.weight + b.weight,
+            angular_radius=max(a.angular_radius + centroid.angle_to(a.centroid),
+                               b.angular_radius + centroid.angle_to(b.centroid)))
+        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
+        clusters.append(_loop_snap_cluster(form, merged))
+        clusters.sort(key=lambda cl: cl.weight, reverse=True)
+    k = len(clusters)
+    gap = None
+    if k > 1:
+        gap = min(clusters[i].centroid.angle_to(clusters[j].centroid)
+                  for i in range(k) for j in range(i + 1, k))
+    return clusters, gap
+
+
+def _cluster_bits(clusters):
+    return [(c.centroid.ray.tobytes(), c.weight, c.angular_radius) for c in clusters]
+
+
+def _loop_limit_set(form, generators, depth, samples, s, seed, divergence_threshold,
+                    cluster_angle):
+    """The per-word, per-ray `limit_set`: (clusters, gap, divergent words, trace)."""
+    rays, trace = [], []
+    for length, word in _loop_words(generators, depth, samples, np.random.default_rng(seed)):
+        try:
+            growth = norm_growth(word)
+        except np.linalg.LinAlgError:
+            growth = math.nan
+        if not math.isfinite(growth):
+            raise NumericalError(f"a word of length {length} overflows the floating-point range")
+        if growth >= divergence_threshold:
+            rays.append(_loop_canonical_ray(word @ s.v))
+            trace.append((length, *rays[-1].tolist(), growth))
+    if not rays:
+        raise EquicontinuousError("no sampled word exceeded the divergence threshold: group "
+                                  "appears equicontinuous at this depth")
+    snapped = []
+    for r in rays:
+        try:
+            snapped.append(_loop_project_to_cone(form, r))
+        except NotIsotropicError:
+            snapped.append(_loop_canonical_ray(r))
+    clusters = _loop_cluster_rays(np.array(snapped), cluster_angle)
+    clusters = [_loop_snap_cluster(form, c) for c in clusters]
+    clusters, gap = _loop_merge_close_clusters(form, clusters, cluster_angle)
+    return _cluster_bits(clusters), gap, len(rays), trace
+
+
+def _limit_set_bits(form, generators, **kwargs):
+    """`limit_set` in the shape of `_loop_limit_set`."""
+    trace = []
+    est = limit_set(form, generators, trace=trace, **kwargs)
+    return _cluster_bits(est.clusters), est.min_intercluster_gap, est.divergent_words, trace
+
+
 def _loop_north_south(form, seq, u_angle, v_angle, grid):
     """The per-point, per-term `north_south_certificate` loop."""
     stable = as_subspace_kak(seq)
@@ -342,6 +505,111 @@ class TestStackedAgainstLoops:
         est = limit_set(mink3, list(schottky_pair()), s=s, seed=4, trace=trace)
         assert trace == _loop_limit_trace(list(schottky_pair()), 8, 2000, s, 4, 1e3)
         assert est.divergent_words == len(trace)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_sampled_words_match_per_letter_stream(self, g):
+        # g = 1 takes the whole stream in one call, g >= 2 one call per word
+        for depth in range(1, 13):
+            for seed in range(3):
+                rng = np.random.default_rng(1000 * g + 10 * depth + seed)
+                d = 3 + seed
+                gens = [random_lorentz(d, rng, max_rapidity=1.0) for _ in range(g)]
+                samples = 1 + 37 * seed
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lengths, words = _sample_words(gens, depth, samples,
+                                                   np.random.default_rng(seed))
+                    want = list(_loop_words(gens, depth, samples, np.random.default_rng(seed)))
+                assert lengths.tolist() == [length for length, _ in want]
+                assert words.tobytes() == np.array([w for _, w in want]).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_limit_set_matches_parent_loops(self, d):
+        form = QuadraticForm.minkowski(d)
+        s = HyperbolicPoint.from_timelike(form, np.eye(d)[0] + 0.3 * np.eye(d)[1])
+        cases = [([boost(d, 1.2)], 8, 2000, 0, 1e3, 5.0),
+                 ([boost(d, 15.0)], 40, 50, 0, 1e3, 5.0)]  # an image overflows
+        for seed in range(8):
+            rng = np.random.default_rng(10 * d + seed)
+            gens = [random_lorentz(d, rng, max_rapidity=1.5) for _ in range(1 + seed % 3)]
+            cases.append((gens, 1 + (5 * seed) % 12, 300, seed, (1e2, 8.0)[seed % 2],
+                          (5.0, 20.0, 1.0)[seed % 3]))
+        outcomes = []
+        for gens, depth, samples, seed, threshold, degrees in cases:
+            kwargs = dict(depth=depth, samples=samples, s=s, seed=seed,
+                          divergence_threshold=threshold, cluster_angle=np.deg2rad(degrees))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _outcome(lambda: _loop_limit_set(form, gens, **kwargs))
+                got = _outcome(lambda: _limit_set_bits(form, gens, **kwargs))
+            if want[0] == "NotIsotropicError":  # the parent's report of an overflowing image
+                assert got[0] == "NumericalError" and "image" in got[1]
+            else:
+                assert got == want
+            outcomes.append(want[0] if want[0] != "ok" else len(want[1][0]))
+        assert outcomes[:2] == [2, "NotIsotropicError"]
+        assert sum(isinstance(o, int) and o > 2 for o in outcomes) >= 2
+
+    def test_rays_match_per_ray_loops(self):
+        rng = np.random.default_rng(5)
+        forms = [(QuadraticForm.minkowski(3), []), (QuadraticForm.minkowski(5), []),
+                 (split_form_3d(), []),
+                 # q(gram.v) = 0 at (1, 0, 1/8): the linear Newton step
+                 (QuadraticForm.from_gram(np.diag([-1.0, 1.0, 4.0])), [[1.0, 0.0, 0.125]])]
+        codes = set()
+        for form, extra in forms:
+            d = form.dim
+            e = np.eye(d)
+            special = [e[0] + e[1], -(e[0] + e[1]), e[0], e[1] - 3e-10 * e[0], -e[d - 1],
+                       e[0] + e[1] + 1e-9 * e[2], 1e-160 * (e[0] + e[1])] + extra
+            v = np.concatenate([special, rng.normal(size=(300, d)),
+                                rng.normal(size=(50, d)) * 1e-40, rng.normal(size=(50, d)) * 1e40])
+            v = np.concatenate([v, -v])  # antipodal rows
+            assert canonical_rays(v).tobytes() == np.array(
+                [_loop_canonical_ray(x) for x in v]).tobytes()
+            rays, failed = project_rows_to_cone(form, v)
+            for x, r, f in zip(v, rays, failed):
+                want = _outcome(lambda: _loop_project_to_cone(form, x))
+                if want[0] == "ok":
+                    assert f == 0 and r.tobytes() == want[1].tobytes()
+                else:
+                    assert f > 0 and np.isnan(r).all()
+                    with pytest.raises(NotIsotropicError, match=want[1]):
+                        project_to_cone(form, x)
+            codes |= set(failed.tolist())
+        assert codes == {0, 2, 3}
+        with pytest.raises(NotIsotropicError, match="zero vector has no ray"):
+            canonical_rays(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert project_rows_to_cone(forms[0][0], np.zeros((1, 3)))[1].tolist() == [1]
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_cluster_rays_matches_greedy_loop(self, d):
+        rng = np.random.default_rng(d)
+        for trial in range(12):
+            angle = np.deg2rad((5.0, 2.0, 30.0)[trial % 3])
+            centers = rng.normal(size=(1 + trial % 5, d))
+            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+            members = centers[rng.integers(0, len(centers), size=150)]
+            rays = members + rng.normal(size=members.shape) * angle * (0.2 + 0.2 * (trial % 4))
+            rays[::3] *= -1  # antipodal copies of the same ray
+            rays = canonical_rays(rays)
+            assert _cluster_bits(_cluster_rays(rays, angle)) == _cluster_bits(
+                _loop_cluster_rays(rays, angle))
+
+    def test_merge_ties_resolve_row_major(self, mink3):
+        # gaps (0, 1) and (0, 2) are equal bit for bit, so the first pair merges
+        c = math.cos(np.deg2rad(3.0))
+        rays = [np.array([1.0, 1.0, 0.0]), np.array([1.0, c, math.sqrt(1 - c * c)]),
+                np.array([1.0, c, -math.sqrt(1 - c * c)]), np.array([1.0, -1.0, 0.0])]
+        clusters = [RayCluster(centroid=BoundaryPoint(ray=canonical_ray(r)), weight=w,
+                               angular_radius=0.01 * w) for r, w in zip(rays, [5, 3, 3, 2])]
+        tie = [clusters[0].centroid.angle_to(clusters[k].centroid) for k in (1, 2)]
+        assert tie[0] == tie[1]
+        for degrees in (1.0, 3.0, 5.0, 10.0, 100.0):
+            angle = np.deg2rad(degrees)
+            for order in ([0, 1, 2, 3], [1, 2, 0, 3], [3, 2, 1, 0]):
+                cl = [clusters[i] for i in order]
+                got, gap = _merge_close_clusters(mink3, cl, angle)
+                want, want_gap = _loop_merge_close_clusters(mink3, cl, angle)
+                assert _cluster_bits(got) == _cluster_bits(want) and gap == want_gap
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_north_south_matches_per_term_loop(self, d):
