@@ -8,6 +8,7 @@ failure.  All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -84,8 +85,7 @@ def cmd_as(args) -> int:
             result = op(seq, bound_threshold=args.bound_threshold)
         report["oracles"] = {args.oracle: jsonio.as_result_to_dict(result)}
     if args.oracle != "brute":
-        spas = stability.spas_subspace(seq, form=form,
-                                       bound_threshold=args.bound_threshold)
+        spas = stability.spas_subspace(seq, bound_threshold=args.bound_threshold)
         report["strongly_stable"] = jsonio.as_result_to_dict(spas)
     if form is not None:
         check = stability.lorentz_as_check(form, seq,
@@ -214,7 +214,9 @@ def cmd_entropy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lorentzdyn` parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="lorentzdyn",
         description="Approximate stability analyses of Lorentz and linear "
@@ -301,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if any(not getattr(args, name, 1.0) > 0 for name in _TOLERANCES):  # NaN fails too
             raise PreconditionError("tolerance overrides must be positive")

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,8 +80,10 @@ class MatrixSequence:
     The spectral data every detector reads is computed once per sequence:
     ``norms`` (the operator norm of each term, equal to ``norm_growth``)
     comes from the singularity check, and ``cartan`` (the stacked
-    ``kak`` factors) on first use.  Both are pure functions of the frozen
-    terms.
+    ``kak`` factors) on first use.  The subspace limits of the Cartan route
+    are kept too, one per (rank, kind), so the stable and strongly stable
+    spaces are each computed once however many analyses read them.  All
+    are pure functions of the frozen terms.
     """
 
     terms: np.ndarray
@@ -109,6 +113,11 @@ class MatrixSequence:
         for a in (fact.L, fact.D, fact.R):
             a.flags.writeable = False
         return fact
+
+    @functools.cached_property
+    def _cartan_limits(self) -> dict:
+        """Cartan-route `_detected` results computed so far, by (rank, kind)."""
+        return {}
 
     @classmethod
     def from_powers(cls, a, count: int, start: int = 1) -> "MatrixSequence":
@@ -149,13 +158,16 @@ class ASResult:
     subspace: Subspace
     kind: StabilityKind
     modulus: float
-    oracle_agreement: dict = field(default_factory=dict)
+    oracle_agreement: Mapping = field(default_factory=dict)
     converged: bool = True
     subsequence_indices: tuple = ()
 
     def __post_init__(self):
         if self.converged and not self.modulus > 0:
             raise NumericalError("converged result must carry a positive modulus")
+        # read-only, as a sequence hands the same result to every caller
+        object.__setattr__(self, "oracle_agreement",
+                           MappingProxyType(dict(self.oracle_agreement)))
 
 
 def is_divergent(seq: MatrixSequence, threshold: float = BOUND_THRESHOLD,
@@ -376,10 +388,16 @@ def _detected(seq: MatrixSequence, bases, rank: int,
     )
 
 
-def _right_singular_bases(seq: MatrixSequence) -> np.ndarray:
-    # ascending D puts the bounded directions first; R rows are the
-    # right-singular vectors, so R^T columns realize R^{-1}(R^i x {0}).
-    return np.swapaxes(seq.cartan.R, 1, 2)
+def _cartan_detected(seq: MatrixSequence, rank: int,
+                     kind: StabilityKind = StabilityKind.STABLE) -> ASResult:
+    """`_detected` on the right-singular directions, computed once per
+    sequence for each (rank, kind); a raised error is not kept."""
+    limits = seq._cartan_limits
+    if (rank, kind) not in limits:
+        # ascending D puts the bounded directions first; R rows are the
+        # right-singular vectors, so R^T columns realize R^{-1}(R^i x {0}).
+        limits[rank, kind] = _detected(seq, np.swapaxes(seq.cartan.R, 1, 2), rank, kind)
+    return limits[rank, kind]
 
 
 def as_subspace_kak(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,
@@ -388,7 +406,7 @@ def as_subspace_kak(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOL
     the span of the non-growing singular directions."""
     _gate(seq, check_divergent)
     growing = _growing_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
-    return _detected(seq, _right_singular_bases(seq), int(np.sum(~growing)))
+    return _cartan_detected(seq, int(np.sum(~growing)))
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence,
@@ -432,13 +450,13 @@ def as_subspace_graph(seq: MatrixSequence, check_divergent: bool = True) -> ASRe
     return _detected(seq, u, int(np.sum(~collapsing)))
 
 
-def as_all_oracles(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,
-                   check_divergent: bool = True) -> dict[str, ASResult]:
+def as_all_oracles(seq: MatrixSequence,
+                   bound_threshold: float = BOUND_THRESHOLD) -> dict[str, ASResult]:
     """Run every subspace detector and cross-fill the agreement table."""
     results = {
-        "kak": as_subspace_kak(seq, bound_threshold, check_divergent),
-        "ellipsoid": as_subspace_ellipsoid(seq, bound_threshold, check_divergent),
-        "graph": as_subspace_graph(seq, check_divergent),
+        "kak": as_subspace_kak(seq, bound_threshold),
+        "ellipsoid": as_subspace_ellipsoid(seq, bound_threshold),
+        "graph": as_subspace_graph(seq),
     }
     names = list(results)
     out = {}
@@ -472,9 +490,6 @@ class BruteForceScores:
     radii: tuple
     scores: np.ndarray
     complete: bool
-
-    def score_map(self) -> dict[int, float]:
-        return {k: float(self.scores[k, -1]) for k in range(self.directions.shape[0])}
 
     def score_of(self, v, radius_index: int = -1) -> float:
         """Score of the sampled direction nearest to v."""
@@ -683,33 +698,15 @@ def brute_force_score(seq: MatrixSequence, v,
 # strongly stable space and the Lorentz structure check
 
 
-def spas_subspace(seq: MatrixSequence, form: QuadraticForm | None = None,
-                  bound_threshold: float = BOUND_THRESHOLD,
+def spas_subspace(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,
                   check_divergent: bool = True) -> ASResult:
     """Strongly approximately stable space: the limit of the right-singular
-    directions whose singular values decay to zero.
-
-    When a Lorentz `form` is supplied and the stable space is a hyperplane,
-    the Lorentz structure is enforced: SPAS must be its orthogonal, an
-    isotropic line.
-    """
+    directions whose singular values decay to zero.  `lorentz_as_check`
+    checks its Lorentz structure (the isotropic orthogonal of the stable
+    hyperplane)."""
     _gate(seq, check_divergent)
     decaying = _decaying_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
-    result = _detected(seq, _right_singular_bases(seq), int(np.sum(decaying)),
-                       StabilityKind.STRONGLY_STABLE)
-    if form is not None and form.is_lorentz():
-        stable = as_subspace_kak(seq, bound_threshold, check_divergent=False)
-        if stable.converged and stable.subspace.dim == seq.dim - 1:
-            perp = orthogonal_complement(form, stable.subspace)
-            if not result.subspace.isclose(perp, tol=AGREEMENT_TOL):
-                raise NumericalError(
-                    "strongly stable space is not the orthogonal of the "
-                    "stable hyperplane"
-                )
-            ray = result.subspace.basis[:, 0]
-            if abs(evaluate(form, ray, ray)) > 1e-6:
-                raise NumericalError("strongly stable direction is not isotropic")
-    return result
+    return _cartan_detected(seq, int(np.sum(decaying)), StabilityKind.STRONGLY_STABLE)
 
 
 @dataclass(frozen=True)
@@ -740,8 +737,7 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence,
     _gate(seq, check_divergent=True)
     failures = []
     stable = as_subspace_kak(seq, bound_threshold, check_divergent=False)
-    strongly = spas_subspace(seq, form=None, bound_threshold=bound_threshold,
-                             check_divergent=False)
+    strongly = spas_subspace(seq, bound_threshold, check_divergent=False)
     d = seq.dim
     if not stable.converged:
         failures.append("stable-subspace-not-converged")

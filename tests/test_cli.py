@@ -2,16 +2,20 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lorentzdyn import boost, jsonio
-from lorentzdyn.cli import main
+from lorentzdyn import boost, jsonio, stability
+from lorentzdyn.cartan import random_lorentz
+from lorentzdyn.cli import build_parser, main
 
 from .conftest import INTEGER_MINK3, fundamental_sequence, hyperbolic_322
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -204,6 +208,60 @@ class TestAsCommand:
         rep = json.loads(text)
         assert len(rep["brute_force"]["scores"]) == 16
         assert rep["brute_force"]["complete"] is True
+
+
+class TestAsFormContract:
+    def test_structure_violation_is_reported_not_raised(self, files, tmp_path, capsys):
+        # the paper's central case, Lorentz-conjugated boosts k B(0.12 i) k^-1:
+        # whatever the clauses find, they come back as the library's report
+        k = random_lorentz(3, np.random.default_rng(0))
+        terms = [(k @ boost(3, 0.12 * i) @ np.linalg.inv(k)).tolist() for i in range(1, 41)]
+        path = tmp_path / "conjugated.json"
+        path.write_text(json.dumps({"d": 3, "terms": terms}))
+        out = tmp_path / "o.json"
+        assert main(["as", str(path), "--form", files["mink3.json"], "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        check = stability.lorentz_as_check(jsonio.load_form(files["mink3.json"]),
+                                           jsonio.load_sequence(str(path)))
+        want = json.loads(jsonio.dumps(jsonio.lorentz_report_to_dict(check)))
+        assert json.loads(out.read_text())["lorentz_check"] == want
+
+    @pytest.mark.parametrize("oracle", ["all", "kak", "ellipsoid", "graph", "brute"])
+    def test_non_isometric_sequence_exit_code(self, capsys, oracle):
+        argv = ["as", str(GOLDEN / "fundamental40.json"), "--form",
+                str(GOLDEN / "mink3.json"), "--oracle", oracle]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix does not preserve the form\n"
+        assert captured.out == ""
+
+
+class TestOneAnalysisPass:
+    @pytest.mark.parametrize("args, passes", [
+        (["chaos40.json", "--form", "split3.json"], 4),
+        (["lorentz4.json", "--form", "mink4.json", "--oracle", "kak"], 2),
+    ], ids=["all-oracles", "kak-oracle"])
+    def test_each_subspace_limit_runs_once(self, monkeypatch, tmp_path, args, passes):
+        # one pass per detector plus one for the strongly stable space; the
+        # Lorentz check reads the Cartan-route passes already made
+        calls = []
+        limit = stability._subspace_limit
+        monkeypatch.setattr(stability, "_subspace_limit",
+                            lambda *a: calls.append(a) or limit(*a))
+        argv = ["as"] + [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
+        assert main(argv + ["--output", str(tmp_path / "o.json")]) == 0
+        assert len(calls) == passes
+
+    def test_parser_is_built_once_and_shared(self, tmp_path):
+        build_parser.cache_clear()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["as", str(GOLDEN / "chaos40.json"), "--form",
+                     str(GOLDEN / "split3.json"), "--output", str(first)]) == 0
+        assert main(["as", str(GOLDEN / "fundamental40.json"), "--output", str(second)]) == 0
+        assert build_parser.cache_info().misses == 1
+        assert "lorentz_check" in json.loads(first.read_text())
+        assert "lorentz_check" not in json.loads(second.read_text())
+        assert second.read_bytes() == (GOLDEN / "fundamental40.as.json").read_bytes()
 
 
 class TestLimitSetCommand:

@@ -23,6 +23,7 @@ from lorentzdyn import (
     split_unipotent,
 )
 from lorentzdyn.errors import (
+    ConvergenceError,
     EquicontinuousError,
     InsufficientDataError,
     SingularMatrixError,
@@ -422,7 +423,7 @@ class TestBruteForce:
 class TestStronglyStable:
     def test_chaos_keeps_first_axis_despite_divergence(self, split3):
         seq = chaos_sequence(40)
-        res = spas_subspace(seq, form=split3)
+        res = spas_subspace(seq)
         assert res.subspace.distance(E1) < 1e-5
         # the same direction has divergent images: A_n e1 = n e1
         norms = [np.linalg.norm(t @ np.array([1.0, 0, 0])) for t in seq.terms]
@@ -431,7 +432,7 @@ class TestStronglyStable:
     def test_boost_spas_is_isotropic_complement(self, mink3):
         seq = boost_sequence(3, 0.5, 16)
         stable = as_subspace_kak(seq)
-        strongly = spas_subspace(seq, form=mink3)
+        strongly = spas_subspace(seq)
         assert strongly.subspace == orthogonal_complement(mink3, stable.subspace)
         ray = strongly.subspace.basis[:, 0]
         assert abs(evaluate(mink3, ray, ray)) < 1e-9
@@ -459,11 +460,46 @@ class TestLorentzCheck:
         # kernels of the stable and unstable hyperplanes are the two distinct
         # isotropic eigenrays of a hyperbolic sequence
         seq = boost_sequence(3, 0.5, 16)
-        fwd = spas_subspace(seq, form=mink3)
-        bwd = spas_subspace(seq.inverse(), form=mink3)
+        fwd = spas_subspace(seq)
+        bwd = spas_subspace(seq.inverse())
         assert fwd.subspace.distance(Subspace.spanned_by([1, -1, 0])) < 1e-9
         assert bwd.subspace.distance(Subspace.spanned_by([1, 1, 0])) < 1e-9
         assert fwd.subspace.distance(bwd.subspace) > 0.5
+
+    def test_check_reuses_the_cartan_limits(self, mink3, monkeypatch):
+        # the stable and strongly stable limits are kept on the sequence, so
+        # the check adds no pass after the detectors; a new sequence with
+        # the same terms makes its own
+        calls = []
+        limit = stability._subspace_limit
+        monkeypatch.setattr(stability, "_subspace_limit",
+                            lambda *a: calls.append(a) or limit(*a))
+        seq = boost_sequence(3, 0.5, 16)
+        stable, strongly = as_subspace_kak(seq), spas_subspace(seq)
+        assert len(calls) == 2
+        rep = lorentz_as_check(mink3, seq)
+        assert len(calls) == 2
+        assert rep.passed, rep.failures
+        assert rep.stable is stable and rep.strongly_stable is strongly
+        with pytest.raises(TypeError):  # a shared result cannot be edited
+            stable.oracle_agreement["graph"] = 0.0
+        lorentz_as_check(mink3, MatrixSequence(terms=seq.terms))
+        assert len(calls) == 4
+
+    def test_failed_limit_is_not_kept(self, monkeypatch):
+        limit = stability._subspace_limit
+        failures = [ConvergenceError("injected")]
+
+        def flaky(*args):
+            if failures:
+                raise failures.pop()
+            return limit(*args)
+
+        monkeypatch.setattr(stability, "_subspace_limit", flaky)
+        seq = boost_sequence(3, 0.5, 16)
+        with pytest.raises(ConvergenceError):
+            as_subspace_kak(seq)
+        assert as_subspace_kak(seq).subspace.dim == 2
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_random_sequences_in_higher_dimensions(self, d):
