@@ -95,7 +95,15 @@ def is_standard_lorentz(form: QuadraticForm) -> bool:
     return bool(np.allclose(form.gram, standard, rtol=0, atol=1e-12))
 
 
-def lorentz_kak(form: QuadraticForm, A, tol: float = _PATTERN_TOL):
+def require_lorentz(form: QuadraticForm):
+    """Raise PatternMismatchError unless the form has signature (1, d-1)."""
+    if not form.is_lorentz():
+        raise PatternMismatchError(
+            f"form has signature {form.signature}, expected Lorentz (1, d-1)"
+        )
+
+
+def lorentz_kak(form: QuadraticForm, A):
     """KAK of a Lorentz isometry with the D-pattern (lambda, 1, ..., 1, 1/lambda).
 
     Returns (KakFactorization, lambda) with lambda in (0, 1].  When the Gram
@@ -104,10 +112,7 @@ def lorentz_kak(form: QuadraticForm, A, tol: float = _PATTERN_TOL):
     to the standardized conjugate (Euclidean rotations cannot factor the
     original matrix while D keeps the Lorentz pattern).
     """
-    if not form.is_lorentz():
-        raise PatternMismatchError(
-            f"form has signature {form.signature}, expected Lorentz (1, d-1)"
-        )
+    require_lorentz(form)
     m = require_isometry(form, A, tol=1e-8)
     if not is_standard_lorentz(form):
         c = standardizing_congruence(form)
@@ -115,7 +120,7 @@ def lorentz_kak(form: QuadraticForm, A, tol: float = _PATTERN_TOL):
     fact = kak(m)
     d = fact.D
     mid_dev = np.max(np.abs(d[1:-1] - 1.0)) if d.shape[0] > 2 else 0.0
-    if abs(d[0] * d[-1] - 1.0) > tol or mid_dev > tol:
+    if abs(d[0] * d[-1] - 1.0) > _PATTERN_TOL or mid_dev > _PATTERN_TOL:
         raise PatternMismatchError(
             "singular values do not match diag(lambda, 1, ..., 1, 1/lambda): "
             "form/basis mismatch"

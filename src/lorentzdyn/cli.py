@@ -64,8 +64,12 @@ def cmd_kak(args) -> int:
 
 def cmd_as(args) -> int:
     seq = jsonio.load_sequence(args.sequence)
-    form = jsonio.load_form(args.form) if args.form else None
     report: dict = {"n_terms": len(seq), "d": seq.dim}
+    if args.form:
+        # preconditions first; the oracles and SPAS reuse the check's limits
+        check = stability.lorentz_as_check(jsonio.load_form(args.form), seq,
+                                           bound_threshold=args.bound_threshold)
+        report["lorentz_check"] = jsonio.lorentz_report_to_dict(check)
     if args.oracle == "all":
         results = stability.as_all_oracles(seq, bound_threshold=args.bound_threshold)
         report["oracles"] = {k: jsonio.as_result_to_dict(v) for k, v in results.items()}
@@ -87,10 +91,6 @@ def cmd_as(args) -> int:
     if args.oracle != "brute":
         spas = stability.spas_subspace(seq, bound_threshold=args.bound_threshold)
         report["strongly_stable"] = jsonio.as_result_to_dict(spas)
-    if form is not None:
-        check = stability.lorentz_as_check(form, seq,
-                                           bound_threshold=args.bound_threshold)
-        report["lorentz_check"] = jsonio.lorentz_report_to_dict(check)
     _emit(args, jsonio.dumps(report))
     return 0
 
@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for every random choice (default 0)")
 
     p = sub.add_parser("kak", help="Cartan factorization of a matrix file")
     p.add_argument("matrix", help="JSON matrix (array of rows)")
@@ -243,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-threshold", type=float, default=stability.BOUND_THRESHOLD)
     p.add_argument("--directions", type=int, default=64,
                    help="sampled directions for the brute-force oracle")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the brute-force directions in d >= 4 (default 0)")
     common(p)
     p.set_defaults(func=cmd_as)
 
@@ -257,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=projective.WORD_DIVERGENCE_THRESHOLD)
     p.add_argument("--point", help="base point on the hyperboloid, e.g. '1,0,0'")
     p.add_argument("--trace", help="also write the orbit trace CSV here")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled words (default 0)")
     common(p)
     p.set_defaults(func=cmd_limit_set)
 

@@ -56,7 +56,7 @@ class TorusAutomorphism:
         real = w[np.abs(w.imag) < _UNIT_CIRCLE_TOL].real
         return bool(np.any(np.abs(real) > 1.0 + _UNIT_CIRCLE_TOL))
 
-    def power_sequence(self, count: int = 40, inverse: bool = False) -> MatrixSequence:
+    def power_sequence(self, inverse: bool = False) -> MatrixSequence:
         """Powers A, A^2, ..., capped where the terms stop being numerically
         invertible (condition number past ~5e12); hyperbolic elements reach
         that wall long before 40 powers."""
@@ -64,7 +64,7 @@ class TorusAutomorphism:
             else self.matrix.astype(float)
         terms = []
         acc = base
-        for _ in range(count):
+        for _ in range(40):
             sv = np.linalg.svd(acc, compute_uv=False)
             if sv[-1] <= 2e-13 * sv[0]:
                 break
@@ -132,12 +132,11 @@ def cocycle(aut: TorusAutomorphism, n: int) -> CocycleValue:
     return CocycleValue(lambda1=abs(mu_s) ** n, lambda2=abs(mu_b) ** n)
 
 
-def lyapunov_exponent(aut: TorusAutomorphism, direction: int,
-                      steps: int = 50) -> float:
+def lyapunov_exponent(aut: TorusAutomorphism, direction: int) -> float:
     """log|mu| along normal direction 1 (contracted, negative) or 2
     (expanded, positive).
 
-    Cross-checked against the finite-step quotient log(|A^steps x|) / steps
+    Cross-checked against the finite-step quotient log(|A^50 x|) / 50
     computed by matrix powering along the eigendirection (inverse powers for
     the contracted one, where forward powering is swamped by the expanding
     component); both routes must agree to 1e-9.
@@ -149,11 +148,11 @@ def lyapunov_exponent(aut: TorusAutomorphism, direction: int,
     closed = float(np.log(abs(mu)))
     a = aut.matrix.astype(float)
     if direction == 2:
-        powered = np.linalg.matrix_power(a, steps) @ ray.ray
-        finite = float(np.log(np.linalg.norm(powered)) / steps)
+        powered = np.linalg.matrix_power(a, 50) @ ray.ray
+        finite = float(np.log(np.linalg.norm(powered)) / 50)
     else:
-        powered = np.linalg.matrix_power(np.linalg.inv(a), steps) @ ray.ray
-        finite = -float(np.log(np.linalg.norm(powered)) / steps)
+        powered = np.linalg.matrix_power(np.linalg.inv(a), 50) @ ray.ray
+        finite = -float(np.log(np.linalg.norm(powered)) / 50)
     if abs(finite - closed) > 1e-9 * max(1.0, abs(closed)):
         raise NotHyperbolicError(
             "finite-step exponent disagrees with the closed form; eigendata "
@@ -162,11 +161,11 @@ def lyapunov_exponent(aut: TorusAutomorphism, direction: int,
     return closed
 
 
-def ray_multiplier(a, ray: BoundaryPoint, tol: float = 1e-6) -> float:
+def ray_multiplier(a, ray: BoundaryPoint) -> float:
     """|c| where A ray = c ray; errors if the ray is not preserved."""
     m = np.asarray(a, dtype=float)
     img = m @ ray.ray
-    if ray_angle(img, ray.ray) > tol:
+    if ray_angle(img, ray.ray) > 1e-6:
         raise PreconditionError(
             "cocycle undefined: word does not preserve the chosen ray"
         )
@@ -218,19 +217,18 @@ class EntropyReport:
         return iter((self.entropy, self.as_equal))
 
 
-def entropy_dichotomy(aut: TorusAutomorphism, count: int = 40,
-                      subspace_tol: float = 1e-4) -> EntropyReport:
+def entropy_dichotomy(aut: TorusAutomorphism) -> EntropyReport:
     """Topological entropy sum over expanding eigenvalues, with the
     approximately-stable comparison between the automorphism and its inverse."""
     w, _ = aut.eigen()
     entropy = float(np.sum(np.log(np.abs(w)[np.abs(w) > 1.0 + _UNIT_CIRCLE_TOL])))
-    forward = aut.power_sequence(count)
+    forward = aut.power_sequence()
     if not is_divergent(forward):
         as_equal = True
     else:
         fwd = as_subspace_kak(forward)
-        bwd = as_subspace_kak(aut.power_sequence(count, inverse=True))
-        as_equal = bool(fwd.subspace.isclose(bwd.subspace, tol=subspace_tol))
+        bwd = as_subspace_kak(aut.power_sequence(inverse=True))
+        as_equal = bool(fwd.subspace.isclose(bwd.subspace, tol=1e-4))
     p = None
     if aut.is_hyperbolic():
         mu_s, _, _, _ = _hyperbolic_pair(aut)

@@ -122,40 +122,38 @@ def evaluate(form: QuadraticForm, u, v) -> float:
     return float(_as_vector(u, d) @ form.gram @ _as_vector(v, d))
 
 
-def causal_type(form: QuadraticForm, v, tol: float = ISOTROPY_TOL) -> CausalType:
+def causal_type(form: QuadraticForm, v) -> CausalType:
     """Classify v as timelike / lightlike / spacelike, tolerance scaled by |v|^2."""
     u = _as_vector(v, form.dim)
     n2 = float(u @ u)
     if n2 == 0.0:
         return CausalType.ZERO
     q = evaluate(form, u, u)
-    if q < -tol * n2:
+    if q < -ISOTROPY_TOL * n2:
         return CausalType.TIMELIKE
-    if q > tol * n2:
+    if q > ISOTROPY_TOL * n2:
         return CausalType.SPACELIKE
     return CausalType.LIGHTLIKE
 
 
 def is_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> bool:
-    """True iff |A^T g A - g|_F <= tol * |g|_F."""
-    m = _as_matrix(A)
-    if m.shape != form.gram.shape:
-        raise DimensionError("matrix dimension does not match the form")
-    return bool(
-        np.linalg.norm(m.T @ form.gram @ m - form.gram)
-        <= tol * np.linalg.norm(form.gram)
-    )
+    """True iff `require_isometry` accepts the matrix A."""
+    try:
+        require_isometry(form, _as_matrix(A), tol)
+    except NotIsometryError:
+        return False
+    return True
 
 
 def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
-    """Gate variant of `is_isometry` with a roundoff allowance, for one
-    matrix or a stack (... x d x d) checked term by term.
+    """Gate that |A^T g A - g|_F <= tol * |g|_F plus a roundoff allowance,
+    for one matrix or a stack (... x d x d) checked term by term.
 
     Forming A^T g A loses about eps * |A|^2 of absolute accuracy to
     cancellation, so matrices of large norm cannot be checked against
     tol * |g| alone; the allowance keeps genuinely non-preserving matrices
     (defect of order |A|^2 |g|) detectable at every scale.  A defect that
-    overflows cannot be checked, so it fails the gate.
+    overflows, or a non-finite entry, cannot be checked, so it fails the gate.
     """
     m = np.asarray(A, dtype=float)
     if m.ndim < 2:
@@ -163,8 +161,9 @@ def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
     if m.shape[-2:] != form.gram.shape:
         raise DimensionError("matrix dimension does not match the form")
     g = form.gram
+    finite = np.isfinite(m).all()
     with np.errstate(over="ignore", invalid="ignore"):
-        op = np.linalg.norm(m, 2, axis=(-2, -1))
+        op = np.linalg.norm(m, 2, axis=(-2, -1)) if finite else np.inf
         allowance = 64.0 * form.dim * np.finfo(float).eps * op * op * np.linalg.norm(g, 2)
         defect = np.linalg.norm(np.swapaxes(m, -1, -2) @ g @ m - g, axis=(-2, -1))
     if not np.isfinite(defect).all() or np.any(defect > tol * np.linalg.norm(g) + allowance):
@@ -273,13 +272,13 @@ class Subspace:
         object.__setattr__(self, "basis", b)
 
     @classmethod
-    def from_spanning(cls, columns, tol: float = 1e-12) -> "Subspace":
+    def from_spanning(cls, columns) -> "Subspace":
         """Orthonormalize a d x k matrix whose columns span the subspace."""
         m = np.asarray(columns, dtype=float)
         if m.ndim == 1:
             m = m.reshape(-1, 1)
         u, s, _ = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
+        rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
         return cls(basis=u[:, :rank])
 
     @classmethod

@@ -21,10 +21,10 @@ from .errors import (
     BudgetError,
     DegenerateFormError,
     DimensionError,
-    NotIsometryError,
     PreconditionError,
 )
-from .minkowski import QuadraticForm, _as_matrix, _as_vector, canonical_ray, evaluate
+from .minkowski import (QuadraticForm, _as_matrix, _as_vector, canonical_ray, evaluate,
+                        require_isometry)
 from .projective import BoundaryPoint, ray_angle
 
 # Column-candidate evaluations allowed in one integer enumeration.
@@ -128,14 +128,14 @@ class EntireCone:
     form: RationalLorentzForm
 
 
-def _is_projectively_trivial(a: np.ndarray, tol: float = 1e-12) -> bool:
+def _is_projectively_trivial(a: np.ndarray) -> bool:
     d = a.shape[0]
     return bool(
-        np.allclose(a, np.eye(d), atol=tol) or np.allclose(a, -np.eye(d), atol=tol)
+        np.allclose(a, np.eye(d), atol=1e-12) or np.allclose(a, -np.eye(d), atol=1e-12)
     )
 
 
-def fixed_isotropic_directions(g: RationalLorentzForm, elements, tol: float = 1e-8):
+def fixed_isotropic_directions(g: RationalLorentzForm, elements):
     """Isotropic rays fixed projectively by every element.
 
     Candidates are real one-dimensional eigendirections on the cone; each is
@@ -143,10 +143,7 @@ def fixed_isotropic_directions(g: RationalLorentzForm, elements, tol: float = 1e
     element acts as +-identity (torus case), else a list of BoundaryPoint.
     """
     form = g.to_quadratic_form()
-    mats = [np.asarray(a, dtype=float) for a in elements]
-    for a in mats:
-        if not np.allclose(a.T @ form.gram @ a, form.gram, atol=1e-9):
-            raise NotIsometryError("element does not preserve the form")
+    mats = [require_isometry(form, a, tol=1e-8) for a in elements]
     acting = [a for a in mats if not _is_projectively_trivial(a)]
     if not acting:
         return EntireCone(form=g)
@@ -154,26 +151,26 @@ def fixed_isotropic_directions(g: RationalLorentzForm, elements, tol: float = 1e
     for a in acting:
         w, v = np.linalg.eig(a)
         for i in range(len(w)):
-            if abs(w[i].imag) > tol:
+            if abs(w[i].imag) > 1e-8:
                 continue
             vec = np.real(v[:, i])
             nv = np.linalg.norm(vec)
-            if nv < tol:
+            if nv < 1e-8:
                 continue
             vec = vec / nv
-            if abs(evaluate(form, vec, vec)) > tol:
+            if abs(evaluate(form, vec, vec)) > 1e-8:
                 continue
             candidates.append(canonical_ray(vec))
     fixed = []
     for ray in candidates:
         if any(ray_angle(ray, r) < 1e-9 for r in fixed):
             continue
-        if all(ray_angle(a @ ray, ray) <= tol for a in acting):
+        if all(ray_angle(a @ ray, ray) <= 1e-8 for a in acting):
             fixed.append(ray)
     return [BoundaryPoint(ray=r) for r in fixed]
 
 
-def plus_minus_identity_check(g: RationalLorentzForm, a, rays, tol: float = 1e-8) -> bool:
+def plus_minus_identity_check(g: RationalLorentzForm, a, rays) -> bool:
     """Executable form of the three-fixed-rays fact: an isometry fixing three
     pairwise independent isotropic rays is +-identity on their span.
 
@@ -191,7 +188,7 @@ def plus_minus_identity_check(g: RationalLorentzForm, a, rays, tol: float = 1e-8
     mults = []
     for v in vecs:
         img = m @ v
-        if ray_angle(img, v) > tol:
+        if ray_angle(img, v) > 1e-8:
             raise PreconditionError("matrix does not fix all three rays")
         mults.append(float(img @ v))
     span = np.column_stack(vecs)
@@ -410,12 +407,12 @@ def rp1_distance(s: float, t: float) -> float:
     return abs(float(u[0] * v[1] - u[1] * v[0]))
 
 
-def rational_ray_diagnostic(ray, max_denominator: int = 50):
+def rational_ray_diagnostic(ray):
     """Denominator-bounded rational approximation of a ray, as a diagnostic
     only (rationality of limit data is an open matter, never asserted)."""
     v = np.asarray(ray.ray if isinstance(ray, BoundaryPoint) else ray, float)
     pivot = v[np.argmax(np.abs(v))]
-    fracs = [Fraction(float(x / pivot)).limit_denominator(max_denominator) for x in v]
+    fracs = [Fraction(float(x / pivot)).limit_denominator(50) for x in v]
     approx = np.array([float(f) for f in fracs])
     err = float(np.linalg.norm(v / pivot - approx) / np.linalg.norm(v / pivot))
     return fracs, err

@@ -27,7 +27,6 @@ from .errors import (
 from .minkowski import (
     ISOTROPY_TOL,
     QuadraticForm,
-    Subspace,
     _as_vector,
     _dots,
     canonical_ray,
@@ -38,9 +37,10 @@ from .minkowski import (
     require_isometry,
 )
 from .stability import (
+    BOUND_THRESHOLD,
     MatrixSequence,
+    _norms_diverge,
     as_subspace_kak,
-    is_divergent,
     sphere_points,
 )
 
@@ -126,21 +126,20 @@ def act_boundary(form: QuadraticForm, A, b: BoundaryPoint) -> BoundaryPoint:
 
 
 def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
-                           s: HyperbolicPoint, angle_tol: float = 1e-2) -> BoundaryPoint:
+                           s: HyperbolicPoint) -> BoundaryPoint:
     """Boundary limit of the orbit A_n . s of a hyperboloid point.
 
-    The orbit must leave every compact set (divergent isometries); its
-    directions must settle into a single angular cluster of radius
-    `angle_tol` over the tail, else a ConvergenceError carries the cluster
-    breakdown.  The limit is snapped onto the cone.  By the section-
-    independence fact the result does not depend on s.
+    The orbit must leave every compact set (`is_divergent`'s test on the
+    orbit norms); its directions must settle into a single angular cluster
+    of radius 0.01 over the tail, else a ConvergenceError carries the
+    cluster breakdown.  The limit is snapped onto the cone.  By the
+    section-independence fact the result does not depend on s.
     """
     require_isometry(form, seq.terms, tol=1e-8)
     orbit = seq.terms @ s.v
     norms = np.linalg.norm(orbit, axis=1)
     n = len(norms)
-    tail = norms[n // 2:]
-    if np.min(tail) <= 10.0 * np.linalg.norm(s.v) or norms[-1] < 1.3 * norms[n // 2]:
+    if not _norms_diverge(norms, BOUND_THRESHOLD * np.linalg.norm(s.v)):
         raise EquicontinuousError(
             "orbit remains in a bounded region; sequence acts equicontinuously "
             "at the base point"
@@ -149,8 +148,8 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     last = rays[-1]
     tail_rays = rays[n // 2:]
     angles = np.arccos(np.minimum(1.0, np.abs(tail_rays @ last)))
-    if np.max(angles) > angle_tol:
-        clusters = _cluster_rays(tail_rays, angle_tol)
+    if np.max(angles) > 1e-2:
+        clusters = _cluster_rays(tail_rays, 1e-2)
         raise ConvergenceError(
             "orbit direction oscillates between boundary clusters",
             clusters=[(c.weight, c.centroid.ray.tolist()) for c in clusters],

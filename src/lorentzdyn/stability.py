@@ -28,7 +28,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cartan import KakFactorization, kak, kak_stack  # noqa: F401  (kak stays importable here)
+from .cartan import (KakFactorization, kak,  # noqa: F401  (kak stays importable here)
+                     kak_stack, require_lorentz)
 from .errors import (
     ConvergenceError,
     EquicontinuousError,
@@ -120,14 +121,14 @@ class MatrixSequence:
         return {}
 
     @classmethod
-    def from_powers(cls, a, count: int, start: int = 1) -> "MatrixSequence":
+    def from_powers(cls, a, count: int) -> "MatrixSequence":
         m = np.asarray(a, dtype=float)
         terms = []
-        acc = np.linalg.matrix_power(m, start)
+        acc = m
         for _ in range(count):
             terms.append(acc)
             acc = acc @ m
-        return cls(terms=np.array(terms), generator_spec=f"powers {start}..{start + count - 1}")
+        return cls(terms=np.array(terms), generator_spec=f"powers 1..{count}")
 
     @classmethod
     def from_terms(cls, mats, generator_spec: str | None = None) -> "MatrixSequence":
@@ -170,22 +171,25 @@ class ASResult:
                            MappingProxyType(dict(self.oracle_agreement)))
 
 
-def is_divergent(seq: MatrixSequence, threshold: float = BOUND_THRESHOLD,
-                 trend_ratio: float = 1.3) -> bool:
+def is_divergent(seq: MatrixSequence) -> bool:
     """Monotone-trend test for norm_growth(A_n) -> infinity.
 
-    True iff every tail norm exceeds `threshold` and the tail still grows by
-    `trend_ratio` from its midpoint; a bounded subsequence (e.g. alternating
+    True iff every tail norm exceeds `BOUND_THRESHOLD` and the tail still
+    grows by 1.3 from its midpoint; a bounded subsequence (e.g. alternating
     boosts and identities) fails the first clause.
     """
-    norms = seq.norms
+    return _norms_diverge(seq.norms, BOUND_THRESHOLD)
+
+
+def _norms_diverge(norms: np.ndarray, threshold: float) -> bool:
+    """`is_divergent`'s trend test on a list of norms, against `threshold`."""
     n = len(norms)
     if n < 2:
         return False
     tail = norms[n // 2:]
     if np.min(tail) <= threshold:
         return False
-    return bool(norms[-1] >= trend_ratio * norms[n // 2])
+    return bool(norms[-1] >= 1.3 * norms[n // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +232,23 @@ def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arcsin(np.minimum(1.0, s))
 
 
-def _cluster_by_linkage(bases: np.ndarray, link: float = CLUSTER_LINK) -> list[list[int]]:
+def _cluster_by_linkage(bases: np.ndarray) -> list[list[int]]:
     """Single-linkage components of the subspaces ``bases[i]`` at
-    Grassmannian scale `link`.
+    Grassmannian scale `CLUSTER_LINK`.
 
-    The components of the graph "distance <= link" do not depend on which
-    edges are looked at, so long as no pair joining two separate components
-    is skipped.  Consecutive tail candidates are linked first; then each i
+    The components of the graph "distance <= CLUSTER_LINK" do not depend on
+    which edges are looked at, so long as no pair joining two separate
+    components is skipped.  Consecutive tail candidates are linked first; then each i
     is compared only with the later candidates still outside its component.
     A converging tail costs m - 1 distances instead of m(m - 1)/2.
     """
     m = len(bases)
-    close = _sine_distances(bases[:-1], bases[1:]) <= link
+    close = _sine_distances(bases[:-1], bases[1:]) <= CLUSTER_LINK
     comp = np.concatenate([[0], np.cumsum(~close)])
     for i in range(m):
         js = i + 1 + np.flatnonzero(comp[i + 1:] != comp[i])
         if js.size:
-            linked = js[_sine_distances(bases[i], bases[js]) <= link]
+            linked = js[_sine_distances(bases[i], bases[js]) <= CLUSTER_LINK]
             comp[np.isin(comp, comp[linked])] = comp[i]
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(comp.tolist()):
@@ -339,12 +343,12 @@ def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
     return Subspace(basis=inter), False, dominant_indices
 
 
-def _intersect_bases(bases: list[np.ndarray], tol: float = INTERSECTION_TOL) -> np.ndarray:
+def _intersect_bases(bases: list[np.ndarray]) -> np.ndarray:
     d = bases[0].shape[0]
     stack = np.vstack([np.eye(d) - b @ b.T for b in bases])
     _, sv, vt = np.linalg.svd(stack)
     sv = np.concatenate([sv, np.zeros(d - len(sv))])
-    keep = sv <= tol * max(sv[0], 1.0)
+    keep = sv <= INTERSECTION_TOL * max(sv[0], 1.0)
     return vt[keep].T
 
 
@@ -364,9 +368,9 @@ def _modulus(terms: np.ndarray, bases: np.ndarray) -> float:
 # the three subspace detectors
 
 
-def _gate(seq: MatrixSequence, check_divergent: bool):
+def _gate(seq: MatrixSequence):
     _require_usable(seq)
-    if check_divergent and not is_divergent(seq):
+    if not is_divergent(seq):
         raise EquicontinuousError(
             "sequence is not divergent (equicontinuous trend); no stable "
             "subspace analysis applies"
@@ -400,18 +404,16 @@ def _cartan_detected(seq: MatrixSequence, rank: int,
     return limits[rank, kind]
 
 
-def as_subspace_kak(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,
-                    check_divergent: bool = True) -> ASResult:
+def as_subspace_kak(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
-    _gate(seq, check_divergent)
+    _gate(seq)
     growing = _growing_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
     return _cartan_detected(seq, int(np.sum(~growing)))
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence,
-                          bound_threshold: float = BOUND_THRESHOLD,
-                          check_divergent: bool = True) -> ASResult:
+                          bound_threshold: float = BOUND_THRESHOLD) -> ASResult:
     """Stable subspace via the surviving axes of the ellipsoids
     {x : |x| <= 1 and |A_n x| <= 1} = U intersect A_n^{-1} U.
 
@@ -421,7 +423,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence,
     Spectral route (eigh of the normalized Gram) kept deliberately separate
     from the SVD route of `as_subspace_kak`.
     """
-    _gate(seq, check_divergent)
+    _gate(seq)
     t = seq.terms
     op = seq.norms[:, None]
     mu, vecs = np.linalg.eigh(_grams(t) / (op * op)[:, :, None])
@@ -430,7 +432,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence,
     return _detected(seq, vecs, int(np.sum(~growing)))
 
 
-def as_subspace_graph(seq: MatrixSequence, check_divergent: bool = True) -> ASResult:
+def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     """Stable subspace via graphs: orthonormalize Gr(A_n) = {(x, A_n x)} in
     R^{2d}, watch which first-factor singular directions of the limit keep
     mass, and project them back down.
@@ -439,7 +441,7 @@ def as_subspace_graph(seq: MatrixSequence, check_divergent: bool = True) -> ASRe
     first-factor singular value collapses like 1/|A_n x|; kept directions
     stay bounded away from zero (at least 1/sqrt(1 + C^2) for image bound C).
     """
-    _gate(seq, check_divergent)
+    _gate(seq)
     n = len(seq)
     d = seq.dim
     graphs = np.concatenate([np.broadcast_to(np.eye(d), seq.terms.shape), seq.terms], axis=1)
@@ -491,12 +493,12 @@ class BruteForceScores:
     scores: np.ndarray
     complete: bool
 
-    def score_of(self, v, radius_index: int = -1) -> float:
-        """Score of the sampled direction nearest to v."""
+    def score_of(self, v) -> float:
+        """Score, at the smallest radius, of the sampled direction nearest to v."""
         u = np.asarray(v, float)
         u = u / np.linalg.norm(u)
         k = int(np.argmax(np.abs(self.directions @ u)))
-        return float(self.scores[k, radius_index])
+        return float(self.scores[k, -1])
 
 
 def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
@@ -698,13 +700,12 @@ def brute_force_score(seq: MatrixSequence, v,
 # strongly stable space and the Lorentz structure check
 
 
-def spas_subspace(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD,
-                  check_divergent: bool = True) -> ASResult:
+def spas_subspace(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD) -> ASResult:
     """Strongly approximately stable space: the limit of the right-singular
     directions whose singular values decay to zero.  `lorentz_as_check`
     checks its Lorentz structure (the isotropic orthogonal of the stable
     hyperplane)."""
-    _gate(seq, check_divergent)
+    _gate(seq)
     decaying = _decaying_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
     return _cartan_detected(seq, int(np.sum(decaying)), StabilityKind.STRONGLY_STABLE)
 
@@ -730,14 +731,14 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence,
     sequence: a converged stable hyperplane, lightlike with one-dimensional
     kernel, whose orthogonal is the isotropic strongly stable line.
 
-    Preconditions (isometry terms, divergence) raise; structural violations
-    come back as named failures in the report.
+    Preconditions (isometry terms, Lorentz signature, divergence) raise;
+    structural violations come back as named failures in the report.
     """
     require_isometry(form, seq.terms, tol=1e-8)
-    _gate(seq, check_divergent=True)
+    require_lorentz(form)
     failures = []
-    stable = as_subspace_kak(seq, bound_threshold, check_divergent=False)
-    strongly = spas_subspace(seq, bound_threshold, check_divergent=False)
+    stable = as_subspace_kak(seq, bound_threshold)
+    strongly = spas_subspace(seq, bound_threshold)
     d = seq.dim
     if not stable.converged:
         failures.append("stable-subspace-not-converged")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -226,6 +227,20 @@ class TestAsFormContract:
         want = json.loads(jsonio.dumps(jsonio.lorentz_report_to_dict(check)))
         assert json.loads(out.read_text())["lorentz_check"] == want
 
+    def test_non_lorentz_form_is_refused_as_kak_refuses_it(self, tmp_path, capsys):
+        # boosts of the (e0, e2) plane preserve diag(-1, -1, 1, 1), signature (2, 2)
+        terms = [boost(4, 0.5 * i, axis=2).tolist() for i in range(1, 17)]
+        for name, obj in (("g.json", np.diag([-1.0, -1, 1, 1]).tolist()),
+                          ("seq.json", {"d": 4, "terms": terms}), ("a.json", terms[0])):
+            (tmp_path / name).write_text(json.dumps(obj))
+        form = ["--form", str(tmp_path / "g.json")]
+        for command, path in (("as", "seq.json"), ("kak", "a.json")):
+            assert main([command, str(tmp_path / path)] + form) == 3
+            captured = capsys.readouterr()
+            assert captured.err == ("numerical failure: form has signature (2, 2), "
+                                    "expected Lorentz (1, d-1)\n")
+            assert captured.out == ""
+
     @pytest.mark.parametrize("oracle", ["all", "kak", "ellipsoid", "graph", "brute"])
     def test_non_isometric_sequence_exit_code(self, capsys, oracle):
         argv = ["as", str(GOLDEN / "fundamental40.json"), "--form",
@@ -251,6 +266,19 @@ class TestOneAnalysisPass:
         argv = ["as"] + [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
         assert main(argv + ["--output", str(tmp_path / "o.json")]) == 0
         assert len(calls) == passes
+
+    @pytest.mark.parametrize("oracle", ["all", "kak", "ellipsoid", "graph", "brute"])
+    def test_refused_form_runs_no_analysis(self, monkeypatch, capsys, oracle):
+        # the form and isometry preconditions come before every detector
+        calls = []
+        for name in ("_subspace_limit", "_cap_scores"):
+            monkeypatch.setattr(stability, name, lambda *a, f=getattr(stability, name):
+                                calls.append(f) or f(*a))
+        argv = ["as", str(GOLDEN / "fundamental40.json"), "--form",
+                str(GOLDEN / "mink3.json"), "--oracle", oracle]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: matrix does not preserve the form\n"
+        assert calls == []
 
     def test_parser_is_built_once_and_shared(self, tmp_path):
         build_parser.cache_clear()
@@ -376,6 +404,14 @@ class TestModelCommands:
         assert rc == 0
         assert json.loads(text)["intersection_dim"] == 0
 
+    def test_torus_fixed_element_of_another_size_exit_code(self, files, tmp_path, capsys):
+        elements = tmp_path / "elements.json"
+        elements.write_text(json.dumps([[[1, 0], [0, 1]]]))
+        argv = ["model", "torus-fixed", "--gram", files["gram.json"],
+                "--elements", str(elements)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: matrix dimension does not match the form\n"
+
 
 class TestEntropyCommand:
     def test_hyperbolic_report(self, files, tmp_path):
@@ -421,6 +457,19 @@ class TestIntegerInputs:
         captured = capsys.readouterr()
         assert captured.err == f"error: {what} entries must be integers of magnitude below 2**53\n"
         assert captured.out == ""
+
+
+def test_seed_only_on_the_commands_that_read_it():
+    def walk(parser, path):
+        yield path, parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from walk(sub, f"{path} {name}".strip())
+
+    seeded = [path for path, p in walk(build_parser(), "")
+              if any("--seed" in a.option_strings for a in p._actions)]
+    assert sorted(seeded) == ["as", "limit-set"]
 
 
 class TestDeterminism:

@@ -1,0 +1,35 @@
+"""No module of the package imports a name it never uses.
+
+No linter ships with the test dependencies, so this reads the modules'
+syntax trees: a module-level import is used when its bound name appears as
+a name anywhere in the module (an attribute chain such as `np.linalg`
+starts with the name `np`).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lorentzdyn"
+# (module, name) pairs imported for outside readers: bench/test_bench.py
+# checks the benchmark tracer's wrapper at the binding `stability.kak`.
+ALLOWED = {("stability", "kak")}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(name for name in imported - used if (path.stem, name) not in ALLOWED)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path) == []

@@ -108,6 +108,13 @@ class TestIsometry:
     def test_scaling_is_not(self, mink3):
         assert not is_isometry(mink3, np.diag([2.0, 1.0, 1.0]), tol=1e-9)
 
+    def test_is_isometry_is_the_gate_as_a_boolean(self, mink3):
+        from lorentzdyn import boost
+        big = boost(3, 20.0)  # A^T g A carries roundoff of about eps |A|^2 ~ 50
+        assert is_isometry(mink3, big)
+        assert not is_isometry(mink3, np.diag([1.0, 1.0 + 1e-6, 1.0]) @ big)
+        assert not is_isometry(mink3, np.full((3, 3), np.nan))
+
     def test_overflowing_defect_fails_the_gate(self, mink3):
         # A^T g A overflows, and so does the roundoff allowance: nothing is checked
         from lorentzdyn.errors import NotIsometryError

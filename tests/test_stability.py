@@ -26,6 +26,8 @@ from lorentzdyn.errors import (
     ConvergenceError,
     EquicontinuousError,
     InsufficientDataError,
+    NotIsometryError,
+    PatternMismatchError,
     SingularMatrixError,
 )
 from lorentzdyn import stability
@@ -180,9 +182,10 @@ class TestDiagonalCases:
 
 
 class TestGraphOracle:
-    def test_identity_gives_everything(self):
+    def test_identity_gives_everything(self, monkeypatch):
+        monkeypatch.setattr(stability, "_gate", lambda seq: None)
         seq = MatrixSequence.from_terms([np.eye(3)] * 10)
-        res = as_subspace_graph(seq, check_divergent=False)
+        res = as_subspace_graph(seq)
         assert res.subspace.dim == 3
 
     def test_gate_rejects_identity(self):
@@ -520,6 +523,19 @@ class TestLorentzCheck:
         with pytest.raises(NotIsometryError):
             lorentz_as_check(mink3, seq)
 
+    @pytest.mark.parametrize("axis, error, message", [
+        (2, PatternMismatchError, r"form has signature \(2, 2\), expected Lorentz"),
+        (1, NotIsometryError, "matrix does not preserve the form"),
+    ])
+    def test_non_lorentz_form_rejected_after_the_isometry_gate(self, axis, error, message):
+        # boosts of the (e0, e2) plane preserve diag(-1, -1, 1, 1), a form of
+        # signature (2, 2) without the lightlike hyperplane the check is
+        # about; boosts of the (e0, e1) plane do not preserve it
+        form = QuadraticForm(gram=np.diag([-1.0, -1, 1, 1]), signature=(2, 2))
+        seq = MatrixSequence.from_terms([boost(4, 0.5 * i, axis) for i in range(1, 17)])
+        with pytest.raises(error, match=message):
+            lorentz_as_check(form, seq)
+
 
 class TestGates:
     def test_equicontinuous_error(self):
@@ -706,8 +722,9 @@ class TestBatchedDetectorLoops:
             raise _Captured
 
         monkeypatch.setattr(stability, "_detected", capture)
+        monkeypatch.setattr(stability, "_gate", lambda seq: None)
         with pytest.raises(_Captured):
-            detector(seq, check_divergent=False)
+            detector(seq)
         return seen["bases"], seen["rank"]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
