@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="JSON matrix (array of rows)")
     p.add_argument("--form", help="Gram matrix file: check the Lorentz pattern")
     common(p)
-    p.set_defaults(func=cmd_kak)
 
     p = sub.add_parser("as", help="approximately stable subspaces of a sequence")
     p.add_argument("sequence", help="JSON sequence file {d, terms, generator_spec?}")
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the brute-force directions in d >= 4 (default 0)")
     common(p)
-    p.set_defaults(func=cmd_as)
 
     p = sub.add_parser("limit-set", help="limit set estimate of a generated group")
     p.add_argument("generators", help="JSON array of generator matrices")
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="also write the orbit trace CSV here")
     p.add_argument("--seed", type=int, default=0, help="seed of the sampled words (default 0)")
     common(p)
-    p.set_defaults(func=cmd_limit_set)
 
     p = sub.add_parser("model", help="model-space computations")
     msub = p.add_subparsers(dest="model_command", required=True)
@@ -292,13 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha", required=True, help="family parameter or 'inf'")
     common(q)
 
-    p.set_defaults(func=cmd_model)
-
     p = sub.add_parser("entropy", help="entropy dichotomy of a torus automorphism")
     p.add_argument("matrix", help="integer matrix file")
     p.add_argument("--gram", required=True, help="integer Gram matrix file")
     common(p)
-    p.set_defaults(func=cmd_entropy)
 
     return parser
 
@@ -310,7 +304,9 @@ def main(argv=None) -> int:
             raise PreconditionError("tolerance overrides must be positive")
         if getattr(args, "directions", 1) < 1:
             raise PreconditionError("--directions must be at least 1")
-        return args.func(args)
+        # looked up per call, not stored in the cached parser, so a rebound
+        # `cmd_*` (wrapped or patched) is the handler that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -246,17 +247,19 @@ def _cluster_by_linkage(bases: np.ndarray) -> list[list[int]]:
     close = _sine_distances(bases[:-1], bases[1:]) <= CLUSTER_LINK
     comp = np.concatenate([[0], np.cumsum(~close)])
     for i in range(m):
-        js = i + 1 + np.flatnonzero(comp[i + 1:] != comp[i])
+        outside = comp != comp[i]
+        if not outside.any():
+            break  # one component: every later i has no candidate outside it
+        js = i + 1 + np.flatnonzero(outside[i + 1:])
         if js.size:
             linked = js[_sine_distances(bases[i], bases[js]) <= CLUSTER_LINK]
             comp[np.isin(comp, comp[linked])] = comp[i]
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(comp.tolist()):
-        groups.setdefault(c, []).append(i)
-    return sorted(groups.values(), key=lambda g: (len(g), max(g)), reverse=True)
+    order = np.argsort(comp, kind="stable")  # members stay in tail order
+    groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
+    return sorted((g.tolist() for g in groups), key=lambda g: (len(g), g[-1]), reverse=True)
 
 
-def _extrapolate_projector(bases: list[np.ndarray], labels: np.ndarray,
+def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
                            rank: int) -> np.ndarray:
     """Accelerate the limit of a drifting subspace family.
 
@@ -266,16 +269,17 @@ def _extrapolate_projector(bases: list[np.ndarray], labels: np.ndarray,
     families (detected by the drift decaying much faster than 1/n) instead
     get a geometric tail-sum correction.  Both branches fall back to the
     last member when they would overshoot the observed drift.
+
+    ``bases`` stacks the family's m orthonormal d x rank bases in tail order.
     """
-    d = bases[0].shape[0]
+    m, d = bases.shape[:2]
     last = bases[-1]
-    m = len(bases)
     if rank == 0 or rank == d or m < 4:
         return last
-    projs = np.array([b @ b.T for b in bases])
     drift = grassmann_distance(bases[m // 2], last)
     if drift < 1e-11:
         return last
+    projs = bases @ np.swapaxes(bases, 1, 2)
 
     def to_basis(p0):
         p0 = 0.5 * (p0 + p0.T)
@@ -283,9 +287,11 @@ def _extrapolate_projector(bases: list[np.ndarray], labels: np.ndarray,
         return v[:, np.argsort(w)[-rank:]]
 
     # Per-step decay ratios tell geometric (ratio bounded below 1) apart
-    # from 1/n-type drift (ratio creeping up to 1).
-    steps = np.array([np.linalg.norm(projs[i + 1] - projs[i])
-                      for i in range(max(0, m - 7), m - 1)])
+    # from 1/n-type drift (ratio creeping up to 1).  Each step is the
+    # Frobenius norm `norm` takes: the root of one BLAS dot of the raveled
+    # difference with itself.
+    diffs = np.diff(projs[max(0, m - 7):], axis=0).reshape(-1, d * d)
+    steps = np.sqrt(_dots(diffs, diffs))
     ratios = steps[1:] / np.maximum(steps[:-1], 1e-300)
     if len(ratios) >= 2 and np.max(ratios) <= 0.85:
         q = float(np.median(ratios))
@@ -296,17 +302,38 @@ def _extrapolate_projector(bases: list[np.ndarray], labels: np.ndarray,
             return basis
         return last
 
-    x = 1.0 / labels
-    deg = int(min(6, m - 3))
-    p0 = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            coef = np.polynomial.polynomial.polyfit(x, projs[:, i, j], deg)
-            p0[i, j] = p0[j, i] = coef[0]
+    p0 = _fit_at_zero(1.0 / labels, projs, int(min(6, m - 3)))
     basis = to_basis(p0)
     if grassmann_distance(basis, last) > max(5.0 * drift, 1e-6):
         return last
     return basis
+
+
+def _fit_at_zero(x: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
+    """The symmetric matrix of constant terms of the degree-`deg` least-squares
+    polynomials in `x` through each entry of the stacked ``projs``.
+
+    Each upper entry is `numpy.polynomial.polynomial.polyfit`'s own
+    arithmetic: the column-scaled Vandermonde (built once here) and one
+    single-column `lstsq` call with ``rcond = len(x) * eps``.  A multi-column
+    `lstsq` would solve all entries in one call but moves the answers by
+    about 3e-15 relative.
+    """
+    lhs = np.polynomial.polynomial.polyvander(x, deg).T
+    scl = np.sqrt(np.square(lhs).sum(1))
+    scl[scl == 0] = 1
+    lhs = lhs.T / scl
+    rcond = len(x) * np.finfo(x.dtype).eps
+    d = projs.shape[1]
+    p0 = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            c, _, rank, _ = np.linalg.lstsq(lhs, projs[:, i, j], rcond)
+            if rank != deg + 1:
+                warnings.warn("The fit may be poorly conditioned",
+                              np.exceptions.RankWarning, stacklevel=2)
+            p0[i, j] = p0[j, i] = c[0] / scl[0]
+    return p0
 
 
 def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
@@ -326,15 +353,14 @@ def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
     for members in clusters:
         if len(members) < max(3, len(indices) // 10):
             continue
-        members = sorted(members)
-        fam_bases = [bases[i] for i in members]
-        fam_labels = labels[[indices[i] for i in members]]
-        limits.append((members, _extrapolate_projector(fam_bases, fam_labels, rank)))
+        members = np.asarray(members)
+        fam_labels = labels[n // 2 + members]
+        limits.append((members, _extrapolate_projector(bases[members], fam_labels, rank)))
     if not limits:
         raise ConvergenceError("no stable subspace family in the tail",
                                clusters=[len(c) for c in clusters])
     dominant_members, dominant_basis = limits[0]
-    dominant_indices = tuple(indices[i] for i in dominant_members)
+    dominant_indices = tuple((n // 2 + dominant_members).tolist())
     if len(limits) == 1 and len(dominant_members) >= 0.9 * len(indices):
         return Subspace(basis=dominant_basis), True, dominant_indices
     # No single limit: the stable set is the intersection of the

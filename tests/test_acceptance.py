@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, not configurable.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,20 +398,20 @@ def test_criterion_13_cocycles_and_entropy():
 def test_criterion_14_cli_determinism(tmp_path):
     files = {}
     files["mink3"] = str(tmp_path / "mink3.json")
-    open(files["mink3"], "w").write(json.dumps(np.diag([-1.0, 1, 1]).tolist()))
+    Path(files["mink3"]).write_text(json.dumps(np.diag([-1.0, 1, 1]).tolist()))
     files["gram"] = str(tmp_path / "gram.json")
-    open(files["gram"], "w").write(json.dumps(INTEGER_MINK3.tolist()))
+    Path(files["gram"]).write_text(json.dumps(INTEGER_MINK3.tolist()))
     files["fund"] = str(tmp_path / "fund.json")
-    open(files["fund"], "w").write(json.dumps(fundamental_term(3).tolist()))
+    Path(files["fund"]).write_text(json.dumps(fundamental_term(3).tolist()))
     files["boost"] = str(tmp_path / "boost.json")
-    open(files["boost"], "w").write(json.dumps(boost(3, 0.8).tolist()))
+    Path(files["boost"]).write_text(json.dumps(boost(3, 0.8).tolist()))
     files["hyper"] = str(tmp_path / "hyper.json")
-    open(files["hyper"], "w").write(json.dumps(hyperbolic_322().tolist()))
+    Path(files["hyper"]).write_text(json.dumps(hyperbolic_322().tolist()))
     files["gens"] = str(tmp_path / "gens.json")
-    open(files["gens"], "w").write(json.dumps([boost(3, 1.2).tolist()]))
+    Path(files["gens"]).write_text(json.dumps([boost(3, 1.2).tolist()]))
     from lorentzdyn import jsonio
     files["seq"] = str(tmp_path / "seq.json")
-    open(files["seq"], "w").write(
+    Path(files["seq"]).write_text(
         jsonio.dumps(jsonio.sequence_to_dict(fundamental_sequence(40))))
 
     invocations = [
@@ -433,8 +434,8 @@ def test_criterion_14_cli_determinism(tmp_path):
         out2 = str(tmp_path / f"run_{idx}_b.out")
         assert main(args + ["--output", out1]) == 0, args
         assert main(args + ["--output", out2]) == 0, args
-        first = open(out1, "rb").read()
-        second = open(out2, "rb").read()
+        first = Path(out1).read_bytes()
+        second = Path(out2).read_bytes()
         assert first == second, args
         assert first.endswith(b"\n")
     report(14, f"{len(invocations)} CLI invocations, each byte-identical "

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lorentzdyn import boost, jsonio, stability
+from lorentzdyn import boost, cli, jsonio, stability
 from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import build_parser, main
 
@@ -50,7 +50,7 @@ def files(tmp_path):
 
 def run_to_file(args, out_path):
     rc = main(args + ["--output", out_path])
-    text = open(out_path, "r", encoding="utf-8").read()
+    text = Path(out_path).read_text(encoding="utf-8")
     return rc, text
 
 
@@ -62,7 +62,7 @@ class TestKakCommand:
         d = rep["D"]
         assert d == sorted(d)
         recon = np.array(rep["L"]) @ np.diag(d) @ np.array(rep["R"])
-        assert np.allclose(recon, json.load(open(files["fund.json"])), atol=1e-10)
+        assert np.allclose(recon, json.loads(Path(files["fund.json"]).read_text()), atol=1e-10)
 
     def test_identity_with_form(self, files, tmp_path):
         p = tmp_path / "eye.json"
@@ -290,6 +290,23 @@ class TestOneAnalysisPass:
         assert "lorentz_check" in json.loads(first.read_text())
         assert "lorentz_check" not in json.loads(second.read_text())
         assert second.read_bytes() == (GOLDEN / "fundamental40.as.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["kak", "m.json"],
+        ["as", "seq.json", "--oracle", "kak"],
+        ["limit-set", "gens.json", "--form", "g.json"],
+        ["model", "ads-orbit", "--alpha1", "0", "--alpha2", "1"],
+        ["entropy", "m.json", "--gram", "g.json"],
+    ], ids=lambda argv: argv[0])
+    def test_handler_is_looked_up_after_the_parser_is_cached(self, monkeypatch, argv):
+        # the cached parser pins no handler, so a rebound `cmd_*` (a wrapper
+        # that times it, say) is the one that runs
+        build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
+                            lambda args: seen.append(args.command) or 7)
+        assert main(argv) == 7
+        assert seen == [argv[0]]
 
 
 class TestLimitSetCommand:

@@ -7,7 +7,10 @@ relative, so a later speed-up that drifts the answers shows here.  The
 brute-force report must match byte for byte: its batched cap solver does
 the scalar solver's arithmetic.  So must the `limit-set` reports and traces,
 written by the per-word sampling loop: the stacked words are the same
-products and the stacked SVD the same LAPACK call.
+products and the stacked SVD the same LAPACK call.  The long-tail `as`
+reports (a 200-term rotated fundamental tail and a d = 6 Lorentz sequence
+under `--form`) were written before the subspace-limit layer worked on
+stacked families, and must match byte for byte.
 """
 
 import json
@@ -54,6 +57,20 @@ def test_as_all_oracles_matches_golden_report(report, args, tmp_path):
     assert main(argv + ["--oracle", "all", "--output", str(out)]) == 0
     want = json.loads((GOLDEN / report).read_text())
     _assert_matches(json.loads(out.read_text()), want, "report")
+
+
+BYTE_CASES = [
+    ("fundamental200r.as.json", ["fundamental200r.json"]),
+    ("lorentz6-mink6.as.json", ["lorentz6.json", "--form", "mink6.json"]),
+]
+
+
+@pytest.mark.parametrize("report, args", BYTE_CASES, ids=[c[0] for c in BYTE_CASES])
+def test_as_all_oracles_matches_golden_report_bytes(report, args, tmp_path):
+    argv = ["as"] + [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--oracle", "all", "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / report).read_bytes()
 
 
 def test_brute_oracle_matches_golden_report_bytes(tmp_path):

@@ -658,6 +658,94 @@ class TestBatchedLinkage:
         assert stability._cluster_by_linkage(bases) == [list(range(500))]
         assert sum(pairs) == 499
 
+    def test_converging_tail_makes_one_distance_call(self, monkeypatch):
+        # the consecutive chain leaves one component, so the linkage stops
+        # before comparing any candidate with the rest
+        bases = _drifting(np.random.default_rng(6), 5, 3, range(5, 105), 0.01)
+        calls = []
+        batched = stability._sine_distances
+        monkeypatch.setattr(stability, "_sine_distances",
+                            lambda a, b: calls.append(a.ndim) or batched(a, b))
+        assert stability._cluster_by_linkage(bases) == [list(range(100))]
+        assert calls == [3]
+
+
+def _per_member_extrapolation(bases, labels, rank):
+    """Reference: the per-member projector list and per-entry `polyfit` loop
+    that the stacked family replaced.  Returns (basis, branch taken)."""
+    d = bases[0].shape[0]
+    last = bases[-1]
+    m = len(bases)
+    if rank == 0 or rank == d or m < 4:
+        return last, "short"
+    projs = np.array([b @ b.T for b in bases])
+    drift = grassmann_distance(bases[m // 2], last)
+    if drift < 1e-11:
+        return last, "settled"
+
+    def to_basis(p0):
+        p0 = 0.5 * (p0 + p0.T)
+        w, v = np.linalg.eigh(p0)
+        return v[:, np.argsort(w)[-rank:]]
+
+    steps = np.array([np.linalg.norm(projs[i + 1] - projs[i])
+                      for i in range(max(0, m - 7), m - 1)])
+    ratios = steps[1:] / np.maximum(steps[:-1], 1e-300)
+    if len(ratios) >= 2 and np.max(ratios) <= 0.85:
+        q = float(np.median(ratios))
+        d1 = projs[-1] - projs[-2]
+        basis = to_basis(projs[-1] + d1 * (q / (1.0 - q)))
+        step = grassmann_distance(bases[-2], last)
+        if grassmann_distance(basis, last) <= 5.0 * step + 1e-9:
+            return basis, "geometric"
+        return last, "geometric-overshoot"
+
+    x = 1.0 / labels
+    deg = int(min(6, m - 3))
+    p0 = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            coef = np.polynomial.polynomial.polyfit(x, projs[:, i, j], deg)
+            p0[i, j] = p0[j, i] = coef[0]
+    basis = to_basis(p0)
+    if grassmann_distance(basis, last) > max(5.0 * drift, 1e-6):
+        return last, "fit-overshoot"
+    return basis, "fit"
+
+
+def _family_scenarios(d, rng):
+    """(name, labels, d x d orthonormal frames) of drifting families."""
+    base, step = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    lab = np.arange(21.0, 41.0)
+    yield "1/n", lab, np.array([_orth(base + 0.3 * step / n) for n in lab])
+    yield "geometric", lab, np.array([_orth(base + step * 0.5 ** (n - 20)) for n in lab])
+    yield "geometric-slow", lab, np.array([_orth(base + step * 0.84 ** (n - 20)) for n in lab])
+    yield "noisy", lab, np.array([_orth(base + 0.01 * rng.normal(size=(d, d))) for _ in lab])
+    yield "m=3", lab[:3], np.array([_orth(base + step / n) for n in lab[:3]])
+    yield "settled", lab, np.array([_orth(base + 1e-14 * rng.normal(size=(d, d))) for _ in lab])
+    sparse = lab[::3]
+    yield "sparse-1/n", sparse, np.array([_orth(base + step / n) for n in sparse])
+
+
+class TestStackedExtrapolation:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_per_member_loop(self, d):
+        # families are the leading columns of transposed frames, as the
+        # Cartan route passes R^T, taken by index as `_subspace_limit` does
+        rng = np.random.default_rng(90 + d)
+        branches = set()
+        for name, labels, frames in _family_scenarios(d, rng):
+            rt = np.swapaxes(frames, 1, 2)
+            for rank in range(1, d):
+                family = rt[:, :, :rank]
+                want, branch = _per_member_extrapolation(list(family), labels, rank)
+                got = stability._extrapolate_projector(
+                    family[np.arange(len(family))], labels, rank)
+                assert np.array_equal(got, want), (d, name, rank, branch)
+                branches.add(branch)
+        assert branches == {"short", "settled", "geometric", "geometric-overshoot",
+                            "fit", "fit-overshoot"}
+
 
 def _awkward_sequence(d, seed):
     """Identities, det < 0 terms, tied singular values and random terms."""
