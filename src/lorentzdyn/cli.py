@@ -304,6 +304,10 @@ def main(argv=None) -> int:
             raise PreconditionError("tolerance overrides must be positive")
         if getattr(args, "directions", 1) < 1:
             raise PreconditionError("--directions must be at least 1")
+        if getattr(args, "seed", 0) < 0:
+            raise PreconditionError("--seed must be non-negative")
+        if getattr(args, "n", 0) < 0:
+            raise PreconditionError("--n must be non-negative")
         # looked up per call, not stored in the cached parser, so a rebound
         # `cmd_*` (wrapped or patched) is the handler that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)

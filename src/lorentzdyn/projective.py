@@ -50,6 +50,11 @@ CLUSTER_ANGLE = np.deg2rad(5.0)
 WORD_DIVERGENCE_THRESHOLD = 1e3
 # Default projective grid size for north-south certificates.
 GRID_POINTS = 2000
+# Fewest rays in one first-fit block of `_cluster_rays` (a block has the
+# fixed cost of about ten one-ray steps), and most ray-cluster pairs (the
+# block's arrays hold a few floats per pair).
+_MIN_BLOCK = 32
+_MAX_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -227,10 +232,73 @@ class LimitSetEstimate:
         return tuple(c.centroid for c in self.clusters)
 
 
+def _near(dots, cnorms, norms, angle: float) -> np.ndarray:
+    """Whether each ray is within `angle` of each cluster centroid, from
+    their dots, the centroid norms and the ray norms (broadcast)."""
+    return np.arccos(np.minimum(1.0, np.abs(dots) / (cnorms * norms))) <= angle
+
+
+def _first_fit(dots: np.ndarray, cnorms: np.ndarray, norms: np.ndarray,
+               angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """First cluster within `angle` of each ray (-1 for none) and whether
+    the ray is aligned with it, from the rays x clusters dots."""
+    near = _near(dots, cnorms, norms[:, None], angle)
+    first = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+    return first, dots[np.arange(len(dots)), first] >= 0
+
+
+def _fit_block(rays: np.ndarray, norms: np.ndarray, sums: np.ndarray, cents: np.ndarray,
+               cnorms: np.ndarray, angle: float) -> np.ndarray:
+    """First-fit a block of rays into the clusters given by their running
+    sums, centroids and centroid norms, which are updated in place.
+
+    Each ray's cluster is guessed against the centroids at the start of
+    the block; the running sums the guesses imply are added up in ray
+    order, and every guess is checked against the centroids just before
+    its ray.  Returns the labels of the rays kept: the block up to the
+    first ray guessed to start a cluster or guessed wrong.
+    """
+    k = len(sums)
+    guess, aligned = _first_fit(_dots(cents, rays[:, None]), cnorms, norms, angle)
+    b = guess.argmin() if guess.min() < 0 else len(guess)
+    if not b:
+        return guess[:0]
+    guess, aligned, rays, norms = guess[:b], aligned[:b], rays[:b], norms[:b]
+    member = guess[:, None] == np.arange(k)
+    # each cluster's guessed members up to and before each ray, and its sum
+    # after each of them: one sequential accumulate, so the bits are those
+    # of adding the members one at a time
+    after = np.cumsum(member, axis=0)
+    before = after - member
+    terms = np.zeros((k, 1 + after[-1].max(), rays.shape[1]))
+    terms[:, 0] = sums
+    terms[guess, before[np.arange(b), guess] + 1] = np.where(aligned[:, None], rays, -rays)
+    states = np.add.accumulate(terms, axis=1)
+    scents = states / np.sqrt(_dots(states, states))[..., None]
+    scnorms = np.sqrt(_dots(scents, scents))
+    at = np.arange(k), before
+    fit, fit_aligned = _first_fit(_dots(scents[at], rays[:, None]), scnorms[at], norms, angle)
+    right = (fit == guess) & (fit_aligned == aligned)
+    kept = right.argmin() if not right.all() else b
+    at = np.arange(k), member[:kept].sum(axis=0)
+    sums[:], cents[:], cnorms[:] = states[at], scents[at], scnorms[at]
+    return guess[:kept]
+
+
 def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
     """Greedy angular clustering with antipodal identification: each ray
     joins the first cluster whose normalized running sum is within `angle`,
-    aligned with it, else starts a new cluster."""
+    aligned with it, else starts a new cluster.
+
+    Rays are fitted in blocks (`_fit_block`) and one-ray steps, the ray
+    that ends a block in a one-ray step.  `credit` is the size of the next
+    block: a one-ray step adds one to it, a block kept whole doubles it,
+    and a block cut short leaves the rays it kept less the rays it threw
+    away, so that blocks which keep few rays give way to one-ray steps.
+    A block is tried once it would hold `_MIN_BLOCK` rays, and it holds at
+    most `_MAX_PAIRS` rays x clusters.  The sums are added in ray order
+    either way, so the clusters are those of one-ray steps, bit for bit.
+    """
     rays = np.asarray(rays, dtype=float)
     norms = np.sqrt(_dots(rays, rays))
     sums = np.empty_like(rays)
@@ -238,10 +306,23 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
     cents = np.empty_like(rays)
     cnorms = np.empty(len(rays))
     labels = np.empty(len(rays), dtype=int)
-    k = 0
-    for m, r in enumerate(rays):
+    k = m = credit = 0
+    while m < len(rays):
+        size = min(credit, _MAX_PAIRS // max(k, 1))
+        if size >= _MIN_BLOCK:
+            kept = _fit_block(rays[m:m + size], norms[m:m + size], sums[:k], cents[:k],
+                              cnorms[:k], angle)
+            labels[m:m + len(kept)] = kept
+            m += len(kept)
+            if len(kept) == size:
+                credit = 2 * size
+                continue
+            credit = 2 * len(kept) - size
+            if m == len(rays):
+                break
+        r = rays[m]
         dots = _dots(cents[:k], r)
-        near = np.arccos(np.minimum(1.0, np.abs(dots) / (cnorms[:k] * norms[m]))) <= angle
+        near = _near(dots, cnorms[:k], norms[m], angle)
         i = near.argmax() if k else 0
         if k and near[i]:
             sums[i] += r if dots[i] >= 0 else -r
@@ -251,14 +332,16 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
         labels[m] = i
         c = sums[i] / np.sqrt(sums[i] @ sums[i])
         cents[i], cnorms[i] = c, np.sqrt(c @ c)
+        m += 1
+        credit += 1
     centroids = canonical_rays(sums[:k])
-    clusters = []
-    for i, c in enumerate(centroids):
-        # a member's sign does not change its angle, so take the rays as drawn
-        mine = labels == i
-        cos = np.abs(_dots(c, rays[mine])) / (np.sqrt(c @ c) * norms[mine])
-        clusters.append(RayCluster(centroid=BoundaryPoint(ray=c), weight=int(mine.sum()),
-                                   angular_radius=float(np.arccos(np.minimum(1.0, cos)).max())))
+    # a member's sign does not change its angle, so take the rays as drawn
+    cos = np.abs(_dots(centroids[labels], rays)) / (
+        np.sqrt(_dots(centroids, centroids))[labels] * norms)
+    radii = np.zeros(k)
+    np.maximum.at(radii, labels, np.arccos(np.minimum(1.0, cos)))
+    clusters = [RayCluster(centroid=BoundaryPoint(ray=c), weight=int(w), angular_radius=float(a))
+                for c, w, a in zip(centroids, np.bincount(labels, minlength=k), radii)]
     clusters.sort(key=lambda cl: cl.weight, reverse=True)
     return clusters
 
@@ -314,6 +397,60 @@ def _merge_close_clusters(form: QuadraticForm, clusters: list[RayCluster],
     return clusters, None
 
 
+def _draw_words(depth: int, g: int, samples: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and letter draws of `samples` words over g generators, as
+    one scalar `rng.integers` call per draw takes them: a length from
+    [1, depth], then per letter an index into the 2g letters (the first)
+    or into the 2g - 1 that do not undo the letter before (each later one).
+
+    Such a call over R values reads 32-bit words x from the generator by
+    Lemire's method: it returns (x R) >> 32, unless (x R) mod 2**32 is
+    below (2**32 - R) mod R, when it drops x and reads the next word; over
+    one value it reads nothing.  So the draws are parsed that way out of
+    one block of raw words, as many as the longest words would read.  The
+    generator is the caller's own, so the words read past the last draw
+    are harmless.
+    """
+    # raw words read by a length draw and by each later letter (the first
+    # reads one), and the letters that read
+    lead, later = int(depth > 1), int(g > 1)
+    cols = np.arange(depth if later else 1)
+    ranges = np.where(cols == 0, 2 * g, 2 * g - 1).astype(np.uint64)
+    cutoffs = (2**32 - ranges) % ranges
+    raw = rng.integers(0, 2**32, size=samples * (lead + 1 + later * (depth - 1)),
+                       dtype=np.uint32)
+    while True:
+        if later:
+            # the raw words read by a word that starts at each raw word,
+            # then the walk from word to word
+            steps = (lead + 1 + ((raw * np.uint64(depth)) >> 32)).tolist()
+            starts = []
+            p = 0
+            for _ in range(samples):
+                starts.append(p)
+                p += steps[p]
+            starts = np.array(starts)
+        else:  # every word reads its length and its first letter only
+            starts = np.arange(samples) * (lead + 1)
+        length_draws = raw[starts] * np.uint64(depth)
+        lengths = (length_draws >> 32).astype(int) + 1
+        # letters past a word's length are not read, and may lie past the block
+        at = starts[:, None] + lead + cols
+        draws = raw.take(at, mode="clip") * ranges
+        # a one-value range has cutoff 0, so what it did not read is never dropped
+        dropped = np.append(
+            starts[(length_draws & 0xFFFFFFFF) < (2**32 - depth) % depth],
+            at[(cols < lengths[:, None]) & ((draws & 0xFFFFFFFF) < cutoffs)])
+        if not dropped.size:
+            picks = np.zeros((samples, depth), dtype=int)
+            picks[:, :len(cols)] = draws >> 32
+            return lengths, picks
+        # a dropped word is redrawn from the next one, so parse again without it
+        raw = np.append(np.delete(raw, dropped.min()),
+                        rng.integers(0, 2**32, size=1, dtype=np.uint32))
+
+
 def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Reduced random words up to the given length over generators and their
@@ -322,34 +459,14 @@ def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
     Each word draws its length from [1, depth], then its letters: the
     first from all 2g letters, each later one from the 2g - 1 that do not
     undo the letter before.  The stream is that of one scalar
-    `rng.integers` call per draw, taken in as few calls as it allows.
+    `rng.integers` call per draw (`_draw_words`).
     """
     try:
         letters = np.array(list(generators) + [np.linalg.inv(g) for g in generators])
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("a generator is singular") from exc
     g = len(generators)
-    picks = np.zeros((samples, depth), dtype=int)
-    if g == 1:
-        # every later letter comes from a one-value range, which draws nothing
-        draws = rng.integers(np.tile([1, 0], samples), np.tile([depth + 1, 2], samples))
-        lengths, picks[:, 0] = draws[0::2], draws[1::2]
-    else:
-        # one call per word: its n letters, then the length of the next word
-        highs = np.full(depth, 2 * g - 1)
-        highs[0] = 2 * g
-        bounds = [(np.append(np.zeros(n, dtype=int), 1), np.append(highs[:n], depth + 1))
-                  for n in range(depth + 1)]
-        lengths = np.empty(samples, dtype=int)
-        lengths[0] = rng.integers(1, depth + 1)
-        for k in range(samples):
-            n = lengths[k]
-            last = k + 1 == samples
-            low, high = (0, highs[:n]) if last else bounds[n]
-            draws = rng.integers(low, high)
-            picks[k, :n] = draws[:n]
-            if not last:
-                lengths[k + 1] = draws[n]
+    lengths, picks = _draw_words(depth, g, samples, rng)
     for level in range(1, depth):
         picks[:, level] += picks[:, level] >= (picks[:, level - 1] + g) % (2 * g)
     words = np.broadcast_to(np.eye(letters.shape[1]), (samples,) + letters.shape[1:]).copy()

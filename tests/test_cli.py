@@ -186,6 +186,17 @@ class TestAsCommand:
         assert captured.err == "error: --directions must be at least 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["limit-set", "boost_gen.json", "--form", "mink3.json", "--seed", "-1"],
+        # d = 4 seeds the brute-force directions
+        ["as", str(GOLDEN / "lorentz4.json"), "--oracle", "brute", "--seed", "-3"],
+    ], ids=["limit-set", "as-brute-d4"])
+    def test_negative_seed_exit_code(self, files, capsys, argv):
+        assert main([files.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be non-negative\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("oracle, code", [
         ("ellipsoid", 3), ("all", 3), ("brute", 3), ("kak", 0), ("graph", 0),
     ])
@@ -405,6 +416,14 @@ class TestModelCommands:
         assert len(lines) == 32
         norms = [float(l.split(",")[4]) for l in lines[1:]]
         assert max(norms) < 20.0
+
+    def test_negative_hopf_length_exit_code(self, capsys):
+        argv = ["model", "hopf", "--alpha", "0.5", "--lambda", "2", "--point", "1,0.1",
+                "--n", "-5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --n must be non-negative\n"
+        assert captured.out == ""
 
     def test_ads_circle_rotation(self, files, tmp_path):
         rc, text = run_to_file(

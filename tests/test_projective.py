@@ -37,6 +37,7 @@ from lorentzdyn.minkowski import (
     project_rows_to_cone,
     project_to_cone,
 )
+from lorentzdyn import projective
 from lorentzdyn.projective import (
     RayCluster,
     _cluster_rays,
@@ -270,6 +271,50 @@ def _loop_words(generators, depth, samples, rng):
         for _ in range(length):
             choices = [i for i in range(2 * g) if prev < 0 or i != inverse_of[prev]]
             i = int(choices[rng.integers(0, len(choices))])
+            word = word @ letters[i]
+            prev = i
+        yield length, word
+
+
+class _RawWords:
+    """Stands in for a generator whose raw 32-bit stream is the given words."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**32, np.uint32)
+        taken, self.words = self.words[:size], self.words[size:]
+        return np.array(taken, dtype=np.uint32)
+
+
+def _lemire(stream, r):
+    """One draw over r values as `rng.integers` takes it from an iterator of
+    raw 32-bit words (Lemire's method): nothing is read for one value, and
+    a word is dropped while the low half of its product with r is below
+    (2**32 - r) mod r."""
+    if r == 1:
+        return 0
+    while True:
+        m = next(stream) * r
+        if m % 2**32 >= (2**32 - r) % r:
+            return m >> 32
+
+
+def _lemire_words(generators, depth, samples, stream):
+    """`_loop_words` drawing by hand from an iterator of raw 32-bit words."""
+    letters = list(generators) + [np.linalg.inv(g) for g in generators]
+    g = len(generators)
+    for _ in range(samples):
+        length = 1 + _lemire(stream, depth)
+        word = np.eye(generators[0].shape[0])
+        prev = -1
+        for _ in range(length):
+            if prev < 0:
+                i = _lemire(stream, 2 * g)
+            else:
+                i = _lemire(stream, 2 * g - 1)
+                i += i >= (prev + g) % (2 * g)
             word = word @ letters[i]
             prev = i
         yield length, word
@@ -522,6 +567,42 @@ class TestStackedAgainstLoops:
                 assert lengths.tolist() == [length for length, _ in want]
                 assert words.tobytes() == np.array([w for _, w in want]).tobytes()
 
+    def test_hand_drawn_words_match_numpy(self):
+        # the by-hand reference reads numpy's raw stream as numpy does
+        gens = [boost(3, 1.2), spatial_rotation(3, ROT90) @ boost(3, 0.7)]
+        for g, depth, seed in [(1, 1, 0), (1, 9, 1), (2, 1, 2), (2, 12, 3), (2, 9, 4)]:
+            raw = np.random.default_rng(seed).integers(0, 2**32, size=5000, dtype=np.uint32)
+            by_hand = list(_lemire_words(gens[:g], depth, 200, iter(raw.tolist())))
+            numpy_drawn = list(_loop_words(gens[:g], depth, 200, np.random.default_rng(seed)))
+            assert [n for n, _ in by_hand] == [n for n, _ in numpy_drawn]
+            assert np.array([w for _, w in by_hand]).tobytes() == np.array(
+                [w for _, w in numpy_drawn]).tobytes()
+
+    def test_sampled_words_drop_rejected_raw_words(self):
+        # raw word 0 is rejected under 9 values (cutoff 4) and under 3 (cutoff 1)
+        assert 0 < (2**32 - 9) % 9 and 0 < (2**32 - 3) % 3
+        gens = [boost(3, 1.2), spatial_rotation(3, ROT90) @ boost(3, 0.7)]
+        tail = np.random.default_rng(7).integers(0, 2**32, size=2000, dtype=np.uint32).tolist()
+        # depth 9, g = 2: the first length is 0 (dropped), then 2**31 (length
+        # 5); the first letter reads 5 (4 values), the second 0 (3 values, dropped)
+        words = [0, 2**31, 5, 0] + tail
+        want = list(_lemire_words(gens, 9, 40, iter(words)))
+        lengths, got = _sample_words(gens, 9, 40, _RawWords(words))
+        assert want[0][0] == 5
+        assert lengths.tolist() == [n for n, _ in want]
+        assert got.tobytes() == np.array([w for _, w in want]).tobytes()
+        # and with rejected words sprinkled through the stream, for every range
+        rng = np.random.default_rng(8)
+        for g, depth in [(1, 3), (1, 9), (2, 1), (2, 6), (3, 12), (2, 9)]:
+            for _ in range(4):
+                words = list(tail)
+                for at in rng.integers(0, 400, size=40):
+                    words[at] = 0
+                want = list(_lemire_words(gens[:1] * g, depth, 50, iter(words)))
+                lengths, got = _sample_words(gens[:1] * g, depth, 50, _RawWords(words))
+                assert lengths.tolist() == [n for n, _ in want]
+                assert got.tobytes() == np.array([w for _, w in want]).tobytes()
+
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_limit_set_matches_parent_loops(self, d):
         form = QuadraticForm.minkowski(d)
@@ -593,6 +674,36 @@ class TestStackedAgainstLoops:
             rays = canonical_rays(rays)
             assert _cluster_bits(_cluster_rays(rays, angle)) == _cluster_bits(
                 _loop_cluster_rays(rays, angle))
+
+    @pytest.mark.parametrize("degrees, block", [
+        # ten rays at 4 degrees drag the centroid to about 1 degree, so the
+        # ray at -4.5 degrees, within 5 degrees of the centroid the block
+        # started from, starts a cluster of its own
+        (5.0, [4.0] * 10 + [-4.5] + [4.2] * 30 + [-4.4, 0.5] * 20),
+        # thirty rays at 70 degrees drag the centroid to about 36 degrees, so
+        # the ray at 110 degrees joins it as drawn, not reversed
+        (80.0, [70.0] * 30 + [110.0] + [60.0, 120.0] * 20),
+    ], ids=["new-cluster", "sign"])
+    def test_cluster_rays_block_drift_flips_a_later_ray(self, monkeypatch, degrees, block):
+        # one-ray steps put 32 rays at 0 degrees, then the block starts
+        t = np.deg2rad([0.0] * 32 + block)
+        rays = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+        angle = np.deg2rad(degrees)
+        stops = []
+        fit_block = projective._fit_block
+
+        def spy(block, norms, sums, cents, cnorms, angle):
+            start = cents.copy()
+            kept = fit_block(block, norms, sums, cents, cnorms, angle)
+            if len(kept) < len(block):
+                # was the ray that ended the block guessed to join a cluster?
+                stops.append(any(ray_angle(c, block[len(kept)]) <= angle for c in start))
+            return kept
+
+        monkeypatch.setattr(projective, "_fit_block", spy)
+        got = _cluster_rays(rays, angle)
+        assert True in stops
+        assert _cluster_bits(got) == _cluster_bits(_loop_cluster_rays(rays, angle))
 
     def test_merge_ties_resolve_row_major(self, mink3):
         # gaps (0, 1) and (0, 2) are equal bit for bit, so the first pair merges
