@@ -3,8 +3,10 @@
 A sequence (A_n) of invertible matrices is treated as a generalized
 dynamical system at the origin: a direction is approximately stable when
 nearby directions have bounded images along the sequence, and strongly so
-when those images can be driven to zero.  Three independent detectors
-recover the stable subspace:
+when those images can be driven to zero.  Three detectors recover the
+stable subspace by distinct numerical routes (they share the tail, the
+clustering and the extrapolation, so their agreement does not make them
+independent checks):
 
 * ``as_subspace_kak``       via Cartan factors A_n = L_n D_n R_n,
 * ``as_subspace_ellipsoid`` via the shrinking axes of {x : |x|<=1, |A_n x|<=1},
@@ -33,9 +35,11 @@ from .cartan import (KakFactorization, kak,  # noqa: F401  (kak stays importable
                      kak_stack, require_lorentz)
 from .errors import (
     ConvergenceError,
+    DimensionError,
     EquicontinuousError,
     InsufficientDataError,
     NumericalError,
+    PreconditionError,
     SingularMatrixError,
 )
 from .minkowski import (
@@ -521,10 +525,29 @@ class BruteForceScores:
 
     def score_of(self, v) -> float:
         """Score, at the smallest radius, of the sampled direction nearest to v."""
-        u = np.asarray(v, float)
-        u = u / np.linalg.norm(u)
+        u = _unit_direction(v, self.directions.shape[1])
         k = int(np.argmax(np.abs(self.directions @ u)))
         return float(self.scores[k, -1])
+
+
+def _unit_direction(v, d: int) -> np.ndarray:
+    """v / |v|, for a finite nonzero vector of length d."""
+    u = np.asarray(v, dtype=float)
+    if u.shape != (d,):
+        raise DimensionError(f"a direction in dimension {d} needs {d} entries, got shape {u.shape}")
+    norm = np.linalg.norm(u)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise PreconditionError("a direction must be finite and nonzero")
+    return u / norm
+
+
+def _sorted_radii(radii) -> tuple:
+    """The cap radii, largest first; there must be at least one, each
+    finite and nonnegative."""
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or not r.size or not np.all(np.isfinite(r) & (r >= 0.0)):
+        raise PreconditionError(f"radii must be a nonempty list of finite numbers >= 0, got {radii!r}")
+    return tuple(sorted(radii, reverse=True))
 
 
 def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
@@ -565,6 +588,52 @@ def _y_norm2(beta: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.sum((gamma / (beta + mu[:, None])) ** 2, axis=-1)
 
 
+def _pairwise_sum(cols) -> np.ndarray:
+    """Elementwise sum of the m arrays in `cols`, added in the order in which
+    ``np.sum(axis=-1)`` adds the m entries of each row (numpy's pairwise
+    summation), so bitwise equal to it.  Below 8 terms that order is left
+    to right; from 8 up to 128 it is 8 strided running sums, added as a
+    tree, then the remainder left to right; past 128 it splits in two at a
+    multiple of 8.  (``np.sum(axis=0)`` over a column stack always adds
+    left to right, so it differs from 8 terms on.)"""
+    m = len(cols)
+    if m < 8:
+        total = cols[0]
+        for c in cols[1:]:
+            total = total + c
+        return total
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
+    acc = list(cols[:8])
+    for i in range(8, m - m % 8, 8):
+        acc = [a + c for a, c in zip(acc, cols[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for c in cols[m - m % 8:]:
+        total = total + c
+    return total
+
+
+def _steps_before_any_stop(l: np.ndarray, h: np.ndarray) -> int:
+    """A number of bisection steps from the brackets [l, h] in which no row
+    can meet its stopping test h - l <= 1e-15 max(1, |h|).
+
+    Every later h lies in the current [l, h], so the test's right side
+    never exceeds T = 1e-15 max(1, M) with M = max(|l|, |h|).  A step's
+    midpoint is (l + h)/2 up to the rounding of l + h, halved: at most
+    u = 2**-53 M.  So a step keeps at least half the width less u, and k
+    steps keep at least w/2**k - 2u.  With k at most
+    floor(log2(w / T)) - 2 that is at least 4T - 2u > T, since
+    2u < 2.3e-16 M < 0.25T; the roundings of w / T, of its log2 and of the
+    test itself cost far less than that margin.
+    """
+    if not l.size:
+        return 0
+    scale = 1e-15 * np.maximum(1.0, np.maximum(np.abs(l), np.abs(h)))
+    ratio = float(np.min((h - l) / scale))
+    return int(np.log2(ratio)) - 2 if 8.0 <= ratio < np.inf else 0
+
+
 def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """min of y^T diag(beta) y + 2 gamma . y over the unit sphere, for each
     row of the (problems x m) stacks beta (ascending) and gamma.
@@ -572,7 +641,8 @@ def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     Trust-region secular equation: y(mu) = -gamma / (beta + mu) with
     |y(mu)| = 1 and mu >= -beta_min, including the hard case where gamma
     has no component on the bottom eigenspace.  Every problem bisects until
-    its own stopping test holds; the rest of the batch is masked out.
+    its own stopping test holds; the rest of the batch is masked out.  The
+    first steps, in which no problem can stop, run no test.
     """
     b0 = beta[:, 0]
     gnorm = np.sqrt(_dots(gamma, gamma))
@@ -589,17 +659,24 @@ def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
             y[np.arange(len(y)), np.argmin(b, axis=1)] += np.sqrt(_nonneg(1.0 - _dots(y, y)))
             out[hard] = _sphere_quadratic(b, g, y)
         rows = np.flatnonzero((gnorm != 0.0) & ~hard)
-        idx, b, g, l, h = rows, beta[rows], gamma[rows], lo[rows], hi[rows]
-        for _ in range(200):
+        idx, l, h = rows, lo[rows], hi[rows]
+        # (m x rows) columns, so a step is a few ufunc calls on long arrays
+        b_cols, g_cols = beta[rows].T.copy(), gamma[rows].T.copy()
+        skip = _steps_before_any_stop(l, h)
+        for step in range(1, 201):
+            if not idx.size:
+                break
             mid = 0.5 * (l + h)
-            above = _y_norm2(b, g, mid) > 1.0
+            above = _pairwise_sum([(gc / (bc + mid)) ** 2 for bc, gc in zip(b_cols, g_cols)]) > 1.0
             l, h = np.where(above, mid, l), np.where(above, h, mid)
+            if step <= skip:
+                continue
             done = h - l <= 1e-15 * np.maximum(1.0, np.abs(h))
-            if np.any(done):  # most steps finish no problem: skip the compaction
+            if done.any():  # most steps finish no problem: skip the compaction
                 lo[idx[done]], hi[idx[done]] = l[done], h[done]
-                idx, b, g, l, h = idx[~done], b[~done], g[~done], l[~done], h[~done]
-                if not idx.size:
-                    break
+                keep = ~done
+                idx, l, h = idx[keep], l[keep], h[keep]
+                b_cols, g_cols = b_cols.compress(keep, axis=1), g_cols.compress(keep, axis=1)
         lo[idx], hi[idx] = l, h  # out of steps
         b, g = beta[rows], gamma[rows]
         y = -g / (b + (0.5 * (lo[rows] + hi[rows]))[:, None])
@@ -697,8 +774,8 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     stable vector sequence.
     """
     _require_usable(seq)
+    radii = _sorted_radii(radii)
     dirs = sphere_points(seq.dim, directions, seed)
-    radii = tuple(sorted(radii, reverse=True))
     spectra = _tail_spectra(seq)
     # Each (direction, radius) score costs one cap minimum per tail term;
     # the budget pays for the first `done` of them in row-major order.
@@ -716,9 +793,8 @@ def brute_force_score(seq: MatrixSequence, v,
                       radii: tuple = (0.3, 0.1, 0.03, 0.01)) -> np.ndarray:
     """m(v, r) for one exact direction v, per radius (no direction grid)."""
     _require_usable(seq)
-    u = np.asarray(v, dtype=float)
-    u = u / np.linalg.norm(u)
-    radii = sorted(radii, reverse=True)
+    u = _unit_direction(v, seq.dim)
+    radii = _sorted_radii(radii)
     return _cap_scores(_tail_spectra(seq), u[None], radii, len(radii))
 
 

@@ -24,10 +24,12 @@ from lorentzdyn import (
 )
 from lorentzdyn.errors import (
     ConvergenceError,
+    DimensionError,
     EquicontinuousError,
     InsufficientDataError,
     NotIsometryError,
     PatternMismatchError,
+    PreconditionError,
     SingularMatrixError,
 )
 from lorentzdyn import stability
@@ -395,7 +397,7 @@ class TestBruteForce:
             # is resolution-limited and widens with the ball dimension
             assert sampled - exact <= 0.1 * d * max(sampled, 0.1)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9])
     def test_batched_solver_equals_scalar_loop(self, d, monkeypatch):
         # every score, bit for bit, equals the per-(direction, radius, term)
         # scalar solver; the scenarios reach each of its exits
@@ -421,6 +423,114 @@ class TestBruteForce:
                     assert bf.complete == complete
         assert branches == ({"gamma=0", "bisection", "c>=1", "hard"} if d > 2
                             else {"gamma=0", "bisection", "c>=1"})
+
+    def test_pairwise_sum_is_numpy_row_sum(self):
+        # the column sum adds in np.sum(axis=-1)'s order: left to right
+        # below 8 terms, pairwise from 8 on, split in two past 128
+        rng = np.random.default_rng(8)
+        for m in [*range(1, 18), 64, 127, 128, 129, 136, 300]:
+            rows = np.exp(rng.normal(scale=20.0, size=(50, m))) * rng.uniform(size=(50, m))
+            got = stability._pairwise_sum(np.ascontiguousarray(rows.T))
+            assert np.array_equal(got, np.sum(rows, axis=-1)), m
+            assert np.array_equal(got, [np.sum(r) for r in rows]), m
+
+    @staticmethod
+    def _solver_matches_scalar(beta, gamma, monkeypatch):
+        """Run the batched solver on (beta, gamma), assert it equals the
+        scalar reference row by row, bit for bit, and return the number of
+        bisection steps the batch took and the reference exits."""
+        steps = []
+        pairwise = stability._pairwise_sum
+        monkeypatch.setattr(stability, "_pairwise_sum", lambda cols: steps.append(1) or pairwise(cols))
+        got = stability._min_quadratic_on_sphere(beta, gamma)
+        branches = set()
+        want = [_ref_min_quadratic_on_sphere(b, g, branches) for b, g in zip(beta, gamma)]
+        assert np.array_equal(got, want)
+        return len(steps), branches
+
+    def test_solver_rows_stopping_from_step_4_to_86(self, monkeypatch):
+        # A row that is not the hard case has |gamma| >= 1e-14 max(1, |b0|),
+        # ten times its stopping width, so no row can stop before step 4.
+        # The late rows have mu near 0 under a bracket near 7.7e10, so they
+        # stop only when the width reaches 1e-15: at step 86.
+        rng = np.random.default_rng(5)
+        big = 2.0 ** 86 * 1e-15
+        beta = np.array([[2.01009858e-18, 2.37227479e-18],  # stops at step 4
+                         [big, 3.0 * big],
+                         [big, 2.0 * big]])
+        gamma = np.array([[-1.05513983e-14, 7.74808167e-15],
+                          [big + 0.5, 0.0],
+                          [big + 1e-3, 0.0]])
+        near_overflow = np.sort(rng.uniform(size=(20, 2)), axis=1) * 1e150
+        beta = np.vstack([beta, near_overflow, np.sort(rng.uniform(size=(20, 2)), axis=1)])
+        gamma = np.vstack([gamma, rng.normal(size=(20, 2)) * 1e150, rng.normal(size=(20, 2))])
+        steps, branches = self._solver_matches_scalar(beta, gamma, monkeypatch)
+        assert steps == 86
+        assert branches == {"bisection"}
+        lo = -beta[:, 0]
+        assert stability._steps_before_any_stop(lo, lo + np.linalg.norm(gamma, axis=1)) == 1
+
+    def test_solver_skips_no_step_that_can_stop(self, monkeypatch):
+        # Rows of width 2**p * 1e-15 under a bracket within 1 of 0 stop two
+        # steps after the skipped ones, so the bound is tight: a skip one
+        # step longer keeps every bit, and one two steps longer moves them.
+        p, cos = np.array([7, 8, 10]), np.array([0.9, 0.6, 0.75])
+        beta = np.column_stack([np.zeros(3), np.ones(3)])
+        gamma = 2.0 ** p[:, None] * 1e-15 * np.column_stack([cos, np.sqrt(1.0 - cos * cos)])
+        bound = stability._steps_before_any_stop
+        assert bound(np.zeros(3), np.linalg.norm(gamma, axis=1)) == 5
+        steps, _ = self._solver_matches_scalar(beta, gamma, monkeypatch)
+        assert steps == 10
+        want = [_ref_min_quadratic_on_sphere(b, g, set()) for b, g in zip(beta, gamma)]
+        for extra, same in ((1, True), (2, False)):
+            monkeypatch.setattr(stability, "_steps_before_any_stop",
+                                lambda l, h, extra=extra: bound(l, h) + extra)
+            assert np.array_equal(stability._min_quadratic_on_sphere(beta, gamma), want) == same
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 9])
+    def test_solver_batches_that_never_bisect(self, m, monkeypatch):
+        # all rows in the hard case, or all with gamma = 0: no step runs
+        beta = np.sort(np.random.default_rng(m).uniform(1.0, 5.0, size=(6, m)), axis=1)
+        hard = np.zeros((6, m))
+        hard[:, 1:] = 1e-3
+        for gamma, branch in ((hard, "hard"), (np.zeros((6, m)), "gamma=0")):
+            if m == 1 and branch == "hard":
+                continue  # one coordinate: gamma off the bottom eigenspace is 0
+            steps, branches = self._solver_matches_scalar(beta, gamma, monkeypatch)
+            assert (steps, branches) == (0, {branch})
+
+    @pytest.mark.parametrize("m", [2, 8, 9])
+    def test_solver_mixed_batch_equals_scalar_loop(self, m, monkeypatch):
+        rng = np.random.default_rng(40 + m)
+        beta = np.sort(rng.uniform(0.0, 4.0, size=(60, m)), axis=1)
+        gamma = rng.normal(size=(60, m)) * 10.0 ** rng.uniform(-3, 3, size=(60, 1))
+        gamma[:10] = 0.0
+        gamma[10:20, 0] = 0.0
+        gamma[10:20, 1:] *= 1e-6
+        _, branches = self._solver_matches_scalar(beta, gamma, monkeypatch)
+        assert branches == {"gamma=0", "hard", "bisection"}
+
+    @pytest.mark.parametrize("v, error", [
+        ([0.0, 0.0, 0.0], PreconditionError),
+        ([np.nan, 1.0, 0.0], PreconditionError),
+        ([np.inf, 1.0, 0.0], PreconditionError),
+        ([1.0, 0.0], DimensionError),
+    ])
+    def test_bad_probe_direction_is_refused(self, v, error):
+        seq = fundamental_sequence(12)
+        with pytest.raises(error):
+            brute_force_score(seq, v)
+        bf = brute_force_as(seq, directions=8, radii=(0.3,))
+        with pytest.raises(error):
+            bf.score_of(v)
+
+    @pytest.mark.parametrize("radii", [(), (0.3, -0.1), (np.nan,), (0.3, np.inf), [[0.3]]])
+    def test_bad_radii_are_refused(self, radii):
+        seq = fundamental_sequence(12)
+        with pytest.raises(PreconditionError):
+            brute_force_as(seq, directions=8, radii=radii)
+        with pytest.raises(PreconditionError):
+            brute_force_score(seq, [1.0, 0.0, 0.0], radii=radii)
 
 
 class TestStronglyStable:
