@@ -149,11 +149,11 @@ def spatial_rotation(d: int, q: np.ndarray) -> np.ndarray:
     return r
 
 
-def random_lorentz(d: int, rng: np.random.Generator, factors: int = 3,
+def random_lorentz(d: int, rng: np.random.Generator,
                    max_rapidity: float = 1.5) -> np.ndarray:
-    """Random element of SO(1, d-1) built as boosts interleaved with rotations."""
+    """Random element of SO(1, d-1) built as three boosts interleaved with rotations."""
     a = np.eye(d)
-    for _ in range(factors):
+    for _ in range(3):
         t = rng.uniform(-max_rapidity, max_rapidity)
         axis = int(rng.integers(1, d))
         a = a @ boost(d, t, axis) @ spatial_rotation(d, _random_rotation(d - 1, rng))

@@ -21,7 +21,7 @@ from .projective import HyperbolicPoint
 
 
 # Options that must be positive, on the subcommands that have them.
-_TOLERANCES = ("bound_threshold", "cluster_angle", "divergence_threshold")
+_TOLERANCES = ("cluster_angle", "divergence_threshold")
 
 
 def _emit(args, text: str):
@@ -32,13 +32,23 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _parse_inline_matrix(text: str) -> np.ndarray:
-    rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
-    return np.array(rows)
-
-
 def _parse_inline_vector(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")])
+    """'a,b,c' as a vector of finite numbers."""
+    try:
+        v = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise PreconditionError(f"expected comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(v)):
+        raise PreconditionError(f"expected finite numbers, got {text!r}")
+    return v
+
+
+def _parse_inline_matrix(text: str) -> np.ndarray:
+    """'a,b;c,d' as a matrix of finite numbers, rows separated by ';'."""
+    rows = [_parse_inline_vector(row) for row in text.split(";")]
+    if len({len(r) for r in rows}) != 1:
+        raise PreconditionError(f"matrix rows must have equal lengths, got {text!r}")
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -67,29 +77,24 @@ def cmd_as(args) -> int:
     report: dict = {"n_terms": len(seq), "d": seq.dim}
     if args.form:
         # preconditions first; the oracles and SPAS reuse the check's limits
-        check = stability.lorentz_as_check(jsonio.load_form(args.form), seq,
-                                           bound_threshold=args.bound_threshold)
+        check = stability.lorentz_as_check(jsonio.load_form(args.form), seq)
         report["lorentz_check"] = jsonio.lorentz_report_to_dict(check)
     if args.oracle == "all":
-        results = stability.as_all_oracles(seq, bound_threshold=args.bound_threshold)
+        results = stability.as_all_oracles(seq)
         report["oracles"] = {k: jsonio.as_result_to_dict(v) for k, v in results.items()}
     elif args.oracle == "brute":
         scores = stability.brute_force_as(seq, directions=args.directions,
                                           seed=args.seed)
         report["brute_force"] = jsonio.brute_to_dict(scores)
     else:
-        op = {
+        result = {
             "kak": stability.as_subspace_kak,
             "ellipsoid": stability.as_subspace_ellipsoid,
             "graph": stability.as_subspace_graph,
-        }[args.oracle]
-        if args.oracle == "graph":
-            result = op(seq)
-        else:
-            result = op(seq, bound_threshold=args.bound_threshold)
+        }[args.oracle](seq)
         report["oracles"] = {args.oracle: jsonio.as_result_to_dict(result)}
     if args.oracle != "brute":
-        spas = stability.spas_subspace(seq, bound_threshold=args.bound_threshold)
+        spas = stability.spas_subspace(seq)
         report["strongly_stable"] = jsonio.as_result_to_dict(spas)
     _emit(args, jsonio.dumps(report))
     return 0
@@ -186,7 +191,11 @@ def cmd_model(args) -> int:
         }))
     elif args.model_command == "ads-circle":
         h = _parse_inline_matrix(getattr(args, "h"))
-        alpha = float("inf") if args.alpha in ("inf", "infinity") else float(args.alpha)
+        try:
+            alpha = float(args.alpha)
+        except ValueError:
+            raise PreconditionError(f"--alpha must be a number or 'inf', "
+                                    f"got {args.alpha!r}") from None
         out = models.ads_second_factor_action(h, alpha)
         _emit(args, jsonio.dumps({
             "alpha": alpha,
@@ -237,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=["kak", "ellipsoid", "graph", "brute", "all"],
                    default="all")
     p.add_argument("--form", help="Gram matrix file: adds the Lorentz structure check")
-    p.add_argument("--bound-threshold", type=float, default=stability.BOUND_THRESHOLD)
     p.add_argument("--directions", type=int, default=64,
                    help="sampled directions for the brute-force oracle")
     p.add_argument("--seed", type=int, default=0,

@@ -19,7 +19,7 @@ from .errors import DimensionError, NotHyperbolicError, PreconditionError
 from .minkowski import evaluate
 from .models import RationalLorentzForm, _exact_integers
 from .projective import BoundaryPoint, ray_angle
-from .stability import MatrixSequence, as_subspace_kak, is_divergent
+from .stability import MatrixSequence, _require_usable, as_subspace_kak, is_divergent
 
 _UNIT_CIRCLE_TOL = 1e-9
 
@@ -223,6 +223,8 @@ def entropy_dichotomy(aut: TorusAutomorphism) -> EntropyReport:
     w, _ = aut.eigen()
     entropy = float(np.sum(np.log(np.abs(w)[np.abs(w) > 1.0 + _UNIT_CIRCLE_TOL])))
     forward = aut.power_sequence()
+    # a sequence cut short at the conditioning wall cannot show its trend
+    _require_usable(forward)
     if not is_divergent(forward):
         as_equal = True
     else:

@@ -21,6 +21,7 @@ from .errors import (
     BudgetError,
     DegenerateFormError,
     DimensionError,
+    NumericalError,
     PreconditionError,
 )
 from .minkowski import (QuadraticForm, _as_matrix, _as_vector, canonical_ray, evaluate,
@@ -242,6 +243,8 @@ class HopfModel:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0 < self.lam:
             raise PreconditionError("need 0 < alpha < 1 < lam")
+        if not np.isfinite(self.lam):
+            raise PreconditionError("lam must be finite")
 
 
 def hopf_return_cocycle(model: HopfModel, x, n: int) -> tuple[int, np.ndarray]:
@@ -265,7 +268,13 @@ def hopf_return_cocycle(model: HopfModel, x, n: int) -> tuple[int, np.ndarray]:
     while alpha ** k * r <= alpha:
         k -= 1
     a, b = alpha ** k * pt
-    log_rho = 0.5 * np.log(a * a + (lam ** n * b) ** 2)
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            log_rho = 0.5 * np.log(a * a + (lam ** n * b) ** 2)
+    except OverflowError:  # lam ** n of a Python float
+        log_rho = np.inf
+    if not np.isfinite(log_rho):  # the squared norm overflowed, or underflowed to 0
+        raise NumericalError(f"the return cocycle at n = {n} leaves the floating-point range")
     m = int(np.floor(log_rho / np.log(alpha)))
     while -m * np.log(alpha) + log_rho > 0.0:
         m -= 1
@@ -312,6 +321,8 @@ class IsotropicPlane2:
 def ads_plane_family(alpha: float) -> IsotropicPlane2:
     """The circle of diagonal-invariant isotropic 2-planes: {(u, alpha u)}
     for finite alpha and {0} x R^2 at alpha = infinity."""
+    if np.isnan(alpha):
+        raise PreconditionError("the family parameter alpha must be a number or infinity")
     if np.isinf(alpha):
         return IsotropicPlane2(basis=np.array([[0.0, 0.0], [0.0, 0.0],
                                                [1.0, 0.0], [0.0, 1.0]]))

@@ -476,9 +476,8 @@ def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
     return lengths, words
 
 
-def limit_set(form: QuadraticForm, generators, depth: int = 8,
-              samples: int = 2000, s: HyperbolicPoint | None = None,
-              cluster_angle: float = CLUSTER_ANGLE, seed: int = 0,
+def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 8,
+              samples: int = 2000, cluster_angle: float = CLUSTER_ANGLE, seed: int = 0,
               divergence_threshold: float = WORD_DIVERGENCE_THRESHOLD,
               trace: list | None = None) -> LimitSetEstimate:
     """Estimate the limit set of the group generated by `generators`.
@@ -491,8 +490,6 @@ def limit_set(form: QuadraticForm, generators, depth: int = 8,
     (word length, ray..., growth) are appended for CSV export.
     """
     gens = [require_isometry(form, g, tol=1e-8) for g in generators]
-    if s is None:
-        raise PreconditionError("a hyperboloid base point s is required")
     if depth < 1 or samples < 1:
         raise PreconditionError("depth and samples must be at least 1")
     # an overflowing word is reported below, so its products need not warn

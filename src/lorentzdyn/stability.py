@@ -212,20 +212,20 @@ def _require_usable(seq: MatrixSequence):
         )
 
 
-def _growing_flags(sig: np.ndarray, threshold: float, ratio: float) -> np.ndarray:
-    """Per singular-value index: exceeds threshold over the whole tail and climbs."""
+def _growing_flags(sig: np.ndarray) -> np.ndarray:
+    """Per singular-value index: above `BOUND_THRESHOLD` over the tail and climbing."""
     n = sig.shape[0]
     tail = sig[_tail_slice(n)]
-    above = np.all(tail > threshold, axis=0)
-    climbing = sig[-1] > ratio * sig[n // 2]
+    above = np.all(tail > BOUND_THRESHOLD, axis=0)
+    climbing = sig[-1] > GROWTH_RATIO * sig[n // 2]
     return above & climbing
 
 
-def _decaying_flags(sig: np.ndarray, threshold: float, ratio: float) -> np.ndarray:
+def _decaying_flags(sig: np.ndarray) -> np.ndarray:
     n = sig.shape[0]
     tail = sig[_tail_slice(n)]
-    below = np.all(tail < 1.0 / threshold, axis=0)
-    falling = sig[-1] < sig[n // 2] / ratio
+    below = np.all(tail < 1.0 / BOUND_THRESHOLD, axis=0)
+    falling = sig[-1] < sig[n // 2] / GROWTH_RATIO
     return below & falling
 
 
@@ -278,7 +278,7 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     """
     m, d = bases.shape[:2]
     last = bases[-1]
-    if rank == 0 or rank == d or m < 4:
+    if m < 4:
         return last
     drift = grassmann_distance(bases[m // 2], last)
     if drift < 1e-11:
@@ -434,16 +434,15 @@ def _cartan_detected(seq: MatrixSequence, rank: int,
     return limits[rank, kind]
 
 
-def as_subspace_kak(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD) -> ASResult:
+def as_subspace_kak(seq: MatrixSequence) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
     _gate(seq)
-    growing = _growing_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
+    growing = _growing_flags(seq.cartan.D)
     return _cartan_detected(seq, int(np.sum(~growing)))
 
 
-def as_subspace_ellipsoid(seq: MatrixSequence,
-                          bound_threshold: float = BOUND_THRESHOLD) -> ASResult:
+def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     """Stable subspace via the surviving axes of the ellipsoids
     {x : |x| <= 1 and |A_n x| <= 1} = U intersect A_n^{-1} U.
 
@@ -458,7 +457,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence,
     op = seq.norms[:, None]
     mu, vecs = np.linalg.eigh(_grams(t) / (op * op)[:, :, None])
     sig = np.sqrt(np.maximum(mu, 0.0)) * op  # ascending, equals singular values
-    growing = _growing_flags(sig, bound_threshold, GROWTH_RATIO)
+    growing = _growing_flags(sig)
     return _detected(seq, vecs, int(np.sum(~growing)))
 
 
@@ -482,12 +481,11 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     return _detected(seq, u, int(np.sum(~collapsing)))
 
 
-def as_all_oracles(seq: MatrixSequence,
-                   bound_threshold: float = BOUND_THRESHOLD) -> dict[str, ASResult]:
+def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
     """Run every subspace detector and cross-fill the agreement table."""
     results = {
-        "kak": as_subspace_kak(seq, bound_threshold),
-        "ellipsoid": as_subspace_ellipsoid(seq, bound_threshold),
+        "kak": as_subspace_kak(seq),
+        "ellipsoid": as_subspace_ellipsoid(seq),
         "graph": as_subspace_graph(seq),
     }
     names = list(results)
@@ -802,13 +800,13 @@ def brute_force_score(seq: MatrixSequence, v,
 # strongly stable space and the Lorentz structure check
 
 
-def spas_subspace(seq: MatrixSequence, bound_threshold: float = BOUND_THRESHOLD) -> ASResult:
+def spas_subspace(seq: MatrixSequence) -> ASResult:
     """Strongly approximately stable space: the limit of the right-singular
     directions whose singular values decay to zero.  `lorentz_as_check`
     checks its Lorentz structure (the isotropic orthogonal of the stable
     hyperplane)."""
     _gate(seq)
-    decaying = _decaying_flags(seq.cartan.D, bound_threshold, GROWTH_RATIO)
+    decaying = _decaying_flags(seq.cartan.D)
     return _cartan_detected(seq, int(np.sum(decaying)), StabilityKind.STRONGLY_STABLE)
 
 
@@ -827,8 +825,7 @@ class LorentzStabilityReport:
         return self.passed
 
 
-def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence,
-                     bound_threshold: float = BOUND_THRESHOLD) -> LorentzStabilityReport:
+def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence) -> LorentzStabilityReport:
     """Verify the Lorentz stable-subspace structure of a divergent isometry
     sequence: a converged stable hyperplane, lightlike with one-dimensional
     kernel, whose orthogonal is the isotropic strongly stable line.
@@ -839,8 +836,8 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence,
     require_isometry(form, seq.terms, tol=1e-8)
     require_lorentz(form)
     failures = []
-    stable = as_subspace_kak(seq, bound_threshold)
-    strongly = spas_subspace(seq, bound_threshold)
+    stable = as_subspace_kak(seq)
+    strongly = spas_subspace(seq)
     d = seq.dim
     if not stable.converged:
         failures.append("stable-subspace-not-converged")

@@ -59,6 +59,27 @@ def boost_sequence(d: int = 3, step: float = 0.5, count: int = 24) -> MatrixSequ
     return MatrixSequence.from_terms([boost(d, step * n) for n in range(1, count + 1)])
 
 
+def alternating_boost_sequence() -> MatrixSequence:
+    """B(0.5 n) along axis 2 for odd n and axis 1 for even n, n = 1..24: the
+    tail splits into two families whose lightlike limit planes meet in a
+    line, and no singular direction shrinks on both."""
+    return MatrixSequence.from_terms([boost(3, 0.5 * n, axis=1 + n % 2) for n in range(1, 25)])
+
+
+def scattered_sequence() -> MatrixSequence:
+    """Q_n diag(1.3^n, 1, 1.3^-n) Q_n' for n = 1..40 with seeded random
+    rotations: every tail candidate points its own way, so the 20 tail
+    terms form 20 singleton clusters."""
+    rng = np.random.default_rng(0)
+
+    def rotation():
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        return q * np.sign(np.diag(r))
+
+    return MatrixSequence.from_terms(
+        [rotation() @ np.diag([1.3 ** n, 1.0, 1.3 ** -n]) @ rotation() for n in range(1, 41)])
+
+
 def random_divergent_sequence(d: int, rng: np.random.Generator):
     """Seeded random divergent sequence in SO(1, d-1): powers of a rotation-
     conjugated boost, twisted along the sequence by stabilizer rotations when
@@ -111,6 +132,12 @@ def hyperbolic_322() -> np.ndarray:
     """Integer Lorentz isometry of diag(-1,1,1) with eigenvalues
     (3 + 2 sqrt 2, -1, 3 - 2 sqrt 2); found by the height-3 enumeration."""
     return np.array([[3, 2, 2], [2, 1, 2], [2, 2, 1]], dtype=np.int64)
+
+
+def barning_power(p: int) -> np.ndarray:
+    """p-th power of the Barning matrix, an integer isometry of
+    diag(1, 1, -1) with spectral radius 3 + 2 sqrt 2."""
+    return np.linalg.matrix_power(np.array([[1, 2, 2], [2, 1, 2], [2, 2, 3]], dtype=np.int64), p)
 
 
 def integer_unipotent() -> np.ndarray:

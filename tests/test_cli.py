@@ -14,7 +14,8 @@ from lorentzdyn import boost, cli, jsonio, stability
 from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import build_parser, main
 
-from .conftest import INTEGER_MINK3, fundamental_sequence, hyperbolic_322
+from .conftest import (INTEGER_MINK3, alternating_boost_sequence, barning_power,
+                       fundamental_sequence, hyperbolic_322, scattered_sequence)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,8 +124,8 @@ class TestAsCommand:
         assert main(["as", files["rot_seq.json"], "--oracle", "kak"]) == 2
 
     @pytest.mark.parametrize("args", [
-        ["as", "fund_seq.json", "--bound-threshold", "0"],
-        ["as", "fund_seq.json", "--bound-threshold", "-1"],
+        ["limit-set", "boost_gen.json", "--form", "mink3.json", "--cluster-angle", "-1"],
+        ["limit-set", "boost_gen.json", "--form", "mink3.json", "--divergence-threshold", "0"],
         ["limit-set", "boost_gen.json", "--form", "mink3.json", "--cluster-angle", "0"],
         ["limit-set", "boost_gen.json", "--form", "mink3.json",
          "--divergence-threshold", "-2"],
@@ -138,13 +139,30 @@ class TestAsCommand:
 
     @pytest.mark.parametrize("args", [
         ["limit-set", "boost_gen.json", "--form", "mink3.json", "--divergence-threshold", "nan"],
-        ["as", "fund_seq.json", "--bound-threshold", "nan", "--oracle", "kak"],
         ["limit-set", "boost_gen.json", "--form", "mink3.json", "--cluster-angle", "nan"],
-    ], ids=["divergence-threshold", "bound-threshold", "cluster-angle"])
+    ], ids=["divergence-threshold", "cluster-angle"])
     def test_nan_tolerance_exit_code(self, files, capsys, args):
         assert main([files.get(a, a) for a in args]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: tolerance overrides must be positive\n"
+        assert captured.out == ""
+
+    def test_growth_threshold_is_not_an_option(self, capsys):
+        # the growth threshold is the constant `stability.BOUND_THRESHOLD`
+        with pytest.raises(SystemExit):
+            main(["as", "--help"])
+        assert "--bound-threshold" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["as", str(GOLDEN / "fundamental40.json"), "--bound-threshold", "1000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_scattered_tail_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "scattered.json"
+        path.write_text(jsonio.dumps(jsonio.sequence_to_dict(scattered_sequence())))
+        assert main(["as", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: no stable subspace family in the tail\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("name, content", [
@@ -251,6 +269,17 @@ class TestAsFormContract:
             assert captured.err == ("numerical failure: form has signature (2, 2), "
                                     "expected Lorentz (1, d-1)\n")
             assert captured.out == ""
+
+    def test_failed_clauses_are_reported(self, files, tmp_path):
+        path = tmp_path / "alternating.json"
+        path.write_text(jsonio.dumps(jsonio.sequence_to_dict(alternating_boost_sequence())))
+        rc, text = run_to_file(["as", str(path), "--form", files["mink3.json"]],
+                               str(tmp_path / "o.json"))
+        assert rc == 0
+        check = json.loads(text)["lorentz_check"]
+        assert check["passed"] is False
+        assert check["failures"] == ["stable-subspace-not-converged", "stable-dimension-1-not-2",
+                                     "spas-not-orthogonal-of-stable"]
 
     @pytest.mark.parametrize("oracle", ["all", "kak", "ellipsoid", "graph", "brute"])
     def test_non_isometric_sequence_exit_code(self, capsys, oracle):
@@ -425,6 +454,22 @@ class TestModelCommands:
         assert captured.err == "error: --n must be non-negative\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("alpha, point, n, at", [
+        ("0.5", "1,0.1", 1000, 517),  # (lambda^n b)^2 overflows
+        ("0.5", "1,0", 1100, 1024),  # lambda^n overflows
+        ("1e-300", "1,1", 3, 0),  # the squares underflow to 0
+    ], ids=["off-axis", "on-axis", "underflow"])
+    def test_hopf_out_of_range_exit_code(self, capsys, alpha, point, n, at):
+        argv = ["model", "hopf", "--alpha", alpha, "--lambda", "2", "--point", point,
+                "--n", str(n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"numerical failure: the return cocycle at n = {at} "
+                                "leaves the floating-point range\n")
+        assert captured.out == ""
+
     def test_ads_circle_rotation(self, files, tmp_path):
         rc, text = run_to_file(
             ["model", "ads-circle", "--h", "0,-1;1,0", "--alpha", "0"],
@@ -461,6 +506,16 @@ class TestEntropyCommand:
         assert rep["p_threshold"] == 1
 
 
+    @pytest.mark.parametrize("power, terms", [(2, 4), (3, 2)])
+    def test_short_power_sequence_exit_code(self, tmp_path, capsys, power, terms):
+        for name, m in (("a.json", barning_power(power)), ("g.json", np.diag([1, 1, -1]))):
+            (tmp_path / name).write_text(json.dumps(m.tolist()))
+        assert main(["entropy", str(tmp_path / "a.json"), "--gram", str(tmp_path / "g.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: subspace-limit detectors need at least 8 terms, "
+                                f"got {terms}\n")
+        assert captured.out == ""
+
     def test_matrix_and_gram_dimensions_must_match(self, files, tmp_path, capsys):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps([[2, 1], [1, 1]]))
@@ -493,6 +548,43 @@ class TestIntegerInputs:
         captured = capsys.readouterr()
         assert captured.err == f"error: {what} entries must be integers of magnitude below 2**53\n"
         assert captured.out == ""
+
+
+class TestInlineArguments:
+    @pytest.mark.parametrize("argv, err", [
+        (["limit-set", "boost_gen.json", "--form", "mink3.json", "--point", "1,x,0,0"],
+         "expected comma-separated numbers, got '1,x,0,0'"),
+        (["model", "hopf", "--alpha", "0.5", "--lambda", "2", "--point", "1,x"],
+         "expected comma-separated numbers, got '1,x'"),
+        (["model", "hopf", "--alpha", "0.5", "--lambda", "2", "--point", "1,nan"],
+         "expected finite numbers, got '1,nan'"),
+        (["model", "hopf", "--alpha", "0.5", "--lambda", "inf", "--point", "1,0.1"],
+         "lam must be finite"),
+        (["model", "ads-circle", "--h", "1,2;3", "--alpha", "0"],
+         "matrix rows must have equal lengths, got '1,2;3'"),
+        (["model", "ads-circle", "--h", "0,-1;1,x", "--alpha", "0"],
+         "expected comma-separated numbers, got '1,x'"),
+        (["model", "ads-circle", "--h", "0,-1;1,0", "--alpha", "foo"],
+         "--alpha must be a number or 'inf', got 'foo'"),
+        (["model", "ads-circle", "--h", "0,-1;1,0", "--alpha", "nan"],
+         "the family parameter alpha must be a number or infinity"),
+        (["model", "ads-orbit", "--alpha1", "nan", "--alpha2", "1"],
+         "the family parameter alpha must be a number or infinity"),
+    ], ids=["limit-set-point", "hopf-point", "hopf-point-nan", "hopf-lambda-inf",
+            "ads-circle-ragged", "ads-circle-h", "ads-circle-alpha", "ads-circle-alpha-nan",
+            "ads-orbit-alpha-nan"])
+    def test_bad_inline_argument_exit_code(self, files, capsys, argv, err):
+        assert main([files.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("alpha", ["inf", "infinity"])
+    def test_ads_circle_takes_infinity(self, tmp_path, alpha):
+        rc, text = run_to_file(["model", "ads-circle", "--h", "0,-1;1,0", "--alpha", alpha],
+                               str(tmp_path / "o.json"))
+        assert rc == 0
+        assert json.loads(text)["alpha_image"] == 0.0
 
 
 def test_seed_only_on_the_commands_that_read_it():

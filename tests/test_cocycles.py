@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzdyn import (
+    RationalLorentzForm,
     TorusAutomorphism,
     big_lambda,
     cocycle,
@@ -11,11 +12,12 @@ from lorentzdyn import (
     normal_directions,
 )
 from lorentzdyn.cocycles import ray_multiplier
-from lorentzdyn.errors import NotHyperbolicError, PreconditionError
+from lorentzdyn.errors import InsufficientDataError, NotHyperbolicError, PreconditionError
 
 from .conftest import (
     INTEGER_MINK3,
     INTEGER_SPLIT3,
+    barning_power,
     hyperbolic_322,
     integer_unipotent,
 )
@@ -199,6 +201,16 @@ class TestEntropyDichotomy:
             v = cocycle(hyper, p * n)
             assert v.lambda1 < 0.5
             assert v.lambda2 > 2.0
+
+    @pytest.mark.parametrize("power, terms", [(2, 4), (3, 2)])
+    def test_powers_cut_short_are_refused(self, power, terms):
+        # the powers reach the conditioning wall before the trend test has
+        # enough terms; two terms used to pass as an equicontinuous sequence
+        form = RationalLorentzForm(gram=np.diag([1, 1, -1]))
+        aut = TorusAutomorphism(matrix=barning_power(power), form=form)
+        assert len(aut.power_sequence()) == terms
+        with pytest.raises(InsufficientDataError, match=f"at least 8 terms, got {terms}"):
+            entropy_dichotomy(aut)
 
     def test_dichotomy_equivalence(self, hyper, finite_order, unipotent):
         for aut in (hyper, finite_order, unipotent):

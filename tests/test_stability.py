@@ -37,11 +37,13 @@ from lorentzdyn.minkowski import grassmann_distance, orthogonal_complement
 from lorentzdyn.stability import CLUSTER_LINK, brute_force_score
 
 from .conftest import (
+    alternating_boost_sequence,
     boost_sequence,
     chaos_sequence,
     fundamental_sequence,
     fundamental_term,
     random_divergent_sequence,
+    scattered_sequence,
 )
 
 
@@ -216,6 +218,15 @@ class TestOscillation:
         assert not res.converged
         assert res.subspace.dim == 1
         assert res.subspace.distance(Subspace.spanned_by([1, -1, -1])) < 1e-4
+
+    @pytest.mark.parametrize("detector", [as_subspace_kak, as_subspace_ellipsoid,
+                                          as_subspace_graph, spas_subspace],
+                             ids=lambda f: f.__name__)
+    def test_scattered_tail_has_no_family(self, detector):
+        # every cluster is a singleton, below the size a family must have
+        with pytest.raises(ConvergenceError, match="no stable subspace family in the tail") as err:
+            detector(scattered_sequence())
+        assert err.value.clusters == [1] * 20
 
 
 def _ref_min_quadratic_on_sphere(beta, gamma, branches):
@@ -627,6 +638,15 @@ class TestLorentzCheck:
             assert rep.strongly_stable.subspace.distance(
                 Subspace.spanned_by(contracted)) < 1e-5
 
+    def test_two_limit_planes_fail_three_clauses(self, mink3):
+        # the stable set is the line where the two limit planes meet, and no
+        # direction is strongly stable
+        rep = lorentz_as_check(mink3, alternating_boost_sequence())
+        assert not rep.passed
+        assert rep.failures == ("stable-subspace-not-converged", "stable-dimension-1-not-2",
+                                "spas-not-orthogonal-of-stable")
+        assert rep.stable.subspace.dim == 1 and rep.strongly_stable.subspace.dim == 0
+
     def test_non_isometry_rejected(self, mink3):
         from lorentzdyn.errors import NotIsometryError
         seq = fundamental_sequence(12)
@@ -877,8 +897,7 @@ def _per_term_ellipsoid(seq):
         mu, v = np.linalg.eigh((t.T @ t) / (op * op))
         sig_rows.append(np.sqrt(np.maximum(mu, 0.0)) * op)
         vecs.append(v)
-    growing = stability._growing_flags(np.array(sig_rows), stability.BOUND_THRESHOLD,
-                                       stability.GROWTH_RATIO)
+    growing = stability._growing_flags(np.array(sig_rows))
     return vecs, int(np.sum(~growing))
 
 
