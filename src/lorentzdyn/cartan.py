@@ -36,10 +36,6 @@ class KakFactorization:
     def reconstruct(self) -> np.ndarray:
         return (self.L * self.D[..., None, :]) @ self.R
 
-    @property
-    def dim(self) -> int:
-        return self.D.shape[-1]
-
 
 def kak_stack(terms) -> KakFactorization:
     """Factor a stack (n x d x d) of invertible matrices, term by term, as

@@ -201,8 +201,6 @@ def cmd_model(args) -> int:
             "alpha": alpha,
             "alpha_image": out,
         }))
-    else:
-        raise PreconditionError(f"unknown model subcommand {args.model_command!r}")
     return 0
 
 

@@ -44,10 +44,6 @@ class TorusAutomorphism:
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def eigen(self):
         return np.linalg.eig(self.matrix.astype(float))
 

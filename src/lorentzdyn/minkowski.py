@@ -301,9 +301,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
     def distance(self, other: "Subspace") -> float:
         return grassmann_distance(self.basis, other.basis)
 

@@ -2,7 +2,7 @@
 Sitter 3-space.
 
 Flat tori carry the integer isometry groups O(g, Z) of an integer Lorentz
-form g, enumerated exactly by backtracking.  The Hopf surface is the
+form g, enumerated exactly column level by level.  The Hopf surface is the
 quotient of the punctured plane by x -> alpha x; its affine dynamics is
 bounded-but-not-equicontinuous with non-uniform stability modulus.  Anti-de
 Sitter 3-space is realized as a level set of the split (2,2) form on
@@ -30,6 +30,8 @@ from .projective import BoundaryPoint, ray_angle
 
 # Column-candidate evaluations allowed in one integer enumeration.
 ENUMERATION_BUDGET = 50_000_000
+# Cross-product entries tested in one block of an enumeration level.
+_LEVEL_CHUNK = 1 << 16
 
 INFINITY = float("inf")
 
@@ -74,52 +76,41 @@ class RationalLorentzForm:
 def integer_isometries(g: RationalLorentzForm, height: int) -> list[np.ndarray]:
     """All A in GL(d, Z) with max |entry| <= height and A^T g A = g, exactly.
 
-    Column-by-column backtracking: a partial choice of columns c_1..c_j must
-    satisfy c_i^T g c_k = g_ik, which prunes almost everything early.  The
-    search errors out beyond d = 4 or past the operation budget.
+    Column level by level: each partial choice c_1..c_j (c_i^T g c_k = g_ik)
+    takes every column of norm g_jj that pairs correctly with all of it, in
+    depth-first order.  The search errors out beyond d = 4, or when the
+    column table or the operation count passes the budget.
     """
     if height < 1:
         raise PreconditionError("height must be >= 1")
     d = g.dim
     if d > 4:
         raise BudgetError("integer enumeration is limited to d <= 4")
+    if (2 * height + 1) ** d > ENUMERATION_BUDGET:
+        raise BudgetError(f"the column table of height {height} exceeds the "
+                          "integer enumeration budget")
     gram = g.gram
-    rng = range(-height, height + 1)
-    columns = np.array(np.meshgrid(*[list(rng)] * d, indexing="ij"),
-                       dtype=np.int64).reshape(d, -1).T
+    axis = np.arange(-height, height + 1, dtype=np.int64)
+    columns = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
     columns = columns[np.any(columns != 0, axis=1)]
     norms = np.einsum("ki,ij,kj->k", columns, gram, columns)
     ops = 0
-    budget = ENUMERATION_BUDGET
-    found: list[np.ndarray] = []
-
-    def extend(chosen: list[np.ndarray]):
-        nonlocal ops
-        j = len(chosen)
-        if j == d:
-            a = np.column_stack(chosen)
-            found.append(a)
-            return
+    partial = np.zeros((1, d, 0), dtype=np.int64)  # the one empty choice
+    for j in range(d):
         cand = columns[norms == gram[j, j]]
-        if chosen:
-            prev = np.column_stack(chosen)
-            cross = cand @ gram @ prev  # (n_cand, j)
-            ok = np.all(cross == gram[j, :j], axis=1)
-            cand = cand[ok]
-            ops += cross.size
-        ops += cand.shape[0]
-        if ops > budget:
-            raise BudgetError("integer enumeration exceeded its operation budget")
-        for c in cand:
-            extend(chosen + [c])
-
-    extend([])
-    kept = []
-    for a in found:
-        det = int(round(np.linalg.det(a.astype(float))))
-        if abs(det) == 1:
-            kept.append(a)
-    return kept
+        step = max(1, _LEVEL_CHUNK // max(1, j * len(cand)))
+        grown = []
+        for lo in range(0, max(len(partial), 1), step):  # one empty block if none is left
+            block = partial[lo:lo + step]
+            ok = np.all(block.transpose(0, 2, 1) @ gram @ cand.T == gram[:j, j, None], axis=1)
+            rows, picks = np.nonzero(ok)  # row-major: depth-first order
+            ops += ok.size * j + len(rows)
+            if ops > ENUMERATION_BUDGET:
+                raise BudgetError("integer enumeration exceeded its operation budget")
+            grown.append(np.concatenate([block[rows], cand[picks, :, None]], axis=2))
+        partial = np.concatenate(grown)
+    # A^T g A = g forces det A = +-1 unless an int64 product wrapped around
+    return list(partial[np.abs(np.rint(np.linalg.det(partial.astype(float)))) == 1])
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ def fixed_isotropic_directions(g: RationalLorentzForm, elements):
     element acts as +-identity (torus case), else a list of BoundaryPoint.
     """
     form = g.to_quadratic_form()
-    mats = [require_isometry(form, a, tol=1e-8) for a in elements]
+    mats = [require_isometry(form, _exact_integers(a, "element"), tol=1e-8) for a in elements]
     acting = [a for a in mats if not _is_projectively_trivial(a)]
     if not acting:
         return EntireCone(form=g)
@@ -259,14 +250,19 @@ def hopf_return_cocycle(model: HopfModel, x, n: int) -> tuple[int, np.ndarray]:
     """
     alpha, lam = model.alpha, model.lam
     pt = _as_vector(x, 2)
-    r = float(np.linalg.norm(pt))
-    if r == 0.0:
+    if not np.any(pt):
         raise PreconditionError("the origin is not a point of the Hopf surface")
-    k = int(np.floor(np.log(r) / np.log(alpha)))
-    while alpha ** k * r > 1.0:
-        k += 1
-    while alpha ** k * r <= alpha:
-        k -= 1
+    with np.errstate(over="ignore"):
+        r = float(np.hypot(*pt))
+    try:  # |x| past float64's range, or alpha ** k past it for a subnormal x
+        k = int(np.ceil(-np.log(r) / np.log(alpha)))
+        while alpha ** k * r > 1.0:
+            k += 1
+        while alpha ** k * r <= alpha:
+            k -= 1
+    except OverflowError:
+        raise NumericalError("the point is too near 0 or infinity to scale into the "
+                             "fundamental annulus") from None
     a, b = alpha ** k * pt
     try:
         with np.errstate(over="ignore", divide="ignore"):
@@ -311,7 +307,8 @@ class IsotropicPlane2:
         if np.linalg.matrix_rank(b, tol=1e-10) != 2:
             raise DimensionError("basis must have rank 2")
         g = ads_form().gram
-        if np.max(np.abs(b.T @ g @ b)) > 1e-10 * max(1.0, np.max(np.abs(b)) ** 2):
+        scale = max(1.0, np.max(np.abs(b)))  # tolerance 1e-10 scale^2, never squared
+        if np.max(np.abs(b.T @ g @ b)) / scale > 1e-10 * scale:
             raise PreconditionError("plane is not totally isotropic for the split form")
         b = b.copy()
         b.flags.writeable = False
@@ -382,17 +379,22 @@ def ads_second_factor_action(h, alpha: float) -> float:
 
     Computed geometrically (move the plane, re-identify its parameter); the
     algebraic shadow is mobius_rp1(J h J, alpha) with J = diag(1, -1), i.e.
-    the usual projective action read in the family's coordinate.
+    the usual projective action read in the family's coordinate.  The basis
+    is scaled exactly, by a power of two, to entries below 2 and nothing is
+    squared, so every image float64 holds is returned; one past it raises.
     """
     mat = second_factor_action_matrix(h)
-    image = mat @ ads_plane_family(alpha).basis
+    basis = ads_plane_family(alpha).basis
+    image = mat @ np.ldexp(basis, 1 - np.frexp(np.max(np.abs(basis)))[1])
     top, bottom = image[:2, :], image[2:, :]
-    if np.linalg.norm(top) <= 1e-9 * np.linalg.norm(bottom):
+    if not np.any(top):
         return INFINITY
-    num = float(np.sum(bottom * top))
-    den = float(np.sum(top * top))
-    ap = num / den
-    if np.linalg.norm(bottom - ap * top) > 1e-8 * (1.0 + abs(ap)) * np.linalg.norm(top):
+    unit = top / np.max(np.abs(top))  # least squares against top, with no square of it
+    with np.errstate(over="ignore"):
+        ap = float(np.sum(bottom * unit) / np.sum(top * unit))
+    if not np.isfinite(ap):
+        raise NumericalError("the image parameter leaves the floating-point range")
+    if np.max(np.abs(bottom - ap * top)) > 1e-8 * (1.0 + abs(ap)) * np.max(np.abs(top)):
         raise PreconditionError("image plane left the diagonal-invariant family")
     return ap
 

@@ -297,7 +297,7 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     diffs = np.diff(projs[max(0, m - 7):], axis=0).reshape(-1, d * d)
     steps = np.sqrt(_dots(diffs, diffs))
     ratios = steps[1:] / np.maximum(steps[:-1], 1e-300)
-    if len(ratios) >= 2 and np.max(ratios) <= 0.85:
+    if np.max(ratios) <= 0.85:  # m >= 4: at least two ratios
         q = float(np.median(ratios))
         d1 = projs[-1] - projs[-2]
         basis = to_basis(projs[-1] + d1 * (q / (1.0 - q)))
@@ -376,8 +376,7 @@ def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
 def _intersect_bases(bases: list[np.ndarray]) -> np.ndarray:
     d = bases[0].shape[0]
     stack = np.vstack([np.eye(d) - b @ b.T for b in bases])
-    _, sv, vt = np.linalg.svd(stack)
-    sv = np.concatenate([sv, np.zeros(d - len(sv))])
+    _, sv, vt = np.linalg.svd(stack)  # at least d rows: d singular values
     keep = sv <= INTERSECTION_TOL * max(sv[0], 1.0)
     return vt[keep].T
 

@@ -485,6 +485,53 @@ class TestModelCommands:
         assert rc == 0
         assert json.loads(text)["intersection_dim"] == 0
 
+    def test_torus_isoms_table_past_budget_exit_code(self, tmp_path, capsys):
+        gram = tmp_path / "g4.json"
+        gram.write_text(json.dumps(np.diag([1, 1, 1, -1]).tolist()))
+        argv = ["model", "torus-isoms", "--gram", str(gram), "--height", "1000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the column table of height 1000000 exceeds the "
+                                "integer enumeration budget\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("point", ["1e300,0", "1e-300,1e-300"])
+    def test_hopf_extreme_point(self, tmp_path, point):
+        argv = ["model", "hopf", "--alpha", "0.5", "--lambda", "2", "--point", point, "--n", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, text = run_to_file(argv, str(tmp_path / "o.csv"))
+        assert rc == 0
+        x = np.array([float(v) for v in point.split(",")])
+        xt = np.ldexp(x, -np.frexp(np.hypot(*x))[1])  # alpha = 2^-1: exactly in the annulus
+        rows = [[float(v) for v in line.split(",")] for line in text.strip().split("\n")[1:]]
+        assert len(rows) == 5
+        for _, _, rep_00, rep_11, _ in rows:
+            assert 0.5 < np.hypot(rep_00 * xt[0], rep_11 * xt[1]) <= 1.0 + 1e-12
+
+    def test_hopf_subnormal_point_exit_code(self, capsys):
+        argv = ["model", "hopf", "--alpha", "0.5", "--lambda", "2", "--point", "1e-320,0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: the point is too near 0 or infinity to "
+                                "scale into the fundamental annulus\n")
+        assert captured.out == ""
+
+    def test_ads_circle_large_parameter(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, text = run_to_file(["model", "ads-circle", "--h", "2,0;0,0.5", "--alpha", "1e300"],
+                                   str(tmp_path / "o.json"))
+            assert rc == 0
+            assert json.loads(text)["alpha_image"] == pytest.approx(4e300, rel=1e-15)
+            assert main(["model", "ads-circle", "--h", "2,0;0,0.5", "--alpha", "1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: the image parameter leaves the "
+                                "floating-point range\n")
+        assert captured.out == ""
+
     def test_torus_fixed_element_of_another_size_exit_code(self, files, tmp_path, capsys):
         elements = tmp_path / "elements.json"
         elements.write_text(json.dumps([[[1, 0], [0, 1]]]))
@@ -532,14 +579,18 @@ class TestIntegerInputs:
         (["model", "torus-isoms", "--gram", "non_integer_gram.json", "--height", "1"], "Gram"),
         (["model", "torus-isoms", "--gram", "huge_gram.json", "--height", "1"], "Gram"),
         (["model", "torus-fixed", "--gram", "non_integer_gram.json"], "Gram"),
+        (["model", "torus-fixed", "--gram", "gram.json", "--elements", "real_boost.json"],
+         "element"),
     ], ids=["entropy-fraction", "entropy-huge", "isoms-fraction", "isoms-huge",
-            "fixed-fraction"])
+            "fixed-fraction", "fixed-real-element"])
     def test_non_integer_or_huge_entries_exit_code(self, files, tmp_path, capsys, argv, what):
         # the CLI used to round these to int64 and report on another matrix
         for name, m in [("non_integer.json", np.diag([1.4, 1.0, 1.0])),
                         ("huge.json", np.diag([1e300, 1.0, 1.0])),
                         ("non_integer_gram.json", np.diag([-1.4, 1.0, 1.0])),
-                        ("huge_gram.json", np.diag([-1e300, 1.0, 1.0]))]:
+                        ("huge_gram.json", np.diag([-1e300, 1.0, 1.0])),
+                        # an isometry of diag(-1, 1, 1), but not an integer one
+                        ("real_boost.json", np.array([boost(3, 0.5)]))]:
             files[name] = str(tmp_path / name)
             (tmp_path / name).write_text(json.dumps(m.tolist()))
         with warnings.catch_warnings():

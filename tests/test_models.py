@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from lorentzdyn import (
     split_form_3d,
     split_unipotent,
 )
-from lorentzdyn.errors import BudgetError, PreconditionError
+from lorentzdyn import models
+from lorentzdyn.errors import BudgetError, NumericalError, PreconditionError
 from lorentzdyn.models import (
     INFINITY,
     diagonal_action,
@@ -32,7 +35,7 @@ from lorentzdyn.models import (
 )
 from lorentzdyn.projective import ray_angle
 
-from .conftest import INTEGER_MINK3, hyperbolic_322
+from .conftest import INTEGER_MINK3, INTEGER_SPLIT3, hyperbolic_322
 
 
 def random_sl2(rng):
@@ -92,6 +95,29 @@ class TestIntegerEnumeration:
         keys = {a.tobytes() for a in elems}
         from .conftest import integer_unipotent
         assert integer_unipotent().tobytes() in keys
+
+    @pytest.mark.parametrize("gram", [INTEGER_MINK3, INTEGER_SPLIT3], ids=["mink3", "split3"])
+    def test_height_one_is_every_solution_in_depth_first_order(self, gram):
+        # all 3^9 matrices with entries in {-1, 0, 1}, their column indices
+        # into the meshgrid table of columns running lexicographically, which
+        # is the order a depth-first search over the columns visits them in
+        table = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        picks = np.stack(np.meshgrid(*[np.arange(27)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        mats = np.swapaxes(table[picks], 1, 2)  # column c of mats[n] is table[picks[n, c]]
+        expected = mats[np.all(np.swapaxes(mats, 1, 2) @ gram @ mats == gram, axis=(1, 2))]
+        got = integer_isometries(RationalLorentzForm(gram=gram), 1)
+        assert all(a.dtype == np.int64 and a.shape == (3, 3) for a in got)
+        assert len(got) == len(expected)
+        assert np.array_equal(np.array(got), expected)
+
+    def test_operation_budget_boundary(self, int_mink3, monkeypatch):
+        # height 1 under diag(-1, 1, 1): 2 first columns; 2 x 12 products and
+        # 8 pairs; 8 x 12 x 2 products and 16 matrices: 242 operations
+        monkeypatch.setattr(models, "ENUMERATION_BUDGET", 242)
+        assert len(integer_isometries(int_mink3, 1)) == 16
+        monkeypatch.setattr(models, "ENUMERATION_BUDGET", 241)
+        with pytest.raises(BudgetError, match="exceeded its operation budget"):
+            integer_isometries(int_mink3, 1)
 
 
 class TestFixedDirections:
@@ -196,6 +222,27 @@ class TestHopf:
         m, rep = hopf_return_cocycle(model, (0.7, 0.1), 0)
         assert rep[0, 0] == rep[1, 1]
 
+    @pytest.mark.parametrize("point", [(1e300, 0.0), (1e-300, 1e-300), (-3e-308, 2e-307),
+                                       (1.2e308, -1.2e308)],
+                             ids=["huge", "tiny", "near-subnormal", "near-max"])
+    def test_extreme_points_land_in_annulus(self, point):
+        model = HopfModel(alpha=0.5, lam=2.0)
+        # alpha = 2^-1: the point scaled into the annulus is an exact ldexp
+        xt = np.ldexp(point, -np.frexp(np.hypot(*point))[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 1, 7):
+                m, rep = hopf_return_cocycle(model, point, n)
+                assert model.alpha < np.linalg.norm(rep @ xt) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("point", [(1e-320, 0.0), (1.5e308, 1.5e308)],
+                             ids=["subnormal", "norm-overflows"])
+    def test_points_past_the_scaling_range(self, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="too near 0 or infinity"):
+                hopf_return_cocycle(HopfModel(alpha=0.5, lam=2.0), point, 0)
+
 
 class TestAdsFamily:
     def test_form_signature_guard(self):
@@ -278,6 +325,19 @@ class TestSecondFactorAction:
     def test_determinant_enforced(self):
         with pytest.raises(PreconditionError):
             ads_second_factor_action(np.diag([2.0, 1.0]), 0.0)
+
+    def test_large_parameters_match_mobius_action(self):
+        rng = np.random.default_rng(15)
+        j = np.diag([1.0, -1.0])
+        for _ in range(60):
+            h = random_sl2(rng)
+            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 307))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                geo = ads_second_factor_action(h, alpha)
+            with np.errstate(over="ignore"):
+                alg = mobius_rp1(j @ h @ j, alpha)
+            assert rp1_distance(geo, alg) < 1e-8
 
 
 class TestMobiusHelpers:
