@@ -11,13 +11,14 @@ identity checkable to machine accuracy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotHyperbolicError, PreconditionError
+from .errors import NotHyperbolicError, PreconditionError
 from .minkowski import evaluate
-from .models import RationalLorentzForm, _exact_integers
+from .models import RationalLorentzForm
 from .projective import BoundaryPoint, ray_angle
 from .stability import MatrixSequence, _require_usable, as_subspace_kak, is_divergent
 
@@ -32,23 +33,17 @@ class TorusAutomorphism:
     form: RationalLorentzForm
 
     def __post_init__(self):
-        a = _exact_integers(self.matrix, "automorphism")
-        g = self.form.gram
-        if a.shape != g.shape:
-            raise DimensionError("matrix dimension does not match the form")
-        if not np.array_equal(a.T @ g @ a, g):
-            raise PreconditionError("matrix does not preserve the integer form")
-        det = int(round(np.linalg.det(a.astype(float))))
-        if abs(det) != 1:
-            raise PreconditionError("matrix is not unimodular")
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", self.form.require_isometry(self.matrix, "automorphism"))
 
-    def eigen(self):
-        return np.linalg.eig(self.matrix.astype(float))
+    @functools.cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """`np.linalg.eig` of the matrix, computed once (read-only arrays)."""
+        w, v = np.linalg.eig(self.matrix.astype(float))
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     def is_hyperbolic(self) -> bool:
-        w, _ = self.eigen()
+        w, _ = self.eigen
         real = w[np.abs(w.imag) < _UNIT_CIRCLE_TOL].real
         return bool(np.any(np.abs(real) > 1.0 + _UNIT_CIRCLE_TOL))
 
@@ -66,7 +61,9 @@ class TorusAutomorphism:
                 break
             terms.append(acc)
             acc = acc @ base
-        return MatrixSequence.from_terms(terms, generator_spec="powers 1..%d" % len(terms))
+        # (0, d, d) when even A is past the wall: too few terms, not malformed
+        return MatrixSequence(terms=np.array(terms).reshape(-1, *base.shape),
+                              generator_spec="powers 1..%d" % len(terms))
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,7 @@ class CocycleValue:
 
 def _hyperbolic_pair(aut: TorusAutomorphism):
     """(mu_small, ray_small, mu_big, ray_big) with |mu_small| < 1 < |mu_big|."""
-    w, v = aut.eigen()
+    w, v = aut.eigen
     real_idx = [i for i in range(len(w)) if abs(w[i].imag) < _UNIT_CIRCLE_TOL]
     off = [i for i in real_idx if abs(abs(w[i].real) - 1.0) > _UNIT_CIRCLE_TOL]
     if not off:
@@ -216,7 +213,7 @@ class EntropyReport:
 def entropy_dichotomy(aut: TorusAutomorphism) -> EntropyReport:
     """Topological entropy sum over expanding eigenvalues, with the
     approximately-stable comparison between the automorphism and its inverse."""
-    w, _ = aut.eigen()
+    w, _ = aut.eigen
     entropy = float(np.sum(np.log(np.abs(w)[np.abs(w) > 1.0 + _UNIT_CIRCLE_TOL])))
     forward = aut.power_sequence()
     # a sequence cut short at the conditioning wall cannot show its trend

@@ -21,11 +21,11 @@ from .errors import (
     BudgetError,
     DegenerateFormError,
     DimensionError,
+    NotIsometryError,
     NumericalError,
     PreconditionError,
 )
-from .minkowski import (QuadraticForm, _as_matrix, _as_vector, canonical_ray, evaluate,
-                        require_isometry)
+from .minkowski import QuadraticForm, _as_matrix, _as_vector, _dots, canonical_ray, canonical_rays
 from .projective import BoundaryPoint, ray_angle
 
 # Column-candidate evaluations allowed in one integer enumeration.
@@ -72,6 +72,19 @@ class RationalLorentzForm:
         return QuadraticForm(gram=self.gram.astype(float),
                              signature=(1, self.dim - 1))
 
+    def require_isometry(self, a, what: str) -> np.ndarray:
+        """`a` as a read-only int64 matrix, when it is an integer matrix with
+        A^T g A = g, compared in Python integers so no product can wrap.  No
+        determinant is checked: det(A)^2 det(g) = det(g) forces det A = +-1."""
+        a = _exact_integers(a, what)
+        if a.shape != self.gram.shape:
+            raise DimensionError("matrix dimension does not match the form")
+        exact = a.astype(object)
+        if not np.array_equal(exact.T @ self.gram.astype(object) @ exact, self.gram):
+            raise NotIsometryError("matrix does not preserve the form")
+        a.flags.writeable = False
+        return a
+
 
 def integer_isometries(g: RationalLorentzForm, height: int) -> list[np.ndarray]:
     """All A in GL(d, Z) with max |entry| <= height and A^T g A = g, exactly.
@@ -79,13 +92,16 @@ def integer_isometries(g: RationalLorentzForm, height: int) -> list[np.ndarray]:
     Column level by level: each partial choice c_1..c_j (c_i^T g c_k = g_ik)
     takes every column of norm g_jj that pairs correctly with all of it, in
     depth-first order.  The search errors out beyond d = 4, or when the
-    column table or the operation count passes the budget.
+    column table or the operation count passes the budget, or when an int64
+    product could wrap (d^2 height^2 max|g| bounds every entry it forms).
     """
     if height < 1:
         raise PreconditionError("height must be >= 1")
     d = g.dim
     if d > 4:
         raise BudgetError("integer enumeration is limited to d <= 4")
+    if d * d * height * height * int(np.max(np.abs(g.gram))) >= 2 ** 63:
+        raise BudgetError(f"products of height {height} under this Gram matrix could overflow int64")
     if (2 * height + 1) ** d > ENUMERATION_BUDGET:
         raise BudgetError(f"the column table of height {height} exceeds the "
                           "integer enumeration budget")
@@ -109,8 +125,7 @@ def integer_isometries(g: RationalLorentzForm, height: int) -> list[np.ndarray]:
                 raise BudgetError("integer enumeration exceeded its operation budget")
             grown.append(np.concatenate([block[rows], cand[picks, :, None]], axis=2))
         partial = np.concatenate(grown)
-    # A^T g A = g forces det A = +-1 unless an int64 product wrapped around
-    return list(partial[np.abs(np.rint(np.linalg.det(partial.astype(float)))) == 1])
+    return list(partial)
 
 
 @dataclass(frozen=True)
@@ -120,41 +135,29 @@ class EntireCone:
     form: RationalLorentzForm
 
 
-def _is_projectively_trivial(a: np.ndarray) -> bool:
-    d = a.shape[0]
-    return bool(
-        np.allclose(a, np.eye(d), atol=1e-12) or np.allclose(a, -np.eye(d), atol=1e-12)
-    )
-
-
 def fixed_isotropic_directions(g: RationalLorentzForm, elements):
     """Isotropic rays fixed projectively by every element.
 
-    Candidates are real one-dimensional eigendirections on the cone; each is
-    then verified against all elements.  Returns `EntireCone` when every
-    element acts as +-identity (torus case), else a list of BoundaryPoint.
+    Candidates are real one-dimensional eigendirections on the cone, from
+    one eig of the elements that are not +-identity; each is then verified
+    against all of them.  Returns `EntireCone` when every element is
+    +-identity (torus case), else a list of BoundaryPoint.
     """
-    form = g.to_quadratic_form()
-    mats = [require_isometry(form, _exact_integers(a, "element"), tol=1e-8) for a in elements]
-    acting = [a for a in mats if not _is_projectively_trivial(a)]
-    if not acting:
+    d, eye = g.dim, np.eye(g.dim, dtype=int)
+    mats = [g.require_isometry(a, "element") for a in elements]
+    acting = np.array([a for a in mats if not np.array_equal(a, a[0, 0] * eye)], dtype=float)
+    if not len(acting):
         return EntireCone(form=g)
-    candidates: list[np.ndarray] = []
-    for a in acting:
-        w, v = np.linalg.eig(a)
-        for i in range(len(w)):
-            if abs(w[i].imag) > 1e-8:
-                continue
-            vec = np.real(v[:, i])
-            nv = np.linalg.norm(vec)
-            if nv < 1e-8:
-                continue
-            vec = vec / nv
-            if abs(evaluate(form, vec, vec)) > 1e-8:
-                continue
-            candidates.append(canonical_ray(vec))
+    w, v = np.linalg.eig(acting)
+    # eigenvectors element by element, as contiguous rows: a strided BLAS dot
+    # adds in another order than the per-vector norm did
+    vecs = np.ascontiguousarray(np.real(np.swapaxes(v, 1, 2)).reshape(-1, d))
+    nv = np.sqrt(_dots(vecs, vecs))
+    real = (np.abs(w.imag).ravel() <= 1e-8) & (nv >= 1e-8)
+    vecs = vecs[real] / nv[real, None]
+    on_cone = np.abs(_dots((vecs[:, None, :] @ g.to_quadratic_form().gram)[:, 0], vecs)) <= 1e-8
     fixed = []
-    for ray in candidates:
+    for ray in canonical_rays(vecs[on_cone]):
         if any(ray_angle(ray, r) < 1e-9 for r in fixed):
             continue
         if all(ray_angle(a @ ray, ray) <= 1e-8 for a in acting):
@@ -400,16 +403,17 @@ def ads_second_factor_action(h, alpha: float) -> float:
 
 
 def mobius_rp1(m, t: float) -> float:
-    """Usual fractional-linear action (a t + b) / (c t + d) on R + {infinity}."""
+    """Usual fractional-linear action (a t + b) / (c t + d) on R + {infinity},
+    as (a + b/t) / (c + d/t) for |t| > 1, so no product overflows."""
     mm = _as_matrix(m)
     a, b, c, d = mm[0, 0], mm[0, 1], mm[1, 0], mm[1, 1]
     if np.isinf(t):
         return a / c if c != 0.0 else INFINITY
-    den = c * t + d
-    num = a * t + b
-    if abs(den) <= 1e-14 * (abs(num) + 1.0):
+    num, den = (a + b / t, c + d / t) if abs(t) > 1.0 else (a * t + b, c * t + d)
+    if den == 0.0:
         return INFINITY
-    return float(num / den)
+    with np.errstate(over="ignore"):
+        return float(num / den)
 
 
 def rp1_distance(s: float, t: float) -> float:

@@ -586,27 +586,14 @@ def _y_norm2(beta: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_sum(cols) -> np.ndarray:
-    """Elementwise sum of the m arrays in `cols`, added in the order in which
-    ``np.sum(axis=-1)`` adds the m entries of each row (numpy's pairwise
-    summation), so bitwise equal to it.  Below 8 terms that order is left
-    to right; from 8 up to 128 it is 8 strided running sums, added as a
-    tree, then the remainder left to right; past 128 it splits in two at a
-    multiple of 8.  (``np.sum(axis=0)`` over a column stack always adds
-    left to right, so it differs from 8 terms on.)"""
-    m = len(cols)
-    if m < 8:
-        total = cols[0]
-        for c in cols[1:]:
-            total = total + c
-        return total
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
-    acc = list(cols[:8])
-    for i in range(8, m - m % 8, 8):
-        acc = [a + c for a, c in zip(acc, cols[i:i + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for c in cols[m - m % 8:]:
+    """Elementwise sum of the m arrays in `cols`, bitwise equal to
+    ``np.sum(axis=-1)`` over each row: numpy adds fewer than 8 terms left to
+    right, as the loop does (the solver's m = 2, 3), and more pairwise.
+    (``np.sum(axis=0)`` over a column stack always adds left to right.)"""
+    if len(cols) >= 8:
+        return np.sum(np.stack(cols, axis=-1), axis=-1)
+    total = cols[0]
+    for c in cols[1:]:
         total = total + c
     return total
 

@@ -540,6 +540,18 @@ class TestModelCommands:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: matrix dimension does not match the form\n"
 
+    def test_torus_fixed_non_isometry_exit_code(self, files, tmp_path, capsys):
+        # singular, with A^T g A = 0: at this scale only an exact check sees it
+        elements = tmp_path / "elements.json"
+        elements.write_text(json.dumps([[[4507073, 4507073, 0], [4507073, 4507073, 0],
+                                         [0, 0, 1]]]))
+        argv = ["model", "torus-fixed", "--gram", files["gram.json"],
+                "--elements", str(elements)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix does not preserve the form\n"
+        assert captured.out == ""
+
 
 class TestEntropyCommand:
     def test_hyperbolic_report(self, files, tmp_path):
@@ -553,7 +565,7 @@ class TestEntropyCommand:
         assert rep["p_threshold"] == 1
 
 
-    @pytest.mark.parametrize("power, terms", [(2, 4), (3, 2)])
+    @pytest.mark.parametrize("power, terms", [(2, 4), (3, 2), (10, 0), (12, 0)])
     def test_short_power_sequence_exit_code(self, tmp_path, capsys, power, terms):
         for name, m in (("a.json", barning_power(power)), ("g.json", np.diag([1, 1, -1]))):
             (tmp_path / name).write_text(json.dumps(m.tolist()))
@@ -561,6 +573,14 @@ class TestEntropyCommand:
         captured = capsys.readouterr()
         assert captured.err == ("error: subspace-limit detectors need at least 8 terms, "
                                 f"got {terms}\n")
+        assert captured.out == ""
+
+    def test_non_isometry_exit_code(self, files, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert main(["entropy", str(path), "--gram", files["gram.json"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix does not preserve the form\n"
         assert captured.out == ""
 
     def test_matrix_and_gram_dimensions_must_match(self, files, tmp_path, capsys):

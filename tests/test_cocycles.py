@@ -51,6 +51,13 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             TorusAutomorphism(matrix=np.eye(3) * 0.5, form=int_mink3)
 
+    def test_large_power_is_exactly_an_isometry(self):
+        # entries near 7.7e8: the float determinant does not round to +-1
+        form = RationalLorentzForm(gram=np.diag([1, 1, -1]))
+        aut = TorusAutomorphism(matrix=barning_power(12), form=form)
+        assert aut.matrix.dtype == np.int64 and not aut.matrix.flags.writeable
+        assert aut.is_hyperbolic()
+
     def test_hyperbolic_flag(self, hyper, finite_order, unipotent):
         assert hyper.is_hyperbolic()
         assert not finite_order.is_hyperbolic()
@@ -211,6 +218,13 @@ class TestEntropyDichotomy:
         assert len(aut.power_sequence()) == terms
         with pytest.raises(InsufficientDataError, match=f"at least 8 terms, got {terms}"):
             entropy_dichotomy(aut)
+
+    def test_eig_runs_once(self, hyper, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig(a))
+        entropy_dichotomy(hyper)
+        assert len(calls) == 1
 
     def test_dichotomy_equivalence(self, hyper, finite_order, unipotent):
         for aut in (hyper, finite_order, unipotent):

@@ -10,7 +10,9 @@ written by the per-word sampling loop: the stacked words are the same
 products and the stacked SVD the same LAPACK call.  The long-tail `as`
 reports (a 200-term rotated fundamental tail and a d = 6 Lorentz sequence
 under `--form`) were written before the subspace-limit layer worked on
-stacked families, and must match byte for byte.
+stacked families, and must match byte for byte.  So must the integer
+torus reports (`model torus-fixed`, `model torus-isoms`, `entropy`),
+written before the torus layer's isometry gate became exact.
 """
 
 import json
@@ -96,3 +98,21 @@ def test_limit_set_matches_golden_report_and_trace_bytes(name, args, tmp_path):
     assert main(argv + ["--output", str(out), "--trace", str(trace)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.limit.json").read_bytes()
     assert trace.read_bytes() == (GOLDEN / f"{name}.trace.csv").read_bytes()
+
+
+INTEGER_CASES = [
+    ("hyper322-mink3.fixed.json",
+     ["model", "torus-fixed", "--gram", "mink3.json", "--elements", "hyper322.elems.json"]),
+    ("unipotent-isplit3.fixed.json",
+     ["model", "torus-fixed", "--gram", "isplit3.json", "--elements", "unipotent.elems.json"]),
+    ("barning-diag11m1.entropy.json", ["entropy", "barning.json", "--gram", "diag11m1.json"]),
+    ("mink3-h2.isoms.json", ["model", "torus-isoms", "--gram", "mink3.json", "--height", "2"]),
+]
+
+
+@pytest.mark.parametrize("report, args", INTEGER_CASES, ids=[c[0] for c in INTEGER_CASES])
+def test_integer_model_matches_golden_report_bytes(report, args, tmp_path):
+    out = tmp_path / "report.json"
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / report).read_bytes()

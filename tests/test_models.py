@@ -26,7 +26,8 @@ from lorentzdyn import (
     split_unipotent,
 )
 from lorentzdyn import models
-from lorentzdyn.errors import BudgetError, NumericalError, PreconditionError
+from lorentzdyn.errors import BudgetError, NotIsometryError, NumericalError, PreconditionError
+from lorentzdyn.minkowski import canonical_ray
 from lorentzdyn.models import (
     INFINITY,
     diagonal_action,
@@ -110,6 +111,16 @@ class TestIntegerEnumeration:
         assert len(got) == len(expected)
         assert np.array_equal(np.array(got), expected)
 
+    def test_int64_overflow_is_refused_up_front(self):
+        # d^2 height^2 max|g| bounds every product entry: 9 * 121 * (2**53 - 1)
+        # passes 2**63, 9 * 100 * (2**53 - 1) does not
+        g = RationalLorentzForm(gram=np.diag([-(2 ** 53 - 1), 1, 1]))
+        with pytest.raises(BudgetError, match="could overflow int64"):
+            integer_isometries(g, 11)
+        elems = integer_isometries(g, 10)
+        assert len(elems) == 16
+        assert all(np.array_equal(a.T @ g.gram @ a, g.gram) for a in elems)
+
     def test_operation_budget_boundary(self, int_mink3, monkeypatch):
         # height 1 under diag(-1, 1, 1): 2 first columns; 2 x 12 products and
         # 8 pairs; 8 x 12 x 2 products and 16 matrices: 242 operations
@@ -120,7 +131,66 @@ class TestIntegerEnumeration:
             integer_isometries(int_mink3, 1)
 
 
+class TestIntegerIsometryGate:
+    def test_singular_matrix_rejected(self, int_mink3):
+        # A^T g A = 0; a float gate at this scale passes it
+        a = [[4507073, 4507073, 0], [4507073, 4507073, 0], [0, 0, 1]]
+        with pytest.raises(NotIsometryError, match="matrix does not preserve the form"):
+            int_mink3.require_isometry(a, "element")
+
+
+def _fixed_directions_reference(g, elements):
+    """The per-element, per-eigenvalue candidate loop that the batched
+    `fixed_isotropic_directions` replaced, kept to pin its bits."""
+    form = g.to_quadratic_form()
+    eye = np.eye(g.dim)
+    acting = [np.asarray(a, dtype=float) for a in elements
+              if not (np.allclose(a, eye, atol=1e-12) or np.allclose(a, -eye, atol=1e-12))]
+    if not acting:
+        return EntireCone(form=g)
+    candidates = []
+    for a in acting:
+        w, v = np.linalg.eig(a)
+        for i in range(len(w)):
+            if abs(w[i].imag) > 1e-8:
+                continue
+            vec = np.real(v[:, i])
+            nv = np.linalg.norm(vec)
+            if nv < 1e-8:
+                continue
+            vec = vec / nv
+            if abs(evaluate(form, vec, vec)) > 1e-8:
+                continue
+            candidates.append(canonical_ray(vec))
+    fixed = []
+    for ray in candidates:
+        if any(ray_angle(ray, r) < 1e-9 for r in fixed):
+            continue
+        if all(ray_angle(a @ ray, ray) <= 1e-8 for a in acting):
+            fixed.append(ray)
+    return [BoundaryPoint(ray=r) for r in fixed]
+
+
+def _ray_bytes(out):
+    return "entire-cone" if isinstance(out, EntireCone) else [b.ray.tobytes() for b in out]
+
+
 class TestFixedDirections:
+    @pytest.mark.parametrize("gram, height", [
+        (INTEGER_MINK3, 2), (INTEGER_SPLIT3, 2), (np.diag([1, 1, 1, -1]), 1),
+        # height 2 holds d = 4 elements whose eigenvector norms change with
+        # the memory layout of the rows
+        (np.diag([1, 1, 1, -1]), 2),
+    ], ids=["mink3-h2", "split3-h2", "mink4-h1", "mink4-h2"])
+    def test_equals_per_element_reference_bitwise(self, gram, height):
+        g = RationalLorentzForm(gram=gram)
+        elems = integer_isometries(g, height)
+        for a in elems:
+            assert _ray_bytes(fixed_isotropic_directions(g, [a])) == \
+                _ray_bytes(_fixed_directions_reference(g, [a]))
+        assert _ray_bytes(fixed_isotropic_directions(g, elems)) == \
+            _ray_bytes(_fixed_directions_reference(g, elems))
+
     def test_identity_fixes_whole_cone(self, int_mink3):
         out = fixed_isotropic_directions(int_mink3, [np.eye(3)])
         assert isinstance(out, EntireCone)
@@ -345,6 +415,21 @@ class TestMobiusHelpers:
         m = np.array([[2.0, 1.0], [1.0, 1.0]])
         assert mobius_rp1(m, INFINITY) == pytest.approx(2.0)
         assert np.isinf(mobius_rp1(np.array([[1.0, 1.0], [0.0, 1.0]]), INFINITY))
+
+    @pytest.mark.parametrize("m, t, image", [
+        (np.diag([2.0, 0.5]), 1e15, 4e15),  # c t + d tiny next to a t + b
+        (np.array([[2.0, 0.0], [1.0, 0.5]]), 1e308, 2.0),  # a t + b overflows
+    ], ids=["large-image", "huge-argument"])
+    def test_mobius_large_finite_image(self, m, t, image):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mobius_rp1(m, t)
+        assert abs(got - image) <= 2 * np.spacing(image)
+
+    def test_mobius_image_past_float_range_is_infinite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mobius_rp1(np.array([[30.0, 0.0], [0.0, 1 / 30]]), 1e307) == INFINITY
 
     def test_rp1_distance_symmetry(self):
         assert rp1_distance(0.0, INFINITY) == pytest.approx(1.0)
