@@ -85,6 +85,33 @@ class RationalLorentzForm:
         a.flags.writeable = False
         return a
 
+    def require_isometries(self, elements, what: str) -> np.ndarray:
+        """`require_isometry` of each element in turn, as one read-only
+        (n x d x d) int64 stack.  A stack of d x d numbers is checked whole,
+        with one object-array product, and the first element that fails is
+        handed to `require_isometry`, which raises its error; any other
+        input (ragged, say) is checked one element at a time."""
+        elements = list(elements)
+        d = self.dim
+        try:
+            a = np.asarray(elements)
+        except ValueError:  # ragged
+            a = None
+        if a is None or a.shape[1:] != (d, d) or a.dtype.kind not in "biuf":
+            mats = np.array([self.require_isometry(m, what) for m in elements],
+                            dtype=np.int64).reshape(-1, d, d)
+        else:
+            f = a.astype(float)
+            ok = (np.abs(f) < 2.0 ** 53).all(axis=(1, 2)) & (np.rint(f) == a).all(axis=(1, 2))
+            mats = np.where(ok[:, None, None], f, 0.0).astype(np.int64)
+            exact = mats.astype(object)
+            ok &= (np.swapaxes(exact, 1, 2) @ self.gram.astype(object) @ exact
+                   == self.gram).all(axis=(1, 2))
+            if not ok.all():
+                self.require_isometry(elements[int(np.argmin(ok))], what)
+        mats.flags.writeable = False
+        return mats
+
 
 def integer_isometries(g: RationalLorentzForm, height: int) -> list[np.ndarray]:
     """All A in GL(d, Z) with max |entry| <= height and A^T g A = g, exactly.
@@ -143,9 +170,9 @@ def fixed_isotropic_directions(g: RationalLorentzForm, elements):
     against all of them.  Returns `EntireCone` when every element is
     +-identity (torus case), else a list of BoundaryPoint.
     """
-    d, eye = g.dim, np.eye(g.dim, dtype=int)
-    mats = [g.require_isometry(a, "element") for a in elements]
-    acting = np.array([a for a in mats if not np.array_equal(a, a[0, 0] * eye)], dtype=float)
+    d = g.dim
+    mats = g.require_isometries(elements, "element")
+    acting = mats[~(mats == mats[:, :1, :1] * np.eye(d, dtype=int)).all(axis=(1, 2))].astype(float)
     if not len(acting):
         return EntireCone(form=g)
     w, v = np.linalg.eig(acting)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetError,
     CertificateError,
     ConvergenceError,
     EquicontinuousError,
@@ -48,6 +49,12 @@ from .stability import (
 CLUSTER_ANGLE = np.deg2rad(5.0)
 # Words below this operator norm are not "far out" enough to see the boundary.
 WORD_DIVERGENCE_THRESHOLD = 1e3
+# Most samples x (depth + d^2) one limit-set estimate may draw and build:
+# its draws, letter picks and word stack peak at up to about 0.1 KB a unit.
+WORD_BUDGET = 8_000_000
+# Relative margin by which a norm bound must clear the divergence threshold
+# to settle a word without LAPACK; the bounds' own roundoff is of order d^2 eps.
+_BOUND_MARGIN = 1e-8
 # Default projective grid size for north-south certificates.
 GRID_POINTS = 2000
 # Fewest rays in one first-fit block of `_cluster_rays` (a block has the
@@ -476,6 +483,46 @@ def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
     return lengths, words
 
 
+def _word_growth(words: np.ndarray, threshold: float, exact_above: bool) -> np.ndarray:
+    """Each word's operator norm sigma_1, or a bound on it that settles
+    `sigma_1 < threshold`: an upper bound below threshold (1 - 1e-8), or,
+    unless `exact_above`, a lower bound above threshold (1 + 1e-8).  A word
+    with a non-finite entry gets inf or NaN.
+
+    The bounds are |A|_F / sqrt(d) <= sigma_1 <= |A|_F, from one stacked dot
+    of the flattened words; where they straddle the margin, they tighten to
+    |A^T A|_F / |A|_F <= sigma_1 <= |A^T A|_F^(1/2).  The words they leave,
+    and those whose squared norms are not normal floats, take sigma_1 from one
+    stacked `svd`.  It runs LAPACK on each matrix alone, so every norm it
+    gives is bitwise that of an `svd` of the whole stack.
+    """
+    n, d = len(words), words.shape[-1]
+    lo, hi = threshold * (1 - _BOUND_MARGIN), threshold * (1 + _BOUND_MARGIN)
+    tiny = np.finfo(float).tiny
+    finite = np.isfinite(words).all(axis=(1, 2))
+    flat = words.reshape(n, d * d)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        fro2 = _dots(flat, flat)
+        # every quotient below stays a normal float, so it keeps its precision
+        bounded = (fro2 > d * tiny) & (fro2 < np.inf)
+        upper = np.sqrt(fro2)
+        lower = upper / np.sqrt(d)
+        band = np.flatnonzero(bounded & ~(upper < lo) & ~(lower > hi))
+        w = words[band]
+        gram = (np.swapaxes(w, 1, 2) @ w).reshape(len(band), d * d)
+        g2 = _dots(gram, gram)
+        normal = (g2 > tiny) & (g2 < np.inf)
+        band, g2 = band[normal], g2[normal]
+        upper[band] = np.minimum(upper[band], np.sqrt(np.sqrt(g2)))
+        lower[band] = np.maximum(lower[band], np.sqrt(g2 / fro2[band]))
+    below = bounded & (upper < lo)
+    above = bounded & (lower > hi)
+    growth = np.where(below, upper, lower)  # the bound that settles each settled word
+    exact = finite & ~below & (exact_above | ~above)
+    growth[exact] = np.linalg.svd(words[exact], compute_uv=False)[:, 0]
+    return growth
+
+
 def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 8,
               samples: int = 2000, cluster_angle: float = CLUSTER_ANGLE, seed: int = 0,
               divergence_threshold: float = WORD_DIVERGENCE_THRESHOLD,
@@ -492,12 +539,13 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     gens = [require_isometry(form, g, tol=1e-8) for g in generators]
     if depth < 1 or samples < 1:
         raise PreconditionError("depth and samples must be at least 1")
+    if samples * (depth + form.dim ** 2) > WORD_BUDGET:
+        raise BudgetError(f"sampling {samples} words of up to {depth} letters passes the "
+                          f"budget: samples x (depth + d^2) must be at most {WORD_BUDGET}")
     # an overflowing word is reported below, so its products need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         lengths, words = _sample_words(gens, depth, samples, np.random.default_rng(seed))
-    finite = np.isfinite(words).all(axis=(1, 2))
-    growth = np.full(samples, np.inf)
-    growth[finite] = np.linalg.svd(words[finite], compute_uv=False)[:, 0]
+    growth = _word_growth(words, divergence_threshold, exact_above=trace is not None)
     overflow = ~np.isfinite(growth)
     if overflow.any():
         raise NumericalError(f"a word of length {lengths[np.argmax(overflow)]} overflows "

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lorentzdyn import boost, cli, jsonio, stability
+from lorentzdyn import boost, cli, jsonio, projective, stability
 from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import build_parser, main
+from lorentzdyn.projective import WORD_BUDGET
 
 from .conftest import (INTEGER_MINK3, alternating_boost_sequence, barning_power,
                        fundamental_sequence, hyperbolic_322, scattered_sequence)
@@ -412,6 +413,22 @@ class TestLimitSetCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: depth and samples must be at least 1\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("depth, samples", [(8, 400), (4000, 1)], ids=["samples", "depth"])
+    def test_sampling_budget_exit_code(self, files, capsys, monkeypatch, depth, samples):
+        # a lowered budget: the defaults' 2000 x (8 + 9) units run, these do not
+        monkeypatch.setattr(projective, "WORD_BUDGET", 3400)
+        argv = ["limit-set", files["boost_gen.json"], "--form", files["mink3.json"],
+                "--depth", str(depth), "--samples", str(samples)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: sampling {samples} words of up to {depth} letters "
+                                "passes the budget: samples x (depth + d^2) must be at most "
+                                "3400\n")
+        assert captured.out == ""
+        assert main(argv[:4] + ["--depth", "8", "--samples", "200"]) == 0
+        # the real budget admits the defaults and the longest documented words
+        assert 2000 * (8 + 9) <= WORD_BUDGET and 1 * (100000 + 9) <= WORD_BUDGET
 
 
 class TestModelCommands:

@@ -138,6 +138,38 @@ class TestIntegerIsometryGate:
         with pytest.raises(NotIsometryError, match="matrix does not preserve the form"):
             int_mink3.require_isometry(a, "element")
 
+    def test_stack_gate_matches_per_element_gate(self, int_mink3):
+        good, rot = hyperbolic_322(), np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
+        half, wrong, huge = good + 0.5, 2 * good, good * 2 ** 53
+        nan = np.where(np.eye(3) > 0, np.nan, good)
+        cases = [[good, rot], [good, half, wrong], [good, wrong, half], [rot, huge, wrong],
+                 [good, nan], [good, np.eye(2)], [good, np.eye(2), wrong],
+                 [good, wrong, np.eye(2)], [np.eye(2)] * 2, [good.tolist(), rot.tolist()],
+                 [good, [[1, 0, 0], [0, 1]]], np.stack([rot, good, -good]), [], [True] * 3]
+
+        def outcome(f):
+            try:
+                mats = f()
+            except ValueError as exc:  # a ragged element is numpy's ValueError
+                return type(exc).__name__, str(exc)
+            assert mats.dtype == np.int64 and not mats.flags.writeable
+            return "ok", mats.shape, mats.tobytes()
+
+        def per_element(elements):
+            mats = np.array([int_mink3.require_isometry(a, "element") for a in elements],
+                            dtype=np.int64).reshape(-1, 3, 3)
+            mats.flags.writeable = False
+            return mats
+
+        kinds = set()
+        for elements in cases:
+            want = outcome(lambda: per_element(elements))
+            got = outcome(lambda: int_mink3.require_isometries(elements, "element"))
+            assert got == want
+            kinds.add(want[0])
+        assert kinds == {"ok", "PreconditionError", "DimensionError", "NotIsometryError",
+                         "ValueError"}
+
 
 def _fixed_directions_reference(g, elements):
     """The per-element, per-eigenvalue candidate loop that the batched

@@ -738,3 +738,127 @@ class TestStackedAgainstLoops:
                 results.append(want)
         assert any(r[0] == "ok" and r[1] > 0 for r in results)
         assert any(r[0] == "CertificateError" for r in results)
+
+
+def _svd_word_growth(words, threshold, exact_above):
+    """The all-words route that `_word_growth` replaced: one stacked svd of
+    every finite word, inf for the others."""
+    finite = np.isfinite(words).all(axis=(1, 2))
+    growth = np.full(len(words), np.inf)
+    growth[finite] = np.linalg.svd(words[finite], compute_uv=False)[:, 0]
+    return growth
+
+
+def _estimate_bits(form, generators, traced, **kwargs):
+    """`limit_set`'s outcome as bits: the estimate and the trace, or the error."""
+    trace = [] if traced else None
+
+    def run():
+        est = limit_set(form, generators, trace=trace, **kwargs)
+        return (_cluster_bits(est.clusters), est.cardinality_class, est.words_sampled,
+                est.divergent_words, est.min_intercluster_gap, trace)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return repr(_outcome(run))
+
+
+def _both_routes(monkeypatch, form, generators, **kwargs):
+    got = _estimate_bits(form, generators, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(projective, "_word_growth", _svd_word_growth)
+        want = _estimate_bits(form, generators, **kwargs)
+    return got, want
+
+
+class TestWordGrowthBounds:
+    """Norm bounds settle most words' divergence; the estimates and traces
+    are bitwise those of the all-words svd route."""
+
+    @staticmethod
+    def groups():
+        mink3 = QuadraticForm.minkowski(3)
+        groups = [(mink3, [boost(3, 1.2)], [1.0, 0.0, 0.0]),
+                  (split_form_3d(), [split_unipotent(5.0)], [1.0, 0.0, -1.0]),
+                  (mink3, list(schottky_pair()), [1.0, 0.0, 0.0])]
+        for d in (3, 4, 5):
+            rng = np.random.default_rng(40 + d)
+            groups.append((QuadraticForm.minkowski(d),
+                           [random_lorentz(d, rng, max_rapidity=2.0) for _ in range(2)],
+                           np.eye(d)[0]))
+        return groups
+
+    @pytest.mark.parametrize("depth", range(3, 11))
+    def test_matches_all_words_svd(self, monkeypatch, depth):
+        kinds = set()
+        for form, gens, base in self.groups():
+            s = HyperbolicPoint(v=np.array(base), form=form)
+            for threshold in (0.0, 30.0, 1e3, np.inf, np.nan):
+                for traced in (False, True):
+                    got, want = _both_routes(monkeypatch, form, gens, traced=traced,
+                                             depth=depth, samples=300, s=s, seed=depth,
+                                             divergence_threshold=threshold)
+                    assert got == want
+                    kinds.add(want.split("'")[1])
+        assert "ok" in kinds
+
+    def test_threshold_at_a_word_growth_keeps_it(self, mink3, monkeypatch):
+        gens = list(schottky_pair())
+        s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
+        _, words = _sample_words(gens, 8, 2000, np.random.default_rng(3))
+        growth = np.linalg.svd(words, compute_uv=False)[:, 0]
+        for t in np.sort(growth)[[0, 700, 1500, 1999]]:
+            for traced in (False, True):
+                got, want = _both_routes(monkeypatch, mink3, gens, traced=traced, s=s, seed=3,
+                                         divergence_threshold=float(t))
+                assert got == want
+            trace = []
+            est = limit_set(mink3, gens, s=s, seed=3, divergence_threshold=float(t), trace=trace)
+            assert est.divergent_words == int(np.sum(growth >= t))
+            assert float(t) in [row[-1] for row in trace]
+
+    def test_every_threshold_at_a_word_growth(self):
+        # past growth 1e8 the bounds agree with LAPACK to the last few bits,
+        # so only the margin keeps a word at the threshold from being dropped
+        rng = np.random.default_rng(4)
+        gens = [random_lorentz(4, rng, max_rapidity=4.0) for _ in range(2)]
+        _, words = _sample_words(gens, 8, 2000, np.random.default_rng(3))
+        growth = np.linalg.svd(words, compute_uv=False)[:, 0]
+        assert np.median(growth) > 1e10
+        for t in np.unique(growth):
+            assert np.array_equal(projective._word_growth(words, t, False) < t, growth < t)
+
+    @pytest.mark.parametrize("depth, threshold, kind", [
+        # b^2 (growth e^180, near 1.5e78) straddles the Frobenius bounds at
+        # 0.9 e^180 and its |b^T b|_F^2 overflows; |b^2|_F settles it at 1.2 e^180
+        (2, 0.9 * math.exp(180.0), "ok"),
+        (2, 1.2 * math.exp(180.0), "EquicontinuousError"),
+        (4, 1e157, "EquicontinuousError"),  # b^4 (entries near 1e156) is below it
+        (4, 1e156, "NumericalError"),  # b^4 is kept and its image overflows
+        (4, 1e3, "NumericalError"),
+        (4, np.nan, "NumericalError"),
+        (7, 1e300, "EquicontinuousError"),  # b^7 has entries near 1e273
+        (8, 1e300, "NumericalError"),  # b^8 has infinite entries
+    ])
+    def test_overflowing_bounds_take_the_exact_path(self, mink3, monkeypatch, depth, threshold,
+                                                    kind):
+        # the squared Frobenius norm of b^k overflows from k = 4 on
+        s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
+        for traced in (False, True):
+            got, want = _both_routes(monkeypatch, mink3, [boost(3, 90.0)], traced=traced,
+                                     depth=depth, samples=200, s=s, seed=0,
+                                     divergence_threshold=threshold)
+            assert got == want and want.startswith(f"('{kind}'")
+
+    @pytest.mark.parametrize("group", ["cyclic", "schottky"])
+    def test_lapack_sees_only_words_near_the_threshold(self, mink3, monkeypatch, group):
+        gens = [boost(3, 1.2)] if group == "cyclic" else list(schottky_pair())
+        s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
+        rows = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rows.append(len(a)) or svd(a, **kw))
+        limit_set(mink3, gens, depth=8, samples=2000, s=s, seed=0)
+        assert len(rows) == 1 and rows[0] <= 8
+        rows.clear()
+        trace = []
+        est = limit_set(mink3, gens, depth=8, samples=2000, s=s, seed=0, trace=trace)
+        assert rows == [est.divergent_words]
