@@ -26,11 +26,12 @@ from .errors import (
     PreconditionError,
 )
 from .minkowski import QuadraticForm, _as_matrix, _as_vector, _dots, canonical_ray, canonical_rays
-from .projective import BoundaryPoint, ray_angle
+from .projective import BoundaryPoint, _ray_angles, ray_angle
 
 # Column-candidate evaluations allowed in one integer enumeration.
 ENUMERATION_BUDGET = 50_000_000
-# Cross-product entries tested in one block of an enumeration level.
+# Cross-product entries tested in one block of an enumeration level, and
+# (candidate ray, element) pairs in one block of the fixed-ray test.
 _LEVEL_CHUNK = 1 << 16
 
 INFINITY = float("inf")
@@ -183,13 +184,36 @@ def fixed_isotropic_directions(g: RationalLorentzForm, elements):
     real = (np.abs(w.imag).ravel() <= 1e-8) & (nv >= 1e-8)
     vecs = vecs[real] / nv[real, None]
     on_cone = np.abs(_dots((vecs[:, None, :] @ g.to_quadratic_form().gram)[:, 0], vecs)) <= 1e-8
+    rays = canonical_rays(vecs[on_cone])
+    # the first ray left is kept, and every later one within 1e-9 of it dropped
+    rest = rays[_fixed_by_all(acting, rays)]
     fixed = []
-    for ray in canonical_rays(vecs[on_cone]):
-        if any(ray_angle(ray, r) < 1e-9 for r in fixed):
-            continue
-        if all(ray_angle(a @ ray, ray) <= 1e-8 for a in acting):
-            fixed.append(ray)
+    while len(rest):
+        fixed.append(rest[0])
+        rest = rest[1:][_ray_angles(rest[1:], rest[0]) >= 1e-9]
     return [BoundaryPoint(ray=r) for r in fixed]
+
+
+def _fixed_by_all(acting: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `rays` that every matrix of `acting` fixes,
+    ``ray_angle(a @ ray, ray) <= 1e-8``.
+
+    The rays still standing meet the next block of elements, twice as many
+    as the last and at most about `_LEVEL_CHUNK` (ray, element) pairs, so
+    a ray that the first elements move, as most do, costs a few tests.
+    """
+    alive = np.arange(len(rays))
+    start, width = 0, 1
+    while alive.size and start < len(acting):
+        width = max(1, min(2 * width, _LEVEL_CHUNK // alive.size))
+        stop = start + width
+        r = rays[alive, None, :]
+        images = (acting[start:stop] @ r[..., None])[..., 0]
+        alive = alive[np.all(_ray_angles(images, r) <= 1e-8, axis=1)]
+        start = stop
+    mask = np.zeros(len(rays), dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def plus_minus_identity_check(g: RationalLorentzForm, a, rays) -> bool:
@@ -397,9 +421,25 @@ def second_factor_action_matrix(h) -> np.ndarray:
 
 
 def _require_sl2(m: np.ndarray):
+    """Refuse all but 2 x 2 matrices of determinant 1.
+
+    Integer entries below 2**53 are checked exactly, ad - bc = 1 in Python
+    integers.  Other input passes when the float ad - bc is within 1e-10
+    of 1 plus a roundoff allowance of 64 eps (|ad| + |bc|): forming the two
+    products and their difference, and whatever float arithmetic built the
+    entries, loses accuracy in proportion to them.
+    """
     if m.shape != (2, 2):
         raise DimensionError("expected a 2 x 2 matrix")
-    if abs(np.linalg.det(m) - 1.0) > 1e-10:
+    if np.all(np.abs(m) < 2.0 ** 53) and np.array_equal(np.rint(m), m):
+        a, b, c, d = (int(x) for x in m.ravel())
+        ok = a * d - b * c == 1
+    else:
+        a, b, c, d = m.ravel().tolist()
+        ad, bc = a * d, b * c
+        allowance = 64.0 * np.finfo(float).eps * (abs(ad) + abs(bc))
+        ok = abs(ad - bc - 1.0) <= 1e-10 + allowance
+    if not ok:
         raise PreconditionError("matrix must have determinant 1")
 
 

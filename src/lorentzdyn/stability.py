@@ -18,6 +18,11 @@ each detector classifies singular-value trends over the tail of the
 sequence and accelerates the subspace limit by polynomial extrapolation
 in 1/n (the drift of the candidate subspaces is O(1/n) for unipotent-type
 sequences, so plain tails converge too slowly to be useful).
+
+Approximate stability is a limit in n, so the tail decides it: every
+detector, and the brute-force oracle, reads and factors only the terms
+n//2..n-1 (`MatrixSequence.tail`).  Only the singularity check and the
+divergence gate's `norms` cover every term.
 """
 
 from __future__ import annotations
@@ -83,11 +88,13 @@ class MatrixSequence:
     ``generator_spec`` is free-form provenance (e.g. "powers of A", "words in
     two boosts") used only in reports.
 
-    The spectral data every detector reads is computed once per sequence:
-    ``norms`` (the operator norm of each term, equal to ``norm_growth``)
-    comes from the singularity check, and ``cartan`` (the stacked
-    ``kak`` factors) on first use.  The subspace limits of the Cartan route
-    are kept too, one per (rank, kind), so the stable and strongly stable
+    The detectors read and factor only the ``tail``, the terms from
+    ``tail_start`` = n//2 on; tail spectra are indexed from its start.
+    The spectral data they read is computed once per sequence: ``norms``
+    (the operator norm of each term, equal to ``norm_growth``) comes from
+    the singularity check, and ``cartan`` (the stacked ``kak`` factors of
+    the tail) on first use.  The subspace limits of the Cartan route are
+    kept too, one per (rank, kind), so the stable and strongly stable
     spaces are each computed once however many analyses read them.  All
     are pure functions of the frozen terms.
     """
@@ -112,10 +119,21 @@ class MatrixSequence:
         object.__setattr__(self, "terms", t)
         object.__setattr__(self, "norms", norms)
 
+    @property
+    def tail_start(self) -> int:
+        """Index of the first tail term, n//2."""
+        return len(self) // 2
+
+    @property
+    def tail(self) -> np.ndarray:
+        """The terms n//2..n-1, the only ones the detectors read."""
+        return self.terms[self.tail_start:]
+
     @functools.cached_property
     def cartan(self) -> KakFactorization:
-        """`kak` of every term, stacked along a leading term axis (read-only)."""
-        fact = kak_stack(self.terms)
+        """`kak` of every tail term, stacked along a leading axis whose
+        entry i is term ``tail_start + i`` (read-only)."""
+        fact = kak_stack(self.tail)
         for a in (fact.L, fact.D, fact.R):
             a.flags.writeable = False
         return fact
@@ -201,10 +219,6 @@ def _norms_diverge(norms: np.ndarray, threshold: float) -> bool:
 # tail classification and subspace-limit machinery
 
 
-def _tail_slice(n: int) -> slice:
-    return slice(n // 2, n)
-
-
 def _require_usable(seq: MatrixSequence):
     if len(seq) < _MIN_TERMS:
         raise InsufficientDataError(
@@ -213,28 +227,41 @@ def _require_usable(seq: MatrixSequence):
 
 
 def _growing_flags(sig: np.ndarray) -> np.ndarray:
-    """Per singular-value index: above `BOUND_THRESHOLD` over the tail and climbing."""
-    n = sig.shape[0]
-    tail = sig[_tail_slice(n)]
-    above = np.all(tail > BOUND_THRESHOLD, axis=0)
-    climbing = sig[-1] > GROWTH_RATIO * sig[n // 2]
+    """Per singular-value index of the tail spectra ``sig`` (one row per
+    tail term): above `BOUND_THRESHOLD` throughout and climbing from the
+    first tail term to the last."""
+    above = np.all(sig > BOUND_THRESHOLD, axis=0)
+    climbing = sig[-1] > GROWTH_RATIO * sig[0]
     return above & climbing
 
 
 def _decaying_flags(sig: np.ndarray) -> np.ndarray:
-    n = sig.shape[0]
-    tail = sig[_tail_slice(n)]
-    below = np.all(tail < 1.0 / BOUND_THRESHOLD, axis=0)
-    falling = sig[-1] < sig[n // 2] / GROWTH_RATIO
+    """`_growing_flags`' mirror: below 1/`BOUND_THRESHOLD` and falling."""
+    below = np.all(sig < 1.0 / BOUND_THRESHOLD, axis=0)
+    falling = sig[-1] < sig[0] / GROWTH_RATIO
     return below & falling
 
 
 def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`grassmann_distance(a[i], b[i])` for stacks of equal-rank bases; `a`
-    may also be one basis, compared with every basis of `b`."""
+    """`grassmann_distance(a[i], b[i])` for stacks of bases of one nonzero
+    rank; either may also be one basis, compared with every basis of the
+    other.  Each residual gets its own LAPACK call, so the bits match."""
     residual = b - a @ (np.swapaxes(a, -1, -2) @ b)
     s = np.linalg.svd(residual, compute_uv=False)[:, 0]
     return np.arcsin(np.minimum(1.0, s))
+
+
+def _pair_distances(pairs: list) -> list[float]:
+    """`grassmann_distance(a, b)` for each pair (a, b) of bases, with its
+    conventions: pi/2 between unequal ranks, 0.0 between rank-0 bases.
+    The pairs of each nonzero rank share one `_sine_distances` call."""
+    out = [0.0 if a.shape[1] == b.shape[1] else np.pi / 2 for a, b in pairs]
+    for rank in {a.shape[1] for a, b in pairs if a.shape[1] == b.shape[1]} - {0}:
+        idx = [i for i, (a, b) in enumerate(pairs) if a.shape[1] == b.shape[1] == rank]
+        firsts, seconds = (np.stack([pairs[i][k] for i in idx]) for k in (0, 1))
+        for i, dist in zip(idx, _sine_distances(firsts, seconds).tolist()):
+            out[i] = dist
+    return out
 
 
 def _cluster_by_linkage(bases: np.ndarray) -> list[list[int]]:
@@ -280,7 +307,7 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     last = bases[-1]
     if m < 4:
         return last
-    drift = grassmann_distance(bases[m // 2], last)
+    drift = float(_sine_distances(bases[m // 2], last[None])[0])
     if drift < 1e-11:
         return last
     projs = bases @ np.swapaxes(bases, 1, 2)
@@ -301,10 +328,8 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
         q = float(np.median(ratios))
         d1 = projs[-1] - projs[-2]
         basis = to_basis(projs[-1] + d1 * (q / (1.0 - q)))
-        step = grassmann_distance(bases[-2], last)
-        if grassmann_distance(basis, last) <= 5.0 * step + 1e-9:
-            return basis
-        return last
+        step, moved = _sine_distances(np.stack([bases[-2], basis]), last)
+        return basis if moved <= 5.0 * step + 1e-9 else last
 
     p0 = _fit_at_zero(1.0 / labels, projs, int(min(6, m - 3)))
     basis = to_basis(p0)
@@ -343,10 +368,11 @@ def _fit_at_zero(x: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
 def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
     """Cluster the tail candidates ``bases`` (one per tail term, in order),
     extrapolate the dominant family, intersect the rest.  Returns
-    (subspace, converged, dominant_indices)."""
+    (subspace, converged, dominant_indices), the indices counted from the
+    first term of the sequence."""
     d = seq.dim
-    n = len(seq)
-    indices = range(n // 2, n)
+    start = seq.tail_start
+    indices = range(start, len(seq))
     if rank == 0:
         return Subspace.zero(d), True, tuple(indices)
     if rank == d:
@@ -358,13 +384,13 @@ def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
         if len(members) < max(3, len(indices) // 10):
             continue
         members = np.asarray(members)
-        fam_labels = labels[n // 2 + members]
+        fam_labels = labels[start + members]
         limits.append((members, _extrapolate_projector(bases[members], fam_labels, rank)))
     if not limits:
         raise ConvergenceError("no stable subspace family in the tail",
                                clusters=[len(c) for c in clusters])
     dominant_members, dominant_basis = limits[0]
-    dominant_indices = tuple((n // 2 + dominant_members).tolist())
+    dominant_indices = tuple((start + dominant_members).tolist())
     if len(limits) == 1 and len(dominant_members) >= 0.9 * len(indices):
         return Subspace(basis=dominant_basis), True, dominant_indices
     # No single limit: the stable set is the intersection of the
@@ -409,13 +435,15 @@ def _gate(seq: MatrixSequence):
 def _detected(seq: MatrixSequence, bases, rank: int,
               kind: StabilityKind = StabilityKind.STABLE) -> ASResult:
     """Subspace limit of the leading `rank` columns of the tail terms'
-    candidate bases (``bases`` stacks the d x d basis of every term)."""
-    sub, conv, used = _subspace_limit(seq, bases[_tail_slice(len(seq)), :, :rank], rank)
-    used_idx = list(used)
+    candidate bases (``bases`` stacks the d x d basis of every tail term,
+    indexed from the first tail term)."""
+    bases = bases[:, :, :rank]
+    sub, conv, used = _subspace_limit(seq, bases, rank)
+    rel = np.asarray(used) - seq.tail_start
     return ASResult(
         subspace=sub,
         kind=kind,
-        modulus=_modulus(seq.terms[used_idx], bases[used_idx, :, :rank]),
+        modulus=_modulus(seq.tail[rel], bases[rel]),
         converged=conv,
         subsequence_indices=used,
     )
@@ -452,9 +480,8 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     from the SVD route of `as_subspace_kak`.
     """
     _gate(seq)
-    t = seq.terms
-    op = seq.norms[:, None]
-    mu, vecs = np.linalg.eigh(_grams(t) / (op * op)[:, :, None])
+    op = seq.norms[seq.tail_start:, None]
+    mu, vecs = np.linalg.eigh(_grams(seq.tail) / (op * op)[:, :, None])
     sig = np.sqrt(np.maximum(mu, 0.0)) * op  # ascending, equals singular values
     growing = _growing_flags(sig)
     return _detected(seq, vecs, int(np.sum(~growing)))
@@ -470,12 +497,12 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     stay bounded away from zero (at least 1/sqrt(1 + C^2) for image bound C).
     """
     _gate(seq)
-    n = len(seq)
+    tail = seq.tail
     d = seq.dim
-    graphs = np.concatenate([np.broadcast_to(np.eye(d), seq.terms.shape), seq.terms], axis=1)
+    graphs = np.concatenate([np.broadcast_to(np.eye(d), tail.shape), tail], axis=1)
     q, _ = np.linalg.qr(graphs)
     u, s, _ = np.linalg.svd(q[:, :d, :])  # s descending in [0, 1]
-    mid, last = s[n // 2], s[-1]
+    mid, last = s[0], s[-1]
     collapsing = (last < 0.25) & (last < 0.6 * mid)
     return _detected(seq, u, int(np.sum(~collapsing)))
 
@@ -487,16 +514,14 @@ def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
         "ellipsoid": as_subspace_ellipsoid(seq),
         "graph": as_subspace_graph(seq),
     }
-    names = list(results)
-    out = {}
-    for name in names:
-        agreement = {
-            other: results[name].subspace.distance(results[other].subspace)
-            for other in names
-            if other != name
-        }
-        out[name] = replace(results[name], oracle_agreement=agreement)
-    return out
+    pairs = [(name, other) for name in results for other in results if other != name]
+    dists = _pair_distances([(results[a].subspace.basis, results[b].subspace.basis)
+                             for a, b in pairs])
+    agreement = {name: {} for name in results}
+    for (name, other), dist in zip(pairs, dists):
+        agreement[name][other] = dist
+    return {name: replace(res, oracle_agreement=agreement[name])
+            for name, res in results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +754,7 @@ def _grams(terms: np.ndarray) -> np.ndarray:
 
 def _tail_spectra(seq: MatrixSequence) -> tuple:
     """(eigenvalues, eigenvectors, Gram) of A_n^T A_n, stacked over the tail."""
-    tail = seq.terms[_tail_slice(len(seq))]
-    grams = _grams(tail)
+    grams = _grams(seq.tail)
     vals, vecs = np.linalg.eigh(grams)
     return vals, vecs, grams
 

@@ -231,6 +231,20 @@ class TestAsCommand:
         assert err == ("numerical failure: a term's Gram matrix A^T A overflows the "
                        "floating-point range\n" if code else "")
 
+    @pytest.mark.parametrize("oracle", ["ellipsoid", "all", "brute"])
+    def test_head_only_gram_overflow_is_answered(self, tmp_path, capsys, oracle):
+        # only the first term's A^T A overflows: the tail, which is all any
+        # oracle factors, does not
+        terms = fundamental_sequence(40).terms.copy()
+        terms[0] *= 1e160
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d": 3, "terms": terms.tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["as", str(path), "--oracle", oracle, "--out",
+                         str(tmp_path / "o.json")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_brute_oracle(self, files, tmp_path):
         rc, text = run_to_file(
             ["as", files["fund_seq.json"], "--oracle", "brute", "--directions", "16"],
@@ -494,6 +508,18 @@ class TestModelCommands:
         assert rc == 0
         rep = json.loads(text)
         assert rep["alpha_image"] == float("inf")
+
+    @pytest.mark.parametrize("h, code", [
+        ("75025,46368;46368,28657", 0),  # [[2,1],[1,1]]^12, exactly in SL(2, Z)
+        ("75025,46368;46368,28658", 2),
+        ("1.000001,0;0,1", 2),
+    ], ids=["fibonacci12", "fibonacci12-det2", "unit-scale-det"])
+    def test_ads_circle_determinant_gate(self, tmp_path, capsys, h, code):
+        argv = ["model", "ads-circle", "--h", h, "--alpha", "0.5", "--out",
+                str(tmp_path / "o.json")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == ("error: matrix must have determinant 1\n"
+                                           if code else "")
 
     def test_ads_orbit(self, files, tmp_path):
         rc, text = run_to_file(

@@ -223,6 +223,18 @@ class TestFixedDirections:
         assert _ray_bytes(fixed_isotropic_directions(g, elems)) == \
             _ray_bytes(_fixed_directions_reference(g, elems))
 
+    @pytest.mark.parametrize("copies", [1, 40])
+    def test_commuting_elements_equal_reference_bitwise(self, int_mink3, copies):
+        # powers of one hyperbolic element share its two rays: they stay
+        # fixed through every block of elements, and each reappears among
+        # the candidates of every element
+        h = hyperbolic_322()
+        h_inv = INTEGER_MINK3 @ h.T @ INTEGER_MINK3
+        elems = [np.linalg.matrix_power(m, k) for m in (h, h_inv) for k in (1, 2, 3)] * copies
+        out = fixed_isotropic_directions(int_mink3, elems)
+        assert len(out) == 2
+        assert _ray_bytes(out) == _ray_bytes(_fixed_directions_reference(int_mink3, elems))
+
     def test_identity_fixes_whole_cone(self, int_mink3):
         out = fixed_isotropic_directions(int_mink3, [np.eye(3)])
         assert isinstance(out, EntireCone)
@@ -427,6 +439,27 @@ class TestSecondFactorAction:
     def test_determinant_enforced(self):
         with pytest.raises(PreconditionError):
             ads_second_factor_action(np.diag([2.0, 1.0]), 0.0)
+
+    def test_integer_determinant_is_exact(self):
+        # [[2,1],[1,1]]^12: LU's float determinant is off by 1.4e-7
+        h = np.linalg.matrix_power(np.array([[2, 1], [1, 1]]), 12).astype(float)
+        assert np.array_equal(h, [[75025, 46368], [46368, 28657]])
+        assert abs(np.linalg.det(h) - 1.0) > 1e-8
+        second_factor_action_matrix(h)
+        diagonal_action(h)
+        for bad in (h + np.diag([0.0, 1.0]), np.array([[2.0**52, 1.0], [1.0, 0.0]])):
+            with pytest.raises(PreconditionError, match="determinant 1"):
+                second_factor_action_matrix(bad)
+
+    def test_float_determinant_allowance_grows_with_the_products(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 10, 25, 40):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            h = q @ np.diag([np.exp(0.3 * n), np.exp(-0.3 * n)]) @ q.T
+            second_factor_action_matrix(h)
+        for det in (1.0 + 1e-6, 1.0 - 1e-6, 0.0, -1.0):
+            with pytest.raises(PreconditionError, match="determinant 1"):
+                second_factor_action_matrix(np.diag([det, 1.0]) @ random_sl2(rng))
 
     def test_large_parameters_match_mobius_action(self):
         rng = np.random.default_rng(15)

@@ -28,6 +28,7 @@ from lorentzdyn.errors import (
     EquicontinuousError,
     InsufficientDataError,
     NotIsometryError,
+    NumericalError,
     PatternMismatchError,
     PreconditionError,
     SingularMatrixError,
@@ -78,23 +79,30 @@ class TestMatrixSequence:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_cached_spectra_equal_per_term_kak(self, d):
-        # the shared factors and norms must be bit-for-bit what the per-term
-        # kak and norm_growth return, including on tied singular values,
-        # det < 0 terms and identities
+        # the shared tail factors and the norms of every term must be
+        # bit-for-bit what the per-term kak and norm_growth return, including
+        # on tied singular values, det < 0 terms and identities, which sit in
+        # the tail
         rng = np.random.default_rng(40 + d)
         flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
         tied = np.diag(np.concatenate([[3.0], np.ones(d - 2), [1 / 3.0]]))
-        terms = [np.eye(d), flip, tied, flip @ tied, 2.0 * np.eye(d)]
+        terms = []
         for _ in range(20):
             a = rng.normal(size=(d, d)) + np.diag(rng.uniform(1, 3, d))
             terms += [a, flip @ a]
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        terms += [q, q @ tied @ q.T, flip @ q @ tied]
+        terms += [np.eye(d), flip, tied, flip @ tied, 2.0 * np.eye(d),
+                  q, q @ tied @ q.T, flip @ q @ tied]
         seq = MatrixSequence.from_terms(terms)
+        start = seq.tail_start
+        assert start == len(terms) // 2 and len(seq.cartan.D) == len(terms) - start
         for i, t in enumerate(terms):
             f = kak(t)
-            for got in ((seq.cartan.L[i], seq.cartan.D[i], seq.cartan.R[i]),
-                        (f.L, f.D, f.R)):
+            factors = [(f.L, f.D, f.R)]
+            if i >= start:
+                factors.append((seq.cartan.L[i - start], seq.cartan.D[i - start],
+                                seq.cartan.R[i - start]))
+            for got in factors:
                 for a, b in zip(got, _per_term_kak(t)):
                     assert np.array_equal(a, b)
             assert seq.norms[i] == norm_growth(t)
@@ -878,22 +886,26 @@ class TestStackedExtrapolation:
 
 
 def _awkward_sequence(d, seed):
-    """Identities, det < 0 terms, tied singular values and random terms."""
+    """Random terms with identities, det < 0 terms and tied singular values
+    among the tail terms (16..22 of 31) the detectors factor."""
     rng = np.random.default_rng(seed)
     flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
     tied = np.diag(np.concatenate([[3.0], np.ones(d - 2), [1 / 3.0]]))
     q = _orth(rng.normal(size=(d, d)))
-    terms = [np.eye(d), flip, tied, flip @ tied, 2.0 * np.eye(d), q @ tied @ q.T, flip @ q]
+    awkward = [np.eye(d), flip, tied, flip @ tied, 2.0 * np.eye(d), q @ tied @ q.T, flip @ q]
+    terms = []
     for n in range(1, 13):
         a = rng.normal(size=(d, d)) + np.diag(rng.uniform(1, 3, d))
         terms += [a, flip @ a @ np.diag(np.geomspace(1.0, 1.5 ** n, d))]
+        if n == 8:
+            terms += awkward
     return MatrixSequence.from_terms(terms)
 
 
 def _per_term_ellipsoid(seq):
-    """Reference: the per-term eigh of the normalized Gram."""
+    """Reference: the per-term eigh of the normalized Gram, over the tail."""
     sig_rows, vecs = [], []
-    for t, op in zip(seq.terms, seq.norms):
+    for t, op in zip(seq.tail, seq.norms[seq.tail_start:]):
         mu, v = np.linalg.eigh((t.T @ t) / (op * op))
         sig_rows.append(np.sqrt(np.maximum(mu, 0.0)) * op)
         vecs.append(v)
@@ -902,15 +914,16 @@ def _per_term_ellipsoid(seq):
 
 
 def _per_term_graph(seq):
-    """Reference: the per-term QR of the graph and SVD of its top block."""
-    n, d = len(seq), seq.dim
+    """Reference: the per-term QR of the graph and SVD of its top block,
+    over the tail."""
+    d = seq.dim
     us, ss = [], []
-    for t in seq.terms:
+    for t in seq.tail:
         q, _ = np.linalg.qr(np.vstack([np.eye(d), t]))
         u, s, _ = np.linalg.svd(q[:d, :])
         us.append(u)
         ss.append(s)
-    collapsing = (ss[-1] < 0.25) & (ss[-1] < 0.6 * ss[n // 2])
+    collapsing = (ss[-1] < 0.25) & (ss[-1] < 0.6 * ss[0])
     return us, int(np.sum(~collapsing))
 
 
@@ -951,21 +964,99 @@ class TestBatchedDetectorLoops:
                                     (as_subspace_graph, _per_term_graph)):
             bases, rank = self._candidates(monkeypatch, detector, seq)
             ref_bases, ref_rank = reference(seq)
-            assert rank == ref_rank
+            assert rank == ref_rank and len(bases) == len(ref_bases)
             for i, b in enumerate(ref_bases):
                 assert np.array_equal(bases[i], b)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_restricted_norms_equal_per_index_loop(self, d):
         seq = _awkward_sequence(d, 100 + d)
-        n = len(seq)
+        tail = seq.tail
         stacks = [np.swapaxes(seq.cartan.R, 1, 2),
                   np.array(_per_term_ellipsoid(seq)[0]),
                   np.array(_per_term_graph(seq)[0])]
         for bases in stacks:
-            for indices in (list(range(n // 2, n)), list(range(n // 2, n, 3))):
+            for indices in (list(range(len(tail))), list(range(0, len(tail), 3))):
                 for rank in range(d + 1):
-                    got = stability._restricted_norms(seq.terms[indices],
-                                                      bases[indices, :, :rank])
-                    ref = _per_index_restricted_norm(seq.terms, bases, indices, rank)
+                    got = stability._restricted_norms(tail[indices], bases[indices, :, :rank])
+                    ref = _per_index_restricted_norm(tail, bases, indices, rank)
                     assert got == ref
+
+
+class TestTailOnly:
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_kernels_factor_only_the_tail(self, n, monkeypatch):
+        # the stacked kak, eigh and qr of the detectors see the n - n//2
+        # tail terms, once each
+        seen = {"kak_stack": [], "eigh": [], "qr": []}
+
+        def recording(name, fn):
+            def wrapped(a, *args, **kwargs):
+                if np.ndim(a) == 3:
+                    seen[name].append(len(a))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(stability, "kak_stack", recording("kak_stack", stability.kak_stack))
+        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "qr", recording("qr", np.linalg.qr))
+        seq = fundamental_sequence(n)
+        as_all_oracles(seq)
+        spas_subspace(seq)
+        tail = n - n // 2
+        assert seen == {"kak_stack": [tail], "eigh": [tail], "qr": [tail]}
+
+    @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 2, 1), (1, 2, 3), (3, 0, 3),
+                                       (0, 0, 1), (0, 0, 0), (4, 4, 4)])
+    def test_agreement_table_equals_per_pair_distance(self, ranks, monkeypatch):
+        rng = np.random.default_rng(7 + sum(ranks))
+        d = 4
+        subspaces = {}
+        for name, rank in zip(("kak", "ellipsoid", "graph"), ranks):
+            subspaces[name] = (Subspace(basis=_orth(rng.normal(size=(d, d)))[:, :rank])
+                               if rank else Subspace.zero(d))
+            res = stability.ASResult(subspace=subspaces[name],
+                                     kind=StabilityKind.STABLE, modulus=1.0)
+            monkeypatch.setattr(stability, f"as_subspace_{name}", lambda seq, res=res: res)
+        calls = []
+        stacked = stability._sine_distances
+        monkeypatch.setattr(stability, "_sine_distances",
+                            lambda a, b: calls.append(len(a)) or stacked(a, b))
+        table = as_all_oracles(None)
+        assert list(table) == ["kak", "ellipsoid", "graph"]
+        for name, res in table.items():
+            assert list(res.oracle_agreement) == [o for o in table if o != name]
+            for other, dist in res.oracle_agreement.items():
+                assert type(dist) is float
+                assert dist == subspaces[name].distance(subspaces[other])
+        # the ordered pairs of one nonzero rank go to one stacked call
+        equal = sum(a == b != 0 for i, a in enumerate(ranks) for b in ranks[i + 1:])
+        assert calls == ([2 * equal] if equal else [])
+
+    @pytest.mark.parametrize("make", [lambda: fundamental_sequence(40),
+                                      lambda: fundamental_sequence(200),
+                                      lambda: boost_sequence(4, 0.5, 16),
+                                      lambda: chaos_sequence(40),
+                                      lambda: alternating_boost_sequence()],
+                             ids=["fundamental40", "fundamental200", "boost4", "chaos40",
+                                  "alternating"])
+    def test_detector_agreement_equals_per_pair_distance(self, make):
+        table = as_all_oracles(make())
+        for name, res in table.items():
+            for other, dist in res.oracle_agreement.items():
+                assert dist == res.subspace.distance(table[other].subspace)
+
+    def test_head_only_gram_overflow_leaves_an_ellipsoid_answer(self):
+        # A^T A of the first term overflows, but the detectors and the
+        # brute-force oracle read only the tail
+        terms = fundamental_sequence(40).terms.copy()
+        terms[0] *= 1e160
+        seq, plain = MatrixSequence(terms=terms), fundamental_sequence(40)
+        got, want = as_subspace_ellipsoid(seq), as_subspace_ellipsoid(plain)
+        assert np.array_equal(got.subspace.basis, want.subspace.basis)
+        assert got.modulus == want.modulus
+        assert np.array_equal(brute_force_as(seq, directions=8).scores,
+                              brute_force_as(plain, directions=8).scores)
+        terms[-1] *= 1e160
+        with pytest.raises(NumericalError, match="Gram matrix A\\^T A overflows"):
+            as_subspace_ellipsoid(MatrixSequence(terms=terms))
