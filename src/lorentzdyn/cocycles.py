@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHyperbolicError, PreconditionError
+from .errors import BudgetError, EquicontinuousError, NotHyperbolicError, PreconditionError
 from .minkowski import evaluate
 from .models import RationalLorentzForm
 from .projective import BoundaryPoint, ray_angle
-from .stability import MatrixSequence, _require_usable, as_subspace_kak, is_divergent
+from .stability import MatrixSequence, as_subspace_kak
 
-_UNIT_CIRCLE_TOL = 1e-9
+# N = lcm{k : phi(k) <= d}: every root of unity of degree <= d is an N-th
+# root.  A^N carries about N log2|lambda| bits, so d > 6 is refused.
+_ROOT_OF_UNITY_EXPONENT = {1: 2, 2: 12, 3: 12, 4: 120, 5: 120, 6: 2520}
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,21 @@ class TorusAutomorphism:
         w.flags.writeable = v.flags.writeable = False
         return w, v
 
+    @functools.cached_property
+    def _hyperbolic(self) -> bool:
+        d = len(self.matrix)
+        if d not in _ROOT_OF_UNITY_EXPONENT:
+            raise BudgetError(f"the exact hyperbolicity test is limited to d <= 6, got d = {d}")
+        a = self.matrix.astype(object)
+        shifted = np.linalg.matrix_power(a, _ROOT_OF_UNITY_EXPONENT[d]) - np.eye(d, dtype=int)
+        return bool(np.linalg.matrix_power(shifted, d).any())
+
     def is_hyperbolic(self) -> bool:
-        w, _ = self.eigen
-        real = w[np.abs(w.imag) < _UNIT_CIRCLE_TOL].real
-        return bool(np.any(np.abs(real) > 1.0 + _UNIT_CIRCLE_TOL))
+        """Exact, computed once: an integer matrix with every eigenvalue on the
+        unit circle has only roots of unity as eigenvalues (Kronecker), so A
+        is not hyperbolic iff (A^N - I)^d = 0, in Python integers.  Raises
+        BudgetError for d > 6."""
+        return self._hyperbolic
 
     def power_sequence(self, inverse: bool = False) -> MatrixSequence:
         """Powers A, A^2, ..., capped where the terms stop being numerically
@@ -80,20 +93,15 @@ class CocycleValue:
 
 
 def _hyperbolic_pair(aut: TorusAutomorphism):
-    """(mu_small, ray_small, mu_big, ray_big) with |mu_small| < 1 < |mu_big|."""
+    """(mu_small, ray_small, mu_big, ray_big) with |mu_small| < 1 < |mu_big|:
+    the eigenvalues of least and greatest modulus, which are real and simple
+    for a hyperbolic Lorentz isometry."""
+    if not aut.is_hyperbolic():
+        raise NotHyperbolicError("automorphism is elliptic/parabolic: every "
+                                 "eigenvalue is a root of unity")
     w, v = aut.eigen
-    real_idx = [i for i in range(len(w)) if abs(w[i].imag) < _UNIT_CIRCLE_TOL]
-    off = [i for i in real_idx if abs(abs(w[i].real) - 1.0) > _UNIT_CIRCLE_TOL]
-    if not off:
-        raise NotHyperbolicError(
-            "automorphism is elliptic/parabolic: every eigenvalue sits on "
-            "the unit circle"
-        )
-    mags = [abs(w[i].real) for i in off]
-    i_big = off[int(np.argmax(mags))]
-    i_small = off[int(np.argmin(mags))]
-    if not (mags[int(np.argmax(mags))] > 1.0 > mags[int(np.argmin(mags))]):
-        raise NotHyperbolicError("eigenvalues off the unit circle do not pair up")
+    mags = np.abs(w)
+    i_small, i_big = int(np.argmin(mags)), int(np.argmax(mags))
     form = aut.form.to_quadratic_form()
     a = aut.matrix.astype(float)
     a_inv = np.linalg.inv(a)
@@ -211,30 +219,30 @@ class EntropyReport:
 
 
 def entropy_dichotomy(aut: TorusAutomorphism) -> EntropyReport:
-    """Topological entropy sum over expanding eigenvalues, with the
-    approximately-stable comparison between the automorphism and its inverse."""
+    """Topological entropy, log max|mu| for a hyperbolic element and 0 for
+    any other (its eigenvalues are roots of unity, so every exponent is 0),
+    with the approximately-stable comparison between the automorphism and
+    its inverse."""
+    hyperbolic = aut.is_hyperbolic()
     w, _ = aut.eigen
-    entropy = float(np.sum(np.log(np.abs(w)[np.abs(w) > 1.0 + _UNIT_CIRCLE_TOL])))
-    forward = aut.power_sequence()
-    # a sequence cut short at the conditioning wall cannot show its trend
-    _require_usable(forward)
-    if not is_divergent(forward):
+    try:
+        fwd = as_subspace_kak(aut.power_sequence())
+    except EquicontinuousError:
         as_equal = True
     else:
-        fwd = as_subspace_kak(forward)
         bwd = as_subspace_kak(aut.power_sequence(inverse=True))
         as_equal = bool(fwd.subspace.isclose(bwd.subspace, tol=1e-4))
+    logs = np.log(np.abs(w)) if hyperbolic else np.zeros(len(w))
     p = None
-    if aut.is_hyperbolic():
+    if hyperbolic:
         mu_s, _, _, _ = _hyperbolic_pair(aut)
         p = 1
         while abs(mu_s) ** p >= 0.5:
             p += 1
-    exponents = tuple(sorted(float(x) for x in np.log(np.abs(w))))
     return EntropyReport(
-        entropy=entropy,
+        entropy=float(np.max(logs)),
         as_equal=as_equal,
         eigenvalues=tuple(sorted((complex(z).real, complex(z).imag) for z in w)),
-        exponents=exponents,
+        exponents=tuple(sorted(float(x) for x in logs)),
         p_threshold=p,
     )

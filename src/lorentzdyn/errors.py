@@ -47,7 +47,7 @@ class NotHyperbolicError(PreconditionError):
 
 
 class BudgetError(PreconditionError):
-    """Enumeration or sampling would exceed the stated operation budget."""
+    """Enumeration, sampling or exact arithmetic would exceed the stated budget."""
 
 
 class ConvergenceError(NumericalError):

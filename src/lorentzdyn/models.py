@@ -70,8 +70,7 @@ class RationalLorentzForm:
         return self.gram.shape[0]
 
     def to_quadratic_form(self) -> QuadraticForm:
-        return QuadraticForm(gram=self.gram.astype(float),
-                             signature=(1, self.dim - 1))
+        return QuadraticForm(gram=self.gram.astype(float))
 
     def require_isometry(self, a, what: str) -> np.ndarray:
         """`a` as a read-only int64 matrix, when it is an integer matrix with
@@ -345,7 +344,7 @@ def ads_form() -> QuadraticForm:
     g = np.zeros((4, 4))
     g[0, 3] = g[3, 0] = 1.0
     g[1, 2] = g[2, 1] = -1.0
-    return QuadraticForm(gram=g, signature=(2, 2))
+    return QuadraticForm(gram=g)
 
 
 @dataclass(frozen=True)

@@ -97,15 +97,19 @@ class BoundaryPoint:
 
 def ray_angle(u, v) -> float:
     """Angular distance between projective rays (antipodal-safe)."""
-    c = abs(float(np.dot(u, v))) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(np.arccos(min(1.0, c)))
+    return float(_ray_angles(np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
+
+
+def _angles(dots, norms):
+    """Angles from the dots of rays (or the norms of their projections) and
+    the products of their norms: arccos |dot| / norms, clipped at 1, so a
+    ray and its antipode are at angle 0."""
+    return np.arccos(np.minimum(1.0, np.abs(dots) / norms))
 
 
 def _ray_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`ray_angle` of the rows of `u` and `v`, broadcast against each
-    other, bit for bit: `_dots` adds as `np.dot` and the norm do."""
-    cos = np.abs(_dots(u, v)) / (np.sqrt(_dots(u, u)) * np.sqrt(_dots(v, v)))
-    return np.arccos(np.minimum(1.0, cos))
+    """`ray_angle` of the rows of `u` and `v`, broadcast against each other."""
+    return _angles(_dots(u, v), np.sqrt(_dots(u, u)) * np.sqrt(_dots(v, v)))
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,7 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     rays = orbit / norms[:, None]
     last = rays[-1]
     tail_rays = rays[n // 2:]
-    angles = np.arccos(np.minimum(1.0, np.abs(tail_rays @ last)))
-    if np.max(angles) > 1e-2:
+    if np.max(_angles(tail_rays @ last, 1.0)) > 1e-2:
         clusters = _cluster_rays(tail_rays, 1e-2)
         raise ConvergenceError(
             "orbit direction oscillates between boundary clusters",
@@ -194,16 +197,15 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     pts = sphere_points(form.dim, grid)
     src = stable.subspace
     dst = unstable.subspace
-    cosines = np.linalg.norm(pts @ src.basis, axis=1) / np.linalg.norm(pts, axis=1)
-    probes = pts[np.arccos(np.minimum(1.0, cosines)) > u_angle]
+    probes = pts[_angles(np.linalg.norm(pts @ src.basis, axis=1),
+                         np.linalg.norm(pts, axis=1)) > u_angle]
     # one term at a time: a stacked (terms x probes x d) pass is no faster
     # and its temporaries raise the peak memory by megabytes
     ok = np.empty(len(seq), dtype=bool)
     for i, t in enumerate(seq.terms):
         images = probes @ t.T
         images /= np.linalg.norm(images, axis=1, keepdims=True)
-        cosines = np.linalg.norm(images @ dst.basis, axis=1)
-        ok[i] = bool(np.all(np.arccos(np.minimum(1.0, cosines)) <= v_angle))
+        ok[i] = bool(np.all(_angles(np.linalg.norm(images @ dst.basis, axis=1), 1.0) <= v_angle))
     good = np.where(~ok)[0]
     if ok.all():
         return 0
@@ -246,17 +248,11 @@ class LimitSetEstimate:
         return tuple(c.centroid for c in self.clusters)
 
 
-def _near(dots, cnorms, norms, angle: float) -> np.ndarray:
-    """Whether each ray is within `angle` of each cluster centroid, from
-    their dots, the centroid norms and the ray norms (broadcast)."""
-    return np.arccos(np.minimum(1.0, np.abs(dots) / (cnorms * norms))) <= angle
-
-
 def _first_fit(dots: np.ndarray, cnorms: np.ndarray, norms: np.ndarray,
                angle: float) -> tuple[np.ndarray, np.ndarray]:
     """First cluster within `angle` of each ray (-1 for none) and whether
     the ray is aligned with it, from the rays x clusters dots."""
-    near = _near(dots, cnorms, norms[:, None], angle)
+    near = _angles(dots, cnorms * norms[:, None]) <= angle
     first = np.where(near.any(axis=1), near.argmax(axis=1), -1)
     return first, dots[np.arange(len(dots)), first] >= 0
 
@@ -336,7 +332,7 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
                 break
         r = rays[m]
         dots = _dots(cents[:k], r)
-        near = _near(dots, cnorms[:k], norms[m], angle)
+        near = _angles(dots, cnorms[:k] * norms[m]) <= angle
         i = near.argmax() if k else 0
         if k and near[i]:
             sums[i] += r if dots[i] >= 0 else -r
@@ -350,10 +346,9 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
         credit += 1
     centroids = canonical_rays(sums[:k])
     # a member's sign does not change its angle, so take the rays as drawn
-    cos = np.abs(_dots(centroids[labels], rays)) / (
-        np.sqrt(_dots(centroids, centroids))[labels] * norms)
     radii = np.zeros(k)
-    np.maximum.at(radii, labels, np.arccos(np.minimum(1.0, cos)))
+    np.maximum.at(radii, labels, _angles(_dots(centroids[labels], rays),
+                                         np.sqrt(_dots(centroids, centroids))[labels] * norms))
     clusters = [RayCluster(centroid=BoundaryPoint(ray=c), weight=int(w), angular_radius=float(a))
                 for c, w, a in zip(centroids, np.bincount(labels, minlength=k), radii)]
     clusters.sort(key=lambda cl: cl.weight, reverse=True)

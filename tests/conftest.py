@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lorentzdyn import (
     QuadraticForm,
     RationalLorentzForm,
     boost,
+    integer_isometries,
     spatial_rotation,
     split_boost,
     split_form_3d,
@@ -143,3 +146,30 @@ def barning_power(p: int) -> np.ndarray:
 def integer_unipotent() -> np.ndarray:
     """Unipotent element of O(g, Z) for the integer split form."""
     return np.array([[1, 2, -1], [0, 1, -1], [0, 0, 1]], dtype=np.int64)
+
+
+# (Gram diagonal, entry height) of the torus sweep: 864 + 864 + 80 elements
+TORUS_SWEEP = (((1, 1, 1, -1), 2), ((-1, 1, 1, 1), 2), ((-1, 1, 1), 4))
+
+
+@functools.lru_cache(maxsize=None)
+def torus_sweep() -> tuple:
+    """(form, element, class) for every element of O(g, Z) in `TORUS_SWEEP`,
+    classified without eigenvalues: "finite" iff A^120 = I in Python
+    integers (every root of unity of degree <= 4 is a 120th root), else
+    "hyperbolic" iff an entry of A^60 passes 1e6 (a spectral radius above 1
+    is at least 1.7 here, while parabolic powers grow quadratically), else
+    "parabolic"."""
+    out = []
+    for diag, height in TORUS_SWEEP:
+        g = RationalLorentzForm(gram=np.diag(diag))
+        eye = np.eye(g.dim, dtype=int)
+        for a in integer_isometries(g, height):
+            if (np.linalg.matrix_power(a.astype(object), 120) == eye).all():
+                kind = "finite"
+            elif np.abs(np.linalg.matrix_power(a.astype(float), 60)).max() > 1e6:
+                kind = "hyperbolic"
+            else:
+                kind = "parabolic"
+            out.append((g, a, kind))
+    return tuple(out)

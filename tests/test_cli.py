@@ -618,6 +618,29 @@ class TestEntropyCommand:
                                 f"got {terms}\n")
         assert captured.out == ""
 
+    def test_parabolic_report(self, tmp_path, capsys):
+        # parabolic: eig moves its triple eigenvalue 1 off the unit circle
+        a = [[-1, -1, 0, 1], [-1, 0, 1, 1], [0, -1, 1, 1], [-1, -1, 1, 2]]
+        for name, m in (("a.json", a), ("g.json", np.diag([1, 1, 1, -1]).tolist())):
+            (tmp_path / name).write_text(json.dumps(m))
+        assert main(["entropy", str(tmp_path / "a.json"), "--gram", str(tmp_path / "g.json")]) == 0
+        out = capsys.readouterr().out
+        assert '"entropy": 0,' in out
+        rep = json.loads(out)
+        assert rep["exponents"] == [0, 0, 0, 0] and rep["p_threshold"] is None
+
+    def test_past_d6_exit_code(self, tmp_path, capsys, monkeypatch):
+        for name, m in (("a.json", np.eye(7, dtype=int)[[0, 2, 1, 3, 4, 5, 6]]),
+                        ("g.json", np.diag([-1, 1, 1, 1, 1, 1, 1]))):
+            (tmp_path / name).write_text(json.dumps(m.tolist()))
+        def no_power(*args, **kwargs):
+            raise AssertionError("a power was formed")
+        monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+        assert main(["entropy", str(tmp_path / "a.json"), "--gram", str(tmp_path / "g.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the exact hyperbolicity test is limited to d <= 6, got d = 7\n"
+        assert captured.out == ""
+
     def test_non_isometry_exit_code(self, files, tmp_path, capsys):
         path = tmp_path / "a.json"
         path.write_text(json.dumps([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from lorentzdyn import (
     normal_directions,
 )
 from lorentzdyn.cocycles import ray_multiplier
-from lorentzdyn.errors import InsufficientDataError, NotHyperbolicError, PreconditionError
+from lorentzdyn.errors import (
+    BudgetError,
+    InsufficientDataError,
+    NotHyperbolicError,
+    PreconditionError,
+)
+from lorentzdyn.stability import as_subspace_kak
 
 from .conftest import (
     INTEGER_MINK3,
@@ -20,9 +28,22 @@ from .conftest import (
     barning_power,
     hyperbolic_322,
     integer_unipotent,
+    torus_sweep,
 )
 
 MU = 3.0 + 2.0 * np.sqrt(2.0)
+# a parabolic element of O(diag(1, 1, 1, -1), Z): eigenvalue -1 and a 3 x 3
+# Jordan block at 1, whose eigenvalues eig moves off the unit circle by 8e-6
+PARABOLIC_4 = np.array([[-1, -1, 0, 1], [-1, 0, 1, 1], [0, -1, 1, 1], [-1, -1, 1, 2]])
+
+
+@functools.lru_cache(maxsize=None)
+def parabolic_reports() -> tuple:
+    """(automorphism, entropy report) for the 400 parabolic elements of the
+    torus sweep."""
+    auts = [TorusAutomorphism(matrix=a, form=g) for g, a, kind in torus_sweep()
+            if kind == "parabolic"]
+    return tuple((aut, entropy_dichotomy(aut)) for aut in auts)
 
 
 @pytest.fixture
@@ -63,6 +84,34 @@ class TestConstruction:
         assert not finite_order.is_hyperbolic()
         assert not unipotent.is_hyperbolic()
 
+    def test_hyperbolic_flag_matches_sweep(self):
+        kinds = [kind for _, _, kind in torus_sweep()]
+        assert [kinds.count(k) for k in ("hyperbolic", "parabolic", "finite")] == [800, 400, 608]
+        for g, a, kind in torus_sweep():
+            assert TorusAutomorphism(matrix=a, form=g).is_hyperbolic() == (kind == "hyperbolic")
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_hyperbolic_flag_up_to_d6(self, d):
+        # the Barning matrix on the first three axes, the identity elsewhere
+        g = RationalLorentzForm(gram=np.diag([1, 1, -1] + [1] * (d - 3)))
+        a = np.eye(d, dtype=np.int64)
+        a[:3, :3] = barning_power(1)
+        assert TorusAutomorphism(matrix=a, form=g).is_hyperbolic()
+        swap = np.eye(d, dtype=np.int64)[[0, 1, 2, 4, 3] + list(range(5, d))]
+        assert not TorusAutomorphism(matrix=swap, form=g).is_hyperbolic()
+
+    def test_past_d6_refused_before_any_power(self, monkeypatch):
+        g = RationalLorentzForm(gram=np.diag([-1, 1, 1, 1, 1, 1, 1]))
+        aut = TorusAutomorphism(matrix=np.eye(7, dtype=np.int64)[[0, 2, 1, 3, 4, 5, 6]], form=g)
+        def no_power(*args, **kwargs):
+            raise AssertionError("a power was formed")
+        monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+        monkeypatch.setattr(TorusAutomorphism, "power_sequence", no_power)
+        with pytest.raises(BudgetError, match="limited to d <= 6, got d = 7"):
+            aut.is_hyperbolic()
+        with pytest.raises(BudgetError):
+            entropy_dichotomy(aut)
+
 
 class TestNormalDirections:
     def test_isotropic_eigenray_pair(self, hyper, int_mink3):
@@ -81,6 +130,12 @@ class TestNormalDirections:
     def test_parabolic_rejected(self, unipotent):
         with pytest.raises(NotHyperbolicError):
             normal_directions(unipotent)
+
+    def test_jordan_parabolic_rejected(self):
+        aut = TorusAutomorphism(matrix=PARABOLIC_4,
+                                form=RationalLorentzForm(gram=np.diag([1, 1, 1, -1])))
+        with pytest.raises(NotHyperbolicError, match="root of unity"):
+            normal_directions(aut)
 
 
 class TestCocycle:
@@ -225,6 +280,31 @@ class TestEntropyDichotomy:
         monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig(a))
         entropy_dichotomy(hyper)
         assert len(calls) == 1
+
+    def test_parabolic_sweep_has_zero_entropy(self):
+        # eig puts some of these eigenvalues about 1e-5 off the unit circle
+        for aut, rep in parabolic_reports():
+            assert rep.entropy == 0.0
+            assert rep.exponents == (0.0,) * aut.form.dim
+            assert rep.p_threshold is None
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "parabolic as_equal: the forward and backward kak limits of a parabolic "
+        "element should both be u^perp, but for 96 of the 192 parabolic elements "
+        "of each 4-dimensional form they are converged and apart"))
+    def test_parabolic_sweep_stable_spaces_agree(self):
+        assert all(rep.as_equal for _, rep in parabolic_reports())
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "parabolic as_equal: the forward and backward kak hyperplanes are "
+        "converged and 0.071 rad apart"))
+    def test_parabolic_forward_backward_limits_agree(self):
+        aut = TorusAutomorphism(matrix=PARABOLIC_4,
+                                form=RationalLorentzForm(gram=np.diag([1, 1, 1, -1])))
+        fwd = as_subspace_kak(aut.power_sequence())
+        bwd = as_subspace_kak(aut.power_sequence(inverse=True))
+        assert fwd.converged and bwd.converged
+        assert fwd.subspace.distance(bwd.subspace) < 1e-4
 
     def test_dichotomy_equivalence(self, hyper, finite_order, unipotent):
         for aut in (hyper, finite_order, unipotent):

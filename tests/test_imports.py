@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, nor another
+module's private (`_`-prefixed) name outside a fixed list of pairs.
 
 No linter ships with the test dependencies, so this reads the modules'
 syntax trees: a module-level import is used when its bound name appears as
@@ -15,6 +16,20 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lorentzdyn"
 # (module, name) pairs imported for outside readers: bench/test_bench.py
 # checks the benchmark tracer's wrapper at the binding `stability.kak`.
 ALLOWED = {("stability", "kak")}
+# (importer, exporter, name) private imports between the package's modules;
+# a new one is new coupling to another module's internals.
+PRIVATE_ALLOWED = {
+    ("cartan", "minkowski", "_as_matrix"),
+    ("models", "minkowski", "_as_matrix"),
+    ("models", "minkowski", "_as_vector"),
+    ("models", "minkowski", "_dots"),
+    ("models", "projective", "_ray_angles"),
+    ("projective", "minkowski", "_as_vector"),
+    ("projective", "minkowski", "_dots"),
+    ("projective", "stability", "_norms_diverge"),
+    ("stability", "minkowski", "_dots"),
+}
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -29,7 +44,18 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(name for name in imported - used if (path.stem, name) not in ALLOWED)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+def _private_imports(path: Path) -> set[tuple[str, str, str]]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(path.stem, node.module, a.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names if a.name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_new_private_imports(path):
+    assert _private_imports(path) - PRIVATE_ALLOWED == set()

@@ -32,9 +32,23 @@ class TestQuadraticForm:
         assert f.signature == (1, 3)
         assert f.is_lorentz()
 
-    def test_signature_mismatch_rejected(self):
-        with pytest.raises(DegenerateFormError):
-            QuadraticForm(gram=np.eye(3), signature=(1, 2))
+    def test_signature_read_from_gram(self):
+        assert QuadraticForm(gram=np.eye(3)).signature == (0, 3)
+        assert QuadraticForm(gram=np.diag([-1.0, -1, 1, 1])).signature == (2, 2)
+        with pytest.raises(TypeError):
+            QuadraticForm(gram=np.eye(3), signature=(0, 3))
+
+    @pytest.mark.parametrize("build", [
+        lambda: QuadraticForm(gram=np.diag([-1.0, 1, 1])),
+        lambda: QuadraticForm.from_gram([[0.0, 1], [1, 0]]),
+        lambda: QuadraticForm.minkowski(4),
+    ], ids=["init", "from_gram", "minkowski"])
+    def test_one_eigvalsh_per_form(self, build, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        build()
+        assert len(calls) == 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateFormError):

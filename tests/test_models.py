@@ -36,7 +36,7 @@ from lorentzdyn.models import (
 )
 from lorentzdyn.projective import ray_angle
 
-from .conftest import INTEGER_MINK3, INTEGER_SPLIT3, hyperbolic_322
+from .conftest import INTEGER_MINK3, INTEGER_SPLIT3, hyperbolic_322, torus_sweep
 
 
 def random_sl2(rng):
@@ -252,6 +252,43 @@ class TestFixedDirections:
         rot = np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=np.int64)
         out = fixed_isotropic_directions(int_mink3, [hyperbolic_322(), rot])
         assert out == []
+
+
+def _sweep_fixed_counts(diag: tuple, kind: str) -> list[int]:
+    """How many rays `fixed_isotropic_directions` returns for each element
+    of one kind in the torus sweep of the form diag(diag)."""
+    return [len(fixed_isotropic_directions(g, [a])) for g, a, k in torus_sweep()
+            if k == kind and tuple(np.diag(g.gram)) == diag]
+
+
+class TestSweepFixedRays:
+    """The fixed isotropic rays of single sweep elements, which are known:
+    two for a hyperbolic element (its contracted and expanded eigenrays),
+    one for a parabolic element (the kernel ray of a power of A - I)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "fixed-ray miss: the eig eigenvector of one of the two isotropic "
+        "eigenvalues moves under A by more than the 1e-8 angle test, so 56 of "
+        "384 elements of diag(1,1,1,-1) at height 2 and 8 of 32 of diag(-1,1,1) "
+        "at height 4 lose a ray"))
+    @pytest.mark.parametrize("diag", [(1, 1, 1, -1), (-1, 1, 1)], ids=str)
+    def test_hyperbolic_elements_fix_two_rays(self, diag):
+        assert set(_sweep_fixed_counts(diag, "hyperbolic")) == {2}
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "fixed-ray miss: the contracted ray's image is 2.1e-8 from it, against "
+        "the 1e-8 angle test"))
+    def test_contracted_ray_found(self, int_mink3):
+        a = np.array([[-3, -2, 2], [-2, -2, 1], [-2, -1, 2]])
+        assert len(fixed_isotropic_directions(int_mink3, [a])) == 2
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "fixed-ray count: eig's eigenvectors of the Jordan block at 1 are "
+        "inexact, so of the 192 parabolic elements of diag(1,1,1,-1) at height 2, "
+        "16 get no ray (the angle test fails) and 20 get two (2.1e-8 to 3.0e-8 "
+        "apart, past the 1e-9 dedupe)"))
+    def test_parabolic_elements_fix_one_ray(self):
+        assert set(_sweep_fixed_counts((1, 1, 1, -1), "parabolic")) == {1}
 
 
 class TestPlusMinusIdentity:

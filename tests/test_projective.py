@@ -384,13 +384,20 @@ def _loop_project_to_cone(form, v):
     return _loop_canonical_ray(u - t * w)
 
 
+def _scalar_ray_angle(u, v):
+    """The scalar ray-angle formula that `ray_angle` and the stacked angle
+    tests replaced, kept to pin their bits."""
+    c = abs(float(np.dot(u, v))) / (np.linalg.norm(u) * np.linalg.norm(v))
+    return float(np.arccos(min(1.0, c)))
+
+
 def _loop_cluster_rays(rays, angle):
     """The greedy per-ray, per-cluster `_cluster_rays` loop."""
     sums, members = [], []
     for r in rays:
         for i, s in enumerate(sums):
             c = s / np.linalg.norm(s)
-            if ray_angle(c, r) <= angle:
+            if _scalar_ray_angle(c, r) <= angle:
                 aligned = r if np.dot(c, r) >= 0 else -r
                 sums[i] = s + aligned
                 members[i].append(aligned)
@@ -402,7 +409,7 @@ def _loop_cluster_rays(rays, angle):
     for s, mem in zip(sums, members):
         c = _loop_canonical_ray(s)
         clusters.append(RayCluster(centroid=BoundaryPoint(ray=c), weight=len(mem),
-                                   angular_radius=max(ray_angle(c, m) for m in mem)))
+                                   angular_radius=max(_scalar_ray_angle(c, m) for m in mem)))
     clusters.sort(key=lambda cl: cl.weight, reverse=True)
     return clusters
 
@@ -423,7 +430,7 @@ def _loop_merge_close_clusters(form, clusters, angle):
         best = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                gap = clusters[i].centroid.angle_to(clusters[j].centroid)
+                gap = _scalar_ray_angle(clusters[i].centroid.ray, clusters[j].centroid.ray)
                 if gap <= angle and (best is None or gap < best[0]):
                     best = (gap, i, j)
         if best is None:
@@ -438,15 +445,15 @@ def _loop_merge_close_clusters(form, clusters, angle):
         merged = RayCluster(
             centroid=centroid,
             weight=a.weight + b.weight,
-            angular_radius=max(a.angular_radius + centroid.angle_to(a.centroid),
-                               b.angular_radius + centroid.angle_to(b.centroid)))
+            angular_radius=max(a.angular_radius + _scalar_ray_angle(centroid.ray, a.centroid.ray),
+                               b.angular_radius + _scalar_ray_angle(centroid.ray, b.centroid.ray)))
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
         clusters.append(_loop_snap_cluster(form, merged))
         clusters.sort(key=lambda cl: cl.weight, reverse=True)
     k = len(clusters)
     gap = None
     if k > 1:
-        gap = min(clusters[i].centroid.angle_to(clusters[j].centroid)
+        gap = min(_scalar_ray_angle(clusters[i].centroid.ray, clusters[j].centroid.ray)
                   for i in range(k) for j in range(i + 1, k))
     return clusters, gap
 
@@ -515,6 +522,20 @@ def _loop_north_south(form, seq, u_angle, v_angle, grid):
 
 class TestStackedAgainstLoops:
     """The stacked passes give the answers of the loops they replaced."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-40, 1e40])
+    def test_ray_angles_match_scalar_formula_bitwise(self, scale):
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 4, 6):
+            u = rng.standard_normal((200, d)) * scale
+            v = rng.standard_normal((200, d)) * scale
+            v[:50] = -u[:50] * rng.uniform(0.5, 2.0, (50, 1))  # antipodal rows
+            v[50:60] = u[50:60]
+            want = np.array([_scalar_ray_angle(a, b) for a, b in zip(u, v)])
+            assert np.array_equal(projective._ray_angles(u, v), want)
+            assert np.array_equal([ray_angle(a, b) for a, b in zip(u, v)], want)
+            pairs = np.array([[_scalar_ray_angle(a, b) for b in v[:20]] for a in u[:20]])
+            assert np.array_equal(projective._ray_angles(u[:20, None], v[None, :20]), pairs)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_limit_set_words_match_per_word_loop(self, d):
