@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PatternMismatchError, SingularMatrixError
+from .errors import DimensionError, PatternMismatchError, SingularMatrixError
 from .minkowski import QuadraticForm, _as_matrix, require_isometry
 
 # Relative floor under which a singular value means a numerically singular input.
@@ -109,7 +109,7 @@ def lorentz_kak(form: QuadraticForm, A):
     original matrix while D keeps the Lorentz pattern).
     """
     require_lorentz(form)
-    m = require_isometry(form, A, tol=1e-8)
+    m = require_isometry(form, A)
     if not is_standard_lorentz(form):
         c = standardizing_congruence(form)
         m = np.linalg.solve(c, m @ c)
@@ -128,7 +128,7 @@ def lorentz_kak(form: QuadraticForm, A):
 def boost(d: int, rapidity: float, axis: int = 1) -> np.ndarray:
     """Hyperbolic rotation of the (e_0, e_axis) plane for diag(-1, 1, ..., 1)."""
     if not 1 <= axis < d:
-        raise ValueError("boost axis must be a spacelike index")
+        raise DimensionError("boost axis must be a spacelike index")
     b = np.eye(d)
     c, s = np.cosh(rapidity), np.sinh(rapidity)
     b[0, 0] = c

@@ -16,54 +16,51 @@ from .minkowski import QuadraticForm, Subspace
 from .stability import ASResult, BruteForceScores, LorentzStabilityReport, MatrixSequence
 
 
+# Strings and keys are escaped by one encoder, built once.
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+# Python's texts for the non-finite floats, and the JSON ones written instead.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _format_float(x: float) -> str:
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    text = format(x, ".17g")
+    return _NON_FINITE.get(text, text)
+
+
+def _emit(o) -> str:
+    if isinstance(o, float):  # np.float64 included
+        return _format_float(o)
+    if isinstance(o, str):
+        return _encode_str(o)
+    if isinstance(o, dict):
+        items = sorted(o.items(), key=lambda kv: str(kv[0]))
+        return "{" + ", ".join(_encode_str(str(k)) + ": " + _emit(v) for k, v in items) + "}"
+    if isinstance(o, (list, tuple)):
+        return "[" + ", ".join(_emit(x) for x in o) + "]"
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return str(int(o))
+    if isinstance(o, np.floating):  # float32 and longdouble print as the nearest double
+        return _format_float(float(o))
+    if isinstance(o, (np.ndarray, np.generic)) and not isinstance(o, np.complexfloating):
+        return _emit(o.tolist())
+    raise TypeError(f"cannot serialize {type(o)!r}")
 
 
 def dumps(obj) -> str:
     """Deterministic JSON text (sorted keys, 17 significant digits)."""
-
-    def emit(o) -> str:
-        if o is None:
-            return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
-        if isinstance(o, (float, np.floating)):
-            return _format_float(float(o))
-        if isinstance(o, str):
-            return json.dumps(o, ensure_ascii=False)
-        if isinstance(o, np.ndarray):
-            return emit(o.tolist())
-        if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(emit(x) for x in o) + "]"
-        if isinstance(o, dict):
-            items = sorted(o.items(), key=lambda kv: str(kv[0]))
-            return "{" + ", ".join(
-                json.dumps(str(k), ensure_ascii=False) + ": " + emit(v)
-                for k, v in items
-            ) + "}"
-        raise TypeError(f"cannot serialize {type(o)!r}")
-
-    return emit(obj) + "\n"
+    return _emit(obj) + "\n"
 
 
 def csv_lines(header: list[str], rows) -> str:
     """CSV with a header row; floats at 17 significant digits."""
     out = [",".join(header)]
     for row in rows:
-        cells = []
-        for x in row:
-            if isinstance(x, (float, np.floating)):
-                cells.append(_format_float(float(x)))
-            else:
-                cells.append(str(x))
-        out.append(",".join(cells))
+        out.append(",".join(_format_float(float(x)) if isinstance(x, (float, np.floating))
+                            else str(x) for x in row))
     return "\n".join(out) + "\n"
 
 

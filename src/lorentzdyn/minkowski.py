@@ -28,6 +28,9 @@ SUBSPACE_TOL = 1e-7
 SYMMETRY_TOL = 1e-12
 # Eigenvalues below this (relative to the largest) mean a degenerate form.
 DEGENERACY_TOL = 1e-12
+# Relative defect |A^T g A - g|_F / |g|_F under which A counts as an isometry,
+# on top of the roundoff allowance of `require_isometry`.
+ISOMETRY_TOL = 1e-8
 
 _ORTHONORMAL_TOL = 1e-10
 
@@ -128,24 +131,25 @@ def causal_type(form: QuadraticForm, v) -> CausalType:
     return CausalType.LIGHTLIKE
 
 
-def is_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> bool:
+def is_isometry(form: QuadraticForm, A) -> bool:
     """True iff `require_isometry` accepts the matrix A."""
     try:
-        require_isometry(form, _as_matrix(A), tol)
+        require_isometry(form, _as_matrix(A))
     except NotIsometryError:
         return False
     return True
 
 
-def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
-    """Gate that |A^T g A - g|_F <= tol * |g|_F plus a roundoff allowance,
-    for one matrix or a stack (... x d x d) checked term by term.
+def require_isometry(form: QuadraticForm, A) -> np.ndarray:
+    """Gate that |A^T g A - g|_F <= ISOMETRY_TOL * |g|_F plus a roundoff
+    allowance, for one matrix or a stack (... x d x d) checked term by term.
 
     Forming A^T g A loses about eps * |A|^2 of absolute accuracy to
     cancellation, so matrices of large norm cannot be checked against
-    tol * |g| alone; the allowance keeps genuinely non-preserving matrices
-    (defect of order |A|^2 |g|) detectable at every scale.  A defect that
-    overflows, or a non-finite entry, cannot be checked, so it fails the gate.
+    ISOMETRY_TOL * |g| alone; the allowance keeps genuinely non-preserving
+    matrices (defect of order |A|^2 |g|) detectable at every scale.  A defect
+    that overflows, or a non-finite entry, cannot be checked, so it fails the
+    gate.
     """
     m = np.asarray(A, dtype=float)
     if m.ndim < 2:
@@ -158,7 +162,8 @@ def require_isometry(form: QuadraticForm, A, tol: float = 1e-9) -> np.ndarray:
         op = np.linalg.norm(m, 2, axis=(-2, -1)) if finite else np.inf
         allowance = 64.0 * form.dim * np.finfo(float).eps * op * op * np.linalg.norm(g, 2)
         defect = np.linalg.norm(np.swapaxes(m, -1, -2) @ g @ m - g, axis=(-2, -1))
-    if not np.isfinite(defect).all() or np.any(defect > tol * np.linalg.norm(g) + allowance):
+    bound = ISOMETRY_TOL * np.linalg.norm(g) + allowance
+    if not np.isfinite(defect).all() or np.any(defect > bound):
         raise NotIsometryError("matrix does not preserve the form")
     return m
 
@@ -368,14 +373,15 @@ def restricted_gram(form: QuadraticForm, s: Subspace) -> np.ndarray:
     return s.basis.T @ form.gram @ s.basis
 
 
-def degenerate_kernel(form: QuadraticForm, s: Subspace, tol: float = 1e-8) -> Subspace:
-    """Kernel of the restricted form inside S (directions orthogonal to all of S)."""
+def degenerate_kernel(form: QuadraticForm, s: Subspace) -> Subspace:
+    """Kernel of the restricted form inside S (directions orthogonal to all of
+    S): the eigenvalues of its Gram matrix within 1e-6 max(1, |largest|) of 0."""
     g = restricted_gram(form, s)
     if s.dim == 0:
         return s
     w, v = np.linalg.eigh(g)
     scale = max(np.max(np.abs(w)), 1.0)
-    cols = v[:, np.abs(w) <= tol * scale]
+    cols = v[:, np.abs(w) <= 1e-6 * scale]
     if cols.shape[1] == 0:
         return Subspace.zero(s.ambient_dim)
     return Subspace.from_spanning(s.basis @ cols)

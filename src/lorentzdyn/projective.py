@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cartan import require_lorentz
 from .errors import (
     BudgetError,
     CertificateError,
@@ -158,7 +159,8 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     cluster breakdown.  The limit is snapped onto the cone.  By the
     section-independence fact the result does not depend on s.
     """
-    require_isometry(form, seq.terms, tol=1e-8)
+    require_isometry(form, seq.terms)
+    require_lorentz(form)
     orbit = seq.terms @ s.v
     norms = np.linalg.norm(orbit, axis=1)
     n = len(norms)
@@ -536,7 +538,8 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     the smallest gap between clusters.  When `trace` is a list, rows
     (word length, ray..., growth) are appended for CSV export.
     """
-    gens = [require_isometry(form, g, tol=1e-8) for g in generators]
+    gens = [require_isometry(form, g) for g in generators]
+    require_lorentz(form)
     if depth < 1 or samples < 1:
         raise PreconditionError("depth and samples must be at least 1")
     if samples * (depth + form.dim ** 2) > WORD_BUDGET:

@@ -595,6 +595,9 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
 # holding about this many (direction, radius, tail term) problems, so
 # memory stays bounded for any number of directions.
 _CAP_CHUNK = 4096
+# Most cap minima (direction, radius, tail term) one `brute_force_as` call
+# solves; scores past it stay NaN and the result is flagged incomplete.
+BRUTE_BUDGET = 20_000_000
 
 
 def _nonneg(x: np.ndarray) -> np.ndarray:
@@ -773,7 +776,7 @@ def _cap_scores(spectra: tuple, dirs: np.ndarray, radii, count: int) -> np.ndarr
 
 def brute_force_as(seq: MatrixSequence, directions: int = 64,
                    radii: tuple = (0.3, 0.1, 0.03, 0.01),
-                   budget: int = 20_000_000, seed: int = 0) -> BruteForceScores:
+                   seed: int = 0) -> BruteForceScores:
     """Score sampled directions by the best bounded-image witness nearby.
 
     For each unit direction v and radius r, m(v, r) = max over the last half
@@ -786,9 +789,9 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     dirs = sphere_points(seq.dim, directions, seed)
     spectra = _tail_spectra(seq)
     # Each (direction, radius) score costs one cap minimum per tail term;
-    # the budget pays for the first `done` of them in row-major order.
+    # BRUTE_BUDGET pays for the first `done` of them in row-major order.
     total = directions * len(radii)
-    done = min(total, budget // len(spectra[0]))
+    done = min(total, BRUTE_BUDGET // len(spectra[0]))
     scores = np.full(total, np.nan)
     scores[:max(done, 0)] = _cap_scores(spectra, dirs, radii, done)
     scores = scores.reshape(directions, len(radii))
@@ -843,7 +846,7 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence) -> LorentzStabili
     Preconditions (isometry terms, Lorentz signature, divergence) raise;
     structural violations come back as named failures in the report.
     """
-    require_isometry(form, seq.terms, tol=1e-8)
+    require_isometry(form, seq.terms)
     require_lorentz(form)
     failures = []
     stable = as_subspace_kak(seq)
@@ -853,7 +856,7 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence) -> LorentzStabili
         failures.append("stable-subspace-not-converged")
     if stable.subspace.dim != d - 1:
         failures.append(f"stable-dimension-{stable.subspace.dim}-not-{d - 1}")
-    kernel = degenerate_kernel(form, stable.subspace, tol=1e-6)
+    kernel = degenerate_kernel(form, stable.subspace)
     if stable.subspace.dim == d - 1:
         g = stable.subspace.basis.T @ form.gram @ stable.subspace.basis
         eig = np.linalg.eigvalsh(g)

@@ -3,7 +3,8 @@ import pytest
 
 from lorentzdyn import QuadraticForm, boost, kak, lorentz_kak, norm_growth, spatial_rotation
 from lorentzdyn.cartan import _random_rotation, random_lorentz, standardizing_congruence
-from lorentzdyn.errors import NotIsometryError, PatternMismatchError, SingularMatrixError
+from lorentzdyn.errors import (DimensionError, NotIsometryError, PatternMismatchError,
+                               SingularMatrixError)
 
 
 def shear2():
@@ -126,3 +127,12 @@ class TestLorentzKak:
                 assert np.max(np.abs(mid - 1.0)) <= 1e-8
                 if lam < 1.0 - 1e-8:
                     assert fact.D[-1] > 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("axis", [0, 3, -1])
+def test_boost_axis_outside_the_spacelike_range(axis):
+    # DimensionError is a ValueError, so `except ValueError` still catches it
+    with pytest.raises(DimensionError, match="boost axis must be a spacelike index"):
+        boost(3, 1.0, axis=axis)
+    with pytest.raises(ValueError):
+        boost(3, 1.0, axis=axis)

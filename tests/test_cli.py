@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lorentzdyn import boost, cli, jsonio, projective, stability
+from lorentzdyn import boost, cli, jsonio, models, projective, stability
 from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import build_parser, main
 from lorentzdyn.projective import WORD_BUDGET
@@ -443,6 +443,29 @@ class TestLimitSetCommand:
         assert main(argv[:4] + ["--depth", "8", "--samples", "200"]) == 0
         # the real budget admits the defaults and the longest documented words
         assert 2000 * (8 + 9) <= WORD_BUDGET and 1 * (100000 + 9) <= WORD_BUDGET
+
+
+    @pytest.mark.parametrize("gram, gens, signature", [
+        # the boost of the (e1, e2) plane preserves diag(-1, -1, 1)
+        (np.diag([-1.0, -1, 1]),
+         [[[1.0, 0, 0], [0, np.cosh(1.2), np.sinh(1.2)], [0, np.sinh(1.2), np.cosh(1.2)]]],
+         (2, 1)),
+        (models.ads_form().gram,
+         [models.diagonal_action(np.array([[2.0, 1.0], [1.0, 1.0]])),
+          models.second_factor_action_matrix(np.diag([3.0, 1 / 3]))],
+         (2, 2)),
+    ], ids=["signature-2-1", "signature-2-2"])
+    def test_non_lorentz_form_is_refused_as_kak_refuses_it(self, tmp_path, capsys,
+                                                           gram, gens, signature):
+        (tmp_path / "g.json").write_text(json.dumps(np.asarray(gram).tolist()))
+        (tmp_path / "gens.json").write_text(json.dumps(np.asarray(gens).tolist()))
+        argv = ["limit-set", str(tmp_path / "gens.json"), "--form", str(tmp_path / "g.json"),
+                "--samples", "200"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"numerical failure: form has signature {signature}, "
+                                "expected Lorentz (1, d-1)\n")
+        assert captured.out == ""
 
 
 class TestModelCommands:

@@ -27,8 +27,10 @@ from lorentzdyn.errors import (
     CertificateError,
     ConvergenceError,
     EquicontinuousError,
+    NotIsometryError,
     NotIsotropicError,
     NumericalError,
+    PatternMismatchError,
     PreconditionError,
 )
 from lorentzdyn.minkowski import (
@@ -130,6 +132,18 @@ class TestOrbitLimit:
         with pytest.raises(ConvergenceError) as err:
             hyperbolic_orbit_limit(mink3, seq, s)
         assert len(err.value.clusters) >= 2
+
+    def test_non_lorentz_form_rejected_after_the_isometry_gate(self):
+        # boosts of the (e1, e2) plane preserve diag(-1, -1, 1), signature (2, 1)
+        form = QuadraticForm.from_gram(np.diag([-1.0, -1.0, 1.0]))
+        cycle = np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0]])  # e0 -> e1 -> e2
+        seq = MatrixSequence.from_terms([cycle @ boost(3, 0.5 * n) @ cycle.T
+                                         for n in range(1, 25)])
+        s = HyperbolicPoint.from_timelike(form, [1, 0, 0])
+        with pytest.raises(PatternMismatchError, match=r"signature \(2, 1\)"):
+            hyperbolic_orbit_limit(form, seq, s)
+        with pytest.raises(NotIsometryError):
+            hyperbolic_orbit_limit(form, boost_sequence(3, 0.5, 24), s)
 
     def test_section_independence(self, mink3):
         seq = boost_sequence(3, 0.5, 28)
@@ -742,6 +756,19 @@ class TestStackedAgainstLoops:
                 got, gap = _merge_close_clusters(mink3, cl, angle)
                 want, want_gap = _loop_merge_close_clusters(mink3, cl, angle)
                 assert _cluster_bits(got) == _cluster_bits(want) and gap == want_gap
+
+    def test_merge_of_antipodal_representatives(self, split3):
+        # e3 and (-t^2, t, 1) are isotropic for x1 x3 + x2^2 and 0.01 rad apart,
+        # but their canonical representatives point away from each other
+        rays = [canonical_ray([0.0, 0.0, 1.0]), canonical_ray([-1e-4, 1e-2, 1.0])]
+        assert np.dot(rays[0], rays[1]) < 0
+        clusters = [RayCluster(centroid=BoundaryPoint(ray=r), weight=w, angular_radius=0.0)
+                    for r, w in zip(rays, [3, 2])]
+        got, gap = _merge_close_clusters(split3, clusters, np.deg2rad(5.0))
+        want, want_gap = _loop_merge_close_clusters(split3, clusters, np.deg2rad(5.0))
+        assert _cluster_bits(got) == _cluster_bits(want) and gap is want_gap is None
+        assert len(got) == 1 and got[0].weight == 5
+        assert got[0].centroid.angle_to(clusters[0].centroid) < 1e-2
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_north_south_matches_per_term_loop(self, d):

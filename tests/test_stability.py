@@ -417,9 +417,10 @@ class TestBruteForce:
         bf = brute_force_as(seq, directions=3, radii=(2.5, 0.3, 0.0))
         assert np.array_equal(bf.scores, np.full((3, 3), 10.0))
 
-    def test_budget_flag(self):
+    def test_budget_flag(self, monkeypatch):
+        monkeypatch.setattr(stability, "BRUTE_BUDGET", 20)
         bf = brute_force_as(fundamental_sequence(12), directions=16,
-                            radii=(0.3, 0.1), budget=20)
+                            radii=(0.3, 0.1))
         assert not bf.complete
         assert np.isnan(bf.scores).any()
 
@@ -470,7 +471,8 @@ class TestBruteForce:
                     # 1 direction per chunk, 2 per chunk with a short last
                     # one, or all 5 in one chunk
                     monkeypatch.setattr(stability, "_CAP_CHUNK", chunk * len(radii))
-                    bf = brute_force_as(seq, directions=5, radii=radii, budget=budget, seed=d)
+                    monkeypatch.setattr(stability, "BRUTE_BUDGET", budget)
+                    bf = brute_force_as(seq, directions=5, radii=radii, seed=d)
                     assert np.array_equal(bf.scores, want, equal_nan=True), (name, budget)
                     assert bf.complete == complete
         assert branches == ({"gamma=0", "bisection", "c>=1", "hard"} if d > 2
