@@ -108,8 +108,8 @@ def lorentz_kak(form: QuadraticForm, A):
     to the standardized conjugate (Euclidean rotations cannot factor the
     original matrix while D keeps the Lorentz pattern).
     """
-    require_lorentz(form)
     m = require_isometry(form, A)
+    require_lorentz(form)
     if not is_standard_lorentz(form):
         c = standardizing_congruence(form)
         m = np.linalg.solve(c, m @ c)

@@ -219,10 +219,11 @@ def plus_minus_identity_check(g: RationalLorentzForm, a, rays) -> bool:
     """Executable form of the three-fixed-rays fact: an isometry fixing three
     pairwise independent isotropic rays is +-identity on their span.
 
-    Raises when the input violates the precondition (a ray not actually
-    fixed, or proportional rays); returns the verified truth value.
+    Raises when the input violates the precondition (a matrix that does not
+    preserve g, a ray not actually fixed, or proportional rays); returns the
+    verified truth value.
     """
-    m = _as_matrix(a)
+    m = g.require_isometry(a, "matrix")
     vecs = [r.ray if isinstance(r, BoundaryPoint) else canonical_ray(r) for r in rays]
     if len(vecs) != 3:
         raise PreconditionError("exactly three rays are required")

@@ -39,7 +39,6 @@ from .minkowski import (
     require_isometry,
 )
 from .stability import (
-    BOUND_THRESHOLD,
     MatrixSequence,
     _norms_diverge,
     as_subspace_kak,
@@ -164,7 +163,7 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     orbit = seq.terms @ s.v
     norms = np.linalg.norm(orbit, axis=1)
     n = len(norms)
-    if not _norms_diverge(norms, BOUND_THRESHOLD * np.linalg.norm(s.v)):
+    if not _norms_diverge(norms):
         raise EquicontinuousError(
             "orbit remains in a bounded region; sequence acts equicontinuously "
             "at the base point"

@@ -5,8 +5,8 @@ dynamical system at the origin: a direction is approximately stable when
 nearby directions have bounded images along the sequence, and strongly so
 when those images can be driven to zero.  Three detectors recover the
 stable subspace by distinct numerical routes (they share the tail, the
-clustering and the extrapolation, so their agreement does not make them
-independent checks):
+growth rule, the clustering and the extrapolation, so their agreement does
+not make them independent checks):
 
 * ``as_subspace_kak``       via Cartan factors A_n = L_n D_n R_n,
 * ``as_subspace_ellipsoid`` via the shrinking axes of {x : |x|<=1, |A_n x|<=1},
@@ -18,6 +18,13 @@ each detector classifies singular-value trends over the tail of the
 sequence and accelerates the subspace limit by polynomial extrapolation
 in 1/n (the drift of the candidate subspaces is O(1/n) for unipotent-type
 sequences, so plain tails converge too slowly to be useful).
+
+One growth rule (`_growth_rule`) sets every rank, the strongly stable
+space's too: a singular value grows when the log of its tail envelope
+climbs with slope at least `GROWTH_EXPONENT` against log n, and the block
+of growing values must stand `SEPARATION` times clear of the rest.  The
+divergence gate is its slope test on the norms.  It reads no absolute
+size, as the stable space of c A_n is that of A_n for every c > 0.
 
 Approximate stability is a limit in n, so the tail decides it: every
 detector, and the brute-force oracle, reads and factors only the terms
@@ -58,13 +65,13 @@ from .minkowski import (
     require_isometry,
 )
 
-# Singular values above this for the whole tail, and still climbing, count
-# as growing; below its inverse and shrinking they count as decaying.
-BOUND_THRESHOLD = 10.0
-# Tail growth ratio sigma(N)/sigma(N/2) that separates growth from a plateau.
-# 2.0 misclassifies linearly growing values (ratio -> 2 exactly); 1.7 leaves
-# margin on both sides.
-GROWTH_RATIO = 1.7
+# A singular value grows when the log of its tail envelope climbs with
+# slope at least this against log n, and decays when it falls as fast:
+# any c n^p with p >= 1/2 grows, and so does every exponential.
+GROWTH_EXPONENT = 0.5
+# Factor by which a growing (decaying) block must stay above (below) the
+# next singular value at every tail term, or its rank is refused.
+SEPARATION = 10.0
 # Single-linkage scale under which tail subspaces belong to one drifting
 # family; distinct subsequential limits must be separated well above it.
 CLUSTER_LINK = 0.02
@@ -74,6 +81,13 @@ AGREEMENT_TOL = 1e-5
 INTERSECTION_TOL = 1e-6
 
 _MIN_TERMS = 8
+_TINY = np.finfo(float).tiny
+# The ellipsoid and graph routes read small singular values through squares
+# that carry rounding on their own scale (measured up to 3.5 d eps for the
+# ellipsoid's unit-norm Gram, 1.5 eps |A_n| for the graph's QR); squares
+# under this many d eps of that scale are read as 0, so rounding noise that
+# grows with |A_n| cannot pass the growth rule.
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 class StabilityKind(enum.Enum):
@@ -195,24 +209,19 @@ class ASResult:
 
 
 def is_divergent(seq: MatrixSequence) -> bool:
-    """Monotone-trend test for norm_growth(A_n) -> infinity.
-
-    True iff every tail norm exceeds `BOUND_THRESHOLD` and the tail still
-    grows by 1.3 from its midpoint; a bounded subsequence (e.g. alternating
-    boosts and identities) fails the first clause.
-    """
-    return _norms_diverge(seq.norms, BOUND_THRESHOLD)
+    """Trend test for norm_growth(A_n) -> infinity: the growth rule's slope
+    test on the tail norms.  A bounded subsequence (e.g. alternating boosts
+    and identities ending on an identity) keeps the envelope flat."""
+    return _norms_diverge(seq.norms)
 
 
-def _norms_diverge(norms: np.ndarray, threshold: float) -> bool:
-    """`is_divergent`'s trend test on a list of norms, against `threshold`."""
+def _norms_diverge(norms: np.ndarray) -> bool:
+    """`is_divergent`'s test on a list of norms: the slope of their tail's
+    lower envelope reaches `GROWTH_EXPONENT`.  A one-term tail has no slope."""
     n = len(norms)
-    if n < 2:
+    if n - n // 2 < 2:
         return False
-    tail = norms[n // 2:]
-    if np.min(tail) <= threshold:
-        return False
-    return bool(norms[-1] >= 1.3 * norms[n // 2])
+    return bool(_envelope_slopes(np.log(norms[n // 2:, None]), n)[0] >= GROWTH_EXPONENT)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +235,51 @@ def _require_usable(seq: MatrixSequence):
         )
 
 
-def _growing_flags(sig: np.ndarray) -> np.ndarray:
-    """Per singular-value index of the tail spectra ``sig`` (one row per
-    tail term): above `BOUND_THRESHOLD` throughout and climbing from the
-    first tail term to the last."""
-    above = np.all(sig > BOUND_THRESHOLD, axis=0)
-    climbing = sig[-1] > GROWTH_RATIO * sig[0]
-    return above & climbing
+@functools.lru_cache(maxsize=None)
+def _slope_weights(n: int) -> np.ndarray:
+    """w with w @ y the least-squares slope of y against log of the tail
+    labels n//2+1..n (read-only)."""
+    x = np.log(np.arange(n // 2 + 1, n + 1, dtype=float))
+    x -= x.mean()
+    w = x / (x @ x)
+    w.flags.writeable = False
+    return w
 
 
-def _decaying_flags(sig: np.ndarray) -> np.ndarray:
-    """`_growing_flags`' mirror: below 1/`BOUND_THRESHOLD` and falling."""
-    below = np.all(sig < 1.0 / BOUND_THRESHOLD, axis=0)
-    falling = sig[-1] < sig[0] / GROWTH_RATIO
-    return below & falling
+def _envelope_slopes(logs: np.ndarray, n: int) -> np.ndarray:
+    """Per column of ``logs`` (one row per tail term of an n-term sequence),
+    the slope against log n of its suffix minimum, the lower envelope."""
+    envelope = np.minimum.accumulate(logs[::-1], axis=0)[::-1]
+    return _slope_weights(n) @ envelope
+
+
+def _growth_rule(logs: np.ndarray, n: int) -> int:
+    """The one growth rule, on the logs of ascending tail spectra (one row
+    per tail term of an n-term sequence): how many of the top values grow.
+
+    A value grows when its envelope slope reaches `GROWTH_EXPONENT`, and a
+    value above a growing one grows too: the growing values are the block
+    from the lowest such column up.  A block that is neither empty nor
+    every column must stay `SEPARATION` times above the value under it at
+    every tail term; otherwise the data cannot yet tell its rank, which is
+    refused."""
+    grows = _envelope_slopes(logs, n) >= GROWTH_EXPONENT
+    d = len(grows)
+    count = d - int(np.argmax(grows)) if grows.any() else 0
+    if 0 < count < d:
+        gap = float(np.min(logs[:, d - count] - logs[:, d - count - 1]))
+        if gap < np.log(SEPARATION):
+            raise InsufficientDataError(
+                f"singular values not yet separated: the growing or decaying block "
+                f"comes within {np.exp(gap):.3g} of the rest, under {SEPARATION:g}")
+    return count
+
+
+def _growing_count(sig: np.ndarray, n: int) -> int:
+    """`_growth_rule` on the ascending tail spectra ``sig``.  A route reads
+    a value lost to its rounding as 0, taken here as the smallest positive
+    float."""
+    return _growth_rule(np.log(np.maximum(sig, _TINY)), n)
 
 
 def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -465,8 +505,7 @@ def as_subspace_kak(seq: MatrixSequence) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
     _gate(seq)
-    growing = _growing_flags(seq.cartan.D)
-    return _cartan_detected(seq, int(np.sum(~growing)))
+    return _cartan_detected(seq, seq.dim - _growing_count(seq.cartan.D, len(seq)))
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
@@ -482,9 +521,9 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     _gate(seq)
     op = seq.norms[seq.tail_start:, None]
     mu, vecs = np.linalg.eigh(_grams(seq.tail) / (op * op)[:, :, None])
-    sig = np.sqrt(np.maximum(mu, 0.0)) * op  # ascending, equals singular values
-    growing = _growing_flags(sig)
-    return _detected(seq, vecs, int(np.sum(~growing)))
+    # ascending, equals singular values down to the eigh's rounding on unit scale
+    sig = np.sqrt(np.where(mu > _ROUNDING * seq.dim, mu, 0.0)) * op
+    return _detected(seq, vecs, seq.dim - _growing_count(sig, len(seq)))
 
 
 def as_subspace_graph(seq: MatrixSequence) -> ASResult:
@@ -493,8 +532,12 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     mass, and project them back down.
 
     A direction with exploding image tilts the graph vertical, so its
-    first-factor singular value collapses like 1/|A_n x|; kept directions
-    stay bounded away from zero (at least 1/sqrt(1 + C^2) for image bound C).
+    first-factor singular value s = (1 + sigma^2)^(-1/2) collapses like
+    1/|A_n x|.  The rank comes from the growth rule on the recovered
+    sigma = sqrt(1/s^2 - 1), which ascends as s descends; an s that
+    underflows is clipped to the smallest positive float.  The QR rounds
+    1 - s^2 = (s sigma)^2 by about eps max(1, |A_n|), and smaller squares
+    read as 0.
     """
     _gate(seq)
     tail = seq.tail
@@ -502,9 +545,11 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     graphs = np.concatenate([np.broadcast_to(np.eye(d), tail.shape), tail], axis=1)
     q, _ = np.linalg.qr(graphs)
     u, s, _ = np.linalg.svd(q[:, :d, :])  # s descending in [0, 1]
-    mid, last = s[0], s[-1]
-    collapsing = (last < 0.25) & (last < 0.6 * mid)
-    return _detected(seq, u, int(np.sum(~collapsing)))
+    s = np.clip(s, _TINY, 1.0)
+    square = (1.0 - s) * (1.0 + s)
+    scale = np.maximum(seq.norms[seq.tail_start:, None], 1.0)
+    sig = np.sqrt(np.where(square > _ROUNDING * d * scale, square, 0.0)) / s
+    return _detected(seq, u, d - _growing_count(sig, len(seq)))
 
 
 def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
@@ -819,8 +864,10 @@ def spas_subspace(seq: MatrixSequence) -> ASResult:
     checks its Lorentz structure (the isotropic orthogonal of the stable
     hyperplane)."""
     _gate(seq)
-    decaying = _decaying_flags(seq.cartan.D)
-    return _cartan_detected(seq, int(np.sum(decaying)), StabilityKind.STRONGLY_STABLE)
+    # the decaying values are those whose inverses grow: the envelope is the
+    # suffix maximum, and the block is counted from the bottom up
+    rank = _growth_rule(-np.log(seq.cartan.D[:, ::-1]), len(seq))
+    return _cartan_detected(seq, rank, StabilityKind.STRONGLY_STABLE)
 
 
 @dataclass(frozen=True)

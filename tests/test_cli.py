@@ -79,6 +79,17 @@ class TestKakCommand:
     def test_singular_exit_code(self, files):
         assert main(["kak", files["singular.json"]]) == 2
 
+    def test_non_isometry_is_refused_before_the_signature(self, tmp_path, capsys):
+        # diag(2, 1, 1) does not preserve diag(-1, -1, 1), whose signature is
+        # not Lorentz either: the isometry gate speaks first, as for `as --form`
+        a, gram = tmp_path / "a.json", tmp_path / "g.json"
+        a.write_text(json.dumps(np.diag([2.0, 1.0, 1.0]).tolist()))
+        gram.write_text(json.dumps(np.diag([-1.0, -1.0, 1.0]).tolist()))
+        assert main(["kak", str(a), "--form", str(gram)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix does not preserve the form\n"
+        assert captured.out == ""
+
     def test_near_standard_form_reports_standardization(self, tmp_path):
         # lorentz_kak conjugates by the standardizing congruence unless the
         # Gram matrix is diag(-1, 1, 1) to 1e-12; the report must say so
@@ -149,7 +160,7 @@ class TestAsCommand:
         assert captured.out == ""
 
     def test_growth_threshold_is_not_an_option(self, capsys):
-        # the growth threshold is the constant `stability.BOUND_THRESHOLD`
+        # the growth rule has no threshold option: `stability.GROWTH_EXPONENT` is fixed
         with pytest.raises(SystemExit):
             main(["as", "--help"])
         assert "--bound-threshold" not in capsys.readouterr().out
@@ -164,6 +175,20 @@ class TestAsCommand:
         assert main(["as", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.err == "numerical failure: no stable subspace family in the tail\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("oracle", ["all", "kak", "ellipsoid", "graph"])
+    def test_unseparated_rank_exit_code(self, tmp_path, capsys, oracle):
+        # diag(e^(0.03 n), 1, e^(-0.03 n)) grows with envelope slope past 1/2
+        # but stays within 3.3 of the plateau: the rank is refused
+        terms = [np.diag([np.exp(0.03 * n), 1.0, np.exp(-0.03 * n)]).tolist()
+                 for n in range(1, 41)]
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({"d": 3, "terms": terms}))
+        assert main(["as", str(path), "--oracle", oracle]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: singular values not yet separated: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize("name, content", [

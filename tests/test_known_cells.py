@@ -7,6 +7,7 @@ unipotent Jordan rows are in `test_stability.py::TestJordanPowerCells`.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,12 @@ from lorentzdyn import (GroupClass, HyperbolicPoint, MatrixSequence, QuadraticFo
                         as_subspace_ellipsoid, as_subspace_graph, as_subspace_kak, boost,
                         classify_elementary, limit_set, lorentz_as_check, spas_subspace)
 from lorentzdyn.cartan import random_lorentz
-from lorentzdyn.errors import EquicontinuousError
+from lorentzdyn.errors import EquicontinuousError, InsufficientDataError, PreconditionError
 from lorentzdyn.models import diagonal_action, second_factor_action_matrix
+from lorentzdyn.stability import AGREEMENT_TOL
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import inputs as gen  # noqa: E402  (the benchmark's seeded generators)
 
 GOLDEN = Path(__file__).parent / "golden"
 DETECTORS = [as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph]
@@ -29,7 +34,9 @@ def _detector_id(f):
 
 # ---------------------------------------------------------------------------
 # scale: c J_3(1)^n, n = 1..40.  AS = span(e1, e2) and SPAS = span(e1) for
-# every c > 0; the absolute thresholds read the scale instead.
+# every c > 0, and the growth rule reads no absolute size.
+
+SCALES = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]
 
 
 def _scaled_j3(c: float) -> MatrixSequence:
@@ -38,7 +45,7 @@ def _scaled_j3(c: float) -> MatrixSequence:
 
 
 class TestScaledJordanCells:
-    @pytest.mark.parametrize("c", [1.0, 1e3])
+    @pytest.mark.parametrize("c", SCALES)
     @pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
     def test_stable_plane(self, detector, c):
         res = detector(_scaled_j3(c))
@@ -48,20 +55,10 @@ class TestScaledJordanCells:
         res = spas_subspace(_scaled_j3(1.0))
         assert res.converged and res.subspace.distance(Subspace.spanned_by([1, 0, 0])) < 1e-4
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "scale dependence: at c = 1e3 the decaying singular value 2e3 / n^2 stays "
-        "above 1 / BOUND_THRESHOLD over the tail, so SPAS has dimension 0, not 1"))
-    def test_spas_large_scale(self):
-        assert spas_subspace(_scaled_j3(1e3)).subspace.dim == 1
-
-    @pytest.mark.xfail(strict=True, raises=EquicontinuousError, reason=(
-        "scale dependence: at c = 1e-3 the growing singular value 1e-3 n^2 stays "
-        "below BOUND_THRESHOLD up to n = 40, so the divergent sequence is refused "
-        "as equicontinuous"))
-    @pytest.mark.parametrize("detector", DETECTORS + [spas_subspace], ids=_detector_id)
-    def test_small_scale(self, detector):
-        want = 1 if detector is spas_subspace else 2
-        assert detector(_scaled_j3(1e-3)).subspace.dim == want
+    @pytest.mark.parametrize("c", [c for c in SCALES if c != 1.0])
+    def test_spas_line(self, c):
+        res = spas_subspace(_scaled_j3(c))
+        assert res.converged and res.subspace.distance(Subspace.spanned_by([1, 0, 0])) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -107,61 +104,91 @@ def _rotation(a: float) -> np.ndarray:
     return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
 
 
-def _ads_pair(t: float, s: float):
+def _ads_pair(t: float, s: float, count: int = 40):
     k1, k2 = _rotation(0.3), _rotation(1.1)
     terms = [diagonal_action(k1 @ np.diag([np.exp(t * n), np.exp(-t * n)]) @ k1.T)
              @ second_factor_action_matrix(k2 @ np.diag([np.exp(s * n), np.exp(-s * n)]) @ k2.T)
-             for n in range(1, 41)]
+             for n in range(1, count + 1)]
     w, v = np.linalg.eigh(terms[0].T @ terms[0])
     stable = Subspace.from_spanning(v[:, w <= 1 + 1e-9])
     strongly = Subspace.from_spanning(v[:, w < 1 - 1e-9])
     return MatrixSequence.from_terms(terms), stable, strongly
 
 
-_ADS_REASON = (
-    "slow exponential growth: e^(0.03 n) reaches only 3.3 at n = 40, under "
-    "BOUND_THRESHOLD, so the middle pair counts as bounded: AS 3 and SPAS 1, "
-    "not 2 and 2")
+# At s = 0.12 and 0.10 the middle pair e^(+-(t-s)n) grows and decays with
+# envelope slopes past 1/2, but its two values are only e^(2(t-s)n) apart,
+# 3.5 and 8.2 at the tail start n = 21, under SEPARATION: every detector and
+# SPAS refuse the rank at n = 40.  From n = 46 the tail starts at n = 24 and
+# s = 0.10 is answered.  At s = 0.14 and 0.145 the slopes are 0.296 and 0.148,
+# under the 1/2 cut, so the pair is classified as bounded.
+_ADS_REFUSED = {(0.15, 0.12), (0.15, 0.10)}
+_ADS_BOUNDED_REASON = (
+    "slow exponential growth: the middle pair's envelope slopes, 0.296 at "
+    "s = 0.14 and 0.148 at s = 0.145, fall under GROWTH_EXPONENT = 1/2, so it "
+    "is classified as bounded: AS 3 and SPAS 1, not 2 and 2")
 _ADS_CELLS = [
-    pytest.param(0.15, 0.15, d, id=f"0.15-0.15-{d.__name__}") for d in DETECTORS
+    pytest.param(t, s, d, id=f"{t}-{label}-{d.__name__}")
+    for t, s, label in [(0.15, 0.15, "0.15"), (0.15, 0.0, "0"), (0.15, 0.10, "0.10"),
+                        (0.15, 0.12, "0.12")]
+    for d in DETECTORS
 ] + [
-    pytest.param(0.15, 0.0, d, id=f"0.15-0-{d.__name__}") for d in DETECTORS
-] + [
-    pytest.param(0.15, 0.10, as_subspace_graph, id="0.15-0.10-as_subspace_graph"),
-] + [
-    pytest.param(0.15, 0.12, d, id=f"0.15-0.12-{d.__name__}", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=_ADS_REASON)) for d in DETECTORS
-] + [
-    pytest.param(0.15, 0.10, d, id=f"0.15-0.10-{d.__name__}", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=(
-            "slow exponential growth: e^(0.05 n) reaches 7.4 at n = 40, under "
-            "BOUND_THRESHOLD, so kak and ellipsoid say 3; graph's own collapse "
-            "rule says 2")))
-    for d in (as_subspace_kak, as_subspace_ellipsoid)
+    pytest.param(0.15, s, d, id=f"0.15-{s}-{d.__name__}", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=_ADS_BOUNDED_REASON))
+    for s in (0.14, 0.145) for d in DETECTORS
 ]
 
 
 @pytest.mark.parametrize("t, s, detector", _ADS_CELLS)
 def test_ads_pair_stable_space(t, s, detector):
+    """Right, or refused where the middle pair is not yet separated."""
     seq, stable, _ = _ads_pair(t, s)
+    if (t, s) in _ADS_REFUSED:
+        with pytest.raises(InsufficientDataError, match="not yet separated"):
+            detector(seq)
+        return
     res = detector(seq)
     assert res.converged and res.subspace.dim == stable.dim
     assert res.subspace.distance(stable) < 1e-9
 
 
+@pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
+def test_ads_pair_separated_on_a_longer_tail(detector):
+    seq, stable, _ = _ads_pair(0.15, 0.10, 46)
+    res = detector(seq)
+    assert res.converged and res.subspace.dim == stable.dim
+    assert res.subspace.distance(stable) < 1e-8
+
+
 @pytest.mark.parametrize("t, s", [
-    (0.15, 0.15), (0.15, 0.0),
-    pytest.param(0.15, 0.12, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                                      reason=_ADS_REASON)),
-    pytest.param(0.15, 0.10, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "slow exponential decay: e^(-0.05 n) is 0.135 at n = 40, above "
-        "1 / BOUND_THRESHOLD, so SPAS has dimension 1, not 2"))),
+    (0.15, 0.15), (0.15, 0.0), (0.15, 0.12), (0.15, 0.10),
+    *(pytest.param(0.15, s, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=_ADS_BOUNDED_REASON)) for s in (0.14, 0.145)),
 ])
 def test_ads_pair_strongly_stable_space(t, s):
+    """Right, or refused where the middle pair is not yet separated."""
     seq, _, strongly = _ads_pair(t, s)
+    if (t, s) in _ADS_REFUSED:
+        with pytest.raises(InsufficientDataError, match="not yet separated"):
+            spas_subspace(seq)
+        return
     res = spas_subspace(seq)
     assert res.converged and res.subspace.dim == strongly.dim
     assert res.subspace.distance(strongly) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# weak conjugated boosts k B(0.05 i) k^-1, i = 1..16: the growing value
+# e^(0.05 i) stays within 10 of the plateau, so the rank must be refused,
+# never answered.
+
+
+def test_weak_conjugated_boosts_are_refused():
+    k = random_lorentz(3, np.random.default_rng(0))
+    seq = MatrixSequence.from_terms(
+        [k @ boost(3, 0.05 * i) @ np.linalg.inv(k) for i in range(1, 17)])
+    for detector in DETECTORS + [spas_subspace]:
+        with pytest.raises(PreconditionError):
+            detector(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +214,35 @@ def test_schottky_limit_set_at_depth_6(seed):
     except EquicontinuousError:
         return  # refused: allowed
     assert classify_elementary(est) is GroupClass.NON_ELEMENTARY
+
+
+# ---------------------------------------------------------------------------
+# scale rows (metamorphic): AS(c A_n) = AS(A_n) and SPAS(c A_n) = SPAS(A_n)
+# for every c > 0, so each analysis of c A_n must land within AGREEMENT_TOL
+# of its own unscaled answer.  Inputs are the benchmark's generators: 40-term
+# rotation conjugates of the fundamental example and of the planar shear, and
+# random SO(1, d-1) sequences.
+
+ANALYSES = DETECTORS + [spas_subspace]
+
+
+def _scale_family(name: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if name == "fundamental":
+        return np.array(gen.conjugated(gen.fundamental_term, 40, gen.rotation(3, rng)))
+    if name == "shear":
+        return np.array(gen.conjugated(gen.shear_term, 40, gen.rotation(2, rng)))
+    d = int(name[-1])
+    return gen.lorentz_case(d, rng.uniform(gen.RAPIDITY_LO, gen.RAPIDITY_HI), rng).terms
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-1, 1e1, 1e3])
+@pytest.mark.parametrize("family", ["fundamental", "shear", "lorentz3", "lorentz4"])
+def test_scaling_keeps_every_answer(family, c):
+    for seed in range(10):
+        terms = _scale_family(family, seed)
+        plain, scaled = MatrixSequence.from_terms(terms), MatrixSequence.from_terms(c * terms)
+        for analysis in ANALYSES:
+            want, got = analysis(plain), analysis(scaled)
+            assert got.converged == want.converged, (seed, analysis.__name__)
+            assert got.subspace.distance(want.subspace) <= AGREEMENT_TOL, (seed, analysis.__name__)

@@ -308,6 +308,11 @@ class TestPlusMinusIdentity:
             plus_minus_identity_check(int_mink3, hyperbolic_322().astype(float),
                                       self.rays())
 
+    def test_non_isometry_rejected(self, int_mink3):
+        # 2 I fixes every ray, with multiplier 2, but does not preserve the form
+        with pytest.raises(NotIsometryError):
+            plus_minus_identity_check(int_mink3, 2 * np.eye(3), self.rays())
+
     def test_proportional_rays_rejected(self, int_mink3):
         form = int_mink3.to_quadratic_form()
         r = BoundaryPoint.from_vector(form, [1, 1, 0])

@@ -124,6 +124,53 @@ class TestIsDivergent:
             terms.append(boost(3, float(n)) if n % 2 else np.eye(3))
         assert not is_divergent(MatrixSequence.from_terms(terms))
 
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_scale_free(self, c):
+        assert is_divergent(MatrixSequence.from_terms(c * fundamental_sequence(40).terms))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_term_tail_is_not_divergent(self, n):
+        seq = MatrixSequence.from_terms([boost(3, 5.0 * i) for i in range(1, n + 1)])
+        assert not is_divergent(seq)
+
+
+class TestGrowthRule:
+    LABELS = np.arange(21, 41, dtype=float)  # the tail of a 40-term sequence
+
+    def test_powers_of_n_and_exponentials(self):
+        n = self.LABELS[:, None]
+        sig = np.hstack([n ** -1.0, n ** 0.0, 0.5 * n ** 0.2, 50 * n ** 0.6, 1e3 * n, np.exp(n)])
+        assert stability._growing_count(sig[:, 3:], 40) == 3
+        assert stability._growth_rule(-np.log(sig[:, 1::-1]), 40) == 1  # SPAS's reading
+
+    def test_values_above_a_grower_grow(self):
+        n = self.LABELS[:, None]
+        sig = np.hstack([1e-3 * n ** 2, np.full_like(n, 1e3), 1e5 * n ** 3])
+        assert stability._growing_count(sig, 40) == 3
+
+    def test_unseparated_block_is_refused(self):
+        n = self.LABELS[:, None]
+        sig = np.hstack([np.ones_like(n), 0.2 * n])  # 4.2 to 8 above the plateau
+        with pytest.raises(InsufficientDataError, match="not yet separated"):
+            stability._growing_count(sig, 40)
+        assert stability._growing_count(np.hstack([np.ones_like(n), 0.5 * n]), 40) == 1
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_values_lost_to_rounding_do_not_grow(self, seed):
+        # q diag(e^(-0.58 n), 1, 1, e^(0.125 n)) q^T: the decaying value sinks
+        # under the ellipsoid's and the graph's rounding, whose noise grows
+        # with |A_n|; read as growing it would make the stable space 0
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+        ex = np.array([-0.58, 0.0, 0.0, 0.125])
+        seq = MatrixSequence.from_terms([q @ np.diag(np.exp(ex * n)) @ q.T for n in range(1, 41)])
+        for detector in (as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph):
+            assert detector(seq).subspace.dim == 3
+
+    def test_zeros_do_not_grow(self):
+        n = self.LABELS[:, None]
+        sig = np.hstack([np.where(n > 30, 0.0, 1e-9), n ** 2])
+        assert stability._growing_count(sig, 40) == 1
+
 
 class TestFundamentalExample:
     def test_all_oracles_find_the_plane(self):
@@ -175,22 +222,16 @@ def _jordan_powers(k: int, count: int) -> MatrixSequence:
 
 
 class TestJordanPowerCells:
-    """Known-answer cells of the unipotent Jordan powers.  The wrong ones are
-    strict xfails that name their defect: fixing it turns them into failures,
-    so the fix removes the mark."""
+    """Known-answer cells of the unipotent Jordan powers.  At n = 40, J_6's
+    linearly growing value (tail ratio 1.58) has envelope slope 0.71 and the
+    slowest decaying values of J_4 and J_6 (0.107 and 0.196 at the tail
+    start) have -1.08 and -1.20, all past the 1/2 cut."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "J_6 growth rule: the linearly growing singular value has tail ratio "
-        "1.58 < GROWTH_RATIO at n = 40, so every detector reports dimension 4"))
     @pytest.mark.parametrize("detector", [as_subspace_kak, as_subspace_ellipsoid,
                                           as_subspace_graph], ids=lambda f: f.__name__)
     def test_j6_stable_dimension(self, detector):
         assert detector(_jordan_powers(6, 40)).subspace.dim == 3
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "SPAS too small at n = 40: the slowest decaying singular value starts "
-        "the tail above 1 / BOUND_THRESHOLD (0.107 for J_4, 0.196 for J_6), so "
-        "the decaying flags miss it"))
     @pytest.mark.parametrize("k", [4, 6])
     def test_spas_dimension_short(self, k):
         assert spas_subspace(_jordan_powers(k, 40)).subspace.dim == k // 2
@@ -942,10 +983,9 @@ def _per_term_ellipsoid(seq):
     sig_rows, vecs = [], []
     for t, op in zip(seq.tail, seq.norms[seq.tail_start:]):
         mu, v = np.linalg.eigh((t.T @ t) / (op * op))
-        sig_rows.append(np.sqrt(np.maximum(mu, 0.0)) * op)
+        sig_rows.append(np.sqrt(np.where(mu > 8 * seq.dim * np.finfo(float).eps, mu, 0.0)) * op)
         vecs.append(v)
-    growing = stability._growing_flags(np.array(sig_rows))
-    return vecs, int(np.sum(~growing))
+    return vecs, seq.dim - stability._growing_count(np.array(sig_rows), len(seq))
 
 
 def _per_term_graph(seq):
@@ -958,8 +998,11 @@ def _per_term_graph(seq):
         u, s, _ = np.linalg.svd(q[:d, :])
         us.append(u)
         ss.append(s)
-    collapsing = (ss[-1] < 0.25) & (ss[-1] < 0.6 * ss[0])
-    return us, int(np.sum(~collapsing))
+    s = np.clip(np.array(ss), np.finfo(float).tiny, 1.0)
+    square = (1.0 - s) * (1.0 + s)
+    floor = 8 * d * np.finfo(float).eps * np.maximum(seq.norms[seq.tail_start:, None], 1.0)
+    sig = np.sqrt(np.where(square > floor, square, 0.0)) / s
+    return us, d - stability._growing_count(sig, len(seq))
 
 
 def _per_index_restricted_norm(terms, bases, indices, rank):
