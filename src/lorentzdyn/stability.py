@@ -82,11 +82,9 @@ INTERSECTION_TOL = 1e-6
 
 _MIN_TERMS = 8
 _TINY = np.finfo(float).tiny
-# The ellipsoid and graph routes read small singular values through squares
-# that carry rounding on their own scale (measured up to 3.5 d eps for the
-# ellipsoid's unit-norm Gram, 1.5 eps |A_n| for the graph's QR); squares
-# under this many d eps of that scale are read as 0, so rounding noise that
-# grows with |A_n| cannot pass the growth rule.
+# Rounding of the squares through which the ellipsoid and graph routes read
+# singular values, per unit of d and of their scale (measured up to 3.5 d eps
+# on the unit-norm Gram, 1.5 eps |A_n| in the graph's QR).
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 
@@ -211,15 +209,16 @@ class ASResult:
 def is_divergent(seq: MatrixSequence) -> bool:
     """Trend test for norm_growth(A_n) -> infinity: the growth rule's slope
     test on the tail norms.  A bounded subsequence (e.g. alternating boosts
-    and identities ending on an identity) keeps the envelope flat."""
+    and identities) keeps the envelope flat."""
     return _norms_diverge(seq.norms)
 
 
 def _norms_diverge(norms: np.ndarray) -> bool:
     """`is_divergent`'s test on a list of norms: the slope of their tail's
-    lower envelope reaches `GROWTH_EXPONENT`.  A one-term tail has no slope."""
+    lower envelope reaches `GROWTH_EXPONENT`.  A tail of under three terms
+    has no slope."""
     n = len(norms)
-    if n - n // 2 < 2:
+    if n - n // 2 < 3:
         return False
     return bool(_envelope_slopes(np.log(norms[n // 2:, None]), n)[0] >= GROWTH_EXPONENT)
 
@@ -235,11 +234,15 @@ def _require_usable(seq: MatrixSequence):
         )
 
 
-@functools.lru_cache(maxsize=None)
+# computed afresh, the weights cost about as much as the rest of a rule
+# call; a process sees few sequence lengths
+@functools.lru_cache(maxsize=256)
 def _slope_weights(n: int) -> np.ndarray:
-    """w with w @ y the least-squares slope of y against log of the tail
-    labels n//2+1..n (read-only)."""
-    x = np.log(np.arange(n // 2 + 1, n + 1, dtype=float))
+    """w with w @ y the least-squares slope of y against log of the labels
+    n//2+1..n+1-h, the tail rows of an n-term sequence whose suffix holds
+    at least h = max(2, m//2) of the tail's m terms (read-only)."""
+    h = max(2, (n - n // 2) // 2)
+    x = np.log(np.arange(n // 2 + 1, n + 2 - h, dtype=float))
     x -= x.mean()
     w = x / (x @ x)
     w.flags.writeable = False
@@ -247,22 +250,27 @@ def _slope_weights(n: int) -> np.ndarray:
 
 
 def _envelope_slopes(logs: np.ndarray, n: int) -> np.ndarray:
-    """Per column of ``logs`` (one row per tail term of an n-term sequence),
-    the slope against log n of its suffix minimum, the lower envelope."""
-    envelope = np.minimum.accumulate(logs[::-1], axis=0)[::-1]
-    return _slope_weights(n) @ envelope
+    """Per column of ``logs`` (one row per tail term of an n-term sequence,
+    at least three), the slope against log n of its lower envelope, the
+    suffix minimum.  It is read only where the suffix holds half the tail,
+    and two terms: a bounded subsequence that recurs within half the tail
+    keeps it flat, and no single term sets it."""
+    w = _slope_weights(n)
+    return w @ np.minimum.accumulate(logs[::-1], axis=0)[::-1][:len(w)]
 
 
-def _growth_rule(logs: np.ndarray, n: int) -> int:
-    """The one growth rule, on the logs of ascending tail spectra (one row
-    per tail term of an n-term sequence): how many of the top values grow.
+def _growth_rule(sig: np.ndarray, n: int) -> int:
+    """The one growth rule, on ascending tail spectra (one row per tail
+    term of an n-term sequence; a value lost to rounding may be 0): how
+    many of the top values grow.
 
     A value grows when its envelope slope reaches `GROWTH_EXPONENT`, and a
     value above a growing one grows too: the growing values are the block
     from the lowest such column up.  A block that is neither empty nor
     every column must stay `SEPARATION` times above the value under it at
     every tail term; otherwise the data cannot yet tell its rank, which is
-    refused."""
+    refused.  Decay is growth of the reversed inverse spectra."""
+    logs = np.log(np.maximum(sig, _TINY))
     grows = _envelope_slopes(logs, n) >= GROWTH_EXPONENT
     d = len(grows)
     count = d - int(np.argmax(grows)) if grows.any() else 0
@@ -275,11 +283,14 @@ def _growth_rule(logs: np.ndarray, n: int) -> int:
     return count
 
 
-def _growing_count(sig: np.ndarray, n: int) -> int:
-    """`_growth_rule` on the ascending tail spectra ``sig``.  A route reads
-    a value lost to its rounding as 0, taken here as the smallest positive
-    float."""
-    return _growth_rule(np.log(np.maximum(sig, _TINY)), n)
+def _rank_from_squares(squares: np.ndarray, scale, factor, n: int) -> int:
+    """Stable rank for a route that reads its singular values as
+    sqrt(squares) * factor, ascending, from squares rounded on the scale
+    ``scale``: squares under `_ROUNDING` d scale are read as 0, so rounding
+    noise never passes the growth rule."""
+    d = squares.shape[1]
+    kept = np.where(squares > _ROUNDING * d * scale, squares, 0.0)
+    return d - _growth_rule(np.sqrt(kept) * factor, n)
 
 
 def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -505,7 +516,7 @@ def as_subspace_kak(seq: MatrixSequence) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
     _gate(seq)
-    return _cartan_detected(seq, seq.dim - _growing_count(seq.cartan.D, len(seq)))
+    return _cartan_detected(seq, seq.dim - _growth_rule(seq.cartan.D, len(seq)))
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
@@ -521,9 +532,8 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     _gate(seq)
     op = seq.norms[seq.tail_start:, None]
     mu, vecs = np.linalg.eigh(_grams(seq.tail) / (op * op)[:, :, None])
-    # ascending, equals singular values down to the eigh's rounding on unit scale
-    sig = np.sqrt(np.where(mu > _ROUNDING * seq.dim, mu, 0.0)) * op
-    return _detected(seq, vecs, seq.dim - _growing_count(sig, len(seq)))
+    # mu ascends, the squared singular values over op^2, rounded on unit scale
+    return _detected(seq, vecs, _rank_from_squares(mu, 1.0, op, len(seq)))
 
 
 def as_subspace_graph(seq: MatrixSequence) -> ASResult:
@@ -546,10 +556,8 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     q, _ = np.linalg.qr(graphs)
     u, s, _ = np.linalg.svd(q[:, :d, :])  # s descending in [0, 1]
     s = np.clip(s, _TINY, 1.0)
-    square = (1.0 - s) * (1.0 + s)
     scale = np.maximum(seq.norms[seq.tail_start:, None], 1.0)
-    sig = np.sqrt(np.where(square > _ROUNDING * d * scale, square, 0.0)) / s
-    return _detected(seq, u, d - _growing_count(sig, len(seq)))
+    return _detected(seq, u, _rank_from_squares((1.0 - s) * (1.0 + s), scale, 1.0 / s, len(seq)))
 
 
 def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
@@ -864,9 +872,9 @@ def spas_subspace(seq: MatrixSequence) -> ASResult:
     checks its Lorentz structure (the isotropic orthogonal of the stable
     hyperplane)."""
     _gate(seq)
-    # the decaying values are those whose inverses grow: the envelope is the
-    # suffix maximum, and the block is counted from the bottom up
-    rank = _growth_rule(-np.log(seq.cartan.D[:, ::-1]), len(seq))
+    # the decaying values are those whose inverses grow, counted from the
+    # bottom up
+    rank = _growth_rule(1.0 / seq.cartan.D[:, ::-1], len(seq))
     return _cartan_detected(seq, rank, StabilityKind.STRONGLY_STABLE)
 
 

@@ -7,7 +7,6 @@ unipotent Jordan rows are in `test_stability.py::TestJordanPowerCells`.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +15,12 @@ import pytest
 from lorentzdyn import (GroupClass, HyperbolicPoint, MatrixSequence, QuadraticForm, Subspace,
                         as_subspace_ellipsoid, as_subspace_graph, as_subspace_kak, boost,
                         classify_elementary, limit_set, lorentz_as_check, spas_subspace)
-from lorentzdyn.cartan import random_lorentz
+from lorentzdyn.cartan import _random_rotation, random_lorentz
 from lorentzdyn.errors import EquicontinuousError, InsufficientDataError, PreconditionError
 from lorentzdyn.models import diagonal_action, second_factor_action_matrix
 from lorentzdyn.stability import AGREEMENT_TOL
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import inputs as gen  # noqa: E402  (the benchmark's seeded generators)
+from .conftest import fundamental_term, random_divergent_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
 DETECTORS = [as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph]
@@ -119,12 +117,12 @@ def _ads_pair(t: float, s: float, count: int = 40):
 # envelope slopes past 1/2, but its two values are only e^(2(t-s)n) apart,
 # 3.5 and 8.2 at the tail start n = 21, under SEPARATION: every detector and
 # SPAS refuse the rank at n = 40.  From n = 46 the tail starts at n = 24 and
-# s = 0.10 is answered.  At s = 0.14 and 0.145 the slopes are 0.296 and 0.148,
+# s = 0.10 is answered.  At s = 0.14 and 0.145 the slopes are 0.257 and 0.128,
 # under the 1/2 cut, so the pair is classified as bounded.
 _ADS_REFUSED = {(0.15, 0.12), (0.15, 0.10)}
 _ADS_BOUNDED_REASON = (
-    "slow exponential growth: the middle pair's envelope slopes, 0.296 at "
-    "s = 0.14 and 0.148 at s = 0.145, fall under GROWTH_EXPONENT = 1/2, so it "
+    "slow exponential growth: the middle pair's envelope slopes, 0.257 at "
+    "s = 0.14 and 0.128 at s = 0.145, fall under GROWTH_EXPONENT = 1/2, so it "
     "is classified as bounded: AS 3 and SPAS 1, not 2 and 2")
 _ADS_CELLS = [
     pytest.param(t, s, d, id=f"{t}-{label}-{d.__name__}")
@@ -219,21 +217,24 @@ def test_schottky_limit_set_at_depth_6(seed):
 # ---------------------------------------------------------------------------
 # scale rows (metamorphic): AS(c A_n) = AS(A_n) and SPAS(c A_n) = SPAS(A_n)
 # for every c > 0, so each analysis of c A_n must land within AGREEMENT_TOL
-# of its own unscaled answer.  Inputs are the benchmark's generators: 40-term
-# rotation conjugates of the fundamental example and of the planar shear, and
-# random SO(1, d-1) sequences.
+# of its own unscaled answer.  Inputs: 40-term rotation conjugates of the
+# fundamental example and of the planar shear, and random SO(1, d-1)
+# sequences.
 
 ANALYSES = DETECTORS + [spas_subspace]
 
 
+def _shear_term(n: int) -> np.ndarray:
+    return np.array([[1.0, n], [0.0, 1.0]])
+
+
 def _scale_family(name: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    if name == "fundamental":
-        return np.array(gen.conjugated(gen.fundamental_term, 40, gen.rotation(3, rng)))
-    if name == "shear":
-        return np.array(gen.conjugated(gen.shear_term, 40, gen.rotation(2, rng)))
-    d = int(name[-1])
-    return gen.lorentz_case(d, rng.uniform(gen.RAPIDITY_LO, gen.RAPIDITY_HI), rng).terms
+    if name in ("fundamental", "shear"):
+        term, d = (fundamental_term, 3) if name == "fundamental" else (_shear_term, 2)
+        c = _random_rotation(d, rng)
+        return np.array([c @ term(n) @ c.T for n in range(1, 41)])
+    return random_divergent_sequence(int(name[-1]), rng)[0].terms
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e-1, 1e1, 1e3])

@@ -119,6 +119,15 @@ class TestOrbitLimit:
         with pytest.raises(EquicontinuousError):
             hyperbolic_orbit_limit(mink3, seq, s)
 
+    @pytest.mark.parametrize("period, count", [(2, 13), (3, 14)])
+    def test_orbit_with_a_bounded_subsequence_rejected(self, mink3, period, count):
+        # I every 2nd or 3rd term, the sequence ending on boosts
+        terms = [np.eye(3) if n % period == 0 else boost(3, float(n))
+                 for n in range(1, count + 1)]
+        s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
+        with pytest.raises(EquicontinuousError):
+            hyperbolic_orbit_limit(mink3, MatrixSequence.from_terms(terms), s)
+
     def test_unipotent_orbit_under_split_form(self, split3):
         seq = MatrixSequence.from_terms([split_unipotent(n) for n in range(1, 401)])
         s = HyperbolicPoint(v=np.array([1.0, 0.0, -1.0]), form=split3)

@@ -119,10 +119,11 @@ class TestIsDivergent:
         assert not is_divergent(seq)
 
     def test_alternating_boost_identity(self):
-        terms = []
-        for n in range(1, 13):
-            terms.append(boost(3, float(n)) if n % 2 else np.eye(3))
-        assert not is_divergent(MatrixSequence.from_terms(terms))
+        # I every 2nd or 3rd term, the sequence ending on one, two or no boosts
+        for period, count in ((2, 12), (2, 13), (3, 14), (3, 15)):
+            terms = [np.eye(3) if n % period == 0 else boost(3, float(n))
+                     for n in range(1, count + 1)]
+            assert not is_divergent(MatrixSequence.from_terms(terms)), (period, count)
 
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_scale_free(self, c):
@@ -133,6 +134,14 @@ class TestIsDivergent:
         seq = MatrixSequence.from_terms([boost(3, 5.0 * i) for i in range(1, n + 1)])
         assert not is_divergent(seq)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_two_term_tail_is_not_divergent(self, n):
+        seq = MatrixSequence.from_terms([boost(3, 2.0 * i) for i in range(1, n + 1)])
+        assert not is_divergent(seq)
+
+    def test_three_term_tail_can_diverge(self):
+        assert is_divergent(MatrixSequence.from_terms([boost(3, 2.0 * i) for i in range(1, 6)]))
+
 
 class TestGrowthRule:
     LABELS = np.arange(21, 41, dtype=float)  # the tail of a 40-term sequence
@@ -140,20 +149,20 @@ class TestGrowthRule:
     def test_powers_of_n_and_exponentials(self):
         n = self.LABELS[:, None]
         sig = np.hstack([n ** -1.0, n ** 0.0, 0.5 * n ** 0.2, 50 * n ** 0.6, 1e3 * n, np.exp(n)])
-        assert stability._growing_count(sig[:, 3:], 40) == 3
-        assert stability._growth_rule(-np.log(sig[:, 1::-1]), 40) == 1  # SPAS's reading
+        assert stability._growth_rule(sig[:, 3:], 40) == 3
+        assert stability._growth_rule(1.0 / sig[:, 1::-1], 40) == 1  # SPAS's reading
 
     def test_values_above_a_grower_grow(self):
         n = self.LABELS[:, None]
         sig = np.hstack([1e-3 * n ** 2, np.full_like(n, 1e3), 1e5 * n ** 3])
-        assert stability._growing_count(sig, 40) == 3
+        assert stability._growth_rule(sig, 40) == 3
 
     def test_unseparated_block_is_refused(self):
         n = self.LABELS[:, None]
         sig = np.hstack([np.ones_like(n), 0.2 * n])  # 4.2 to 8 above the plateau
         with pytest.raises(InsufficientDataError, match="not yet separated"):
-            stability._growing_count(sig, 40)
-        assert stability._growing_count(np.hstack([np.ones_like(n), 0.5 * n]), 40) == 1
+            stability._growth_rule(sig, 40)
+        assert stability._growth_rule(np.hstack([np.ones_like(n), 0.5 * n]), 40) == 1
 
     @pytest.mark.parametrize("seed", [2, 4])
     def test_values_lost_to_rounding_do_not_grow(self, seed):
@@ -169,7 +178,7 @@ class TestGrowthRule:
     def test_zeros_do_not_grow(self):
         n = self.LABELS[:, None]
         sig = np.hstack([np.where(n > 30, 0.0, 1e-9), n ** 2])
-        assert stability._growing_count(sig, 40) == 1
+        assert stability._growth_rule(sig, 40) == 1
 
 
 class TestFundamentalExample:
@@ -978,14 +987,23 @@ def _awkward_sequence(d, seed):
     return MatrixSequence.from_terms(terms)
 
 
+def _rank_or_refusal(*args, rule=stability._rank_from_squares):
+    """`stability._rank_from_squares`, or the message of its refusal."""
+    try:
+        return rule(*args)
+    except InsufficientDataError as err:
+        return str(err)
+
+
 def _per_term_ellipsoid(seq):
     """Reference: the per-term eigh of the normalized Gram, over the tail."""
-    sig_rows, vecs = [], []
+    mus, vecs = [], []
     for t, op in zip(seq.tail, seq.norms[seq.tail_start:]):
         mu, v = np.linalg.eigh((t.T @ t) / (op * op))
-        sig_rows.append(np.sqrt(np.where(mu > 8 * seq.dim * np.finfo(float).eps, mu, 0.0)) * op)
+        mus.append(mu)
         vecs.append(v)
-    return vecs, seq.dim - stability._growing_count(np.array(sig_rows), len(seq))
+    op = seq.norms[seq.tail_start:, None]
+    return vecs, _rank_or_refusal(np.array(mus), 1.0, op, len(seq))
 
 
 def _per_term_graph(seq):
@@ -999,10 +1017,8 @@ def _per_term_graph(seq):
         us.append(u)
         ss.append(s)
     s = np.clip(np.array(ss), np.finfo(float).tiny, 1.0)
-    square = (1.0 - s) * (1.0 + s)
-    floor = 8 * d * np.finfo(float).eps * np.maximum(seq.norms[seq.tail_start:, None], 1.0)
-    sig = np.sqrt(np.where(square > floor, square, 0.0)) / s
-    return us, d - stability._growing_count(sig, len(seq))
+    scale = np.maximum(seq.norms[seq.tail_start:, None], 1.0)
+    return us, _rank_or_refusal((1.0 - s) * (1.0 + s), scale, 1.0 / s, len(seq))
 
 
 def _per_index_restricted_norm(terms, bases, indices, rank):
@@ -1031,6 +1047,9 @@ class TestBatchedDetectorLoops:
 
         monkeypatch.setattr(stability, "_detected", capture)
         monkeypatch.setattr(stability, "_gate", lambda seq: None)
+        # a refused rank comes back as its message, so refused sequences
+        # have their candidates compared too
+        monkeypatch.setattr(stability, "_rank_from_squares", _rank_or_refusal)
         with pytest.raises(_Captured):
             detector(seq)
         return seen["bases"], seen["rank"]
