@@ -22,10 +22,12 @@ from .errors import (
     DegenerateFormError,
     DimensionError,
     NotIsometryError,
+    NotIsotropicError,
     NumericalError,
     PreconditionError,
 )
-from .minkowski import QuadraticForm, _as_matrix, _as_vector, _dots, canonical_ray, canonical_rays
+from .minkowski import (ISOTROPY_TOL, QuadraticForm, _as_matrix, _as_vector, _dots,
+                        canonical_ray, canonical_rays)
 from .projective import BoundaryPoint, _ray_angles, ray_angle
 
 # Column-candidate evaluations allowed in one integer enumeration.
@@ -220,13 +222,18 @@ def plus_minus_identity_check(g: RationalLorentzForm, a, rays) -> bool:
     pairwise independent isotropic rays is +-identity on their span.
 
     Raises when the input violates the precondition (a matrix that does not
-    preserve g, a ray not actually fixed, or proportional rays); returns the
-    verified truth value.
+    preserve g, a unit ray v with |<v, v>| > `ISOTROPY_TOL` under g, a ray
+    not actually fixed, or proportional rays); returns the verified truth
+    value.
     """
     m = g.require_isometry(a, "matrix")
-    vecs = [r.ray if isinstance(r, BoundaryPoint) else canonical_ray(r) for r in rays]
+    vecs = [r.ray if isinstance(r, BoundaryPoint) else canonical_ray(_as_vector(r, g.dim))
+            for r in rays]
     if len(vecs) != 3:
         raise PreconditionError("exactly three rays are required")
+    gram = g.gram.astype(float)
+    if any(abs(float(v @ gram @ v)) > ISOTROPY_TOL for v in vecs):
+        raise NotIsotropicError("every ray must lie on the isotropic cone of the form")
     for i in range(3):
         for j in range(i + 1, 3):
             if ray_angle(vecs[i], vecs[j]) < 1e-8:

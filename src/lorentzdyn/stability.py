@@ -5,8 +5,8 @@ dynamical system at the origin: a direction is approximately stable when
 nearby directions have bounded images along the sequence, and strongly so
 when those images can be driven to zero.  Three detectors recover the
 stable subspace by distinct numerical routes (they share the tail, the
-growth rule, the clustering and the extrapolation, so their agreement does
-not make them independent checks):
+rank, the clustering and the extrapolation, so their agreement does not
+make them independent checks):
 
 * ``as_subspace_kak``       via Cartan factors A_n = L_n D_n R_n,
 * ``as_subspace_ellipsoid`` via the shrinking axes of {x : |x|<=1, |A_n x|<=1},
@@ -19,12 +19,15 @@ sequence and accelerates the subspace limit by polynomial extrapolation
 in 1/n (the drift of the candidate subspaces is O(1/n) for unipotent-type
 sequences, so plain tails converge too slowly to be useful).
 
-One growth rule (`_growth_rule`) sets every rank, the strongly stable
-space's too: a singular value grows when the log of its tail envelope
-climbs with slope at least `GROWTH_EXPONENT` against log n, and the block
-of growing values must stand `SEPARATION` times clear of the rest.  The
-divergence gate is its slope test on the norms.  It reads no absolute
-size, as the stable space of c A_n is that of A_n for every c > 0.
+One growth rule (`_growth_rule`) on one spectrum, the cached Cartan
+spectrum ``seq.cartan.D``, sets every rank, the strongly stable space's
+too: a singular value grows when the log of its tail envelope climbs with
+slope at least `GROWTH_EXPONENT` against log n, and the block of growing
+values must stand `SEPARATION` times clear of the rest.  The three
+detectors take their rank from `_stable_rank` and compute only their
+candidate bases.  The divergence gate is the rule's slope test on the
+norms.  It reads no absolute size, as the stable space of c A_n is that
+of A_n for every c > 0.
 
 Approximate stability is a limit in n, so the tail decides it: every
 detector, and the brute-force oracle, reads and factors only the terms
@@ -81,11 +84,6 @@ AGREEMENT_TOL = 1e-5
 INTERSECTION_TOL = 1e-6
 
 _MIN_TERMS = 8
-_TINY = np.finfo(float).tiny
-# Rounding of the squares through which the ellipsoid and graph routes read
-# singular values, per unit of d and of their scale (measured up to 3.5 d eps
-# on the unit-norm Gram, 1.5 eps |A_n| in the graph's QR).
-_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 class StabilityKind(enum.Enum):
@@ -260,9 +258,8 @@ def _envelope_slopes(logs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _growth_rule(sig: np.ndarray, n: int) -> int:
-    """The one growth rule, on ascending tail spectra (one row per tail
-    term of an n-term sequence; a value lost to rounding may be 0): how
-    many of the top values grow.
+    """The one growth rule, on ascending positive tail spectra (one row
+    per tail term of an n-term sequence): how many of the top values grow.
 
     A value grows when its envelope slope reaches `GROWTH_EXPONENT`, and a
     value above a growing one grows too: the growing values are the block
@@ -270,7 +267,7 @@ def _growth_rule(sig: np.ndarray, n: int) -> int:
     every column must stay `SEPARATION` times above the value under it at
     every tail term; otherwise the data cannot yet tell its rank, which is
     refused.  Decay is growth of the reversed inverse spectra."""
-    logs = np.log(np.maximum(sig, _TINY))
+    logs = np.log(sig)
     grows = _envelope_slopes(logs, n) >= GROWTH_EXPONENT
     d = len(grows)
     count = d - int(np.argmax(grows)) if grows.any() else 0
@@ -283,14 +280,11 @@ def _growth_rule(sig: np.ndarray, n: int) -> int:
     return count
 
 
-def _rank_from_squares(squares: np.ndarray, scale, factor, n: int) -> int:
-    """Stable rank for a route that reads its singular values as
-    sqrt(squares) * factor, ascending, from squares rounded on the scale
-    ``scale``: squares under `_ROUNDING` d scale are read as 0, so rounding
-    noise never passes the growth rule."""
-    d = squares.shape[1]
-    kept = np.where(squares > _ROUNDING * d * scale, squares, 0.0)
-    return d - _growth_rule(np.sqrt(kept) * factor, n)
+def _stable_rank(seq: MatrixSequence) -> int:
+    """Rank of the stable space, the count of Cartan singular values that
+    do not grow; every detector reads it.  (`kak_stack` refuses a zero
+    value, so the logs are finite.)"""
+    return seq.dim - _growth_rule(seq.cartan.D, len(seq))
 
 
 def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -516,7 +510,7 @@ def as_subspace_kak(seq: MatrixSequence) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
     _gate(seq)
-    return _cartan_detected(seq, seq.dim - _growth_rule(seq.cartan.D, len(seq)))
+    return _cartan_detected(seq, _stable_rank(seq))
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
@@ -526,14 +520,14 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     The axis along eigenvector v of A_n^T A_n has half-length
     min(1, eigenvalue^{-1/2}); axes whose length collapses to zero drop out
     of the Hausdorff limit and the stable space is the span of the rest.
-    Spectral route (eigh of the normalized Gram) kept deliberately separate
-    from the SVD route of `as_subspace_kak`.
+    The basis comes from the eigh of the normalized Gram, kept separate
+    from the SVD route of `as_subspace_kak`; the rank, the count of axes
+    that survive, is `_stable_rank`'s.
     """
     _gate(seq)
-    op = seq.norms[seq.tail_start:, None]
-    mu, vecs = np.linalg.eigh(_grams(seq.tail) / (op * op)[:, :, None])
-    # mu ascends, the squared singular values over op^2, rounded on unit scale
-    return _detected(seq, vecs, _rank_from_squares(mu, 1.0, op, len(seq)))
+    op = seq.norms[seq.tail_start:, None, None]
+    _, vecs = np.linalg.eigh(_grams(seq.tail) / (op * op))  # ascending eigenvalues
+    return _detected(seq, vecs, _stable_rank(seq))
 
 
 def as_subspace_graph(seq: MatrixSequence) -> ASResult:
@@ -543,21 +537,17 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
 
     A direction with exploding image tilts the graph vertical, so its
     first-factor singular value s = (1 + sigma^2)^(-1/2) collapses like
-    1/|A_n x|.  The rank comes from the growth rule on the recovered
-    sigma = sqrt(1/s^2 - 1), which ascends as s descends; an s that
-    underflows is clipped to the smallest positive float.  The QR rounds
-    1 - s^2 = (s sigma)^2 by about eps max(1, |A_n|), and smaller squares
-    read as 0.
+    1/|A_n x|: the directions that keep mass come first, as s descends.
+    The basis comes from the graph's QR; the rank, the count of directions
+    that keep mass, is `_stable_rank`'s.
     """
     _gate(seq)
     tail = seq.tail
     d = seq.dim
     graphs = np.concatenate([np.broadcast_to(np.eye(d), tail.shape), tail], axis=1)
     q, _ = np.linalg.qr(graphs)
-    u, s, _ = np.linalg.svd(q[:, :d, :])  # s descending in [0, 1]
-    s = np.clip(s, _TINY, 1.0)
-    scale = np.maximum(seq.norms[seq.tail_start:, None], 1.0)
-    return _detected(seq, u, _rank_from_squares((1.0 - s) * (1.0 + s), scale, 1.0 / s, len(seq)))
+    u = np.linalg.svd(q[:, :d, :])[0]  # columns by descending s
+    return _detected(seq, u, _stable_rank(seq))
 
 
 def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:

@@ -83,6 +83,26 @@ def test_brute_oracle_matches_golden_report_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN / "fundamental40.brute.json").read_bytes()
 
 
+@pytest.mark.parametrize("report, args", CASES + BYTE_CASES,
+                         ids=[c[0] for c in CASES + BYTE_CASES])
+def test_single_oracle_reports_equal_their_entry_of_all(report, args, tmp_path):
+    # a single detector factors the sequence in another order than
+    # `--oracle all`; its entry and the strongly stable space must not move
+    argv = ["as"] + [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
+    reports = {}
+    for oracle in ("all", "kak", "ellipsoid", "graph"):
+        out = tmp_path / f"{oracle}.json"
+        assert main(argv + ["--oracle", oracle, "--output", str(out)]) == 0
+        reports[oracle] = json.loads(out.read_text())
+    full = reports.pop("all")
+    for oracle, single in reports.items():
+        assert list(single["oracles"]) == [oracle]
+        got, want = dict(single["oracles"][oracle]), dict(full["oracles"][oracle])
+        del got["oracle_agreement"], want["oracle_agreement"]
+        assert got == want, oracle
+        assert single["strongly_stable"] == full["strongly_stable"], oracle
+
+
 LIMIT_CASES = [
     ("schottky3-mink3", ["schottky3.gens.json", "--form", "mink3.json", "--samples", "300",
                          "--divergence-threshold", "20"]),

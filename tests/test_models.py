@@ -26,7 +26,8 @@ from lorentzdyn import (
     split_unipotent,
 )
 from lorentzdyn import models
-from lorentzdyn.errors import BudgetError, NotIsometryError, NumericalError, PreconditionError
+from lorentzdyn.errors import (BudgetError, NotIsometryError, NotIsotropicError, NumericalError,
+                               PreconditionError)
 from lorentzdyn.minkowski import canonical_ray
 from lorentzdyn.models import (
     INFINITY,
@@ -312,6 +313,18 @@ class TestPlusMinusIdentity:
         # 2 I fixes every ray, with multiplier 2, but does not preserve the form
         with pytest.raises(NotIsometryError):
             plus_minus_identity_check(int_mink3, 2 * np.eye(3), self.rays())
+
+    def test_non_isotropic_rays_rejected(self):
+        # diag(1, 1, -1) preserves diag(-1, 1, 1) and fixes e0, e1, e2 with
+        # multipliers 1, 1, -1, but the three rays are not isotropic
+        g = RationalLorentzForm(gram=np.diag([-1, 1, 1]))
+        with pytest.raises(NotIsotropicError):
+            plus_minus_identity_check(g, np.diag([1, 1, -1]), np.eye(3))
+        # a boundary point built without the cone check is checked too
+        form = g.to_quadratic_form()
+        rays = [BoundaryPoint.from_vector(form, v) for v in ([1, 1, 0], [1, 0, 1])]
+        with pytest.raises(NotIsotropicError):
+            plus_minus_identity_check(g, np.eye(3), rays + [BoundaryPoint(ray=[0.0, 1.0, 0.0])])
 
     def test_proportional_rays_rejected(self, int_mink3):
         form = int_mink3.to_quadratic_form()
