@@ -32,8 +32,9 @@ from .projective import BoundaryPoint, _ray_angles, ray_angle
 
 # Column-candidate evaluations allowed in one integer enumeration.
 ENUMERATION_BUDGET = 50_000_000
-# Cross-product entries tested in one block of an enumeration level, and
-# (candidate ray, element) pairs in one block of the fixed-ray test.
+# Rows of the column table built at once, cross-product entries tested in
+# one block of an enumeration level, and (candidate ray, element) pairs in
+# one block of the fixed-ray test.
 _LEVEL_CHUNK = 1 << 16
 
 INFINITY = float("inf")
@@ -135,10 +136,19 @@ def integer_isometries(g: RationalLorentzForm, height: int) -> list[np.ndarray]:
         raise BudgetError(f"the column table of height {height} exceeds the "
                           "integer enumeration budget")
     gram = g.gram
-    axis = np.arange(-height, height + 1, dtype=np.int64)
-    columns = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
-    columns = columns[np.any(columns != 0, axis=1)]
-    norms = np.einsum("ki,ij,kj->k", columns, gram, columns)
+    # the table of columns, lexicographic, in blocks of at most _LEVEL_CHUNK
+    # rows; only a nonzero column whose norm is a diagonal entry of g can be
+    # picked, so only those are kept
+    shape, total = (2 * height + 1,) * d, (2 * height + 1) ** d
+    columns, norms = [], []
+    for lo in range(0, total, _LEVEL_CHUNK):
+        block = np.stack(np.unravel_index(np.arange(lo, min(lo + _LEVEL_CHUNK, total)), shape),
+                         -1) - height
+        n = np.einsum("ki,ij,kj->k", block, gram, block)
+        keep = (n[:, None] == np.diag(gram)).any(axis=1) & block.any(axis=1)
+        columns.append(block[keep])
+        norms.append(n[keep])
+    columns, norms = np.concatenate(columns), np.concatenate(norms)
     ops = 0
     partial = np.zeros((1, d, 0), dtype=np.int64)  # the one empty choice
     for j in range(d):

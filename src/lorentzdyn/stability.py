@@ -648,96 +648,49 @@ def _nonneg(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _sphere_quadratic(beta: np.ndarray, gamma: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _dots(y, beta * y) + _dots(2.0 * gamma, y)
-
-
-def _y_norm2(beta: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return np.sum((gamma / (beta + mu[:, None])) ** 2, axis=-1)
-
-
-def _pairwise_sum(cols) -> np.ndarray:
-    """Elementwise sum of the m arrays in `cols`, bitwise equal to
-    ``np.sum(axis=-1)`` over each row: numpy adds fewer than 8 terms left to
-    right, as the loop does (the solver's m = 2, 3), and more pairwise.
-    (``np.sum(axis=0)`` over a column stack always adds left to right.)"""
-    if len(cols) >= 8:
-        return np.sum(np.stack(cols, axis=-1), axis=-1)
-    total = cols[0]
-    for c in cols[1:]:
-        total = total + c
-    return total
-
-
-def _steps_before_any_stop(l: np.ndarray, h: np.ndarray) -> int:
-    """A number of bisection steps from the brackets [l, h] in which no row
-    can meet its stopping test h - l <= 1e-15 max(1, |h|).
-
-    Every later h lies in the current [l, h], so the test's right side
-    never exceeds T = 1e-15 max(1, M) with M = max(|l|, |h|).  A step's
-    midpoint is (l + h)/2 up to the rounding of l + h, halved: at most
-    u = 2**-53 M.  So a step keeps at least half the width less u, and k
-    steps keep at least w/2**k - 2u.  With k at most
-    floor(log2(w / T)) - 2 that is at least 4T - 2u > T, since
-    2u < 2.3e-16 M < 0.25T; the roundings of w / T, of its log2 and of the
-    test itself cost far less than that margin.
-    """
-    if not l.size:
-        return 0
-    scale = 1e-15 * np.maximum(1.0, np.maximum(np.abs(l), np.abs(h)))
-    ratio = float(np.min((h - l) / scale))
-    return int(np.log2(ratio)) - 2 if 8.0 <= ratio < np.inf else 0
-
-
 def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """min of y^T diag(beta) y + 2 gamma . y over the unit sphere, for each
-    row of the (problems x m) stacks beta (ascending) and gamma.
+    """Unit minimiser y of y^T diag(beta) y + 2 gamma . y, for each row of
+    the (problems x m) stacks beta (ascending) and gamma.
 
     Trust-region secular equation: y(mu) = -gamma / (beta + mu) with
     |y(mu)| = 1 and mu >= -beta_min, including the hard case where gamma
-    has no component on the bottom eigenspace.  Every problem bisects until
-    its own stopping test holds; the rest of the batch is masked out.  The
-    first steps, in which no problem can stop, run no test.
+    has no component on the bottom eigenspace.  Otherwise phi(mu) =
+    1/|y(mu)| - 1 is concave and rises to its root, so Newton's method
+    started left of it climbs to it monotonically (More & Sorensen 1983).
+    The start is -beta_min + eps or, if larger, max(|gamma| - beta), a
+    lower bound on the root at which no |y_i| exceeds 1.  Every problem
+    steps until its own step is at most 1e-15 max(1, |mu|); the rest of the
+    batch is masked out.
     """
     b0 = beta[:, 0]
-    gnorm = np.sqrt(_dots(gamma, gamma))
-    out = b0.copy()  # gamma = 0: the bottom eigenvalue
-    lo, hi = -b0, -b0 + gnorm
+    nonzero = np.any(gamma != 0.0, axis=1)
+    y = np.zeros_like(beta)
+    y[:, 0] = 1.0  # gamma = 0: the bottom eigendirection
     eps = 1e-14 * np.maximum(1.0, np.abs(b0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hard = (gnorm != 0.0) & (_y_norm2(beta, gamma, lo + eps) < 1.0)
-        if np.any(hard):
-            # pad the limit solution along the bottom eigendirection
-            b, g, e = beta[hard], gamma[hard], eps[hard, None]
-            denom = b - b[:, :1]
-            y = np.where(denom > e, -g / np.where(denom > e, denom, 1.0), 0.0)
-            y[np.arange(len(y)), np.argmin(b, axis=1)] += np.sqrt(_nonneg(1.0 - _dots(y, y)))
-            out[hard] = _sphere_quadratic(b, g, y)
-        rows = np.flatnonzero((gnorm != 0.0) & ~hard)
-        idx, l, h = rows, lo[rows], hi[rows]
-        # (m x rows) columns, so a step is a few ufunc calls on long arrays
-        b_cols, g_cols = beta[rows].T.copy(), gamma[rows].T.copy()
-        skip = _steps_before_any_stop(l, h)
-        for step in range(1, 201):
-            if not idx.size:
-                break
-            mid = 0.5 * (l + h)
-            above = _pairwise_sum([(gc / (bc + mid)) ** 2 for bc, gc in zip(b_cols, g_cols)]) > 1.0
-            l, h = np.where(above, mid, l), np.where(above, h, mid)
-            if step <= skip:
-                continue
-            done = h - l <= 1e-15 * np.maximum(1.0, np.abs(h))
-            if done.any():  # most steps finish no problem: skip the compaction
-                lo[idx[done]], hi[idx[done]] = l[done], h[done]
-                keep = ~done
-                idx, l, h = idx[keep], l[keep], h[keep]
-                b_cols, g_cols = b_cols.compress(keep, axis=1), g_cols.compress(keep, axis=1)
-        lo[idx], hi[idx] = l, h  # out of steps
-        b, g = beta[rows], gamma[rows]
-        y = -g / (b + (0.5 * (lo[rows] + hi[rows]))[:, None])
-        ny = np.sqrt(_dots(y, y))[:, None]
-        out[rows] = _sphere_quadratic(b, g, np.where(ny > 0, y / ny, y))
-    return out
+    with np.errstate(over="ignore"):  # an overflow to inf is not the hard case either
+        hard = nonzero & (np.sum((gamma / (beta + (eps - b0)[:, None])) ** 2, axis=-1) < 1.0)
+    if np.any(hard):
+        # pad the limit solution along the bottom eigendirection
+        b, g, e = beta[hard], gamma[hard], eps[hard, None]
+        denom = b - b[:, :1]
+        yh = np.where(denom > e, -g / np.where(denom > e, denom, 1.0), 0.0)
+        yh[np.arange(len(yh)), np.argmin(b, axis=1)] += np.sqrt(_nonneg(1.0 - _dots(yh, yh)))
+        y[hard] = yh
+    rows = nonzero & ~hard
+    b, g = beta[rows], gamma[rows]
+    mu = np.maximum(eps[rows] - b0[rows], np.max(np.abs(g) - b, axis=1))
+    moving = np.ones(len(mu), dtype=bool)
+    for _ in range(100):
+        t = b + mu[:, None]
+        yr = -g / t
+        n2 = _dots(yr, yr)
+        step = (np.sqrt(n2) - 1.0) * n2 / _dots(yr, yr / t)
+        mu, moving = (np.where(moving, mu + step, mu),
+                      moving & (step > 1e-15 * np.maximum(1.0, np.abs(mu))))
+        if not moving.any():
+            break
+    y[rows] = -g / (b + mu[:, None])
+    return y / np.sqrt(_dots(y, y))[:, None]
 
 
 def _cap_minima(spectra: tuple, dirs: np.ndarray, radii: np.ndarray,
@@ -745,13 +698,16 @@ def _cap_minima(spectra: tuple, dirs: np.ndarray, radii: np.ndarray,
     """min |A_n w| over unit w with |w - v| <= r, for the (direction v,
     radius r) pairs start..stop-1 in row-major order (pairs x tail terms).
 
-    Exact: interior candidates are the eigendirections falling inside the
-    cap, and the cap boundary reduces to a quadratic-on-a-sphere problem in
-    v-perp coordinates.  Random perturbation sampling cannot do this job:
-    for exponentially divergent sequences the bounded-image region near the
-    stable hyperplane is a slab of width ~ 1/|A| that samples never hit.
+    Exact: interior candidates are the eigendirections of A_n^T A_n falling
+    inside the cap, and the cap boundary reduces to a quadratic-on-a-sphere
+    problem in v-perp coordinates.  Each candidate is scored as |A_n w| of
+    its explicit unit witness w (an eigendirection is one up to sign, which
+    leaves |A_n w| alone).  Random perturbation sampling cannot do this
+    job: for exponentially divergent sequences the bounded-image region
+    near the stable hyperplane is a slab of width ~ 1/|A| that samples
+    never hit.
     """
-    vals, vecs, grams = spectra
+    terms, vecs, grams = spectra
     nr = len(radii)
     pair = np.arange(start, stop)
     k0 = start // nr
@@ -759,11 +715,10 @@ def _cap_minima(spectra: tuple, dirs: np.ndarray, radii: np.ndarray,
     kk = pair // nr - k0
     c = (1.0 - 0.5 * radii * radii)[pair % nr]
     col = v[:, None, :, None]
-    base = ((v[:, None, None, :] @ grams) @ col)[..., 0, 0]
-    inside = np.abs(np.swapaxes(vecs, 1, 2) @ col)[kk, ..., 0] >= c[:, None, None]
-    best = np.min(np.where(inside, vals, np.inf), axis=2)
-    bound = base[kk]
     d = v.shape[1]
+    inside = np.abs(np.swapaxes(vecs, 1, 2) @ col)[kk, ..., 0] >= c[:, None, None]
+    # the boundary witness, v itself where the cap is {v}
+    edge = np.repeat(col[kk], len(terms), axis=1)
     cap = (c < 1.0) & (d > 1)  # on S^0 the cap has no boundary to search
     if np.any(cap):
         q, _ = np.linalg.qr(np.concatenate(
@@ -772,21 +727,26 @@ def _cap_minima(spectra: tuple, dirs: np.ndarray, radii: np.ndarray,
         perp_t = np.swapaxes(perp, 2, 3)
         b_mat = (perp_t @ grams) @ perp
         g_vec = perp_t @ (grams @ col)
-        kc, cc = kk[cap], c[cap]
+        kc, cc = kk[cap], c[cap, None, None, None]
         s = np.sqrt(_nonneg(1.0 - cc * cc))
-        beta, w_mat = np.linalg.eigh((s * s)[:, None, None, None] * b_mat[kc])
-        gamma = np.swapaxes(w_mat, 2, 3) @ ((cc * s)[:, None, None, None] * g_vec[kc])
-        quad = _min_quadratic_on_sphere(beta.reshape(-1, d - 1), gamma.reshape(-1, d - 1))
-        bound[cap] = quad.reshape(beta.shape[:2]) + (cc * cc)[:, None] * base[kc]
-    return np.sqrt(_nonneg(np.where(bound < best, bound, best)))
+        beta, w_mat = np.linalg.eigh(s * s * b_mat[kc])
+        gamma = np.swapaxes(w_mat, 2, 3) @ (cc * s * g_vec[kc])
+        y = _min_quadratic_on_sphere(beta.reshape(-1, d - 1), gamma.reshape(-1, d - 1))
+        edge[cap] = cc * col[kc] + s * (perp[kc] @ (w_mat @ y.reshape(gamma.shape)))
+    # witnesses as rows (pairs x terms x d+1 x d), imaged in one product
+    wit = np.concatenate([np.broadcast_to(np.swapaxes(vecs, 1, 2), (len(pair), *vecs.shape)),
+                          np.swapaxes(edge, 2, 3)], axis=2)
+    images = wit @ np.swapaxes(terms, 1, 2)
+    sq = np.where(np.concatenate([inside, np.ones((*inside.shape[:2], 1), bool)], axis=2),
+                  _dots(images, images), np.inf)
+    return np.sqrt(np.min(sq, axis=2))
 
 
-def _min_image_on_cap(eigvals: np.ndarray, eigvecs: np.ndarray, gram: np.ndarray,
-                      v: np.ndarray, r: float) -> float:
-    """min |A w| over unit w with |w - v| <= r, given eigh(A^T A): the
-    one-pair, one-term case of `_cap_minima`."""
-    spectra = (eigvals[None], eigvecs[None], gram[None])
-    return float(_cap_minima(spectra, np.asarray(v)[None], np.array([r], float), 0, 1)[0, 0])
+def _min_image_on_cap(a: np.ndarray, v: np.ndarray, r: float) -> float:
+    """min |A w| over unit w with |w - v| <= r: the one-pair, one-term case
+    of `_cap_minima`."""
+    return float(_cap_minima(_spectra(np.asarray(a, dtype=float)[None]), np.asarray(v)[None],
+                             np.array([r], float), 0, 1)[0, 0])
 
 
 def _grams(terms: np.ndarray) -> np.ndarray:
@@ -798,11 +758,10 @@ def _grams(terms: np.ndarray) -> np.ndarray:
     return grams
 
 
-def _tail_spectra(seq: MatrixSequence) -> tuple:
-    """(eigenvalues, eigenvectors, Gram) of A_n^T A_n, stacked over the tail."""
-    grams = _grams(seq.tail)
-    vals, vecs = np.linalg.eigh(grams)
-    return vals, vecs, grams
+def _spectra(terms: np.ndarray) -> tuple:
+    """(terms, eigenvectors of A_n^T A_n, A_n^T A_n), stacked."""
+    grams = _grams(terms)
+    return terms, np.linalg.eigh(grams)[1], grams
 
 
 def _cap_scores(spectra: tuple, dirs: np.ndarray, radii, count: int) -> np.ndarray:
@@ -830,7 +789,7 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     _require_usable(seq)
     radii = _sorted_radii(radii)
     dirs = sphere_points(seq.dim, directions, seed)
-    spectra = _tail_spectra(seq)
+    spectra = _spectra(seq.tail)
     # Each (direction, radius) score costs one cap minimum per tail term;
     # BRUTE_BUDGET pays for the first `done` of them in row-major order.
     total = directions * len(radii)
@@ -849,7 +808,7 @@ def brute_force_score(seq: MatrixSequence, v,
     _require_usable(seq)
     u = _unit_direction(v, seq.dim)
     radii = _sorted_radii(radii)
-    return _cap_scores(_tail_spectra(seq), u[None], radii, len(radii))
+    return _cap_scores(_spectra(seq.tail), u[None], radii, len(radii))
 
 
 # ---------------------------------------------------------------------------

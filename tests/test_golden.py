@@ -4,8 +4,10 @@ The reports under tests/golden/ were written by the per-pair and per-term
 loops that the batched kernels replaced.  For `--oracle all`, keys, list
 lengths, strings and booleans must match exactly and numbers to 1e-12
 relative, so a later speed-up that drifts the answers shows here.  The
-brute-force report must match byte for byte: its batched cap solver does
-the scalar solver's arithmetic.  So must the `limit-set` reports and traces,
+brute-force report must match byte for byte: it was rewritten when the cap
+solver became Newton's method scored at explicit witnesses, within 3e-12 of
+the bisection's scores, and its batched solver gives each problem the bits
+it gives alone.  So must the `limit-set` reports and traces,
 written by the per-word sampling loop: the stacked words are the same
 products and the stacked SVD the same LAPACK call.  The long-tail `as`
 reports (a 200-term rotated fundamental tail and a d = 6 Lorentz sequence

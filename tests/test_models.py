@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,6 +122,20 @@ class TestIntegerEnumeration:
         elems = integer_isometries(g, 10)
         assert len(elems) == 16
         assert all(np.array_equal(a.T @ g.gram @ a, g.gram) for a in elems)
+
+    def test_column_table_is_built_in_blocks(self):
+        # height 20 under diag(1, 1, 1, -1): 41^4 columns, of which only
+        # those of norm +-1 are kept; the operation budget still stops the
+        # search, and the whole table is never held at once
+        g = RationalLorentzForm(gram=np.diag([1, 1, 1, -1]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="exceeded its operation budget"):
+                integer_isometries(g, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_operation_budget_boundary(self, int_mink3, monkeypatch):
         # height 1 under diag(-1, 1, 1): 2 first columns; 2 x 12 products and
