@@ -150,7 +150,7 @@ class MatrixSequence:
 
     @functools.cached_property
     def _cartan_limits(self) -> dict:
-        """Cartan-route `_detected` results computed so far, by (rank, kind)."""
+        """Cartan-route results (`_cartan_detected`) computed so far, by (rank, kind)."""
         return {}
 
     @classmethod
@@ -291,9 +291,32 @@ def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`grassmann_distance(a[i], b[i])` for stacks of bases of one nonzero
     rank; either may also be one basis, compared with every basis of the
     other.  Each residual gets its own LAPACK call, so the bits match."""
-    residual = b - a @ (np.swapaxes(a, -1, -2) @ b)
+    return _sines(b - a @ (np.swapaxes(a, -1, -2) @ b))
+
+
+def _sines(residual: np.ndarray) -> np.ndarray:
+    """arcsin of the top singular value of each residual b - a a^T b."""
     s = np.linalg.svd(residual, compute_uv=False)[:, 0]
     return np.arcsin(np.minimum(1.0, s))
+
+
+def _linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_sine_distances(a, b) <= CLUSTER_LINK``, with the same stacking.
+
+    With f = |residual|_F^2 of rank-k bases, |R|_2^2 <= f <= k |R|_2^2
+    (Golub & Van Loan, Matrix Computations, 2.3), so f <= sin^2(link)
+    links a pair and f > k sin^2(link) does not.  Only the pairs between
+    those bounds, widened by a relative 1e-9 on each side for rounding,
+    take the SVD.
+    """
+    residual = b - a @ (np.swapaxes(a, -1, -2) @ b)
+    f = np.einsum("...ij,...ij->...", residual, residual)
+    sin2 = np.sin(CLUSTER_LINK) ** 2
+    linked = f <= sin2 * (1.0 - 1e-9)
+    unsure = ~linked & (f <= b.shape[-1] * sin2 * (1.0 + 1e-9))
+    if unsure.any():
+        linked[unsure] = _sines(residual[unsure]) <= CLUSTER_LINK
+    return linked
 
 
 def _pair_distances(pairs: list) -> list[float]:
@@ -317,10 +340,12 @@ def _cluster_by_linkage(bases: np.ndarray) -> list[list[int]]:
     which edges are looked at, so long as no pair joining two separate
     components is skipped.  Consecutive tail candidates are linked first; then each i
     is compared only with the later candidates still outside its component.
-    A converging tail costs m - 1 distances instead of m(m - 1)/2.
+    A converging tail costs m - 1 link tests instead of m(m - 1)/2.  The
+    components hold only link decisions, never distances, so `_linked`
+    decides most pairs from a norm bound and the SVD only the rest.
     """
     m = len(bases)
-    close = _sine_distances(bases[:-1], bases[1:]) <= CLUSTER_LINK
+    close = _linked(bases[:-1], bases[1:])
     comp = np.concatenate([[0], np.cumsum(~close)])
     for i in range(m):
         outside = comp != comp[i]
@@ -328,7 +353,7 @@ def _cluster_by_linkage(bases: np.ndarray) -> list[list[int]]:
             break  # one component: every later i has no candidate outside it
         js = i + 1 + np.flatnonzero(outside[i + 1:])
         if js.size:
-            linked = js[_sine_distances(bases[i], bases[js]) <= CLUSTER_LINK]
+            linked = js[_linked(bases[i], bases[js])]
             comp[np.isin(comp, comp[linked])] = comp[i]
     order = np.argsort(comp, kind="stable")  # members stay in tail order
     groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
@@ -376,38 +401,51 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
         step, moved = _sine_distances(np.stack([bases[-2], basis]), last)
         return basis if moved <= 5.0 * step + 1e-9 else last
 
-    p0 = _fit_at_zero(1.0 / labels, projs, int(min(6, m - 3)))
+    p0 = _fit_at_zero(labels, projs, int(min(6, m - 3)))
     basis = to_basis(p0)
     if grassmann_distance(basis, last) > max(5.0 * drift, 1e-6):
         return last
     return basis
 
 
-def _fit_at_zero(x: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
-    """The symmetric matrix of constant terms of the degree-`deg` least-squares
-    polynomials in `x` through each entry of the stacked ``projs``.
+# a tail's families repeat their labels across detectors and calls
+@functools.lru_cache(maxsize=256)
+def _fit_weights(labels: tuple, deg: int) -> tuple:
+    """(w, rank): w @ y is the constant term of the degree-`deg`
+    least-squares polynomial in x = 1/labels through y, as
+    `numpy.polynomial.polynomial.polyfit` fits it, and rank is the fit's
+    rank (w is read-only).
 
-    Each upper entry is `numpy.polynomial.polynomial.polyfit`'s own
-    arithmetic: the column-scaled Vandermonde (built once here) and one
-    single-column `lstsq` call with ``rcond = len(x) * eps``.  A multi-column
-    `lstsq` would solve all entries in one call but moves the answers by
-    about 3e-15 relative.
+    That constant term is a fixed linear functional of y: the first row of
+    the pseudo-inverse of polyfit's column-scaled Vandermonde, cut at its
+    ``rcond = len(x) * eps``, divided by the first column's scale.
     """
-    lhs = np.polynomial.polynomial.polyvander(x, deg).T
-    scl = np.sqrt(np.square(lhs).sum(1))
+    x = 1.0 / np.asarray(labels, dtype=float)
+    lhs = np.polynomial.polynomial.polyvander(x, deg)
+    scl = np.sqrt(np.square(lhs).sum(0))
     scl[scl == 0] = 1
-    lhs = lhs.T / scl
-    rcond = len(x) * np.finfo(x.dtype).eps
-    d = projs.shape[1]
-    p0 = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            c, _, rank, _ = np.linalg.lstsq(lhs, projs[:, i, j], rcond)
-            if rank != deg + 1:
-                warnings.warn("The fit may be poorly conditioned",
-                              np.exceptions.RankWarning, stacklevel=2)
-            p0[i, j] = p0[j, i] = c[0] / scl[0]
-    return p0
+    u, sv, vt = np.linalg.svd(lhs / scl, full_matrices=False)
+    keep = sv > len(x) * np.finfo(float).eps * sv[0]
+    w = u[:, keep] @ (vt[keep, 0] / sv[keep]) / scl[0]
+    w.flags.writeable = False
+    return w, int(np.count_nonzero(keep))
+
+
+def _fit_at_zero(labels: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
+    """The symmetric matrix of constant terms of the degree-`deg` least-squares
+    polynomials in x = 1/labels through each entry of the stacked ``projs``.
+
+    Every entry is one cached functional of its column (`_fit_weights`), so
+    the fit is one contraction over the (members x d x d) stack; the upper
+    triangle is kept and mirrored.  A rank-deficient fit warns on every
+    call, as `polyfit` does.
+    """
+    w, rank = _fit_weights(tuple(labels.tolist()), deg)
+    if rank != deg + 1:
+        warnings.warn("The fit may be poorly conditioned",
+                      np.exceptions.RankWarning, stacklevel=2)
+    p0 = np.triu(np.tensordot(w, projs, axes=1))
+    return p0 + np.triu(p0, 1).T
 
 
 def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
@@ -459,8 +497,8 @@ def _restricted_norms(terms: np.ndarray, bases: np.ndarray) -> float:
     return float(np.max(np.linalg.svd(terms @ bases, compute_uv=False)[:, 0]))
 
 
-def _modulus(terms: np.ndarray, bases: np.ndarray) -> float:
-    worst = _restricted_norms(terms, bases)
+def _modulus(worst: float) -> float:
+    """1 / the largest restricted norm; inf on the zero space."""
     return float("inf") if worst == 0.0 else 1.0 / worst
 
 
@@ -477,18 +515,18 @@ def _gate(seq: MatrixSequence):
         )
 
 
-def _detected(seq: MatrixSequence, bases, rank: int,
-              kind: StabilityKind = StabilityKind.STABLE) -> ASResult:
-    """Subspace limit of the leading `rank` columns of the tail terms'
+def _detected(seq: MatrixSequence, bases, rank: int) -> ASResult:
+    """Stable subspace limit of the leading `rank` columns of the tail terms'
     candidate bases (``bases`` stacks the d x d basis of every tail term,
-    indexed from the first tail term)."""
+    indexed from the first tail term), with the modulus of its restricted
+    norms."""
     bases = bases[:, :, :rank]
     sub, conv, used = _subspace_limit(seq, bases, rank)
     rel = np.asarray(used) - seq.tail_start
     return ASResult(
         subspace=sub,
-        kind=kind,
-        modulus=_modulus(seq.tail[rel], bases[rel]),
+        kind=StabilityKind.STABLE,
+        modulus=_modulus(_restricted_norms(seq.tail[rel], bases[rel])),
         converged=conv,
         subsequence_indices=used,
     )
@@ -496,13 +534,26 @@ def _detected(seq: MatrixSequence, bases, rank: int,
 
 def _cartan_detected(seq: MatrixSequence, rank: int,
                      kind: StabilityKind = StabilityKind.STABLE) -> ASResult:
-    """`_detected` on the right-singular directions, computed once per
-    sequence for each (rank, kind); a raised error is not kept."""
+    """Subspace limit of the right-singular directions, computed once per
+    sequence for each (rank, kind); a raised error is not kept.
+
+    A_n R_n^T = L_n D_n, so A_n restricted to the first `rank` columns of
+    R_n^T has norm D_n[rank - 1] (D ascending): the modulus is read off D.
+    """
     limits = seq._cartan_limits
     if (rank, kind) not in limits:
         # ascending D puts the bounded directions first; R rows are the
         # right-singular vectors, so R^T columns realize R^{-1}(R^i x {0}).
-        limits[rank, kind] = _detected(seq, np.swapaxes(seq.cartan.R, 1, 2), rank, kind)
+        bases = np.swapaxes(seq.cartan.R, 1, 2)[:, :, :rank]
+        sub, conv, used = _subspace_limit(seq, bases, rank)
+        rel = np.asarray(used) - seq.tail_start
+        limits[rank, kind] = ASResult(
+            subspace=sub,
+            kind=kind,
+            modulus=_modulus(float(np.max(seq.cartan.D[rel, rank - 1])) if rank else 0.0),
+            converged=conv,
+            subsequence_indices=used,
+        )
     return limits[rank, kind]
 
 
@@ -733,13 +784,14 @@ def _cap_minima(spectra: tuple, dirs: np.ndarray, radii: np.ndarray,
         gamma = np.swapaxes(w_mat, 2, 3) @ (cc * s * g_vec[kc])
         y = _min_quadratic_on_sphere(beta.reshape(-1, d - 1), gamma.reshape(-1, d - 1))
         edge[cap] = cc * col[kc] + s * (perp[kc] @ (w_mat @ y.reshape(gamma.shape)))
-    # witnesses as rows (pairs x terms x d+1 x d), imaged in one product
-    wit = np.concatenate([np.broadcast_to(np.swapaxes(vecs, 1, 2), (len(pair), *vecs.shape)),
-                          np.swapaxes(edge, 2, 3)], axis=2)
-    images = wit @ np.swapaxes(terms, 1, 2)
-    sq = np.where(np.concatenate([inside, np.ones((*inside.shape[:2], 1), bool)], axis=2),
-                  _dots(images, images), np.inf)
-    return np.sqrt(np.min(sq, axis=2))
+    # witnesses as rows: the eigendirections imaged once per term, the
+    # boundary witness once per (pair, term)
+    terms_t = np.swapaxes(terms, 1, 2)
+    eig_images = np.swapaxes(vecs, 1, 2) @ terms_t
+    edge_images = np.swapaxes(edge, 2, 3) @ terms_t
+    sq = np.where(inside, _dots(eig_images, eig_images), np.inf)
+    sq = np.minimum(np.min(sq, axis=2), _dots(edge_images, edge_images)[..., 0])
+    return np.sqrt(sq)
 
 
 def _min_image_on_cap(a: np.ndarray, v: np.ndarray, r: float) -> float:

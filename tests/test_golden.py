@@ -1,20 +1,21 @@
 """CLI golden reports: `lorentzdyn as` on checked-in inputs.
 
-The reports under tests/golden/ were written by the per-pair and per-term
-loops that the batched kernels replaced.  For `--oracle all`, keys, list
-lengths, strings and booleans must match exactly and numbers to 1e-12
-relative, so a later speed-up that drifts the answers shows here.  The
-brute-force report must match byte for byte: it was rewritten when the cap
-solver became Newton's method scored at explicit witnesses, within 3e-12 of
-the bisection's scores, and its batched solver gives each problem the bits
-it gives alone.  So must the `limit-set` reports and traces,
-written by the per-word sampling loop: the stacked words are the same
-products and the stacked SVD the same LAPACK call.  The long-tail `as`
-reports (a 200-term rotated fundamental tail and a d = 6 Lorentz sequence
-under `--form`) were written before the subspace-limit layer worked on
-stacked families, and must match byte for byte.  So must the integer
-torus reports (`model torus-fixed`, `model torus-isoms`, `entropy`),
-written before the torus layer's isometry gate became exact.
+For `--oracle all`, keys, list lengths, strings and booleans must match
+exactly and numbers to 1e-12 relative, so a later speed-up that drifts the
+answers shows here.  The other reports must match byte for byte.  The five
+`as` reports and the brute-force report were last rewritten when the 1/n
+fit became one cached linear functional (in place of one `lstsq` per
+projector entry), single linkage decided its links from a norm bound, the
+Cartan route read its modulus off the spectrum D and the cap witnesses
+were imaged once per term: keys, strings, booleans, dimensions and
+subsequence indices stayed identical, subspaces moved by at most 9.7e-13
+in sine distance, agreement entries by at most 1.0e-12 and brute-force
+scores by at most 1.7e-16 relative.  The batched cap solver gives each
+problem the bits it gives alone.  The `limit-set` reports and traces were
+written by the per-word sampling loop and keep their bytes: the stacked
+words are the same products and the stacked SVD the same LAPACK call.  So
+do the integer torus reports (`model torus-fixed`, `model torus-isoms`,
+`entropy`), written before the torus layer's isometry gate became exact.
 """
 
 import json

@@ -861,14 +861,14 @@ class TestBatchedLinkage:
         # candidate is compared again: the path is linear in m
         bases = _drifting(np.random.default_rng(5), 4, 2, range(5, 505), 0.01)
         pairs = []
-        batched = stability._sine_distances
+        batched = stability._linked
 
         def counting(a, b):
             out = batched(a, b)
             pairs.append(len(out))
             return out
 
-        monkeypatch.setattr(stability, "_sine_distances", counting)
+        monkeypatch.setattr(stability, "_linked", counting)
         assert stability._cluster_by_linkage(bases) == [list(range(500))]
         assert sum(pairs) == 499
 
@@ -877,11 +877,46 @@ class TestBatchedLinkage:
         # before comparing any candidate with the rest
         bases = _drifting(np.random.default_rng(6), 5, 3, range(5, 105), 0.01)
         calls = []
-        batched = stability._sine_distances
-        monkeypatch.setattr(stability, "_sine_distances",
+        batched = stability._linked
+        monkeypatch.setattr(stability, "_linked",
                             lambda a, b: calls.append(a.ndim) or batched(a, b))
         assert stability._cluster_by_linkage(bases) == [list(range(100))]
         assert calls == [3]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_linked_equals_sine_distance_test(self, k):
+        # k principal angles between span(e_1..e_k) and a turned k-plane, in
+        # a random common frame: one angle at the link +-1e-9 with the rest
+        # 0 (f = |R|_2^2), all k there (f = k |R|_2^2), one there with the
+        # rest at half the link (|R|_2^2 < f < k |R|_2^2), and spread angles
+        rng = np.random.default_rng(110 + k)
+        d = 2 * k
+        link = CLUSTER_LINK
+        angles = []
+        for off in (-1e-9, 1e-9):
+            for rest in (0.0, link + off, 0.5 * link):
+                angles.append([link + off] + [rest] * (k - 1))
+        angles += list(rng.uniform(0.0, 2.0 * link, size=(40, k)))
+        firsts, seconds = [], []
+        for theta in angles:
+            q = _orth(rng.normal(size=(d, d)))
+            turn = _orth(rng.normal(size=(k, k)))
+            e = np.eye(d)
+            turned = e[:, :k] * np.cos(theta) + e[:, k:] * np.sin(theta)
+            firsts.append(q @ e[:, :k] @ turn)
+            seconds.append(q @ turned)
+        a, b = np.array(firsts), np.array(seconds)
+        residual = b - a @ (np.swapaxes(a, 1, 2) @ b)
+        f = np.sum(residual * residual, axis=(1, 2))
+        sin2 = np.sin(link) ** 2
+        if k > 1:
+            assert np.any((f > sin2) & (f <= k * sin2))
+        want = stability._sine_distances(a, b) <= link
+        assert want.any() and not want.all()
+        assert np.array_equal(stability._linked(a, b), want)
+        for i in range(len(a)):  # one basis against a stack
+            assert np.array_equal(stability._linked(a[i], b[i:]),
+                                  stability._sine_distances(a[i], b[i:]) <= link)
 
 
 def _per_member_extrapolation(bases, labels, rank):
@@ -941,11 +976,32 @@ def _family_scenarios(d, rng):
     yield "sparse-1/n", sparse, np.array([_orth(base + step / n) for n in sparse])
 
 
+def _package_extrapolation(monkeypatch, family, labels, rank):
+    """`_extrapolate_projector` on ``family`` and the branch it took, read off
+    whether it returned the last member or a new basis, and whether it ran
+    the 1/n fit or an eigh on the way."""
+    calls = []
+    fit, eigh = stability._fit_at_zero, np.linalg.eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "_fit_at_zero", lambda *a: calls.append("fit") or fit(*a))
+        patch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        got = stability._extrapolate_projector(family, labels, rank)
+    last = np.shares_memory(got, family)
+    if "fit" in calls:
+        return got, "fit-overshoot" if last else "fit"
+    if "eigh" in calls:
+        return got, "geometric-overshoot" if last else "geometric"
+    return got, "short" if len(family) < 4 else "settled"
+
+
 class TestStackedExtrapolation:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_matches_per_member_loop(self, d):
+    def test_matches_per_member_loop(self, d, monkeypatch):
         # families are the leading columns of transposed frames, as the
-        # Cartan route passes R^T, taken by index as `_subspace_limit` does
+        # Cartan route passes R^T, taken by index as `_subspace_limit` does.
+        # Every branch is the reference's.  The 1/n fit is one cached
+        # linear functional, not the reference's per-entry polyfit, so its
+        # limit agrees to rounding; every other branch agrees bit for bit
         rng = np.random.default_rng(90 + d)
         branches = set()
         for name, labels, frames in _family_scenarios(d, rng):
@@ -953,12 +1009,49 @@ class TestStackedExtrapolation:
             for rank in range(1, d):
                 family = rt[:, :, :rank]
                 want, branch = _per_member_extrapolation(list(family), labels, rank)
-                got = stability._extrapolate_projector(
-                    family[np.arange(len(family))], labels, rank)
-                assert np.array_equal(got, want), (d, name, rank, branch)
+                got, took = _package_extrapolation(
+                    monkeypatch, family[np.arange(len(family))], labels, rank)
+                assert took == branch, (d, name, rank)
+                if branch == "fit":
+                    assert grassmann_distance(got, want) <= 1e-10, (d, name, rank)
+                else:
+                    assert np.array_equal(got, want), (d, name, rank, branch)
                 branches.add(branch)
         assert branches == {"short", "settled", "geometric", "geometric-overshoot",
                             "fit", "fit-overshoot"}
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_fit_at_zero_matches_polyfit_per_entry(self, d):
+        rng = np.random.default_rng(120 + d)
+        for name, labels, frames in _family_scenarios(d, rng):
+            if len(labels) < 4:
+                continue
+            for rank in range(1, d):
+                family = np.swapaxes(frames, 1, 2)[:, :, :rank]
+                projs = family @ np.swapaxes(family, 1, 2)
+                deg = int(min(6, len(labels) - 3))
+                got = stability._fit_at_zero(labels, projs, deg)
+                want = np.array([[np.polynomial.polynomial.polyfit(
+                    1.0 / labels, projs[:, min(i, j), max(i, j)], deg)[0]
+                    for j in range(d)] for i in range(d)])
+                assert np.array_equal(got, got.T), (name, rank)
+                assert np.max(np.abs(got - want)) <= 1e-10, (name, rank)
+            weights, _ = stability._fit_weights(tuple(labels.tolist()), deg)
+            assert not weights.flags.writeable
+
+    def test_every_rank_deficient_fit_warns(self):
+        # two distinct labels cannot carry a cubic: polyfit warns, and so
+        # does each fit, the one that fills the weight cache and the one
+        # that reads it
+        labels = np.array([5.0, 5.0, 5.0, 6.0, 6.0, 6.0])
+        projs = np.broadcast_to(np.eye(3), (6, 3, 3))
+        with pytest.warns(np.exceptions.RankWarning):
+            np.polynomial.polynomial.polyfit(1.0 / labels, projs[:, 0, 0], 3)
+        stability._fit_weights.cache_clear()
+        for _ in range(2):
+            with pytest.warns(np.exceptions.RankWarning):
+                stability._fit_at_zero(labels, projs, 3)
+        assert stability._fit_weights.cache_info().hits == 1
 
 
 def _awkward_sequence(d, seed):
