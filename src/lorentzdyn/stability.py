@@ -408,7 +408,8 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     return basis
 
 
-# a tail's families repeat their labels across detectors and calls
+# the detectors fit the same family labels, and tails of one length share
+# them: nearly every fit reads its weights here instead of taking an SVD
 @functools.lru_cache(maxsize=256)
 def _fit_weights(labels: tuple, deg: int) -> tuple:
     """(w, rank): w @ y is the constant term of the degree-`deg`
@@ -490,11 +491,20 @@ def _intersect_bases(bases: list[np.ndarray]) -> np.ndarray:
     return vt[keep].T
 
 
-def _restricted_norms(terms: np.ndarray, bases: np.ndarray) -> float:
-    """Largest operator norm of ``terms[i]`` restricted to the span of ``bases[i]``."""
+def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> float:
+    """Largest operator norm of the tail terms ``rel`` (counted from the
+    first tail term), each restricted to the span of its ``bases[rel]``."""
     if bases.shape[2] == 0:
         return 0.0
-    return float(np.max(np.linalg.svd(terms @ bases, compute_uv=False)[:, 0]))
+    return float(np.max(np.linalg.svd(seq.tail[rel] @ bases[rel], compute_uv=False)[:, 0]))
+
+
+def _cartan_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> float:
+    """`_restricted_norms` when ``bases`` holds the leading columns of the
+    tail's R_n^T, read off D: A_n R_n^T = L_n D_n, so A_n restricted to the
+    first `rank` columns of R_n^T has norm D_n[rank - 1] (D ascending)."""
+    rank = bases.shape[2]
+    return float(np.max(seq.cartan.D[rel, rank - 1])) if rank else 0.0
 
 
 def _modulus(worst: float) -> float:
@@ -515,45 +525,34 @@ def _gate(seq: MatrixSequence):
         )
 
 
-def _detected(seq: MatrixSequence, bases, rank: int) -> ASResult:
+def _detected(seq: MatrixSequence, bases, rank: int, kind: StabilityKind,
+              worst) -> ASResult:
     """Stable subspace limit of the leading `rank` columns of the tail terms'
     candidate bases (``bases`` stacks the d x d basis of every tail term,
-    indexed from the first tail term), with the modulus of its restricted
-    norms."""
+    indexed from the first tail term).  Its modulus inverts ``worst(seq,
+    rel, bases)``, the largest norm of the limit's subsequence ``rel``
+    restricted to its candidates."""
     bases = bases[:, :, :rank]
     sub, conv, used = _subspace_limit(seq, bases, rank)
     rel = np.asarray(used) - seq.tail_start
     return ASResult(
         subspace=sub,
-        kind=StabilityKind.STABLE,
-        modulus=_modulus(_restricted_norms(seq.tail[rel], bases[rel])),
+        kind=kind,
+        modulus=_modulus(worst(seq, rel, bases)),
         converged=conv,
         subsequence_indices=used,
     )
 
 
-def _cartan_detected(seq: MatrixSequence, rank: int,
-                     kind: StabilityKind = StabilityKind.STABLE) -> ASResult:
+def _cartan_detected(seq: MatrixSequence, rank: int, kind: StabilityKind) -> ASResult:
     """Subspace limit of the right-singular directions, computed once per
-    sequence for each (rank, kind); a raised error is not kept.
-
-    A_n R_n^T = L_n D_n, so A_n restricted to the first `rank` columns of
-    R_n^T has norm D_n[rank - 1] (D ascending): the modulus is read off D.
-    """
+    sequence for each (rank, kind); a raised error is not kept."""
     limits = seq._cartan_limits
     if (rank, kind) not in limits:
         # ascending D puts the bounded directions first; R rows are the
         # right-singular vectors, so R^T columns realize R^{-1}(R^i x {0}).
-        bases = np.swapaxes(seq.cartan.R, 1, 2)[:, :, :rank]
-        sub, conv, used = _subspace_limit(seq, bases, rank)
-        rel = np.asarray(used) - seq.tail_start
-        limits[rank, kind] = ASResult(
-            subspace=sub,
-            kind=kind,
-            modulus=_modulus(float(np.max(seq.cartan.D[rel, rank - 1])) if rank else 0.0),
-            converged=conv,
-            subsequence_indices=used,
-        )
+        limits[rank, kind] = _detected(seq, np.swapaxes(seq.cartan.R, 1, 2), rank,
+                                       kind, _cartan_norms)
     return limits[rank, kind]
 
 
@@ -561,7 +560,7 @@ def as_subspace_kak(seq: MatrixSequence) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
     _gate(seq)
-    return _cartan_detected(seq, _stable_rank(seq))
+    return _cartan_detected(seq, _stable_rank(seq), StabilityKind.STABLE)
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
@@ -578,7 +577,8 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     _gate(seq)
     op = seq.norms[seq.tail_start:, None, None]
     _, vecs = np.linalg.eigh(_grams(seq.tail) / (op * op))  # ascending eigenvalues
-    return _detected(seq, vecs, _stable_rank(seq))
+    return _detected(seq, vecs, _stable_rank(seq), StabilityKind.STABLE,
+                     _restricted_norms)
 
 
 def as_subspace_graph(seq: MatrixSequence) -> ASResult:
@@ -598,7 +598,8 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     graphs = np.concatenate([np.broadcast_to(np.eye(d), tail.shape), tail], axis=1)
     q, _ = np.linalg.qr(graphs)
     u = np.linalg.svd(q[:, :d, :])[0]  # columns by descending s
-    return _detected(seq, u, _stable_rank(seq))
+    return _detected(seq, u, _stable_rank(seq), StabilityKind.STABLE,
+                     _restricted_norms)
 
 
 def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:

@@ -1116,7 +1116,7 @@ class TestBatchedDetectorLoops:
     def _candidates(monkeypatch, detector, seq):
         seen = {}
 
-        def capture(seq, bases, rank, kind=None):
+        def capture(seq, bases, rank, kind, worst):
             seen.update(bases=bases, rank=rank)
             raise _Captured
 
@@ -1144,15 +1144,34 @@ class TestBatchedDetectorLoops:
     def test_restricted_norms_equal_per_index_loop(self, d):
         seq = _awkward_sequence(d, 100 + d)
         tail = seq.tail
-        stacks = [np.swapaxes(seq.cartan.R, 1, 2),
-                  np.array(_per_term_ellipsoid(seq)),
-                  np.array(_per_term_graph(seq))]
-        for bases in stacks:
+        for bases in (np.array(_per_term_ellipsoid(seq)), np.array(_per_term_graph(seq))):
             for indices in (list(range(len(tail))), list(range(0, len(tail), 3))):
                 for rank in range(d + 1):
-                    got = stability._restricted_norms(tail[indices], bases[indices, :, :rank])
+                    got = stability._restricted_norms(seq, np.array(indices), bases[:, :, :rank])
                     ref = _per_index_restricted_norm(tail, bases, indices, rank)
                     assert got == ref
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_cartan_modulus_is_the_restricted_norm(self, d):
+        # the modulus read off D is the inverse largest norm of the tail
+        # terms on the leading columns of R^T, up to the SVD's rounding of
+        # a few d * eps * |A_n| against the D_n[rank - 1] it measures
+        # (at most 4.3 eps * |A_n| over 150 such sequences, d = 2..6)
+        seq = _awkward_sequence(d, 110 + d)
+        cartan, start = seq.cartan, seq.tail_start
+        rt = np.swapaxes(cartan.R, 1, 2)
+        eps = np.finfo(float).eps
+        for kind in (StabilityKind.STABLE, StabilityKind.STRONGLY_STABLE):
+            for rank in range(d + 1):
+                res = stability._cartan_detected(seq, rank, kind)
+                assert res.kind == kind
+                if rank == 0:
+                    assert res.modulus == float("inf")
+                    continue
+                rel = np.asarray(res.subsequence_indices) - start
+                want = 1.0 / stability._restricted_norms(seq, rel, rt[:, :, :rank])
+                tol = 2 * d * eps * np.max(cartan.D[rel, -1] / cartan.D[rel, rank - 1])
+                assert abs(res.modulus - want) <= tol * want, (kind, rank)
 
 
 class TestTailOnly:
