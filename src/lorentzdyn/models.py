@@ -233,8 +233,13 @@ def plus_minus_identity_check(g: RationalLorentzForm, a, rays) -> bool:
 
     Raises when the input violates the precondition (a matrix that does not
     preserve g, a unit ray v with |<v, v>| > `ISOTROPY_TOL` under g, a ray
-    not actually fixed, or proportional rays); returns the verified truth
-    value.
+    not actually fixed, proportional rays, or multipliers that are not all
+    +1 or all -1); returns the verified truth value.
+
+    The multipliers mu_i of three fixed isotropic rays u_i satisfy
+    <A u_i, A u_j> = mu_i mu_j <u_i, u_j>, and two distinct isotropic lines
+    are never g-orthogonal in Lorentz signature, so mu_i mu_j = 1 for every
+    pair.  Any other multipliers mean the rays are numerically one ray.
     """
     m = g.require_isometry(a, "matrix")
     vecs = [r.ray if isinstance(r, BoundaryPoint) else canonical_ray(_as_vector(r, g.dim))
@@ -258,7 +263,9 @@ def plus_minus_identity_check(g: RationalLorentzForm, a, rays) -> bool:
     for sign in (1.0, -1.0):
         if all(abs(mu - sign) <= 1e-8 for mu in mults):
             return bool(np.linalg.norm(m @ span - sign * span) <= 1e-8 * np.linalg.norm(span))
-    return False
+    raise PreconditionError(
+        f"the multipliers of three fixed isotropic rays must be all +1 or all -1, got "
+        f"{', '.join(f'{mu:.6g}' for mu in mults)}: the rays are numerically one ray")
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ too: a singular value grows when the log of its tail envelope climbs with
 slope at least `GROWTH_EXPONENT` against log n, and the block of growing
 values must stand `SEPARATION` times clear of the rest.  The three
 detectors take their rank from `_stable_rank` and compute only their
-candidate bases.  The divergence gate is the rule's slope test on the
-norms.  It reads no absolute size, as the stable space of c A_n is that
-of A_n for every c > 0.
+candidate bases.  The divergence gate is the rule itself, on the norms
+as a one-value spectrum.  It reads no absolute size, as the stable space
+of c A_n is that of A_n for every c > 0.
 
 Approximate stability is a limit in n, so the tail decides it: every
 detector, and the brute-force oracle, reads and factors only the terms
-n//2..n-1 (`MatrixSequence.tail`).  Only the singularity check and the
-divergence gate's `norms` cover every term.
+n//2..n-1 (`MatrixSequence.tail`), and the divergence gate reads only
+their norms.  Only the singularity check covers every term.
 """
 
 from __future__ import annotations
@@ -181,11 +181,6 @@ class MatrixSequence:
     def dim(self) -> int:
         return self.terms.shape[1]
 
-    @property
-    def labels(self) -> np.ndarray:
-        """1-based time labels used for extrapolation in 1/n."""
-        return np.arange(1, len(self) + 1, dtype=float)
-
 
 @dataclass(frozen=True)
 class ASResult:
@@ -205,20 +200,18 @@ class ASResult:
 
 
 def is_divergent(seq: MatrixSequence) -> bool:
-    """Trend test for norm_growth(A_n) -> infinity: the growth rule's slope
-    test on the tail norms.  A bounded subsequence (e.g. alternating boosts
-    and identities) keeps the envelope flat."""
+    """Trend test for norm_growth(A_n) -> infinity: the growth rule on the
+    tail norms.  A bounded subsequence (e.g. alternating boosts and
+    identities) keeps the envelope flat."""
     return _norms_diverge(seq.norms)
 
 
 def _norms_diverge(norms: np.ndarray) -> bool:
-    """`is_divergent`'s test on a list of norms: the slope of their tail's
-    lower envelope reaches `GROWTH_EXPONENT`.  A tail of under three terms
-    has no slope."""
+    """`is_divergent`'s test on a list of norms: the growth rule on the
+    tail's norms as a one-value spectrum.  A tail of under three terms has
+    no slope."""
     n = len(norms)
-    if n - n // 2 < 3:
-        return False
-    return bool(_envelope_slopes(np.log(norms[n // 2:, None]), n)[0] >= GROWTH_EXPONENT)
+    return n - n // 2 >= 3 and _growth_rule(norms[n // 2:, None], n) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +225,10 @@ def _require_usable(seq: MatrixSequence):
         )
 
 
-# computed afresh, the weights cost about as much as the rest of a rule
-# call; a process sees few sequence lengths
+# cached: tails of one length share their weights (10 s bench runs miss 1
+# of 12,000 calls on tail-long, 5 of 16,500 on lorentz-short), and computing
+# them in each call slowed lorentz-short from 218 to 204 items/s (six
+# alternating 8 s pairs, 6 of 6, p50 4.51 -> 4.82 ms; 2 vCPU, one BLAS thread)
 @functools.lru_cache(maxsize=256)
 def _slope_weights(n: int) -> np.ndarray:
     """w with w @ y the least-squares slope of y against log of the labels
@@ -247,28 +242,26 @@ def _slope_weights(n: int) -> np.ndarray:
     return w
 
 
-def _envelope_slopes(logs: np.ndarray, n: int) -> np.ndarray:
-    """Per column of ``logs`` (one row per tail term of an n-term sequence,
-    at least three), the slope against log n of its lower envelope, the
-    suffix minimum.  It is read only where the suffix holds half the tail,
-    and two terms: a bounded subsequence that recurs within half the tail
-    keeps it flat, and no single term sets it."""
-    w = _slope_weights(n)
-    return w @ np.minimum.accumulate(logs[::-1], axis=0)[::-1][:len(w)]
-
-
 def _growth_rule(sig: np.ndarray, n: int) -> int:
     """The one growth rule, on ascending positive tail spectra (one row
-    per tail term of an n-term sequence): how many of the top values grow.
+    per tail term of an n-term sequence, at least three): how many of the
+    top values grow.
 
-    A value grows when its envelope slope reaches `GROWTH_EXPONENT`, and a
-    value above a growing one grows too: the growing values are the block
-    from the lowest such column up.  A block that is neither empty nor
-    every column must stay `SEPARATION` times above the value under it at
-    every tail term; otherwise the data cannot yet tell its rank, which is
-    refused.  Decay is growth of the reversed inverse spectra."""
+    A value grows when the slope against log n of its lower envelope, the
+    suffix minimum of its logs, reaches `GROWTH_EXPONENT`.  The slope is
+    read only where the suffix holds half the tail, and two terms: a
+    bounded subsequence that recurs within half the tail keeps it flat,
+    and the last term alone never sets it (one term below every later one
+    lowers it at every earlier row).  A value above a growing one grows
+    too: the growing values are the block from the lowest such column up.
+    A block that is neither empty nor every column must stay `SEPARATION`
+    times above the value under it at every tail term; otherwise the data
+    cannot yet tell its rank, which is refused.  Decay is growth of the
+    reversed inverse spectra."""
     logs = np.log(sig)
-    grows = _envelope_slopes(logs, n) >= GROWTH_EXPONENT
+    w = _slope_weights(n)
+    envelope = np.minimum.accumulate(logs[::-1], axis=0)[::-1][:len(w)]
+    grows = w @ envelope >= GROWTH_EXPONENT
     d = len(grows)
     count = d - int(np.argmax(grows)) if grows.any() else 0
     if 0 < count < d:
@@ -452,35 +445,32 @@ def _fit_at_zero(labels: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
 def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
     """Cluster the tail candidates ``bases`` (one per tail term, in order),
     extrapolate the dominant family, intersect the rest.  Returns
-    (subspace, converged, dominant_indices), the indices counted from the
-    first term of the sequence."""
-    d = seq.dim
-    start = seq.tail_start
-    indices = range(start, len(seq))
+    (subspace, converged, dominant members), the members counted from the
+    first tail term.  A family is extrapolated in 1/n against the 1-based
+    labels n of its terms."""
+    m, d = bases.shape[:2]
     if rank == 0:
-        return Subspace.zero(d), True, tuple(indices)
+        return Subspace.zero(d), True, np.arange(m)
     if rank == d:
-        return Subspace.full(d), True, tuple(indices)
+        return Subspace.full(d), True, np.arange(m)
     clusters = _cluster_by_linkage(bases)
-    labels = seq.labels
     limits = []
     for members in clusters:
-        if len(members) < max(3, len(indices) // 10):
+        if len(members) < max(3, m // 10):
             continue
         members = np.asarray(members)
-        fam_labels = labels[start + members]
-        limits.append((members, _extrapolate_projector(bases[members], fam_labels, rank)))
+        labels = seq.tail_start + 1.0 + members
+        limits.append((members, _extrapolate_projector(bases[members], labels, rank)))
     if not limits:
         raise ConvergenceError("no stable subspace family in the tail",
                                clusters=[len(c) for c in clusters])
     dominant_members, dominant_basis = limits[0]
-    dominant_indices = tuple((start + dominant_members).tolist())
-    if len(limits) == 1 and len(dominant_members) >= 0.9 * len(indices):
-        return Subspace(basis=dominant_basis), True, dominant_indices
+    if len(limits) == 1 and len(dominant_members) >= 0.9 * m:
+        return Subspace(basis=dominant_basis), True, dominant_members
     # No single limit: the stable set is the intersection of the
     # subsequential limit subspaces.
     inter = _intersect_bases([b for _, b in limits])
-    return Subspace(basis=inter), False, dominant_indices
+    return Subspace(basis=inter), False, dominant_members
 
 
 def _intersect_bases(bases: list[np.ndarray]) -> np.ndarray:
@@ -533,14 +523,13 @@ def _detected(seq: MatrixSequence, bases, rank: int, kind: StabilityKind,
     rel, bases)``, the largest norm of the limit's subsequence ``rel``
     restricted to its candidates."""
     bases = bases[:, :, :rank]
-    sub, conv, used = _subspace_limit(seq, bases, rank)
-    rel = np.asarray(used) - seq.tail_start
+    sub, conv, rel = _subspace_limit(seq, bases, rank)
     return ASResult(
         subspace=sub,
         kind=kind,
         modulus=_modulus(worst(seq, rel, bases)),
         converged=conv,
-        subsequence_indices=used,
+        subsequence_indices=tuple((seq.tail_start + rel).tolist()),
     )
 
 
@@ -576,7 +565,13 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     """
     _gate(seq)
     op = seq.norms[seq.tail_start:, None, None]
-    _, vecs = np.linalg.eigh(_grams(seq.tail) / (op * op))  # ascending eigenvalues
+    grams = _grams(seq.tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grams = grams / (op * op)
+    if not np.isfinite(grams).all():
+        raise NumericalError("a term's |A|^2 underflows the floating-point range, so "
+                             "its normalized Gram matrix A^T A / |A|^2 is undefined")
+    _, vecs = np.linalg.eigh(grams)  # ascending eigenvalues
     return _detected(seq, vecs, _stable_rank(seq), StabilityKind.STABLE,
                      _restricted_norms)
 

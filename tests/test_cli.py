@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lorentzdyn import boost, cli, jsonio, models, projective, stability
@@ -255,6 +255,25 @@ class TestAsCommand:
         err = capsys.readouterr().err
         assert err == ("numerical failure: a term's Gram matrix A^T A overflows the "
                        "floating-point range\n" if code else "")
+
+    @pytest.mark.parametrize("oracle, code", [
+        ("ellipsoid", 3), ("all", 3), ("kak", 0), ("graph", 0), ("brute", 0),
+    ])
+    def test_underflowing_norm_exit_code(self, tmp_path, capsys, oracle, code):
+        # the first tail term scaled by 1e-170: its |A|^2 underflows to 0, so
+        # the ellipsoid's normalized Gram would be 0/0
+        terms = fundamental_sequence(40).terms.copy()
+        terms[20] *= 1e-170
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"d": 3, "terms": terms.tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["as", str(path), "--oracle", oracle, "--out",
+                         str(tmp_path / "o.json")]) == code
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: a term's |A|^2 underflows the floating-point "
+                       "range, so its normalized Gram matrix A^T A / |A|^2 is undefined\n"
+                       if code else "")
 
     @pytest.mark.parametrize("oracle", ["ellipsoid", "all", "brute"])
     def test_head_only_gram_overflow_is_answered(self, tmp_path, capsys, oracle):
@@ -849,6 +868,8 @@ def _exit_code(argv):
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=_JSON_VALUES | _sequence_payloads())
+# one tail term whose |A|^2 underflows: the ellipsoid's Gram was 0/0
+@example(payload={"terms": [[[1.0]]] * 5 + [[[1.0370416718665997e-184]]] + [[[1.0]]] * 2})
 def test_as_fuzzed_payloads_honour_exit_codes(tmp_path, payload):
     # whatever the file holds, `as` ends with a documented exit code
     path = tmp_path / "payload.json"

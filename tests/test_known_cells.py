@@ -14,9 +14,12 @@ import pytest
 
 from lorentzdyn import (GroupClass, HyperbolicPoint, MatrixSequence, QuadraticForm, Subspace,
                         as_subspace_ellipsoid, as_subspace_graph, as_subspace_kak, boost,
-                        classify_elementary, limit_set, lorentz_as_check, spas_subspace)
+                        classify_elementary, is_divergent, limit_set, lorentz_as_check,
+                        spas_subspace)
 from lorentzdyn.cartan import _random_rotation, random_lorentz
-from lorentzdyn.errors import EquicontinuousError, InsufficientDataError, PreconditionError
+from lorentzdyn.errors import (ConvergenceError, EquicontinuousError, InsufficientDataError,
+                               PreconditionError)
+from lorentzdyn.minkowski import orthogonal_complement
 from lorentzdyn.models import diagonal_action, second_factor_action_matrix
 from lorentzdyn.stability import AGREEMENT_TOL
 
@@ -70,15 +73,16 @@ _LORENTZ_REASON = (
     "stable-hyperplane-not-lightlike or spas-not-isotropic")
 
 
-def _conjugated_boosts(d: int, seed) -> MatrixSequence:
+def _conjugated_boosts(d: int, seed, step: float, count: int) -> MatrixSequence:
     k = np.eye(d) if seed is None else random_lorentz(d, np.random.default_rng(seed))
     k_inv = np.linalg.inv(k)
-    return MatrixSequence.from_terms([k @ boost(d, 0.12 * i) @ k_inv for i in range(1, 41)])
+    return MatrixSequence.from_terms([k @ boost(d, step * i) @ k_inv
+                                      for i in range(1, count + 1)])
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_plain_boosts_pass_the_lorentz_check(d):
-    rep = lorentz_as_check(QuadraticForm.minkowski(d), _conjugated_boosts(d, None))
+    rep = lorentz_as_check(QuadraticForm.minkowski(d), _conjugated_boosts(d, None, 0.12, 40))
     assert rep.passed, rep.failures
 
 
@@ -87,8 +91,95 @@ def test_plain_boosts_pass_the_lorentz_check(d):
         strict=True, raises=AssertionError, reason=_LORENTZ_REASON))
     for d in (3, 4) for seed in range(40)])
 def test_conjugated_boosts_pass_the_lorentz_check(d, seed):
-    rep = lorentz_as_check(QuadraticForm.minkowski(d), _conjugated_boosts(d, seed))
+    rep = lorentz_as_check(QuadraticForm.minkowski(d), _conjugated_boosts(d, seed, 0.12, 40))
     assert rep.passed, rep.failures
+
+
+# Inside the rapidity band, at total rapidity 8 and 9, the candidates settle
+# geometrically with step ratio e^(-step) = 0.82 and 0.74, under the 0.85
+# cut, so these cells need the geometric branch of the extrapolation:
+# without it the stable hyperplane is up to 2e-3 off and 78 of the 80 fail.
+
+
+@pytest.mark.parametrize("step, count", [(0.2, 40), (0.3, 30)])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("seed", range(20))
+def test_conjugated_boosts_in_the_band(step, count, d, seed):
+    form = QuadraticForm.minkowski(d)
+    rep = lorentz_as_check(form, _conjugated_boosts(d, seed, step, count))
+    assert rep.passed, rep.failures
+    k = random_lorentz(d, np.random.default_rng(seed))
+    stable = orthogonal_complement(form, Subspace.spanned_by(k @ (np.eye(d)[0] - np.eye(d)[1])))
+    assert rep.stable.subspace.distance(stable) <= AGREEMENT_TOL
+
+
+# ---------------------------------------------------------------------------
+# single dips: one tail term scaled down.  The growth rule's envelope is
+# each column's suffix minimum, so a term below every later one lowers the
+# envelope at every earlier row, and the slope read there is wrong.  The
+# undipped sequences (factor 1) are the right cells next to them.
+
+_DIP_GROWS = ("single dip: the suffix-minimum envelope carries the low term back to "
+              "every earlier row, so it climbs out of the dip and bounded values read "
+              "as growing: the stable plane comes out as a line or as 0")
+_DIP_FLAT = ("single dip: the suffix-minimum envelope holds the low term over every "
+             "row the slope reads, so the norms look flat and the divergent sequence "
+             "is refused as equicontinuous")
+_DIP_BOUNDED = ("single dip: 10 I with one term 5 I is bounded, but the suffix-minimum "
+                "envelope climbs from log 5 to log 10 across the dip, a slope past 1/2, "
+                "so it reads as divergent and every value as growing")
+
+
+def _dipped(terms: np.ndarray, index: int, factor: float) -> MatrixSequence:
+    terms = terms.copy()
+    terms[index] *= factor
+    return MatrixSequence.from_terms(terms)
+
+
+def _dip_marks(index, factor):
+    if factor == 1.0:
+        return ()
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=_DIP_FLAT if index >= 30 else _DIP_GROWS)
+
+
+@pytest.mark.parametrize("index, factor", [
+    pytest.param(index, factor, marks=_dip_marks(index, factor))
+    for index, factor in [(20, 1.0), (20, 0.1), (25, 0.5), (30, 0.1), (31, 0.1), (32, 0.1),
+                          (33, 0.1)]])
+@pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
+def test_dipped_fundamental_example(detector, index, factor):
+    """The stable plane span(e1, e2), or a refusal of the rank; a refusal as
+    equicontinuous calls this divergent sequence bounded, which is wrong."""
+    seq = _dipped(np.array([fundamental_term(n) for n in range(1, 41)]), index, factor)
+    try:
+        res = detector(seq)
+    except EquicontinuousError as exc:
+        raise AssertionError(f"divergent sequence refused: {exc}") from exc
+    except (InsufficientDataError, ConvergenceError):
+        return  # refused: allowed
+    assert res.converged and res.subspace.distance(Subspace(basis=np.eye(3)[:, :2])) < 1e-4
+
+
+def _dip_bounded(factor):
+    return pytest.param(factor, marks=() if factor == 1.0 else pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=_DIP_BOUNDED))
+
+
+@pytest.mark.parametrize("factor", [_dip_bounded(1.0), _dip_bounded(0.5)])
+def test_dipped_bounded_sequence_is_not_divergent(factor):
+    assert not is_divergent(_dipped(np.array([10.0 * np.eye(2)] * 40), 20, factor))
+
+
+@pytest.mark.parametrize("factor", [_dip_bounded(1.0), _dip_bounded(0.5)])
+@pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
+def test_dipped_bounded_sequence_is_refused(detector, factor):
+    seq = _dipped(np.array([10.0 * np.eye(2)] * 40), 20, factor)
+    try:
+        res = detector(seq)
+    except PreconditionError:
+        return  # refused: right
+    raise AssertionError(f"bounded sequence answered with dimension {res.subspace.dim}")
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,19 @@ class TestPlusMinusIdentity:
         with pytest.raises(PreconditionError):
             plus_minus_identity_check(int_mink3, np.eye(3), [r, r, r])
 
+    def test_one_ray_seen_three_times_rejected(self):
+        # three unit rays within 2e-8 of the expanding eigenray of a
+        # hyperbolic element (eigenvalue 3 + 2 sqrt 2): each is fixed and
+        # isotropic to the tolerances and they are pairwise 1e-8 apart, but
+        # distinct isotropic rays would force multipliers of one sign of 1
+        g = RationalLorentzForm(gram=np.diag([-1, 1, 1]))
+        a = np.array([[3.0, 2, 2], [2, 1, 2], [2, 2, 1]])
+        rays = [[0.7071067813670164, 0.49999999575076653, 0.5000000039940118],
+                [0.7071067808792382, 0.49999998757687103, 0.5000000128577298],
+                [0.7071067809505189, 0.500000004426951, 0.4999999959068438]]
+        with pytest.raises(PreconditionError, match="numerically one ray"):
+            plus_minus_identity_check(g, a, rays)
+
 
 class TestHopf:
     def annulus_point(self, model, x):

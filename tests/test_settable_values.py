@@ -14,7 +14,7 @@ from pathlib import Path
 from lorentzdyn.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lorentzdyn"
-MAX_SETTABLE_VALUES = 61
+MAX_SETTABLE_VALUES = 59
 
 
 def _defaulted_parameters() -> int:
