@@ -20,6 +20,7 @@ from .errors import (
     BudgetError,
     CertificateError,
     ConvergenceError,
+    DimensionError,
     EquicontinuousError,
     NotIsotropicError,
     NumericalError,
@@ -50,7 +51,8 @@ CLUSTER_ANGLE = np.deg2rad(5.0)
 # Words below this operator norm are not "far out" enough to see the boundary.
 WORD_DIVERGENCE_THRESHOLD = 1e3
 # Most samples x (depth + d^2) one limit-set estimate may draw and build:
-# its draws, letter picks and word stack peak at up to about 0.1 KB a unit.
+# its draws, letter picks and word stack peak at up to about 0.1 KB a unit
+# (96 B measured for one word of 100,000 letters).
 WORD_BUDGET = 8_000_000
 # Relative margin by which a norm bound must clear the divergence threshold
 # to settle a word without LAPACK; the bounds' own roundoff is of order d^2 eps.
@@ -187,9 +189,17 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     the stable projective subspace lands, under every A_n with n >= N,
     inside the V-cone of the inverse sequence's stable subspace.
 
-    Angles are radians.  Raises CertificateError when no such N exists
-    within the sequence.
+    Angles are radians, finite and non-negative, and some grid direction
+    must lie outside the U-cone.  The terms are tested from the last one
+    down, and the scan stops at the first that fails: N is one past it.
+    Raises CertificateError when no such N exists within the sequence.
     """
+    if form.dim != seq.dim:
+        raise DimensionError(f"the form has dimension {form.dim}, the sequence {seq.dim}")
+    if not (np.isfinite(u_angle) and np.isfinite(v_angle) and u_angle >= 0 and v_angle >= 0):
+        raise PreconditionError("cone angles must be finite and non-negative")
+    if grid < 1:
+        raise PreconditionError("the grid needs at least one point")
     stable = as_subspace_kak(seq)
     unstable = as_subspace_kak(seq.inverse())
     if not (stable.converged and unstable.converged):
@@ -200,21 +210,21 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     dst = unstable.subspace
     probes = pts[_angles(np.linalg.norm(pts @ src.basis, axis=1),
                          np.linalg.norm(pts, axis=1)) > u_angle]
+    if not len(probes):
+        raise PreconditionError("no grid direction lies outside the U-cone")
     # one term at a time: a stacked (terms x probes x d) pass is no faster
     # and its temporaries raise the peak memory by megabytes
-    ok = np.empty(len(seq), dtype=bool)
-    for i, t in enumerate(seq.terms):
-        images = probes @ t.T
+    for n in range(len(seq) - 1, -1, -1):
+        images = probes @ seq.terms[n].T
         images /= np.linalg.norm(images, axis=1, keepdims=True)
-        ok[i] = bool(np.all(_angles(np.linalg.norm(images @ dst.basis, axis=1), 1.0) <= v_angle))
-    good = np.where(~ok)[0]
-    if ok.all():
+        if not np.all(_angles(np.linalg.norm(images @ dst.basis, axis=1), 1.0) <= v_angle):
+            break
+    else:
         return 0
-    first = int(good[-1]) + 1
-    if first >= len(seq):
+    if n + 1 >= len(seq):
         raise CertificateError("insufficient length: expansion never traps the "
                                "grid within the target cone")
-    return first
+    return n + 1
 
 
 class CardinalityClass(enum.Enum):
@@ -460,14 +470,23 @@ def _draw_words(depth: int, g: int, samples: int,
 
 
 def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced random words up to the given length over generators and their
-    inverses (letter i + g inverts letter i), as (lengths, stacked words).
+    inverses (letter i + g inverts letter i), as (lengths, words, which):
+    `words` stacks each distinct word once, and `which[i]` is the row of
+    sample i's word.
 
     Each word draws its length from [1, depth], then its letters: the
     first from all 2g letters, each later one from the 2g - 1 that do not
     undo the letter before.  The stream is that of one scalar
     `rng.integers` call per draw (`_draw_words`).
+
+    The words are the left-to-right products of their letters from the
+    identity, built level by level.  With the samples sorted longest first,
+    the words alive at a level are a leading slice; each distinct (prefix,
+    letter) pair among them, found with a boolean prefixes x 2g table, is
+    multiplied once.  Once no two live words share a prefix, the rows
+    follow the words and each later level is one product over a slice.
     """
     try:
         letters = np.array(list(generators) + [np.linalg.inv(g) for g in generators])
@@ -477,11 +496,43 @@ def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
     lengths, picks = _draw_words(depth, g, samples, rng)
     for level in range(1, depth):
         picks[:, level] += picks[:, level] >= (picks[:, level - 1] + g) % (2 * g)
-    words = np.broadcast_to(np.eye(letters.shape[1]), (samples,) + letters.shape[1:]).copy()
-    for level in range(depth):
-        act = np.flatnonzero(lengths > level)
-        words[act] = words[act] @ letters[picks[act, level]]
-    return lengths, words
+    order = np.argsort(-lengths, kind="stable")
+    picks = picks[order]
+    # live[level] words, the leading ones in `order`, take a letter at level
+    live = samples - np.cumsum(np.bincount(lengths, minlength=depth + 1))
+    row = np.empty(samples, dtype=int)  # each sorted sample's row in the result
+    done = []  # the words that end at each shared level, each once
+    finished = 0
+    # the distinct words built up to this level, and each live word's row in them
+    prefixes, parent = np.eye(letters.shape[1])[None], np.zeros(samples, dtype=int)
+    level, n, shared = 0, samples, samples > 1
+    while n and shared:  # some live words may share a prefix
+        m = live[level + 1]
+        pair = parent[:n] * (2 * g) + picks[:n, level]
+        seen = np.zeros(len(prefixes) * 2 * g, dtype=bool)
+        seen[pair] = True
+        pairs = np.flatnonzero(seen)
+        parent = (np.cumsum(seen) - 1)[pair]
+        stem, letter = np.divmod(pairs, 2 * g)
+        prefixes = prefixes[stem] @ letters[letter]
+        if m < n:
+            ends = np.zeros(len(pairs), dtype=bool)
+            ends[parent[m:]] = True
+            row[m:n] = finished + (np.cumsum(ends) - 1)[parent[m:]]
+            done.append(prefixes[ends])
+            finished += len(done[-1])
+        shared = len(pairs) < n
+        level, n = level + 1, m
+    # no two live words share a prefix: each takes a row of its own
+    words = prefixes[parent[:n]]
+    row[:n] = finished + np.arange(n)
+    while live[level]:
+        k = live[level]
+        words[:k] = words[:k] @ letters[picks[:k, level]]
+        level += 1
+    which = np.empty_like(row)
+    which[order] = row
+    return lengths, np.concatenate(done + [words]), which
 
 
 def _word_growth(words: np.ndarray, threshold: float, exact_above: bool) -> np.ndarray:
@@ -536,8 +587,13 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     evidences (never certifies) cardinality, so the estimate also reports
     the smallest gap between clusters.  When `trace` is a list, rows
     (word length, ray..., growth) are appended for CSV export.
+
+    Each distinct word is normed, imaged and snapped onto the cone once;
+    the samples take their word's results, in the order they were drawn.
     """
     gens = [require_isometry(form, g) for g in generators]
+    if not gens:
+        raise PreconditionError("a limit set needs at least one generator")
     require_lorentz(form)
     if depth < 1 or samples < 1:
         raise PreconditionError("depth and samples must be at least 1")
@@ -546,23 +602,25 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
                           f"budget: samples x (depth + d^2) must be at most {WORD_BUDGET}")
     # an overflowing word is reported below, so its products need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        lengths, words = _sample_words(gens, depth, samples, np.random.default_rng(seed))
+        lengths, words, which = _sample_words(gens, depth, samples, np.random.default_rng(seed))
     growth = _word_growth(words, divergence_threshold, exact_above=trace is not None)
-    overflow = ~np.isfinite(growth)
+    overflow = ~np.isfinite(growth[which])
     if overflow.any():
         raise NumericalError(f"a word of length {lengths[np.argmax(overflow)]} overflows "
                              "the floating-point range")
-    kept = np.flatnonzero(~(growth < divergence_threshold))  # a NaN threshold keeps all
+    keep = ~(growth < divergence_threshold)  # a NaN threshold keeps all
+    kept = np.flatnonzero(keep[which])
+    at = (np.cumsum(keep) - 1)[which[kept]]  # each kept sample's row among the kept words
     with np.errstate(over="ignore", invalid="ignore"):
-        images = words[kept] @ s.v
-        overflow = ~np.isfinite(_dots(images, images))
+        images = words[keep] @ s.v
+        overflow = ~np.isfinite(_dots(images, images))[at]
     if overflow.any():
         raise NumericalError(f"the image of a word of length {lengths[kept][np.argmax(overflow)]} "
                              "overflows the floating-point range")
     rays = canonical_rays(images)
     if trace is not None:
-        trace.extend((int(lengths[k]), *ray.tolist(), float(growth[k]))
-                     for k, ray in zip(kept, rays))
+        trace.extend((int(lengths[k]), *ray.tolist(), float(growth[which[k]]))
+                     for k, ray in zip(kept, rays[at]))
     if not kept.size:
         raise EquicontinuousError(
             "no sampled word exceeded the divergence threshold: group appears "
@@ -571,7 +629,7 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     snapped, failed = project_rows_to_cone(form, rays)
     # a ray too far from the cone to snap is clustered unsnapped
     snapped[failed > 0] = canonical_rays(rays[failed > 0])
-    clusters = _cluster_rays(snapped, cluster_angle)
+    clusters = _cluster_rays(snapped[at], cluster_angle)
     # cluster means drift off the cone; snap the representatives back, then
     # merge any pair the snap pushed inside the clustering angle
     clusters, gap = _merge_close_clusters(form, _snap_clusters(form, clusters), cluster_angle)
@@ -582,7 +640,7 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
         clusters=tuple(clusters),
         cardinality_class=card,
         words_sampled=samples,
-        divergent_words=len(rays),
+        divergent_words=len(kept),
         min_intercluster_gap=gap,
     )
 

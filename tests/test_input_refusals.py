@@ -12,8 +12,8 @@ import pytest
 
 from lorentzdyn import (ASResult, BoundaryPoint, HyperbolicPoint, QuadraticForm,
                         RationalLorentzForm, StabilityKind, Subspace, big_lambda, evaluate,
-                        is_isometry, lorentz_as_check, mobius_rp1, north_south_certificate,
-                        orthogonal_complement, split_boost)
+                        is_isometry, limit_set, lorentz_as_check, mobius_rp1,
+                        north_south_certificate, orthogonal_complement, split_boost)
 from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import main
 from lorentzdyn.errors import (ConvergenceError, DegenerateFormError, DimensionError,
@@ -129,6 +129,42 @@ def test_random_lorentz_in_dimension_2():
 def test_north_south_needs_converged_stable_spaces(mink3):
     with pytest.raises(ConvergenceError, match="did not converge"):
         north_south_certificate(mink3, alternating_boost_sequence(), 0.1, 0.1)
+
+
+class TestNorthSouthRefusals:
+    """B(0.5 n), n <= 24, is certified from term 4 at 5 degrees / 5 degrees;
+    bad angles, grids and dimensions are refused, not answered."""
+
+    ANGLE = np.deg2rad(5.0)
+
+    def test_good_input_is_certified(self, mink3):
+        assert north_south_certificate(mink3, boost_sequence(), self.ANGLE, self.ANGLE) == 4
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(grid=0), "at least one point"),
+        (dict(grid=-5), "at least one point"),
+        (dict(u_angle=np.pi), "outside the U-cone"),
+        (dict(u_angle=np.nan), "finite and non-negative"),
+        (dict(v_angle=np.nan), "finite and non-negative"),
+        (dict(v_angle=-1.0), "finite and non-negative"),
+        (dict(u_angle=np.inf), "finite and non-negative"),
+    ], ids=["grid-0", "grid-negative", "u-pi", "u-nan", "v-nan", "v-negative", "u-inf"])
+    def test_bad_input_is_refused(self, mink3, bad, match):
+        args = dict(u_angle=self.ANGLE, v_angle=self.ANGLE) | bad
+        with pytest.raises(PreconditionError, match=match):
+            north_south_certificate(mink3, boost_sequence(), **args)
+
+    def test_form_and_sequence_dimensions_must_agree(self):
+        with pytest.raises(DimensionError, match="dimension 4, the sequence 3"):
+            north_south_certificate(QuadraticForm.minkowski(4), boost_sequence(), self.ANGLE,
+                                    self.ANGLE)
+
+
+def test_limit_set_needs_a_generator(mink3):
+    # refused before any word is drawn, so no division by 2g = 0 warns
+    s = HyperbolicPoint.from_timelike(mink3, [1.0, 0.0, 0.0])
+    with pytest.raises(PreconditionError, match="at least one generator"):
+        limit_set(mink3, [], s=s)
 
 
 def test_lorentz_report_is_truthy_when_passed(mink3):

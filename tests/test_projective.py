@@ -34,6 +34,7 @@ from lorentzdyn.errors import (
     PreconditionError,
 )
 from lorentzdyn.minkowski import (
+    _dots,
     canonical_ray,
     canonical_rays,
     project_rows_to_cone,
@@ -47,7 +48,7 @@ from lorentzdyn.projective import (
     _sample_words,
     ray_angle,
 )
-from lorentzdyn.stability import as_subspace_kak, sphere_points
+from lorentzdyn.stability import MatrixSequence, as_subspace_kak, sphere_points
 
 from .conftest import (
     boost_sequence,
@@ -605,11 +606,11 @@ class TestStackedAgainstLoops:
                 gens = [random_lorentz(d, rng, max_rapidity=1.0) for _ in range(g)]
                 samples = 1 + 37 * seed
                 with np.errstate(over="ignore", invalid="ignore"):
-                    lengths, words = _sample_words(gens, depth, samples,
-                                                   np.random.default_rng(seed))
+                    lengths, words, which = _sample_words(gens, depth, samples,
+                                                          np.random.default_rng(seed))
                     want = list(_loop_words(gens, depth, samples, np.random.default_rng(seed)))
                 assert lengths.tolist() == [length for length, _ in want]
-                assert words.tobytes() == np.array([w for _, w in want]).tobytes()
+                assert words[which].tobytes() == np.array([w for _, w in want]).tobytes()
 
     def test_hand_drawn_words_match_numpy(self):
         # the by-hand reference reads numpy's raw stream as numpy does
@@ -631,10 +632,10 @@ class TestStackedAgainstLoops:
         # 5); the first letter reads 5 (4 values), the second 0 (3 values, dropped)
         words = [0, 2**31, 5, 0] + tail
         want = list(_lemire_words(gens, 9, 40, iter(words)))
-        lengths, got = _sample_words(gens, 9, 40, _RawWords(words))
+        lengths, got, which = _sample_words(gens, 9, 40, _RawWords(words))
         assert want[0][0] == 5
         assert lengths.tolist() == [n for n, _ in want]
-        assert got.tobytes() == np.array([w for _, w in want]).tobytes()
+        assert got[which].tobytes() == np.array([w for _, w in want]).tobytes()
         # and with rejected words sprinkled through the stream, for every range
         rng = np.random.default_rng(8)
         for g, depth in [(1, 3), (1, 9), (2, 1), (2, 6), (3, 12), (2, 9)]:
@@ -643,9 +644,9 @@ class TestStackedAgainstLoops:
                 for at in rng.integers(0, 400, size=40):
                     words[at] = 0
                 want = list(_lemire_words(gens[:1] * g, depth, 50, iter(words)))
-                lengths, got = _sample_words(gens[:1] * g, depth, 50, _RawWords(words))
+                lengths, got, which = _sample_words(gens[:1] * g, depth, 50, _RawWords(words))
                 assert lengths.tolist() == [n for n, _ in want]
-                assert got.tobytes() == np.array([w for _, w in want]).tobytes()
+                assert got[which].tobytes() == np.array([w for _, w in want]).tobytes()
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_limit_set_matches_parent_loops(self, d):
@@ -861,8 +862,8 @@ class TestWordGrowthBounds:
     def test_threshold_at_a_word_growth_keeps_it(self, mink3, monkeypatch):
         gens = list(schottky_pair())
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
-        _, words = _sample_words(gens, 8, 2000, np.random.default_rng(3))
-        growth = np.linalg.svd(words, compute_uv=False)[:, 0]
+        _, words, which = _sample_words(gens, 8, 2000, np.random.default_rng(3))
+        growth = np.linalg.svd(words[which], compute_uv=False)[:, 0]
         for t in np.sort(growth)[[0, 700, 1500, 1999]]:
             for traced in (False, True):
                 got, want = _both_routes(monkeypatch, mink3, gens, traced=traced, s=s, seed=3,
@@ -878,7 +879,8 @@ class TestWordGrowthBounds:
         # so only the margin keeps a word at the threshold from being dropped
         rng = np.random.default_rng(4)
         gens = [random_lorentz(4, rng, max_rapidity=4.0) for _ in range(2)]
-        _, words = _sample_words(gens, 8, 2000, np.random.default_rng(3))
+        _, words, which = _sample_words(gens, 8, 2000, np.random.default_rng(3))
+        words = words[which]
         growth = np.linalg.svd(words, compute_uv=False)[:, 0]
         assert np.median(growth) > 1e10
         for t in np.unique(growth):
@@ -916,6 +918,152 @@ class TestWordGrowthBounds:
         limit_set(mink3, gens, depth=8, samples=2000, s=s, seed=0)
         assert len(rows) == 1 and rows[0] <= 8
         rows.clear()
-        trace = []
-        est = limit_set(mink3, gens, depth=8, samples=2000, s=s, seed=0, trace=trace)
-        assert rows == [est.divergent_words]
+        limit_set(mink3, gens, depth=8, samples=2000, s=s, seed=0, trace=[])
+        # LAPACK sees each distinct kept word once
+        _, words, _ = _sample_words(gens, 8, 2000, np.random.default_rng(0))
+        assert rows == [int(np.sum(svd(words, compute_uv=False)[:, 0] >= 1e3))]
+
+
+def _all_samples_words(generators, depth, samples, rng):
+    """The sampler before prefix sharing: (lengths, words, letter picks),
+    every sample's word built on its own row, one stacked product per
+    letter position."""
+    letters = np.array(list(generators) + [np.linalg.inv(g) for g in generators])
+    g = len(generators)
+    lengths, picks = projective._draw_words(depth, g, samples, rng)
+    for level in range(1, depth):
+        picks[:, level] += picks[:, level] >= (picks[:, level - 1] + g) % (2 * g)
+    words = np.broadcast_to(np.eye(letters.shape[1]), (samples,) + letters.shape[1:]).copy()
+    for level in range(depth):
+        act = np.flatnonzero(lengths > level)
+        words[act] = words[act] @ letters[picks[act, level]]
+    return lengths, words, picks
+
+
+def _all_samples_limit_set(form, generators, s, depth, samples, seed, trace,
+                           divergence_threshold=projective.WORD_DIVERGENCE_THRESHOLD,
+                           cluster_angle=projective.CLUSTER_ANGLE):
+    """`limit_set` sharing no work between samples: every sample's word is
+    multiplied, normed, imaged and snapped on its own row.  Returns the
+    clusters, the gap and the count of divergent words."""
+    lengths, words, _ = _all_samples_words(generators, depth, samples,
+                                           np.random.default_rng(seed))
+    growth = projective._word_growth(words, divergence_threshold, exact_above=trace is not None)
+    overflow = ~np.isfinite(growth)
+    if overflow.any():
+        raise NumericalError(f"a word of length {lengths[np.argmax(overflow)]} overflows "
+                             "the floating-point range")
+    kept = np.flatnonzero(~(growth < divergence_threshold))
+    images = words[kept] @ s.v
+    overflow = ~np.isfinite(_dots(images, images))
+    if overflow.any():
+        raise NumericalError(f"the image of a word of length {lengths[kept][np.argmax(overflow)]} "
+                             "overflows the floating-point range")
+    rays = canonical_rays(images)
+    if trace is not None:
+        trace.extend((int(lengths[k]), *ray.tolist(), float(growth[k]))
+                     for k, ray in zip(kept, rays))
+    if not kept.size:
+        raise EquicontinuousError("no sampled word exceeded the divergence threshold: group "
+                                  "appears equicontinuous at this depth")
+    snapped, failed = project_rows_to_cone(form, rays)
+    snapped[failed > 0] = canonical_rays(rays[failed > 0])
+    clusters = _cluster_rays(snapped, cluster_angle)
+    clusters = projective._snap_clusters(form, clusters)
+    return (*_merge_close_clusters(form, clusters, cluster_angle), len(kept))
+
+
+def _shared_and_all_samples(form, generators, traced, **kwargs):
+    """The outcomes of `limit_set` and of `_all_samples_limit_set` as bits:
+    clusters, gap, divergent words and trace, or the error."""
+    def bits(run):
+        trace = [] if traced else None
+
+        def go():
+            clusters, gap, count = run(trace)
+            return _cluster_bits(clusters), gap, count, trace
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return repr(_outcome(go))
+
+    def shared(trace):
+        est = limit_set(form, generators, trace=trace, **kwargs)
+        return est.clusters, est.min_intercluster_gap, est.divergent_words
+
+    return bits(shared), bits(lambda trace: _all_samples_limit_set(form, generators,
+                                                                   trace=trace, **kwargs))
+
+
+class TestDistinctWords:
+    """Each distinct word is built, normed, imaged and snapped once; the
+    samples get their word's bits, as when every sample had its own row."""
+
+    def test_each_distinct_word_is_built_once(self):
+        rng = np.random.default_rng(9)
+        for g in (1, 2, 3):
+            gens = [random_lorentz(3, rng, max_rapidity=1.0) for _ in range(g)]
+            for depth, samples in [(1, 1), (1, 300), (2, 7), (5, 300), (12, 40), (12, 2000),
+                                   (60, 3), (300, 20)]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lengths, words, which = _sample_words(gens, depth, samples,
+                                                          np.random.default_rng(depth))
+                    want_lengths, want, picks = _all_samples_words(gens, depth, samples,
+                                                                   np.random.default_rng(depth))
+                assert np.array_equal(lengths, want_lengths)
+                assert words[which].tobytes() == want.tobytes()
+                distinct = {(n, *p[:n]) for n, p in zip(lengths.tolist(), picks.tolist())}
+                assert len(words) == len(distinct)
+
+    def test_deep_words_take_the_aligned_path(self):
+        # 40 words of up to 2000 letters over two generators stop sharing a
+        # prefix after a few letters, so each then has a row of its own
+        rng = np.random.default_rng(12)
+        gens = [random_lorentz(3, rng, max_rapidity=0.05) for _ in range(2)]
+        lengths, words, which = _sample_words(gens, 2000, 40, np.random.default_rng(5))
+        want = list(_loop_words(gens, 2000, 40, np.random.default_rng(5)))
+        assert lengths.tolist() == [length for length, _ in want]
+        assert words[which].tobytes() == np.array([w for _, w in want]).tobytes()
+        assert len(words) == 40 and lengths.min() > 20
+
+    @pytest.mark.parametrize("group", [0, 1, 2], ids=["cyclic", "unipotent", "schottky"])
+    def test_limit_set_matches_all_samples_pipeline(self, group):
+        form, gens, base = TestWordGrowthBounds.groups()[group]
+        s = HyperbolicPoint(v=np.array(base), form=form)
+        kinds = set()
+        for depth in range(1, 11):
+            for seed in range(4):
+                for samples in (1, 50, 2000):
+                    for traced in (False, True):
+                        got, want = _shared_and_all_samples(form, gens, traced, depth=depth,
+                                                            samples=samples, s=s, seed=seed)
+                        assert got == want
+                        kinds.add(want.split("'")[1])
+        assert kinds == {"ok", "EquicontinuousError"}
+
+    @pytest.mark.parametrize("depth, threshold", [
+        (2, 0.9 * math.exp(180.0)), (2, 1.2 * math.exp(180.0)), (4, 1e157), (4, 1e156),
+        (4, 1e3), (4, np.nan), (7, 1e300), (8, 1e300)])
+    def test_overflowing_words_match_all_samples_pipeline(self, mink3, depth, threshold):
+        s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
+        for traced in (False, True):
+            got, want = _shared_and_all_samples(mink3, [boost(3, 90.0)], traced, depth=depth,
+                                                samples=200, s=s, seed=0,
+                                                divergence_threshold=threshold)
+            assert got == want
+
+    def test_certificate_scan_matches_forward_loop(self, mink3):
+        # k B(step n) k^-1 for n = 1..24, scanned from the last term down
+        rng = np.random.default_rng(11)
+        results = []
+        for step in (0.3, 0.45, 0.55):
+            k = random_lorentz(3, rng, max_rapidity=0.5)
+            seq = MatrixSequence.from_terms([k @ boost(3, step * n) @ np.linalg.inv(k)
+                                             for n in range(1, 25)])
+            for u, v in [(5, 5), (10, 10), (60, 60), (2, 0.5), (1, 1e-6)]:
+                args = (mink3, seq, np.deg2rad(u), np.deg2rad(v), 500)
+                want = _outcome(lambda: _loop_north_south(*args))
+                assert _outcome(lambda: north_south_certificate(*args)) == want
+                results.append(want)
+        assert ("ok", 0) in results
+        assert any(r[0] == "ok" and r[1] > 0 for r in results)
+        assert any(r[0] == "CertificateError" for r in results)
