@@ -705,9 +705,10 @@ def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     1/|y(mu)| - 1 is concave and rises to its root, so Newton's method
     started left of it climbs to it monotonically (More & Sorensen 1983).
     The start is -beta_min + eps or, if larger, max(|gamma| - beta), a
-    lower bound on the root at which no |y_i| exceeds 1.  Every problem
-    steps until its own step is at most 1e-15 max(1, |mu|); the rest of the
-    batch is masked out.
+    lower bound on the root at which no |y_i| exceeds 1.  Each step takes
+    the problems still moving; one stops on a step of at most
+    max(1e-15 (beta_min + mu), 4.5e-16 |mu|), and one still moving after
+    100 steps raises NumericalError.
     """
     b0 = beta[:, 0]
     nonzero = np.any(gamma != 0.0, axis=1)
@@ -726,16 +727,21 @@ def _min_quadratic_on_sphere(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     rows = nonzero & ~hard
     b, g = beta[rows], gamma[rows]
     mu = np.maximum(eps[rows] - b0[rows], np.max(np.abs(g) - b, axis=1))
-    moving = np.ones(len(mu), dtype=bool)
+    live = np.arange(len(mu))
     for _ in range(100):
-        t = b + mu[:, None]
-        yr = -g / t
+        if not live.size:
+            break
+        m = mu[live]
+        t = b[live] + m[:, None]
+        yr = -g[live] / t
         n2 = _dots(yr, yr)
         step = (np.sqrt(n2) - 1.0) * n2 / _dots(yr, yr / t)
-        mu, moving = (np.where(moving, mu + step, mu),
-                      moving & (step > 1e-15 * np.maximum(1.0, np.abs(mu))))
-        if not moving.any():
-            break
+        mu[live] = m + step
+        # not `step > ...`: a NaN step must stay live and reach the guard
+        live = live[~(step <= np.maximum(1e-15 * t[:, 0], 4.5e-16 * np.abs(m)))]
+    if live.size:
+        raise NumericalError(f"the cap solver's Newton iteration left {live.size} "
+                             "row(s) moving after 100 steps")
     y[rows] = -g / (b + mu[:, None])
     return y / np.sqrt(_dots(y, y))[:, None]
 
@@ -772,14 +778,17 @@ def _cap_minima(spectra: tuple, dirs: np.ndarray, radii: np.ndarray,
             [col[:, 0], np.broadcast_to(np.eye(d), (len(v), d, d))], axis=2))
         perp = q[:, None, :, 1:d]  # orthonormal basis of v-perp
         perp_t = np.swapaxes(perp, 2, 3)
-        b_mat = (perp_t @ grams) @ perp
-        g_vec = perp_t @ (grams @ col)
+        # one eigh per (direction, term): a radius only scales the block
+        # perp^T A^T A perp by s^2 and its linear term by c s
+        lam, w_mat = np.linalg.eigh((perp_t @ grams) @ perp)
+        g_rot = np.swapaxes(w_mat, 2, 3) @ (perp_t @ (grams @ col))
+        basis = perp @ w_mat
         kc, cc = kk[cap], c[cap, None, None, None]
         s = np.sqrt(_nonneg(1.0 - cc * cc))
-        beta, w_mat = np.linalg.eigh(s * s * b_mat[kc])
-        gamma = np.swapaxes(w_mat, 2, 3) @ (cc * s * g_vec[kc])
-        y = _min_quadratic_on_sphere(beta.reshape(-1, d - 1), gamma.reshape(-1, d - 1))
-        edge[cap] = cc * col[kc] + s * (perp[kc] @ (w_mat @ y.reshape(gamma.shape)))
+        gamma = cc * s * g_rot[kc]
+        y = _min_quadratic_on_sphere((s * s * lam[kc, ..., None]).reshape(-1, d - 1),
+                                     gamma.reshape(-1, d - 1))
+        edge[cap] = cc * col[kc] + s * (basis[kc] @ y.reshape(gamma.shape))
     # witnesses as rows: the eigendirections imaged once per term, the
     # boundary witness once per (pair, term)
     terms_t = np.swapaxes(terms, 1, 2)

@@ -10,8 +10,12 @@ Cartan route read its modulus off the spectrum D and the cap witnesses
 were imaged once per term: keys, strings, booleans, dimensions and
 subsequence indices stayed identical, subspaces moved by at most 9.7e-13
 in sine distance, agreement entries by at most 1.0e-12 and brute-force
-scores by at most 1.7e-16 relative.  The batched cap solver gives each
-problem the bits it gives alone.  The `limit-set` reports and traces were
+scores by at most 1.7e-16 relative.  The brute-force report was rewritten
+again when each cap-boundary block was factored once per (direction, term)
+instead of once per radius and the Newton stop became relative to
+beta_min + mu: keys, directions, radii and `complete` stayed identical, and
+12 of the 64 scores moved, by at most 8.7e-16 relative.  The batched cap
+solver gives each problem the bits it gives alone.  The `limit-set` reports and traces were
 written by the per-word sampling loop and keep their bytes: the stacked
 words are the same products and the stacked SVD the same LAPACK call.  So
 do the integer torus reports (`model torus-fixed`, `model torus-isoms`,

@@ -596,7 +596,65 @@ class TestBruteForce:
         gamma[10:20, 1:] *= 1e-6
         assert self._solver_matches_scalar(beta, gamma) == {"gamma=0", "hard", "bisection"}
 
-    @pytest.mark.parametrize("t, n", [(0.5, 28), (1.0, 14), (0.4, 34), (0.3, 46)])
+    def test_solver_stops_on_the_scale_of_the_minimiser(self):
+        # the root sits at t = beta_min + mu of about 1.2e-13, far under
+        # max(1, |mu|): a step test absolute in mu stopped 2.9e-11 off the
+        # minimum; an 80-digit bisection of the secular equation is the truth
+        from decimal import Decimal, localcontext
+        beta, gamma = [0.0, 1.0], [1e-13, 0.5]
+        with localcontext() as ctx:
+            ctx.prec = 80
+            b, g = [Decimal(x) for x in beta], [Decimal(x) for x in gamma]
+            lo, hi = Decimal(0), Decimal(1)
+            for _ in range(300):
+                mid = (lo + hi) / 2
+                if sum((gi / (bi + mid)) ** 2 for bi, gi in zip(b, g)) > 1:
+                    lo = mid
+                else:
+                    hi = mid
+            exact = [-gi / (bi + lo) for bi, gi in zip(b, g)]
+            value = float(sum(bi * yi * yi + 2 * gi * yi for bi, gi, yi in zip(b, g, exact)))
+        y = stability._min_quadratic_on_sphere(np.array([beta]), np.array([gamma]))[0]
+        assert np.all(np.abs(y - np.array(exact, dtype=float)) <= 2 * EPS)
+        assert abs(float(y @ (np.array(beta) * y) + 2.0 * np.array(gamma) @ y) - value) <= EPS
+
+    def test_solver_refuses_rows_still_moving_after_100_steps(self):
+        # a NaN step never passes the stop test; the row must not come back
+        # as an unconverged minimiser
+        beta = np.array([[0.0, 1.0], [0.5, 2.0]])
+        gamma = np.array([[np.nan, 0.5], [0.3, -0.2]])
+        with pytest.raises(NumericalError, match="1 row\\(s\\) moving after 100 steps"):
+            stability._min_quadratic_on_sphere(beta, gamma)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_radii_do_not_mix(self, d):
+        # a score is the same bits whether its radius is solved alone or
+        # with others
+        rng = np.random.default_rng(90 + d)
+        radii = (0.3, 0.1, 0.03)
+        for name, seq in _cap_scenarios(d, rng).items():
+            for v in (np.eye(d)[0], rng.normal(size=d)):
+                together = brute_force_score(seq, v, radii=radii)
+                alone = np.concatenate([brute_force_score(seq, v, radii=(r,)) for r in radii])
+                assert np.array_equal(together, alone), name
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_boundary_blocks_factored_once_per_direction_and_term(self, d, monkeypatch):
+        # the cap-boundary eigh sees one block per (direction, tail term),
+        # however many radii share it; the other eigh is the tail's Grams
+        seq = _cap_scenarios(d, np.random.default_rng(d))["random"]
+        tail = len(seq) - len(seq) // 2
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(stability.np.linalg, "eigh",
+                            lambda a: shapes.append(a.shape) or eigh(a))
+        brute_force_as(seq, directions=5, radii=(0.3, 0.1, 0.03, 0.01))
+        assert shapes == [(tail, d, d), (5, tail, d - 1, d - 1)]
+        shapes.clear()
+        brute_force_score(seq, np.ones(d), radii=(0.3, 0.1, 0.03))
+        assert shapes == [(tail, d, d), (1, tail, d - 1, d - 1)]
+
+    @pytest.mark.parametrize("t, n",[(0.5, 28), (1.0, 14), (0.4, 34), (0.3, 46)])
     def test_strongly_stable_boost_scores_reach_the_tail_minimum(self, t, n):
         # [1, -1, 0] is contracted by e^(-t i) under B(t i), so each cap
         # holds a witness with image e^(-t i), and the tail, i = n//2+1..n,
