@@ -61,7 +61,8 @@ _BOUND_MARGIN = 1e-8
 GRID_POINTS = 2000
 # Fewest rays in one first-fit block of `_cluster_rays` (a block has the
 # fixed cost of about ten one-ray steps), and most ray-cluster pairs (the
-# block's arrays hold a few floats per pair).
+# block's arrays hold a few floats per pair).  A limit set reaches the
+# blocks only when its distinct rays fail `_certified_groups`.
 _MIN_BLOCK = 32
 _MAX_PAIRS = 4096
 
@@ -193,6 +194,15 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     must lie outside the U-cone.  The terms are tested from the last one
     down, and the scan stops at the first that fails: N is one past it.
     Raises CertificateError when no such N exists within the sequence.
+
+    An image v = A_n p of a probe is first decided by its squared cosine
+    |v B|^2 / |v|^2 (B the V-cone's basis) against cos^2(v_angle), which
+    is -inf from pi/2 on, where every image passes.  Below cos^2 (1 - 1e-9)
+    less 32 d^2 eps the probe is surely outside, and the term fails; above
+    cos^2 (1 + 1e-9) plus the same it is surely inside.  The margin is
+    more than the two routes' rounding, so these decisions are those of
+    arccos |(v / |v|) B| <= v_angle.  A term with a probe between the
+    bounds takes that formula on all its probes.
     """
     if form.dim != seq.dim:
         raise DimensionError(f"the form has dimension {form.dim}, the sequence {seq.dim}")
@@ -212,10 +222,23 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
                          np.linalg.norm(pts, axis=1)) > u_angle]
     if not len(probes):
         raise PreconditionError("no grid direction lies outside the U-cone")
+    # the squared cosines of the bounds and of the formula differ by under
+    # (5d^2 + 5d + 22) eps: dot and norm rounding, cos and arccos to an ulp
+    c2 = np.cos(v_angle) ** 2 if v_angle < np.pi / 2 else -np.inf
+    slack = 32 * form.dim ** 2 * np.finfo(float).eps
+    lo, hi = c2 * (1 - 1e-9) - slack, c2 * (1 + 1e-9) + slack
     # one term at a time: a stacked (terms x probes x d) pass is no faster
     # and its temporaries raise the peak memory by megabytes
     for n in range(len(seq) - 1, -1, -1):
         images = probes @ seq.terms[n].T
+        proj = images @ dst.basis
+        with np.errstate(divide="ignore", invalid="ignore"):  # the formula warns below
+            cos2 = _dots(proj, proj) / _dots(images, images)
+        if np.any(cos2 < lo):
+            break
+        if np.all(cos2 > hi):
+            continue
+        # a probe in the band: the term takes the normalize-project-arccos formula
         images /= np.linalg.norm(images, axis=1, keepdims=True)
         if not np.all(_angles(np.linalg.norm(images @ dst.basis, axis=1), 1.0) <= v_angle):
             break
@@ -319,6 +342,9 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
     A block is tried once it would hold `_MIN_BLOCK` rays, and it holds at
     most `_MAX_PAIRS` rays x clusters.  The sums are added in ray order
     either way, so the clusters are those of one-ray steps, bit for bit.
+    `limit_set` calls this on its samples only when their distinct rays
+    fail the separation certificate of `_certified_groups`; otherwise the
+    certified groups give the same clusters (`_cluster_words`).
     """
     rays = np.asarray(rays, dtype=float)
     norms = np.sqrt(_dots(rays, rays))
@@ -355,15 +381,105 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
         cents[i], cnorms[i] = c, np.sqrt(c @ c)
         m += 1
         credit += 1
-    centroids = canonical_rays(sums[:k])
+    return _collect(sums[:k], np.bincount(labels, minlength=k), rays, norms, labels)
+
+
+def _collect(sums: np.ndarray, weights: np.ndarray, rays: np.ndarray, norms: np.ndarray,
+             labels: np.ndarray) -> list[RayCluster]:
+    """The clusters of the given running sums and weights, heaviest first
+    (in cluster order on a tie); each radius is the largest angle from the
+    centroid to a ray labelled with the cluster (a ray may appear once for
+    all its copies)."""
+    centroids = canonical_rays(sums)
     # a member's sign does not change its angle, so take the rays as drawn
-    radii = np.zeros(k)
+    radii = np.zeros(len(sums))
     np.maximum.at(radii, labels, _angles(_dots(centroids[labels], rays),
                                          np.sqrt(_dots(centroids, centroids))[labels] * norms))
     clusters = [RayCluster(centroid=BoundaryPoint(ray=c), weight=int(w), angular_radius=float(a))
-                for c, w, a in zip(centroids, np.bincount(labels, minlength=k), radii)]
+                for c, w, a in zip(centroids, weights, radii)]
     clusters.sort(key=lambda cl: cl.weight, reverse=True)
     return clusters
+
+
+def _chord_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angles between unit rows and a unit vector, 2 arcsin(|u - v| / 2):
+    unlike arccos of the dot, exact to a few eps at every angle."""
+    w = u - v
+    return 2 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(np.einsum("ij,ij->i", w, w))))
+
+
+def _certified_groups(rows: np.ndarray, first: np.ndarray, samples: int,
+                      angle: float) -> tuple[np.ndarray, np.ndarray, list] | None:
+    """Each unit row's cluster and sign, and the clusters' first rows,
+    under `_cluster_rays` of `samples` copies of the rows, row i first
+    drawn at `first[i]`; None when the groups below do not certify them.
+
+    In first-draw order, each row joins the first group whose leader (its
+    first row) is within `angle`, else it leads a new group.  Aligned with
+    the leader, a group's rows lie in a cap of radius rho (the largest
+    angle to the leader), and their diameter D is at most twice the
+    largest angle to their normalized mean.  The certificate is:
+
+    - D <= min(angle, pi/2) - tol for every group.  A cap of radius below
+      pi/2 is convex, so every running sum of the group's aligned rows is
+      within D of each of them: each copy joins its group's cluster, with
+      the sign that aligns it with the leader.
+    - every row of another group is more than angle + rho + tol from the
+      leader, so more than `angle` from every running centroid of the
+      group (within rho of the leader): no copy joins another group's
+      cluster, each leader opens a cluster of its own, and the clusters
+      come in the groups' order.
+
+    tol is 1e-9 of the angle plus 16 (samples + d) eps / sin(angle / 2),
+    which bounds the rounding of the greedy pass (an eps of angle per
+    addition to a running sum, a few d eps of cosine per angle test) and
+    of these angles (`_chord_angles` of rows unit to a few eps).  So the
+    certified groups are exactly the greedy pass's clusters.  The groups
+    are found and checked one at a time, in O(rows x groups).
+    """
+    if not angle > 0:  # a zero, negative or NaN angle is left to the greedy pass
+        return None
+    top = min(angle, np.pi / 2)
+    tol = 1e-9 * top + 16 * (samples + rows.shape[1]) * np.finfo(float).eps / np.sin(top / 2)
+    group = np.full(len(rows), -1)
+    sign = np.ones(len(rows))
+    leaders = []
+    while (free := np.flatnonzero(group < 0)).size:
+        leaders.append(free[first[free].argmin()])
+        lead = rows[leaders[-1]]
+        flip = np.where(rows @ lead < 0, -1.0, 1.0)
+        aligned = rows * flip[:, None]
+        dist = _chord_angles(aligned, lead)
+        mine = (group < 0) & (dist <= angle)
+        rho = dist[mine].max()
+        mean = aligned[mine].sum(axis=0)
+        spread = _chord_angles(aligned[mine], mean / np.sqrt(mean @ mean)).max()
+        if (2 * min(rho, spread) > top - tol
+                or np.any(~mine & (dist <= angle + rho + tol))):
+            return None
+        group[mine] = len(leaders) - 1
+        sign[mine] = flip[mine]
+    return group, sign, leaders
+
+
+def _cluster_words(rows: np.ndarray, at: np.ndarray, angle: float) -> list[RayCluster]:
+    """`_cluster_rays(rows[at], angle)`, from the distinct unit rows.
+
+    When `_certified_groups` certifies each row's cluster and sign, the
+    clusters' running sums start from their leaders and take every later
+    sample in one in-order `np.add.at`: the greedy pass's additions, in its
+    order, so the same bits.  Otherwise all samples take `_cluster_rays`.
+    """
+    first = np.full(len(rows), len(at))
+    np.minimum.at(first, at, np.arange(len(at)))
+    groups = _certified_groups(rows, first, len(at), angle)
+    if groups is None:
+        return _cluster_rays(rows[at], angle)
+    labels, signs, leaders = groups
+    later = np.delete(at, first[leaders])  # the samples after each cluster's first
+    sums = rows[leaders]
+    np.add.at(sums, labels[later], rows[later] * signs[later, None])
+    return _collect(sums, np.bincount(labels[at]), rows, np.sqrt(_dots(rows, rows)), labels)
 
 
 def _snap_clusters(form: QuadraticForm, clusters: list[RayCluster]) -> list[RayCluster]:
@@ -590,6 +706,15 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
 
     Each distinct word is normed, imaged and snapped onto the cone once;
     the samples take their word's results, in the order they were drawn.
+    The greedy clustering of the samples is certified from the distinct
+    rays when it can be (`_cluster_words`): grouped in first-draw order,
+    every group must have a diameter at most the angle and every other
+    ray must lie more than the angle plus the group's radius from its
+    leader, each with a margin of 1e-9 of the angle plus the bound on the
+    pass's rounding.  Then each sample's cluster and sign are known, and
+    the running sums are one in-order `np.add.at` from the leaders, so
+    the clusters are bitwise the per-sample pass's; else every sample
+    takes that pass (`_cluster_rays`).
     """
     gens = [require_isometry(form, g) for g in generators]
     if not gens:
@@ -629,7 +754,7 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     snapped, failed = project_rows_to_cone(form, rays)
     # a ray too far from the cone to snap is clustered unsnapped
     snapped[failed > 0] = canonical_rays(rays[failed > 0])
-    clusters = _cluster_rays(snapped[at], cluster_angle)
+    clusters = _cluster_words(snapped, at, cluster_angle)
     # cluster means drift off the cone; snap the representatives back, then
     # merge any pair the snap pushed inside the clustering angle
     clusters, gap = _merge_close_clusters(form, _snap_clusters(form, clusters), cluster_angle)

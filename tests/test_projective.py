@@ -1067,3 +1067,195 @@ class TestDistinctWords:
         assert ("ok", 0) in results
         assert any(r[0] == "ok" and r[1] > 0 for r in results)
         assert any(r[0] == "CertificateError" for r in results)
+
+
+def _word_clusters(monkeypatch, rows, at, angle):
+    """`_cluster_words(rows, at, angle)` as bits, and whether it certified
+    the groups (no sample went through `_cluster_rays`)."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(projective, "_cluster_rays",
+                  lambda rays, a: calls.append(len(rays)) or _cluster_rays(rays, a))
+        got = projective._cluster_words(rows, np.asarray(at), angle)
+    return _cluster_bits(got), not calls
+
+
+def _plane_rows(degrees):
+    """Unit rows of the (e1, e2) plane at the given angles."""
+    t = np.deg2rad(np.asarray(degrees, dtype=float))
+    return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+
+
+class TestCertifiedClusters:
+    """Samples that repeat a few distinct rows are clustered from the rows
+    when a separation certificate fixes each row's cluster and sign: the
+    clusters are bitwise the greedy loop's on every sample, certified or not."""
+
+    def assert_greedy(self, monkeypatch, rows, at, angle):
+        got, certified = _word_clusters(monkeypatch, rows, at, angle)
+        assert got == _cluster_bits(_loop_cluster_rays(rows[np.asarray(at)], angle))
+        return certified
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_duplicated_word_streams(self, monkeypatch, d):
+        rng = np.random.default_rng(30 + d)
+        paths = []
+        for trial in range(40):
+            angle = np.deg2rad((5.0, 2.0, 30.0, 100.0)[trial % 4])
+            centers = canonical_rays(rng.normal(size=(1 + trial % 3, d)))
+            spread = min(angle, 1.0) * (0.02, 0.1, 0.3, 0.6)[trial // 4 % 4]
+            rows = centers[rng.integers(0, len(centers), size=3 + trial % 20)]
+            rows = canonical_rays(rows + rng.normal(size=rows.shape) * spread)
+            # every row drawn, most of them many times, in a shuffled stream
+            at = rng.permutation(np.concatenate([np.arange(len(rows)),
+                                                 rng.integers(0, len(rows), size=400)]))
+            paths.append(self.assert_greedy(monkeypatch, rows, at, angle))
+        assert True in paths and False in paths
+
+    @pytest.mark.parametrize("scale", [1.0, 1.2, 1.4, 1.6, 1.8, 2.0])
+    def test_rows_one_to_two_angles_from_a_leader(self, monkeypatch, scale):
+        # a leader at 0 with members up to 2 degrees off, and a row `scale`
+        # clustering angles away: certified only past angle + rho
+        rows = _plane_rows([0.0, 2.0, -1.0, 5.0 * scale, 5.0 * scale + 0.5])
+        at = [0, 1, 0, 3, 2, 4, 1, 3, 0, 4] * 20
+        certified = self.assert_greedy(monkeypatch, rows, at, np.deg2rad(5.0))
+        assert certified == (5.0 * scale > 5.0 + 2.0)
+
+    def test_running_centroid_captures_a_row_beyond_every_member(self, monkeypatch):
+        # two rows 5.1 degrees from e1 and 4.9 apart: their mean is about
+        # 4.5 degrees from e1, so e1 joins their cluster though it is more
+        # than 5 degrees from both; only the leader's radius rho shows it
+        theta, sep = np.deg2rad(5.1), np.deg2rad(4.9)
+        phi = 0.5 * np.arccos((np.cos(sep) - np.cos(theta) ** 2) / np.sin(theta) ** 2)
+        rows = np.array([[np.cos(theta), np.sin(theta) * np.cos(p), np.sin(theta) * np.sin(p)]
+                         for p in (-phi, phi)] + [[1.0, 0.0, 0.0]])
+        assert np.allclose(np.rad2deg(projective._chord_angles(rows, rows[0])), [0, 4.9, 5.1])
+        angle = np.deg2rad(5.0)
+        want = _loop_cluster_rays(rows[[0, 1, 2, 2, 0]], angle)
+        assert len(want) == 1
+        assert not self.assert_greedy(monkeypatch, rows, [0, 1, 2, 2, 0], angle)
+
+    def test_row_within_the_angle_of_two_leaders(self, monkeypatch):
+        # the row at 4 degrees is within 5 degrees of both leaders, 0 and 7.5
+        rows = _plane_rows([0.0, 7.5, 4.0])
+        for at in ([0, 1, 2] * 30, [1, 0, 2] * 30, [0, 2, 1, 2] * 30):
+            assert not self.assert_greedy(monkeypatch, rows, at, np.deg2rad(5.0))
+
+    @pytest.mark.parametrize("degrees, block", [
+        (5.0, [4.0] * 10 + [-4.5] + [4.2] * 30 + [-4.4, 0.5] * 20),
+        (80.0, [70.0] * 30 + [110.0] + [60.0, 120.0] * 20),
+    ], ids=["new-cluster", "sign"])
+    def test_block_drift_geometry_with_repeated_words(self, monkeypatch, degrees, block):
+        # `test_cluster_rays_block_drift_flips_a_later_ray`'s rays as words
+        t = [0.0] * 32 + block
+        distinct, at = np.unique(t, return_inverse=True)
+        assert not self.assert_greedy(monkeypatch, _plane_rows(distinct), at,
+                                      np.deg2rad(degrees))
+
+    def test_antipodal_duplicates(self, monkeypatch):
+        # a row and its antipode as two words: one cluster, signs by the leader
+        rows = _plane_rows([1.0, 181.0, 0.5, 180.2, 90.0, 270.5])
+        at = [1, 0, 2, 3, 4, 5, 0, 1, 3, 5, 4, 2] * 15
+        assert self.assert_greedy(monkeypatch, rows, at, np.deg2rad(5.0))
+        # and antipodes straddling the clustering angle
+        rows = _plane_rows([0.0, 183.0, 3.0, 177.0])
+        assert not self.assert_greedy(monkeypatch, rows, [0, 1, 2, 3] * 10, np.deg2rad(5.0))
+
+    def test_signed_zero_entries_keep_their_bits(self, monkeypatch):
+        # each sum starts from its leader row: 0.0 + (-0.0) would drop a bit
+        rows = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [1.0, -0.0, 0.0],
+                         [-1.0, 0.0, -0.0]])
+        at = [0, 1, 2, 3, 1, 0, 3, 2, 0]
+        got, certified = _word_clusters(monkeypatch, rows, at, np.deg2rad(5.0))
+        assert certified and got == _cluster_bits(_loop_cluster_rays(rows[at], np.deg2rad(5.0)))
+        centroids = [np.frombuffer(c[0]) for c in got]
+        assert np.signbit(centroids[0][1]) or np.signbit(centroids[1][1])
+
+    @pytest.mark.parametrize("angle", [0.0, -1.0, np.nan, 1e-12, 1e-7, np.inf])
+    def test_degenerate_angles(self, monkeypatch, angle):
+        # with no angle to speak of, every row is one cluster, aligned with
+        # the first: certified while the rows span less than pi/2
+        rows = _plane_rows([0.0, 1e-6, 3.0, 40.0])
+        with np.errstate(invalid="ignore"):
+            certified = self.assert_greedy(monkeypatch, rows, [0, 1, 2, 3, 2, 1, 0] * 5, angle)
+        # a tiny angle is below the rounding the certificate allows for
+        assert certified == (angle == np.inf)
+        rows = _plane_rows([0.0, 3.0, 100.0])
+        assert not self.assert_greedy(monkeypatch, rows, [0, 1, 2, 1] * 5, angle)
+
+    @pytest.mark.parametrize("group, certified", [(0, True), (1, True), (2, False)],
+                             ids=["cyclic", "unipotent", "schottky"])
+    def test_benchmark_groups_take_their_path(self, monkeypatch, group, certified):
+        form, gens, base = TestWordGrowthBounds.groups()[group]
+        s = HyperbolicPoint(v=np.array(base), form=form)
+        args = []
+        cluster_words = projective._cluster_words
+        with monkeypatch.context() as m:
+            m.setattr(projective, "_cluster_words",
+                      lambda *a: args.append(a) or cluster_words(*a))
+            for seed in range(5):
+                limit_set(form, gens, depth=8, samples=2000, s=s, seed=seed)
+        assert len(args) == 5
+        for rows, at, angle in args:
+            got, ok = _word_clusters(monkeypatch, rows, at, angle)
+            assert ok == certified
+            assert got == _cluster_bits(_cluster_rays(rows[at], angle))
+
+
+def _image_angles(form, seq, u_angle, grid, n):
+    """The formula's angle from each probe's image under term n to the
+    V-cone's axis, as `north_south_certificate` forms it."""
+    src = as_subspace_kak(seq).subspace
+    dst = as_subspace_kak(seq.inverse()).subspace
+    pts = sphere_points(form.dim, grid)
+    probes = pts[projective._angles(np.linalg.norm(pts @ src.basis, axis=1),
+                                    np.linalg.norm(pts, axis=1)) > u_angle]
+    images = probes @ seq.terms[n].T
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    return projective._angles(np.linalg.norm(images @ dst.basis, axis=1), 1.0)
+
+
+class TestNorthSouthBounds:
+    """Each probe is decided first by |v B|^2 against cos^2(v_angle) |v|^2;
+    only a term with a probe in the band between the bounds takes the
+    arccos formula, and every answer is the per-term loop's."""
+
+    @pytest.mark.parametrize("v_angle", [0.0, 1e-12, np.deg2rad(5.0), np.deg2rad(89.9),
+                                         np.pi / 2, 2.0],
+                             ids=["0", "1e-12", "5deg", "89.9deg", "half-pi", "2"])
+    def test_matches_per_term_loop(self, v_angle):
+        results = []
+        for d, seed in [(3, 0), (3, 1), (4, 2), (5, 3)]:
+            form = QuadraticForm.minkowski(d)
+            seq = random_divergent_sequence(d, np.random.default_rng(60 + seed))[0]
+            for u in (1.0, 5.0, 30.0):
+                args = (form, seq, np.deg2rad(u), v_angle, 600)
+                want = _outcome(lambda: _loop_north_south(*args))
+                assert _outcome(lambda: north_south_certificate(*args)) == want
+                results.append(want)
+        # past pi/2 every image is in the cone; at 0 only those that land on
+        # the axis to the last bit are, and they do for the first sequence
+        if v_angle >= np.pi / 2:
+            assert set(results) == {("ok", 0)}
+        elif v_angle < 1e-9:
+            assert {r[0] for r in results} == {"ok", "CertificateError"}
+        else:
+            assert all(r[0] == "ok" for r in results)
+
+    @pytest.mark.parametrize("nudge", [0, -1, 1])
+    def test_probe_on_the_cone_boundary_takes_the_formula(self, mink3, monkeypatch, nudge):
+        # v_angle at the largest image angle under the last term (one ulp
+        # either side): that probe is in the band, and decides the term
+        seq = boost_sequence(3, 0.5, 24)
+        u_angle = np.deg2rad(5.0)
+        edge = _image_angles(mink3, seq, u_angle, 2000, len(seq) - 1).max()
+        v_angle = float(np.nextafter(edge, np.inf * nudge)) if nudge else float(edge)
+        calls = []
+        angles = projective._angles
+        monkeypatch.setattr(projective, "_angles", lambda *a: calls.append(1) or angles(*a))
+        args = (mink3, seq, u_angle, v_angle, 2000)
+        got = _outcome(lambda: north_south_certificate(*args))
+        assert got == _outcome(lambda: _loop_north_south(*args))
+        # one call classifies the grid, the rest are terms in the band
+        assert len(calls) >= 2
+        assert got[0] == ("CertificateError" if nudge < 0 else "ok")
