@@ -59,12 +59,6 @@ WORD_BUDGET = 8_000_000
 _BOUND_MARGIN = 1e-8
 # Default projective grid size for north-south certificates.
 GRID_POINTS = 2000
-# Fewest rays in one first-fit block of `_cluster_rays` (a block has the
-# fixed cost of about ten one-ray steps), and most ray-cluster pairs (the
-# block's arrays hold a few floats per pair).  A limit set reaches the
-# blocks only when its distinct rays fail `_certified_groups`.
-_MIN_BLOCK = 32
-_MAX_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -282,69 +276,15 @@ class LimitSetEstimate:
         return tuple(c.centroid for c in self.clusters)
 
 
-def _first_fit(dots: np.ndarray, cnorms: np.ndarray, norms: np.ndarray,
-               angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """First cluster within `angle` of each ray (-1 for none) and whether
-    the ray is aligned with it, from the rays x clusters dots."""
-    near = _angles(dots, cnorms * norms[:, None]) <= angle
-    first = np.where(near.any(axis=1), near.argmax(axis=1), -1)
-    return first, dots[np.arange(len(dots)), first] >= 0
-
-
-def _fit_block(rays: np.ndarray, norms: np.ndarray, sums: np.ndarray, cents: np.ndarray,
-               cnorms: np.ndarray, angle: float) -> np.ndarray:
-    """First-fit a block of rays into the clusters given by their running
-    sums, centroids and centroid norms, which are updated in place.
-
-    Each ray's cluster is guessed against the centroids at the start of
-    the block; the running sums the guesses imply are added up in ray
-    order, and every guess is checked against the centroids just before
-    its ray.  Returns the labels of the rays kept: the block up to the
-    first ray guessed to start a cluster or guessed wrong.
-    """
-    k = len(sums)
-    guess, aligned = _first_fit(_dots(cents, rays[:, None]), cnorms, norms, angle)
-    b = guess.argmin() if guess.min() < 0 else len(guess)
-    if not b:
-        return guess[:0]
-    guess, aligned, rays, norms = guess[:b], aligned[:b], rays[:b], norms[:b]
-    member = guess[:, None] == np.arange(k)
-    # each cluster's guessed members up to and before each ray, and its sum
-    # after each of them: one sequential accumulate, so the bits are those
-    # of adding the members one at a time
-    after = np.cumsum(member, axis=0)
-    before = after - member
-    terms = np.zeros((k, 1 + after[-1].max(), rays.shape[1]))
-    terms[:, 0] = sums
-    terms[guess, before[np.arange(b), guess] + 1] = np.where(aligned[:, None], rays, -rays)
-    states = np.add.accumulate(terms, axis=1)
-    scents = states / np.sqrt(_dots(states, states))[..., None]
-    scnorms = np.sqrt(_dots(scents, scents))
-    at = np.arange(k), before
-    fit, fit_aligned = _first_fit(_dots(scents[at], rays[:, None]), scnorms[at], norms, angle)
-    right = (fit == guess) & (fit_aligned == aligned)
-    kept = right.argmin() if not right.all() else b
-    at = np.arange(k), member[:kept].sum(axis=0)
-    sums[:], cents[:], cnorms[:] = states[at], scents[at], scnorms[at]
-    return guess[:kept]
-
-
 def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
     """Greedy angular clustering with antipodal identification: each ray
     joins the first cluster whose normalized running sum is within `angle`,
     aligned with it, else starts a new cluster.
 
-    Rays are fitted in blocks (`_fit_block`) and one-ray steps, the ray
-    that ends a block in a one-ray step.  `credit` is the size of the next
-    block: a one-ray step adds one to it, a block kept whole doubles it,
-    and a block cut short leaves the rays it kept less the rays it threw
-    away, so that blocks which keep few rays give way to one-ray steps.
-    A block is tried once it would hold `_MIN_BLOCK` rays, and it holds at
-    most `_MAX_PAIRS` rays x clusters.  The sums are added in ray order
-    either way, so the clusters are those of one-ray steps, bit for bit.
-    `limit_set` calls this on its samples only when their distinct rays
-    fail the separation certificate of `_certified_groups`; otherwise the
-    certified groups give the same clusters (`_cluster_words`).
+    One ray at a time, against every centroid at once.  `limit_set` calls
+    this on its samples only when their distinct rays fail the separation
+    certificate of `_certified_groups`; otherwise the certified groups
+    give the same clusters (`_cluster_words`).
     """
     rays = np.asarray(rays, dtype=float)
     norms = np.sqrt(_dots(rays, rays))
@@ -353,21 +293,8 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
     cents = np.empty_like(rays)
     cnorms = np.empty(len(rays))
     labels = np.empty(len(rays), dtype=int)
-    k = m = credit = 0
-    while m < len(rays):
-        size = min(credit, _MAX_PAIRS // max(k, 1))
-        if size >= _MIN_BLOCK:
-            kept = _fit_block(rays[m:m + size], norms[m:m + size], sums[:k], cents[:k],
-                              cnorms[:k], angle)
-            labels[m:m + len(kept)] = kept
-            m += len(kept)
-            if len(kept) == size:
-                credit = 2 * size
-                continue
-            credit = 2 * len(kept) - size
-            if m == len(rays):
-                break
-        r = rays[m]
+    k = 0
+    for m, r in enumerate(rays):
         dots = _dots(cents[:k], r)
         near = _angles(dots, cnorms[:k] * norms[m]) <= angle
         i = near.argmax() if k else 0
@@ -379,8 +306,6 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
         labels[m] = i
         c = sums[i] / np.sqrt(sums[i] @ sums[i])
         cents[i], cnorms[i] = c, np.sqrt(c @ c)
-        m += 1
-        credit += 1
     return _collect(sums[:k], np.bincount(labels, minlength=k), rays, norms, labels)
 
 
@@ -468,7 +393,8 @@ def _cluster_words(rows: np.ndarray, at: np.ndarray, angle: float) -> list[RayCl
     When `_certified_groups` certifies each row's cluster and sign, the
     clusters' running sums start from their leaders and take every later
     sample in one in-order `np.add.at`: the greedy pass's additions, in its
-    order, so the same bits.  Otherwise all samples take `_cluster_rays`.
+    order, so the same bits.  Otherwise every sample takes the greedy
+    pass, one ray at a time (`_cluster_rays`).
     """
     first = np.full(len(rows), len(at))
     np.minimum.at(first, at, np.arange(len(at)))
@@ -713,8 +639,9 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     leader, each with a margin of 1e-9 of the angle plus the bound on the
     pass's rounding.  Then each sample's cluster and sign are known, and
     the running sums are one in-order `np.add.at` from the leaders, so
-    the clusters are bitwise the per-sample pass's; else every sample
-    takes that pass (`_cluster_rays`).
+    the clusters are bitwise the per-sample pass's; else the samples take
+    that pass one at a time (`_cluster_rays`).  The clustering angle is in
+    radians, finite and positive.
     """
     gens = [require_isometry(form, g) for g in generators]
     if not gens:
@@ -722,6 +649,8 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     require_lorentz(form)
     if depth < 1 or samples < 1:
         raise PreconditionError("depth and samples must be at least 1")
+    if not (np.isfinite(cluster_angle) and cluster_angle > 0):
+        raise PreconditionError("the clustering angle must be finite and positive")
     if samples * (depth + form.dim ** 2) > WORD_BUDGET:
         raise BudgetError(f"sampling {samples} words of up to {depth} letters passes the "
                           f"budget: samples x (depth + d^2) must be at most {WORD_BUDGET}")

@@ -844,6 +844,8 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     stable vector sequence.
     """
     _require_usable(seq)
+    if directions < 1:
+        raise PreconditionError("the brute-force oracle needs at least one direction")
     radii = _sorted_radii(radii)
     dirs = sphere_points(seq.dim, directions, seed)
     spectra = _spectra(seq.tail)

@@ -159,6 +159,15 @@ class TestAsCommand:
         assert captured.err == "error: tolerance overrides must be positive\n"
         assert captured.out == ""
 
+    def test_infinite_cluster_angle_exit_code(self, files, capsys):
+        # positive, so past the CLI's check; `limit_set` refuses it
+        argv = ["limit-set", files["boost_gen.json"], "--form", files["mink3.json"],
+                "--cluster-angle", "inf"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the clustering angle must be finite and positive\n"
+        assert captured.out == ""
+
     def test_growth_threshold_is_not_an_option(self, capsys):
         # the growth rule has no threshold option: `stability.GROWTH_EXPONENT` is fixed
         with pytest.raises(SystemExit):

@@ -685,6 +685,11 @@ class TestBruteForce:
         with pytest.raises(PreconditionError):
             brute_force_score(seq, [1.0, 0.0, 0.0], radii=radii)
 
+    @pytest.mark.parametrize("directions", [0, -3])
+    def test_no_directions_are_refused(self, directions):
+        with pytest.raises(PreconditionError, match="at least one direction"):
+            brute_force_as(fundamental_sequence(12), directions=directions)
+
 
 class TestStronglyStable:
     def test_chaos_keeps_first_axis_despite_divergence(self, split3):
