@@ -27,16 +27,33 @@ def _format_float(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+def _key_text(item) -> str:
+    """The text a (key, value) pair is sorted by: its key's."""
+    return str(item[0])
+
+
 def _emit(o) -> str:
+    # the plain types of a report first, by exact type; then the rest,
+    # bool, None, str and numpy values among them
+    t = type(o)
+    if t is float:
+        return _format_float(o)
+    if t is list or t is tuple:
+        return "[" + ", ".join([_format_float(x) if type(x) is float else _emit(x)
+                                for x in o]) + "]"
+    if t is dict:
+        items = sorted(o.items(), key=_key_text)
+        return "{" + ", ".join([_encode_str(str(k)) + ": " + _emit(v) for k, v in items]) + "}"
+    if t is int:
+        return str(o)
     if isinstance(o, float):  # np.float64 included
         return _format_float(o)
     if isinstance(o, str):
         return _encode_str(o)
     if isinstance(o, dict):
-        items = sorted(o.items(), key=lambda kv: str(kv[0]))
-        return "{" + ", ".join(_encode_str(str(k)) + ": " + _emit(v) for k, v in items) + "}"
+        return _emit(dict(o.items()))
     if isinstance(o, (list, tuple)):
-        return "[" + ", ".join(_emit(x) for x in o) + "]"
+        return _emit(list(o))
     if o is None:
         return "null"
     if isinstance(o, bool):

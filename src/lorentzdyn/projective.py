@@ -483,8 +483,9 @@ def _draw_words(depth: int, g: int, samples: int,
     while True:
         if later:
             # the raw words read by a word that starts at each raw word,
-            # then the walk from word to word
-            steps = (lead + 1 + ((raw * np.uint64(depth)) >> 32)).tolist()
+            # then the walk from word to word, read through a memoryview
+            # so that only the visited entries become Python ints
+            steps = memoryview(lead + 1 + ((raw * np.uint64(depth)) >> 32))
             starts = []
             p = 0
             for _ in range(samples):

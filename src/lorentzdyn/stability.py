@@ -105,8 +105,12 @@ class MatrixSequence:
     the singularity check, and ``cartan`` (the stacked ``kak`` factors of
     the tail) on first use.  The subspace limits of the Cartan route are
     kept too, one per (rank, kind), so the stable and strongly stable
-    spaces are each computed once however many analyses read them.  All
-    are pure functions of the frozen terms.
+    spaces are each computed once however many analyses read them.  So are
+    the three growth-rule decisions every analysis starts from: the
+    divergence decision (`is_divergent`, which `_gate` reads), the stable
+    rank (`_stable_rank`) and the rank of the strongly stable space
+    (`spas_subspace`).  A refused rank is not kept, so it raises again on
+    every read.  All are pure functions of the frozen terms.
     """
 
     terms: np.ndarray
@@ -152,6 +156,23 @@ class MatrixSequence:
     def _cartan_limits(self) -> dict:
         """Cartan-route results (`_cartan_detected`) computed so far, by (rank, kind)."""
         return {}
+
+    @functools.cached_property
+    def _divergent(self) -> bool:
+        """The growth rule on the tail norms (`_norms_diverge`)."""
+        return _norms_diverge(self.norms)
+
+    @functools.cached_property
+    def _stable_rank(self) -> int:
+        """The count of Cartan singular values that do not grow.  (`kak_stack`
+        refuses a zero value, so the logs are finite.)"""
+        return self.dim - _growth_rule(self.cartan.D, len(self))
+
+    @functools.cached_property
+    def _spas_rank(self) -> int:
+        """The count of Cartan singular values that decay: those whose
+        inverses grow, counted from the bottom up."""
+        return _growth_rule(1.0 / self.cartan.D[:, ::-1], len(self))
 
     @classmethod
     def from_powers(cls, a, count: int) -> "MatrixSequence":
@@ -203,7 +224,7 @@ def is_divergent(seq: MatrixSequence) -> bool:
     """Trend test for norm_growth(A_n) -> infinity: the growth rule on the
     tail norms.  A bounded subsequence (e.g. alternating boosts and
     identities) keeps the envelope flat."""
-    return _norms_diverge(seq.norms)
+    return seq._divergent
 
 
 def _norms_diverge(norms: np.ndarray) -> bool:
@@ -275,9 +296,8 @@ def _growth_rule(sig: np.ndarray, n: int) -> int:
 
 def _stable_rank(seq: MatrixSequence) -> int:
     """Rank of the stable space, the count of Cartan singular values that
-    do not grow; every detector reads it.  (`kak_stack` refuses a zero
-    value, so the logs are finite.)"""
-    return seq.dim - _growth_rule(seq.cartan.D, len(seq))
+    do not grow; every detector reads it, off the sequence's cache."""
+    return seq._stable_rank
 
 
 def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,6 +359,8 @@ def _cluster_by_linkage(bases: np.ndarray) -> list[list[int]]:
     """
     m = len(bases)
     close = _linked(bases[:-1], bases[1:])
+    if close.all():  # a converging tail: one component
+        return [list(range(m))]
     comp = np.concatenate([[0], np.cumsum(~close)])
     for i in range(m):
         outside = comp != comp[i]
@@ -404,17 +426,18 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
 # the detectors fit the same family labels, and tails of one length share
 # them: nearly every fit reads its weights here instead of taking an SVD
 @functools.lru_cache(maxsize=256)
-def _fit_weights(labels: tuple, deg: int) -> tuple:
+def _fit_weights(labels: bytes, deg: int) -> tuple:
     """(w, rank): w @ y is the constant term of the degree-`deg`
     least-squares polynomial in x = 1/labels through y, as
     `numpy.polynomial.polynomial.polyfit` fits it, and rank is the fit's
-    rank (w is read-only).
+    rank (w is read-only).  The labels come as the raw bytes of their
+    float64 array, a key hashed without a Python object per label.
 
     That constant term is a fixed linear functional of y: the first row of
     the pseudo-inverse of polyfit's column-scaled Vandermonde, cut at its
     ``rcond = len(x) * eps``, divided by the first column's scale.
     """
-    x = 1.0 / np.asarray(labels, dtype=float)
+    x = 1.0 / np.frombuffer(labels)
     lhs = np.polynomial.polynomial.polyvander(x, deg)
     scl = np.sqrt(np.square(lhs).sum(0))
     scl[scl == 0] = 1
@@ -434,7 +457,7 @@ def _fit_at_zero(labels: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
     triangle is kept and mirrored.  A rank-deficient fit warns on every
     call, as `polyfit` does.
     """
-    w, rank = _fit_weights(tuple(labels.tolist()), deg)
+    w, rank = _fit_weights(np.asarray(labels, dtype=float).tobytes(), deg)
     if rank != deg + 1:
         warnings.warn("The fit may be poorly conditioned",
                       np.exceptions.RankWarning, stacklevel=2)
@@ -483,10 +506,25 @@ def _intersect_bases(bases: list[np.ndarray]) -> np.ndarray:
 
 def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> float:
     """Largest operator norm of the tail terms ``rel`` (counted from the
-    first tail term), each restricted to the span of its ``bases[rel]``."""
-    if bases.shape[2] == 0:
+    first tail term), each restricted to the span of its ``bases[rel]``.
+
+    Each restriction X has rank at most r = ``bases.shape[2]``, so
+    |X|_2 <= |X|_F <= sqrt(r) |X|_2 (Golub & Van Loan, Matrix Computations,
+    2.3), and the largest |X|_2 is at least max |X|_F / sqrt(r).  A term
+    with |X|_F^2 under max |X|_F^2 / r, less a relative 1e-9 for rounding,
+    cannot reach it, so only the others take the SVD.  LAPACK factors each
+    matrix of a stack alone, so the largest value is the full stack's bit
+    for bit.  An overflowing or subnormal bound decides nothing.
+    """
+    rank = bases.shape[2]
+    if rank == 0:
         return 0.0
-    return float(np.max(np.linalg.svd(seq.tail[rel] @ bases[rel], compute_uv=False)[:, 0]))
+    x = seq.tail[rel] @ bases[rel]
+    f = np.einsum("nij,nij->n", x, x)
+    cut = np.max(f) / rank * (1.0 - 1e-9)
+    if np.finfo(float).tiny <= cut < np.inf:
+        x = x[f >= cut]
+    return float(np.max(np.linalg.svd(x, compute_uv=False)[:, 0]))
 
 
 def _cartan_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> float:
@@ -880,10 +918,7 @@ def spas_subspace(seq: MatrixSequence) -> ASResult:
     checks its Lorentz structure (the isotropic orthogonal of the stable
     hyperplane)."""
     _gate(seq)
-    # the decaying values are those whose inverses grow, counted from the
-    # bottom up
-    rank = _growth_rule(1.0 / seq.cartan.D[:, ::-1], len(seq))
-    return _cartan_detected(seq, rank, StabilityKind.STRONGLY_STABLE)
+    return _cartan_detected(seq, seq._spas_rank, StabilityKind.STRONGLY_STABLE)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ below are the previous writer, kept as references: every report golden and
 every edge case here must come out byte for byte as they write it.
 """
 
+import collections
 import csv
 import io
 import json
@@ -171,3 +172,75 @@ def test_dumps_makes_no_per_value_json_or_numpy_calls(monkeypatch):
     assert jsonio.dumps(report) == want
     rows = [(1, float("nan"), np.float64(np.inf))]
     assert jsonio.csv_lines(["a", "b", "c"], rows) == "a,b,c\n1,NaN,Infinity\n"
+
+
+def _isinstance_emit(o) -> str:
+    """The emitter as it stood before its exact-type fast path: one
+    `isinstance` chain, kept as the reference for every type branch."""
+    if isinstance(o, float):
+        return jsonio._format_float(o)
+    if isinstance(o, str):
+        return jsonio._encode_str(o)
+    if isinstance(o, dict):
+        items = sorted(o.items(), key=lambda kv: str(kv[0]))
+        return "{" + ", ".join(jsonio._encode_str(str(k)) + ": " + _isinstance_emit(v)
+                               for k, v in items) + "}"
+    if isinstance(o, (list, tuple)):
+        return "[" + ", ".join(_isinstance_emit(x) for x in o) + "]"
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return str(int(o))
+    if isinstance(o, np.floating):
+        return jsonio._format_float(float(o))
+    if isinstance(o, (np.ndarray, np.generic)) and not isinstance(o, np.complexfloating):
+        return _isinstance_emit(o.tolist())
+    raise TypeError(f"cannot serialize {type(o)!r}")
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
+@pytest.mark.parametrize("value", [
+    0.25, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308,
+    [], [1.5, float("nan"), -float("inf"), float("inf")], [[0.1, 2], [3, -4.5]],
+    (), (1, 2.5, "x"), ((float("nan"),),),
+    {}, {"b": 1.0, "a": [float("inf")]}, {2: "x", 10: "y", "1": None},
+    0, -7, 10**30, True, False, None, "", "plain", "é\n\"",
+    np.float64(float("nan")), np.float64(-np.inf), np.float32(0.1), np.int64(-3),
+    np.uint8(200), np.bool_(True), np.longdouble(1) / 3,
+    np.array([[np.nan, np.inf], [-np.inf, 0.5]]), np.arange(3), np.zeros(()),
+    _Float(2.5), _Float("nan"), _Int(4), _Str("sub"), _List([1, 2.0]),
+    _Dict(z=1, y=[2.0]), collections.OrderedDict([("k", -np.inf)]), _Pair(1.0, [True]),
+    {"nested": [{"m": np.eye(2), "t": (np.int32(1), None, _Float("-inf"))}]},
+], ids=repr)
+def test_typed_emitter_matches_isinstance_chain(value):
+    assert jsonio.dumps(value) == _isinstance_emit(value) + "\n"
+
+
+def test_typed_emitter_matches_isinstance_chain_on_goldens():
+    for path in sorted(GOLDEN.glob("*.json")):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert jsonio.dumps(report) == _isinstance_emit(report) + "\n", path.name

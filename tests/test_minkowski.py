@@ -177,6 +177,123 @@ class TestIsometry:
                 outcomes.append(want)
         assert True in outcomes and False in outcomes
 
+    @staticmethod
+    def _svd_gate(form, stack):
+        """The gate as it stood with one 2-norm per term: the reference for
+        the bound-first gate's verdicts."""
+        g = form.gram
+        with np.errstate(over="ignore", invalid="ignore"):
+            op = (np.linalg.norm(stack, 2, axis=(-2, -1)) if np.isfinite(stack).all()
+                  else np.inf)
+            allowance = 64.0 * form.dim * np.finfo(float).eps * op * op * np.linalg.norm(g, 2)
+            defect = np.linalg.norm(np.swapaxes(stack, -1, -2) @ g @ stack - g, axis=(-2, -1))
+        bound = 1e-8 * np.linalg.norm(g) + allowance
+        return bool(np.isfinite(defect).all() and not np.any(defect > bound))
+
+    @staticmethod
+    def _gate(form, stack):
+        from lorentzdyn.errors import NotIsometryError
+        from lorentzdyn.minkowski import require_isometry
+        try:
+            return require_isometry(form, stack) is not None
+        except NotIsometryError:
+            return False
+
+    @staticmethod
+    def _gate_forms():
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        yield QuadraticForm.minkowski(3), None
+        yield QuadraticForm.minkowski(5), None
+        yield ads_form(), None
+        # unequal eigenvalue sizes, so |g|_2 is not |g|_F / sqrt(d)
+        yield QuadraticForm(gram=q @ np.diag([-1.0, 2.0, 7.0]) @ q.T), q
+
+    def test_bound_first_gate_matches_svd_route_at_the_allowance(self):
+        # each term is moved along A(s) = A0 diag(1 + s, 1, ...) to the
+        # last s that the SVD route passes; there, and a few ulps either
+        # side, the defect sits at the allowance, where the bounds cannot
+        # decide and the verdicts must still be the SVD route's
+        from lorentzdyn import boost, spatial_rotation
+        verdicts = set()
+        for form, q in self._gate_forms():
+            d = form.dim
+            rot = spatial_rotation(d, np.array([[0.0, -1.0], [1.0, 0.0]])) if d == 3 else None
+            bases = [np.eye(d)]
+            if d == 3 and q is None:
+                bases += [boost(3, t) for t in (2.0, 9.0, 17.0, 21.0)] + [rot @ boost(3, 12.0)]
+            if d == 5:
+                bases += [boost(5, t) for t in (4.0, 16.0)]
+            if d == 4:
+                bases += [np.kron(np.eye(2), np.diag([e, 1 / e])) for e in (3.0, 1e3, 1e6)]
+            if q is not None:  # isometries of q diag(-1, 2, 7) q^T
+                scale = np.diag(1 / np.sqrt([1.0, 2.0, 7.0]))
+                bases += [q @ scale @ boost(3, t) @ np.linalg.inv(scale) @ q.T
+                          for t in (1.0, 10.0)]
+            for a0 in bases:
+                def term(s):
+                    return a0 @ np.diag([1.0 + s] + [1.0] * (d - 1))
+                lo, hi = 0.0, 1.0
+                assert self._svd_gate(form, term(lo))
+                if self._svd_gate(form, term(hi)):
+                    # past |A| ~ 6e6 the allowance passes every finite
+                    # defect (CHANGES.md), and so must the bounds
+                    for s in (1.0, 1e3, -0.5):
+                        assert self._gate(form, term(s)), (form.gram, s)
+                    continue
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if mid in (lo, hi):
+                        break
+                    if self._svd_gate(form, term(mid)):
+                        lo = mid
+                    else:
+                        hi = mid
+                near = [lo, hi]
+                for _ in range(4):
+                    near += [np.nextafter(near[-2], -1.0), np.nextafter(near[-1], 2.0)]
+                for s in near + [0.0, 0.5 * lo, 2.0 * hi]:
+                    want = self._svd_gate(form, term(s))
+                    assert self._gate(form, term(s)) == want, (form.gram, s)
+                    verdicts.add(want)
+                stack = np.array([term(s) for s in near])
+                assert self._gate(form, stack) == self._svd_gate(form, stack)
+                assert self._gate(form, stack[::2]) == self._svd_gate(form, stack[::2])
+        assert verdicts == {True, False}
+
+    def test_bound_first_gate_decides_clear_terms_without_a_2_norm(self, mink3, monkeypatch):
+        from lorentzdyn import boost
+        norm = np.linalg.norm
+        two_norms = []
+
+        def spy(x, ord=None, **kwargs):
+            if ord == 2:
+                two_norms.append(np.shape(x))
+            return norm(x, ord, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        terms = np.array([boost(3, 0.5 * k) for k in range(1, 41)])
+        assert self._gate(mink3, terms) and self._gate(mink3, terms[7])
+        assert not self._gate(mink3, terms * 1.01)
+        assert not self._gate(mink3, np.zeros((3, 3)))
+        assert two_norms == []
+        near = terms[-1] @ np.diag([1.0 + 1e-9, 1.0, 1.0])  # the defect sits at the allowance
+        assert self._gate(mink3, near) == self._svd_gate(mink3, near)
+        assert two_norms
+
+    def test_bound_first_gate_with_an_overflowing_frobenius_norm(self):
+        # |A|_F^2 overflows while |A|_2^2 does not, so the bounds decide
+        # nothing; the defect 3e139 is over the allowance 3.4e134 of the
+        # tiny form
+        form = QuadraticForm(gram=0.5e-160 * np.fliplr(np.eye(4)))
+        a = 2.0 ** 511.7
+        for last, want in ((1 / a, True), (1e146, False)):
+            term = np.diag([a, a, 1 / a, last])
+            with np.errstate(over="ignore"):
+                assert np.isinf(np.sum(term * term))
+            assert self._svd_gate(form, term) == want
+            assert self._gate(form, term) == want
+
     def test_closure_under_product_and_inverse(self, mink3):
         from lorentzdyn import boost, spatial_rotation
         rot = spatial_rotation(3, np.array([[0.0, -1.0], [1.0, 0.0]]))

@@ -1099,7 +1099,7 @@ class TestStackedExtrapolation:
                     for j in range(d)] for i in range(d)])
                 assert np.array_equal(got, got.T), (name, rank)
                 assert np.max(np.abs(got - want)) <= 1e-10, (name, rank)
-            weights, _ = stability._fit_weights(tuple(labels.tolist()), deg)
+            weights, _ = stability._fit_weights(labels.tobytes(), deg)
             assert not weights.flags.writeable
 
     def test_every_rank_deficient_fit_warns(self):
@@ -1235,6 +1235,114 @@ class TestBatchedDetectorLoops:
                 want = 1.0 / stability._restricted_norms(seq, rel, rt[:, :, :rank])
                 tol = 2 * d * eps * np.max(cartan.D[rel, -1] / cartan.D[rel, rank - 1])
                 assert abs(res.modulus - want) <= tol * want, (kind, rank)
+
+
+def _full_stack_norm(seq, rel, bases):
+    """Reference: the largest top singular value over the whole stack of
+    restricted terms, one SVD of every term."""
+    return float(np.max(np.linalg.svd(seq.tail[rel] @ bases[rel], compute_uv=False)[:, 0]))
+
+
+class TestRestrictedNormBound:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_full_stack_svd(self, d):
+        seq = _awkward_sequence(d, 130 + d)
+        m = len(seq.tail)
+        rng = np.random.default_rng(140 + d)
+        frames = np.array([_orth(rng.normal(size=(d, d))) for _ in range(m)])
+        ties = np.array([seq.tail[0]] * m)  # every term tied with every other
+        tied = MatrixSequence(terms=np.concatenate([ties, ties]))
+        for bases in (np.array(_per_term_ellipsoid(seq)), np.array(_per_term_graph(seq)),
+                      frames, np.swapaxes(seq.cartan.R, 1, 2)):
+            for rel in (np.arange(m), np.arange(0, m, 3), np.array([m - 1]),
+                        np.array([2, 2, 5])):
+                for rank in range(1, d):
+                    b = bases[:, :, :rank]
+                    for s in (seq, tied):
+                        got = stability._restricted_norms(s, rel, b)
+                        assert got == _full_stack_norm(s, rel, b), (d, rank)
+
+    def test_a_tied_top_value_of_another_shape_is_kept(self):
+        # X_A = diag(t, t) spreads |X|_F^2 = 2 t^2 evenly, X_B = diag(t, 0)
+        # has the same top value at half of it, the least |X|_F^2 any
+        # rank-2 restriction with top value t can have: B stays in the SVD
+        t = 3.0
+        a, b = np.diag([t, t, 1.0]), np.diag([t, 1e-3, 1.0])
+        seq = MatrixSequence(terms=np.array([a, b] * 4))
+        bases = np.broadcast_to(np.eye(3)[:, :2], (4, 3, 2))
+        for rel in (np.arange(4), np.array([1, 0]), np.array([1, 3])):
+            got = stability._restricted_norms(seq, rel, bases)
+            assert got == _full_stack_norm(seq, rel, bases)
+
+    def test_a_term_exactly_at_the_band_edge(self, monkeypatch):
+        # X_B = diag(u, v) with |X_B|_F^2 = max |X|_F^2 / rank (1 - 1e-9)
+        # to the last bit is factored; one ulp below the edge it is not
+        t, rank = 3.0, 2
+        cut = 2 * t * t / rank * (1.0 - 1e-9)
+
+        def term_at(target):
+            u = np.sqrt(target)
+            for _ in range(64):
+                u = np.nextafter(u, 0.0)
+                v = np.sqrt(target - u * u)
+                x = np.diag([u, v])
+                if np.einsum("ij,ij->", x, x) == target:
+                    return np.diag([u, v, 1.0])
+            raise AssertionError("no term found")
+
+        sizes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda x, **kw: sizes.append(len(x)) or svd(x, **kw))
+        bases = np.broadcast_to(np.eye(3)[:, :rank], (2, 3, rank))
+        for target, factored in ((cut, 2), (np.nextafter(cut, 0.0), 1)):
+            seq = MatrixSequence(terms=np.array([np.diag([t, t, 1.0]), term_at(target)] * 2))
+            sizes.clear()
+            got = stability._restricted_norms(seq, np.arange(2), bases)
+            assert sizes == [factored]
+            assert got == _full_stack_norm(seq, np.arange(2), bases) == t
+
+
+class TestDecisionsOncePerSequence:
+    @pytest.mark.parametrize("args", [
+        ["chaos40.json", "--form", "split3.json"],
+        ["lorentz4.json", "--form", "mink4.json", "--oracle", "kak"],
+    ], ids=["all-oracles", "kak-oracle"])
+    def test_as_form_runs_the_growth_rule_three_times(self, monkeypatch, tmp_path, args):
+        # the divergence decision, the stable rank and the strongly stable
+        # rank, each once, however many detectors and checks read them
+        from pathlib import Path
+
+        from lorentzdyn import cli
+        golden = Path(__file__).parent / "golden"
+        calls = []
+        rule = stability._growth_rule
+        monkeypatch.setattr(stability, "_growth_rule",
+                            lambda *a: calls.append(a[0].shape[1]) or rule(*a))
+        argv = ["as"] + [str(golden / a) if a.endswith(".json") else a for a in args]
+        assert cli.main(argv + ["--output", str(tmp_path / "o.json")]) == 0
+        d = 3 if "split3.json" in args else 4
+        assert sorted(calls) == [1, d, d]
+
+    def test_a_refused_rank_raises_on_every_call(self, monkeypatch):
+        # diag(1, 3, n): n grows, but comes within 10 of 3 on the tail
+        calls = []
+        rule = stability._growth_rule
+        monkeypatch.setattr(stability, "_growth_rule",
+                            lambda *a: calls.append(a[0].shape[1]) or rule(*a))
+        seq = MatrixSequence.from_terms([np.diag([1.0, 3.0, n]) for n in range(1, 17)])
+        for _ in range(2):
+            with pytest.raises(InsufficientDataError, match="not yet separated"):
+                as_subspace_kak(seq)
+        assert calls == [1, 3, 3]
+        assert is_divergent(seq) and calls == [1, 3, 3]
+
+    def test_decisions_are_the_growth_rule_on_the_sequence(self):
+        for seq in (fundamental_sequence(40), boost_sequence(4, 0.5, 16), chaos_sequence(40),
+                    scattered_sequence()):
+            d, n = seq.dim, len(seq)
+            assert seq._divergent == stability._norms_diverge(seq.norms)
+            assert seq._stable_rank == d - stability._growth_rule(seq.cartan.D, n)
+            assert seq._spas_rank == stability._growth_rule(1.0 / seq.cartan.D[:, ::-1], n)
 
 
 class TestTailOnly:
