@@ -150,12 +150,6 @@ def require_isometry(form: QuadraticForm, A) -> np.ndarray:
     matrices (defect of order |A|^2 |g|) detectable at every scale.  A defect
     that overflows, or a non-finite entry, cannot be checked, so it fails the
     gate.
-
-    The allowance 64 d eps |A|_2^2 |g|_2 needs the 2-norms only near the
-    bound: |A|_F^2 / d <= |A|_2^2 <= |A|_F^2 and |g|_F / sqrt(d) <= |g|_2
-    <= |g|_F, so a defect under the allowance's lower bound passes and one
-    over its upper bound fails, each bound widened by a relative 1e-9 for
-    rounding.  Only the terms between them take the SVD.
     """
     m = np.asarray(A, dtype=float)
     if m.ndim < 2:
@@ -163,29 +157,39 @@ def require_isometry(form: QuadraticForm, A) -> np.ndarray:
     if m.shape[-2:] != form.gram.shape:
         raise DimensionError("matrix dimension does not match the form")
     g = form.gram
-    d = form.dim
-    stack = m.reshape(-1, d, d)
+    stack = m.reshape(-1, *g.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.linalg.norm(np.swapaxes(stack, 1, 2) @ g @ stack - g, axis=(1, 2))
-    if not np.isfinite(defect).all():
+    # a non-finite entry makes the allowance infinite
+    if not np.isfinite(defect).all() or (np.isfinite(m).all()
+                                         and _over_allowance(form, stack, defect)):
         raise NotIsometryError("matrix does not preserve the form")
-    if not np.isfinite(m).all():
-        return m  # the allowance is infinite
+    return m
+
+
+def _over_allowance(form: QuadraticForm, stack: np.ndarray, defect: np.ndarray) -> bool:
+    """Whether a term's defect exceeds ISOMETRY_TOL * |g|_F plus the
+    allowance 64 d eps |A|_2^2 |g|_2, for a finite stack.
+
+    The 2-norms are needed only near the bound: |A|_F^2 / d <= |A|_2^2 <=
+    |A|_F^2 and |g|_F / sqrt(d) <= |g|_2 <= |g|_F, so a defect under the
+    allowance's lower bound passes and one over its upper bound fails,
+    each bound widened by a relative 1e-9 for rounding.  Only the terms
+    between them, or with an overflowing bound, take the SVD.
+    """
+    g, d = form.gram, form.dim
     g_f = np.linalg.norm(g)
     tol = ISOMETRY_TOL * g_f
     with np.errstate(over="ignore"):
-        # the allowance's upper bound; once it overflows, its lower bound
-        # is no bound either
         scale = 64.0 * d * np.finfo(float).eps * np.einsum("nij,nij->n", stack, stack) * g_f
         if np.any(defect > tol + scale * (1.0 + 1e-9)):
-            raise NotIsometryError("matrix does not preserve the form")
+            return True
         band = ~(defect <= tol + scale / (d * np.sqrt(d)) * (1.0 - 1e-9)) | np.isinf(scale)
-        if band.any():
-            op = np.linalg.norm(stack[band], 2, axis=(1, 2))
-            allowance = 64.0 * d * np.finfo(float).eps * op * op * np.linalg.norm(g, 2)
-            if np.any(defect[band] > tol + allowance):
-                raise NotIsometryError("matrix does not preserve the form")
-    return m
+        if not band.any():
+            return False
+        op = np.linalg.norm(stack[band], 2, axis=(1, 2))
+        allowance = 64.0 * d * np.finfo(float).eps * op * op * np.linalg.norm(g, 2)
+    return bool(np.any(defect[band] > tol + allowance))
 
 
 def canonical_rays(vs) -> np.ndarray:

@@ -238,9 +238,3 @@ _Pair = collections.namedtuple("_Pair", "a b")
 ], ids=repr)
 def test_typed_emitter_matches_isinstance_chain(value):
     assert jsonio.dumps(value) == _isinstance_emit(value) + "\n"
-
-
-def test_typed_emitter_matches_isinstance_chain_on_goldens():
-    for path in sorted(GOLDEN.glob("*.json")):
-        report = json.loads(path.read_text(encoding="utf-8"))
-        assert jsonio.dumps(report) == _isinstance_emit(report) + "\n", path.name

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from lorentzdyn.errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from lorentzdyn import stability
+from lorentzdyn import cli, stability
 from lorentzdyn.minkowski import grassmann_distance, orthogonal_complement
 from lorentzdyn.stability import CLUSTER_LINK, brute_force_score
 
@@ -1310,9 +1312,6 @@ class TestDecisionsOncePerSequence:
     def test_as_form_runs_the_growth_rule_three_times(self, monkeypatch, tmp_path, args):
         # the divergence decision, the stable rank and the strongly stable
         # rank, each once, however many detectors and checks read them
-        from pathlib import Path
-
-        from lorentzdyn import cli
         golden = Path(__file__).parent / "golden"
         calls = []
         rule = stability._growth_rule
@@ -1335,14 +1334,6 @@ class TestDecisionsOncePerSequence:
                 as_subspace_kak(seq)
         assert calls == [1, 3, 3]
         assert is_divergent(seq) and calls == [1, 3, 3]
-
-    def test_decisions_are_the_growth_rule_on_the_sequence(self):
-        for seq in (fundamental_sequence(40), boost_sequence(4, 0.5, 16), chaos_sequence(40),
-                    scattered_sequence()):
-            d, n = seq.dim, len(seq)
-            assert seq._divergent == stability._norms_diverge(seq.norms)
-            assert seq._stable_rank == d - stability._growth_rule(seq.cartan.D, n)
-            assert seq._spas_rank == stability._growth_rule(1.0 / seq.cartan.D[:, ::-1], n)
 
 
 class TestTailOnly:
