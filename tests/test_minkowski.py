@@ -237,7 +237,8 @@ class TestIsometry:
                 assert self._svd_gate(form, term(lo))
                 if self._svd_gate(form, term(hi)):
                     # past |A| ~ 6e6 the allowance passes every finite
-                    # defect (CHANGES.md), and so must the bounds
+                    # defect (the gate is vacuous there), and so must the
+                    # bounds
                     for s in (1.0, 1e3, -0.5):
                         assert self._gate(form, term(s)), (form.gram, s)
                     continue
