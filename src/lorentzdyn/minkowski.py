@@ -342,22 +342,23 @@ class Subspace:
         return bool(np.linalg.norm(residual) <= tol * n)
 
     def angle_to_vector(self, v) -> float:
-        """Angle between a vector and the subspace (0 if contained)."""
+        """Angle between a vector and the subspace (0 if contained), from
+        the residual and the projection, exact at every angle."""
         u = _as_vector(v, self.ambient_dim)
         n = np.linalg.norm(u)
         if n == 0 or self.dim == 0:
             return 0.0 if n == 0 else np.pi / 2
-        c = np.linalg.norm(self.basis.T @ u) / n
-        return float(np.arccos(min(1.0, c)))
+        coords = self.basis.T @ u
+        return float(np.arctan2(np.linalg.norm(u - self.basis @ coords), np.linalg.norm(coords)))
 
 
 def grassmann_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     """Largest principal angle between two column spaces, in radians.
 
     Computed through the sine (operator norm of the projection residual),
-    which stays accurate down to machine precision where the arccos of a
-    near-unit cosine would lose half the digits.  Subspaces of different
-    dimension are at distance pi/2 by convention.
+    which stays accurate down to machine precision where the inverse cosine
+    of a near-unit cosine would lose half the digits.  Subspaces of
+    different dimension are at distance pi/2 by convention.
     """
     a = np.asarray(basis_a, float)
     b = np.asarray(basis_b, float)

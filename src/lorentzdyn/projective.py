@@ -93,20 +93,25 @@ class BoundaryPoint:
 
 
 def ray_angle(u, v) -> float:
-    """Angular distance between projective rays (antipodal-safe)."""
+    """Angular distance between projective rays (antipodal-safe), exact to a
+    few eps (`_ray_angles`)."""
     return float(_ray_angles(np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
 
 
-def _angles(dots, norms):
-    """Angles from the dots of rays (or the norms of their projections) and
-    the products of their norms: arccos |dot| / norms, clipped at 1, so a
-    ray and its antipode are at angle 0."""
-    return np.arccos(np.minimum(1.0, np.abs(dots) / norms))
-
-
 def _ray_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`ray_angle` of the rows of `u` and `v`, broadcast against each other."""
-    return _angles(_dots(u, v), np.sqrt(_dots(u, u)) * np.sqrt(_dots(v, v)))
+    """`ray_angle` of the rows of `u` and `v`, broadcast against each other.
+
+    On unit rows, with v flipped to u's side, 2 atan2(|u - v|, |u + v|)
+    (Kahan, "How Futile are Mindless Assessments of Roundoff in
+    Floating-Point Computation?", 2006): exact to a few eps at every
+    angle, where the inverse cosine of the cosine cannot resolve angles
+    under 1e-8.  A ray and its antipode are at angle 0.
+    """
+    u = u / np.sqrt(_dots(u, u))[..., None]
+    v = v / np.sqrt(_dots(v, v))[..., None]
+    v = np.where((_dots(u, v) < 0)[..., None], -v, v)
+    diff, total = u - v, u + v
+    return 2 * np.arctan2(np.sqrt(_dots(diff, diff)), np.sqrt(_dots(total, total)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     rays = orbit / norms[:, None]
     last = rays[-1]
     tail_rays = rays[n // 2:]
-    if np.max(_angles(tail_rays @ last, 1.0)) > 1e-2:
+    if np.max(_ray_angles(tail_rays, last)) > 1e-2:
         clusters = _cluster_rays(tail_rays, 1e-2)
         raise ConvergenceError(
             "orbit direction oscillates between boundary clusters",
@@ -189,14 +194,11 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     down, and the scan stops at the first that fails: N is one past it.
     Raises CertificateError when no such N exists within the sequence.
 
-    An image v = A_n p of a probe is first decided by its squared cosine
-    |v B|^2 / |v|^2 (B the V-cone's basis) against cos^2(v_angle), which
-    is -inf from pi/2 on, where every image passes.  Below cos^2 (1 - 1e-9)
-    less 32 d^2 eps the probe is surely outside, and the term fails; above
-    cos^2 (1 + 1e-9) plus the same it is surely inside.  The margin is
-    more than the two routes' rounding, so these decisions are those of
-    arccos |(v / |v|) B| <= v_angle.  A term with a probe between the
-    bounds takes that formula on all its probes.
+    A grid direction p is a probe when |p B|^2 < cos^2(u_angle) |p|^2, and
+    an image v = A_n p is inside the V-cone when |v C|^2 >= cos^2(v_angle)
+    |v|^2 (B and C the cones' bases): one cosine test per probe, with no
+    angle formed.  cos^2 is -inf from pi/2 on, so past pi/2 no grid
+    direction is a probe and every image is inside.
     """
     if form.dim != seq.dim:
         raise DimensionError(f"the form has dimension {form.dim}, the sequence {seq.dim}")
@@ -209,32 +211,19 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     if not (stable.converged and unstable.converged):
         raise ConvergenceError("stable subspaces of the sequence or its inverse "
                                "did not converge")
+    cu2, cv2 = (np.cos(a) ** 2 if a < np.pi / 2 else -np.inf for a in (u_angle, v_angle))
     pts = sphere_points(form.dim, grid)
-    src = stable.subspace
-    dst = unstable.subspace
-    probes = pts[_angles(np.linalg.norm(pts @ src.basis, axis=1),
-                         np.linalg.norm(pts, axis=1)) > u_angle]
+    proj = pts @ stable.subspace.basis
+    probes = pts[_dots(proj, proj) < cu2 * _dots(pts, pts)]
     if not len(probes):
         raise PreconditionError("no grid direction lies outside the U-cone")
-    # the squared cosines of the bounds and of the formula differ by under
-    # (5d^2 + 5d + 22) eps: dot and norm rounding, cos and arccos to an ulp
-    c2 = np.cos(v_angle) ** 2 if v_angle < np.pi / 2 else -np.inf
-    slack = 32 * form.dim ** 2 * np.finfo(float).eps
-    lo, hi = c2 * (1 - 1e-9) - slack, c2 * (1 + 1e-9) + slack
+    dst = unstable.subspace.basis
     # one term at a time: a stacked (terms x probes x d) pass is no faster
     # and its temporaries raise the peak memory by megabytes
     for n in range(len(seq) - 1, -1, -1):
         images = probes @ seq.terms[n].T
-        proj = images @ dst.basis
-        with np.errstate(divide="ignore", invalid="ignore"):  # the formula warns below
-            cos2 = _dots(proj, proj) / _dots(images, images)
-        if np.any(cos2 < lo):
-            break
-        if np.all(cos2 > hi):
-            continue
-        # a probe in the band: the term takes the normalize-project-arccos formula
-        images /= np.linalg.norm(images, axis=1, keepdims=True)
-        if not np.all(_angles(np.linalg.norm(images @ dst.basis, axis=1), 1.0) <= v_angle):
+        proj = images @ dst
+        if not np.all(_dots(proj, proj) >= cv2 * _dots(images, images)):
             break
     else:
         return 0
@@ -293,10 +282,13 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
     cents = np.empty_like(rays)
     cnorms = np.empty(len(rays))
     labels = np.empty(len(rays), dtype=int)
+    # a ray is within `angle` of a centroid when |cos| >= cos(angle); from
+    # pi/2 on every ray is, and at a NaN or negative angle none is
+    floor = -np.inf if angle >= np.pi / 2 else np.cos(angle) if angle >= 0 else np.nan
     k = 0
     for m, r in enumerate(rays):
         dots = _dots(cents[:k], r)
-        near = _angles(dots, cnorms[:k] * norms[m]) <= angle
+        near = np.abs(dots) >= floor * cnorms[:k] * norms[m]
         i = near.argmax() if k else 0
         if k and near[i]:
             sums[i] += r if dots[i] >= 0 else -r
@@ -306,10 +298,10 @@ def _cluster_rays(rays: np.ndarray, angle: float) -> list[RayCluster]:
         labels[m] = i
         c = sums[i] / np.sqrt(sums[i] @ sums[i])
         cents[i], cnorms[i] = c, np.sqrt(c @ c)
-    return _collect(sums[:k], np.bincount(labels, minlength=k), rays, norms, labels)
+    return _collect(sums[:k], np.bincount(labels, minlength=k), rays, labels)
 
 
-def _collect(sums: np.ndarray, weights: np.ndarray, rays: np.ndarray, norms: np.ndarray,
+def _collect(sums: np.ndarray, weights: np.ndarray, rays: np.ndarray,
              labels: np.ndarray) -> list[RayCluster]:
     """The clusters of the given running sums and weights, heaviest first
     (in cluster order on a tie); each radius is the largest angle from the
@@ -318,19 +310,11 @@ def _collect(sums: np.ndarray, weights: np.ndarray, rays: np.ndarray, norms: np.
     centroids = canonical_rays(sums)
     # a member's sign does not change its angle, so take the rays as drawn
     radii = np.zeros(len(sums))
-    np.maximum.at(radii, labels, _angles(_dots(centroids[labels], rays),
-                                         np.sqrt(_dots(centroids, centroids))[labels] * norms))
+    np.maximum.at(radii, labels, _ray_angles(centroids[labels], rays))
     clusters = [RayCluster(centroid=BoundaryPoint(ray=c), weight=int(w), angular_radius=float(a))
                 for c, w, a in zip(centroids, weights, radii)]
     clusters.sort(key=lambda cl: cl.weight, reverse=True)
     return clusters
-
-
-def _chord_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Angles between unit rows and a unit vector, 2 arcsin(|u - v| / 2):
-    unlike arccos of the dot, exact to a few eps at every angle."""
-    w = u - v
-    return 2 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(np.einsum("ij,ij->i", w, w))))
 
 
 def _certified_groups(rows: np.ndarray, first: np.ndarray, samples: int,
@@ -357,10 +341,11 @@ def _certified_groups(rows: np.ndarray, first: np.ndarray, samples: int,
 
     tol is 1e-9 of the angle plus 16 (samples + d) eps / sin(angle / 2),
     which bounds the rounding of the greedy pass (an eps of angle per
-    addition to a running sum, a few d eps of cosine per angle test) and
-    of these angles (`_chord_angles` of rows unit to a few eps).  So the
-    certified groups are exactly the greedy pass's clusters.  The groups
-    are found and checked one at a time, in O(rows x groups).
+    addition to a running sum; per cosine test, a few d eps of cosine and
+    an ulp of cos(angle), each under eps / sin(angle / 2) of angle) and of
+    these angles (`_ray_angles`, exact to a few eps).  So the certified
+    groups are exactly the greedy pass's clusters.  The groups are found
+    and checked one at a time, in O(rows x groups).
     """
     if not angle > 0:  # a zero, negative or NaN angle is left to the greedy pass
         return None
@@ -374,11 +359,11 @@ def _certified_groups(rows: np.ndarray, first: np.ndarray, samples: int,
         lead = rows[leaders[-1]]
         flip = np.where(rows @ lead < 0, -1.0, 1.0)
         aligned = rows * flip[:, None]
-        dist = _chord_angles(aligned, lead)
+        dist = _ray_angles(aligned, lead)
         mine = (group < 0) & (dist <= angle)
         rho = dist[mine].max()
         mean = aligned[mine].sum(axis=0)
-        spread = _chord_angles(aligned[mine], mean / np.sqrt(mean @ mean)).max()
+        spread = _ray_angles(aligned[mine], mean).max()
         if (2 * min(rho, spread) > top - tol
                 or np.any(~mine & (dist <= angle + rho + tol))):
             return None
@@ -405,7 +390,7 @@ def _cluster_words(rows: np.ndarray, at: np.ndarray, angle: float) -> list[RayCl
     later = np.delete(at, first[leaders])  # the samples after each cluster's first
     sums = rows[leaders]
     np.add.at(sums, labels[later], rows[later] * signs[later, None])
-    return _collect(sums, np.bincount(labels[at]), rows, np.sqrt(_dots(rows, rows)), labels)
+    return _collect(sums, np.bincount(labels[at]), rows, labels)
 
 
 def _snap_clusters(form: QuadraticForm, clusters: list[RayCluster]) -> list[RayCluster]:
@@ -641,8 +626,10 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     pass's rounding.  Then each sample's cluster and sign are known, and
     the running sums are one in-order `np.add.at` from the leaders, so
     the clusters are bitwise the per-sample pass's; else the samples take
-    that pass one at a time (`_cluster_rays`).  The clustering angle is in
-    radians, finite and positive.
+    that pass one at a time (`_cluster_rays`).  That pass joins a ray r to
+    a centroid c by the cosine test |c . r| >= cos(angle) |c| |r|, and the
+    radii and gaps reported are `ray_angle`'s exact angles.  The clustering
+    angle is in radians, finite and positive.
     """
     gens = [require_isometry(form, g) for g in generators]
     if not gens:

@@ -15,9 +15,14 @@ again when each cap-boundary block was factored once per (direction, term)
 instead of once per radius and the Newton stop became relative to
 beta_min + mu: keys, directions, radii and `complete` stayed identical, and
 12 of the 64 scores moved, by at most 8.7e-16 relative.  The batched cap
-solver gives each problem the bits it gives alone.  The `limit-set` reports and traces were
+solver gives each problem the bits it gives alone.  The `limit-set` traces were
 written by the per-word sampling loop and keep their bytes: the stacked
-words are the same products and the stacked SVD the same LAPACK call.  So
+words are the same products and the stacked SVD the same LAPACK call.
+The two `limit-set` reports were rewritten when ray angles moved from the
+arccos of a cosine to 2 atan2(|u - v|, |u + v|): centroids, weights and
+counts stayed identical, and only `angular_radius` (28 of schottky3's 122
+floats, 14 of boosts4's 254) and `min_intercluster_gap` (one each) moved,
+by at most 4.2e-14 absolute.  So
 do the integer torus reports (`model torus-fixed`, `model torus-isoms`,
 `entropy`), written before the torus layer's isometry gate became exact.
 """

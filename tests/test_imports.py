@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, nor another
-module's private (`_`-prefixed) name outside a fixed list of pairs.
+module's private (`_`-prefixed) name outside a fixed list of pairs, nor
+calls an inverse cosine.
 
 No linter ships with the test dependencies, so this reads the modules'
 syntax trees: a module-level import is used when its bound name appears as
@@ -59,3 +60,17 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_new_private_imports(path):
     assert _private_imports(path) - PRIVATE_ALLOWED == set()
+
+
+def _inverse_cosine_calls(path: Path) -> list[int]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("arccos", "acos")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_inverse_cosine(path):
+    # angles come from atan2 of a sine part and a cosine part
+    # (`projective._ray_angles`, `Subspace.angle_to_vector`): the inverse
+    # cosine of a near-unit cosine cannot resolve angles under 1e-8
+    assert _inverse_cosine_calls(path) == []

@@ -183,6 +183,31 @@ def test_dipped_bounded_sequence_is_refused(detector, factor):
 
 
 # ---------------------------------------------------------------------------
+# a recurring bounded subsequence: B(0.3 n), n = 1..40, with I at every k-th
+# term.  For k <= 13 the tail n = 21..40 holds at least two identities, so a
+# bounded subsequence recurs through it: the sequence is not divergent, and
+# every detector refuses it as equicontinuous.  An envelope that looks past
+# one low term must still see these (ROADMAP item 15).
+
+
+def _recurring_identity(k: int) -> MatrixSequence:
+    return MatrixSequence.from_terms([np.eye(3) if n % k == 0 else boost(3, 0.3 * n)
+                                      for n in range(1, 41)])
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_recurring_identity_is_not_divergent(k):
+    assert not is_divergent(_recurring_identity(k))
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+@pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
+def test_recurring_identity_is_refused_as_equicontinuous(detector, k):
+    with pytest.raises(EquicontinuousError):
+        detector(_recurring_identity(k))
+
+
+# ---------------------------------------------------------------------------
 # anti-de Sitter pairs: X -> g_n X h_n^-1 on R^2 x R^2 with
 # g_n = k1 diag(e^(tn), e^(-tn)) k1^T and h_n likewise at rate s.  The
 # singular values are e^(+-(t+s)n) and e^(+-(t-s)n), with fixed singular

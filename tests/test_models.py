@@ -282,27 +282,19 @@ class TestSweepFixedRays:
     two for a hyperbolic element (its contracted and expanded eigenrays),
     one for a parabolic element (the kernel ray of a power of A - I)."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "fixed-ray miss: the eig eigenvector of one of the two isotropic "
-        "eigenvalues moves under A by more than the 1e-8 angle test, so 56 of "
-        "384 elements of diag(1,1,1,-1) at height 2 and 8 of 32 of diag(-1,1,1) "
-        "at height 4 lose a ray"))
     @pytest.mark.parametrize("diag", [(1, 1, 1, -1), (-1, 1, 1)], ids=str)
     def test_hyperbolic_elements_fix_two_rays(self, diag):
         assert set(_sweep_fixed_counts(diag, "hyperbolic")) == {2}
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "fixed-ray miss: the contracted ray's image is 2.1e-8 from it, against "
-        "the 1e-8 angle test"))
     def test_contracted_ray_found(self, int_mink3):
         a = np.array([[-3, -2, 2], [-2, -2, 1], [-2, -1, 2]])
         assert len(fixed_isotropic_directions(int_mink3, [a])) == 2
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "fixed-ray count: eig's eigenvectors of the Jordan block at 1 are "
-        "inexact, so of the 192 parabolic elements of diag(1,1,1,-1) at height 2, "
-        "16 get no ray (the angle test fails) and 20 get two (2.1e-8 to 3.0e-8 "
-        "apart, past the 1e-9 dedupe)"))
+        "inexact, so 40 of the 192 parabolic elements of diag(1,1,1,-1) at "
+        "height 2 get two to four rays, fixed to the 1e-8 angle test but more "
+        "than the 1e-9 dedupe apart"))
     def test_parabolic_elements_fix_one_ray(self):
         assert set(_sweep_fixed_counts((1, 1, 1, -1), "parabolic")) == {1}
 
@@ -347,16 +339,28 @@ class TestPlusMinusIdentity:
         with pytest.raises(PreconditionError):
             plus_minus_identity_check(int_mink3, np.eye(3), [r, r, r])
 
-    def test_one_ray_seen_three_times_rejected(self):
-        # three unit rays within 2e-8 of the expanding eigenray of a
-        # hyperbolic element (eigenvalue 3 + 2 sqrt 2): each is fixed and
-        # isotropic to the tolerances and they are pairwise 1e-8 apart, but
-        # distinct isotropic rays would force multipliers of one sign of 1
+    def test_rays_near_a_hyperbolic_eigenray_are_moved(self):
+        # three unit rays 3e-9 to 2e-8 off the expanding eigenray of a
+        # hyperbolic element (eigenvalue 3 + 2 sqrt 2), pairwise 1e-8 apart:
+        # the element moves each of them by more than the 1e-8 angle test
         g = RationalLorentzForm(gram=np.diag([-1, 1, 1]))
         a = np.array([[3.0, 2, 2], [2, 1, 2], [2, 2, 1]])
         rays = [[0.7071067813670164, 0.49999999575076653, 0.5000000039940118],
                 [0.7071067808792382, 0.49999998757687103, 0.5000000128577298],
                 [0.7071067809505189, 0.500000004426951, 0.4999999959068438]]
+        with pytest.raises(PreconditionError, match="matrix does not fix all three rays"):
+            plus_minus_identity_check(g, a, rays)
+
+    def test_one_ray_seen_three_times_rejected(self):
+        # a parabolic element fixes its ray (1, 0, 1)/sqrt 2 exactly and moves
+        # the cone rays (1, cos t, sin t)/sqrt 2 at t = pi/2 +- 1e-7 by under
+        # 1e-14: each is fixed and isotropic to the tolerances and they are
+        # pairwise 7e-8 apart, but distinct isotropic rays would force
+        # multipliers of one sign of 1, and theirs are -1 to 2e-7
+        g = RationalLorentzForm(gram=np.diag([-1, 1, 1]))
+        a = np.array([[-3.0, -2, 2], [-2, -1, 2], [-2, -2, 1]])
+        t = np.pi / 2 + np.array([-1e-7, 0.0, 1e-7])
+        rays = np.stack([np.ones(3), np.cos(t), np.sin(t)], axis=1) / np.sqrt(2)
         with pytest.raises(PreconditionError, match="numerically one ray"):
             plus_minus_identity_check(g, a, rays)
 

@@ -76,6 +76,23 @@ class TestBoundaryPoint:
         assert b.ray == pytest.approx(np.array([1, 1, 0]) / np.sqrt(2))
 
 
+class TestRayAngle:
+    @pytest.mark.parametrize("scale", [1e-40, 1e-20, 1.0, 1e20, 1e40])
+    def test_exact_at_every_angle(self, scale):
+        # for orthonormal u, w the angle from u to cos t u + sin t w is t to
+        # a few eps, from 1e-12 to just under pi/2 (the inverse cosine of
+        # the cosine is off by up to 1e-8)
+        rng = np.random.default_rng(3)
+        eps = np.finfo(float).eps
+        for d in (2, 3, 4, 6):
+            for t in np.geomspace(1e-12, np.pi / 2 - 1e-9, 200):
+                u, w = np.linalg.qr(rng.standard_normal((d, 2)))[0].T * scale
+                assert abs(ray_angle(u, np.cos(t) * u + np.sin(t) * w) - t) <= 4 * eps
+            # a ray is exactly 0 from itself and from its antipode
+            v = rng.standard_normal(d) * scale
+            assert ray_angle(v, v) == 0.0 and ray_angle(v, -v) == 0.0
+
+
 class TestHyperbolicPoint:
     def test_sheet_condition(self, mink3):
         with pytest.raises(PreconditionError):
@@ -415,10 +432,24 @@ def _loop_project_to_cone(form, v):
 
 
 def _scalar_ray_angle(u, v):
-    """The scalar ray-angle formula that `ray_angle` and the stacked angle
-    tests replaced, kept to pin their bits."""
-    c = abs(float(np.dot(u, v))) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(np.arccos(min(1.0, c)))
+    """The ray angle of two vectors, one at a time: on unit vectors, with v
+    flipped to u's side, 2 atan2(|u - v|, |u + v|)."""
+    u = u / np.sqrt(np.dot(u, u))
+    v = v / np.sqrt(np.dot(v, v))
+    if np.dot(u, v) < 0:
+        v = -v
+    return float(2 * np.arctan2(np.sqrt(np.dot(u - v, u - v)), np.sqrt(np.dot(u + v, u + v))))
+
+
+def _scalar_within(c, r, angle):
+    """Whether ray r is within `angle` of c, one pair at a time:
+    |c . r| >= cos(angle) |c| |r|, every pair from pi/2 on, none at a NaN
+    or negative angle."""
+    if not angle >= 0:
+        return False
+    if angle >= np.pi / 2:
+        return True
+    return bool(abs(np.dot(c, r)) >= np.cos(angle) * np.sqrt(np.dot(c, c)) * np.sqrt(np.dot(r, r)))
 
 
 def _loop_cluster_rays(rays, angle):
@@ -427,7 +458,7 @@ def _loop_cluster_rays(rays, angle):
     for r in rays:
         for i, s in enumerate(sums):
             c = s / np.linalg.norm(s)
-            if _scalar_ray_angle(c, r) <= angle:
+            if _scalar_within(c, r, angle):
                 aligned = r if np.dot(c, r) >= 0 else -r
                 sums[i] = s + aligned
                 members[i].append(aligned)
@@ -528,19 +559,36 @@ def _limit_set_bits(form, generators, **kwargs):
     return _cluster_bits(est.clusters), est.min_intercluster_gap, est.divergent_words, trace
 
 
-def _loop_north_south(form, seq, u_angle, v_angle, grid):
-    """The per-point, per-term `north_south_certificate` loop."""
+def _cos2(angle):
+    """cos^2 of a cone angle, -inf from pi/2 on."""
+    return np.cos(angle) ** 2 if angle < np.pi / 2 else -np.inf
+
+
+def _probe_images(form, seq, u_angle, grid):
+    """The grid directions p outside the U-cone, |p B|^2 < cos^2(u_angle)
+    |p|^2, one at a time, with the V-cone's basis C."""
     stable = as_subspace_kak(seq)
     unstable = as_subspace_kak(seq.inverse())
     assert stable.converged and unstable.converged
     pts = sphere_points(form.dim, grid)
-    probes = pts[np.array([stable.subspace.angle_to_vector(p) > u_angle for p in pts])]
-    ok = np.empty(len(seq), dtype=bool)
-    for i, t in enumerate(seq.terms):
-        images = probes @ t.T
-        images /= np.linalg.norm(images, axis=1, keepdims=True)
-        cosines = np.linalg.norm(images @ unstable.subspace.basis, axis=1)
-        ok[i] = bool(np.all(np.arccos(np.minimum(1.0, cosines)) <= v_angle))
+    proj = pts @ stable.subspace.basis
+    outside = [np.dot(q, q) < _cos2(u_angle) * np.dot(p, p) for p, q in zip(pts, proj)]
+    return pts[np.array(outside, dtype=bool)], unstable.subspace.basis
+
+
+def _inside(images, basis, v_angle):
+    """Whether each image v is inside the V-cone, one at a time:
+    |v C|^2 >= cos^2(v_angle) |v|^2."""
+    return np.array([np.dot(q, q) >= _cos2(v_angle) * np.dot(v, v)
+                     for v, q in zip(images, images @ basis)], dtype=bool)
+
+
+def _loop_north_south(form, seq, u_angle, v_angle, grid):
+    """The per-point, per-term `north_south_certificate` loop."""
+    probes, basis = _probe_images(form, seq, u_angle, grid)
+    if not len(probes):
+        raise PreconditionError("no grid direction lies outside the U-cone")
+    ok = np.array([_inside(probes @ t.T, basis, v_angle).all() for t in seq.terms])
     if ok.all():
         return 0
     first = int(np.where(~ok)[0][-1]) + 1
@@ -561,6 +609,7 @@ class TestStackedAgainstLoops:
             v = rng.standard_normal((200, d)) * scale
             v[:50] = -u[:50] * rng.uniform(0.5, 2.0, (50, 1))  # antipodal rows
             v[50:60] = u[50:60]
+            v[60:80] = u[60:80] + rng.standard_normal((20, d)) * 1e-9 * scale  # near rows
             want = np.array([_scalar_ray_angle(a, b) for a, b in zip(u, v)])
             assert np.array_equal(projective._ray_angles(u, v), want)
             assert np.array_equal([ray_angle(a, b) for a, b in zip(u, v)], want)
@@ -1123,7 +1172,8 @@ class TestCertifiedClusters:
         phi = 0.5 * np.arccos((np.cos(sep) - np.cos(theta) ** 2) / np.sin(theta) ** 2)
         rows = np.array([[np.cos(theta), np.sin(theta) * np.cos(p), np.sin(theta) * np.sin(p)]
                          for p in (-phi, phi)] + [[1.0, 0.0, 0.0]])
-        assert np.allclose(np.rad2deg(projective._chord_angles(rows, rows[0])), [0, 4.9, 5.1])
+        assert np.allclose(np.rad2deg([_scalar_ray_angle(r, rows[0]) for r in rows]),
+                           [0, 4.9, 5.1])
         angle = np.deg2rad(5.0)
         want = _loop_cluster_rays(rows[[0, 1, 2, 2, 0]], angle)
         assert len(want) == 1
@@ -1197,23 +1247,25 @@ class TestCertifiedClusters:
             assert got == _cluster_bits(_loop_cluster_rays(rows[at], angle))
 
 
-def _image_angles(form, seq, u_angle, grid, n):
-    """The formula's angle from each probe's image under term n to the
-    V-cone's axis, as `north_south_certificate` forms it."""
-    src = as_subspace_kak(seq).subspace
-    dst = as_subspace_kak(seq.inverse()).subspace
-    pts = sphere_points(form.dim, grid)
-    probes = pts[projective._angles(np.linalg.norm(pts @ src.basis, axis=1),
-                                    np.linalg.norm(pts, axis=1)) > u_angle]
-    images = probes @ seq.terms[n].T
-    images /= np.linalg.norm(images, axis=1, keepdims=True)
-    return projective._angles(np.linalg.norm(images @ dst.basis, axis=1), 1.0)
+def _edge_angle(form, seq, u_angle, grid):
+    """The smallest v_angle at which every probe's image under the last
+    term passes the cone test, found by bisection on the angle's bits."""
+    probes, basis = _probe_images(form, seq, u_angle, grid)
+    images = probes @ seq.terms[-1].T
+    lo, hi = np.array([0.0, np.pi / 2]).view(np.int64)
+    assert not _inside(images, basis, 0.0).all() and _inside(images, basis, np.pi / 2).all()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _inside(images, basis, float(np.int64(mid).view(np.float64))).all():
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 class TestNorthSouthBounds:
-    """Each probe is decided first by |v B|^2 against cos^2(v_angle) |v|^2;
-    only a term with a probe in the band between the bounds takes the
-    arccos formula, and every answer is the per-term loop's."""
+    """Each probe is decided by one cosine test, |v C|^2 against
+    cos^2(v_angle) |v|^2, and every answer is the per-term loop's."""
 
     @pytest.mark.parametrize("v_angle", [0.0, 1e-12, np.deg2rad(5.0), np.deg2rad(89.9),
                                          np.pi / 2, 2.0],
@@ -1238,19 +1290,14 @@ class TestNorthSouthBounds:
             assert all(r[0] == "ok" for r in results)
 
     @pytest.mark.parametrize("nudge", [0, -1, 1])
-    def test_probe_on_the_cone_boundary_takes_the_formula(self, mink3, monkeypatch, nudge):
-        # v_angle at the largest image angle under the last term (one ulp
-        # either side): that probe is in the band, and decides the term
+    def test_image_on_the_cone_edge(self, mink3, nudge):
+        # v_angle at the smallest angle whose cos^2 holds every image under
+        # the last term (one ulp either side): that term fails just below it
         seq = boost_sequence(3, 0.5, 24)
         u_angle = np.deg2rad(5.0)
-        edge = _image_angles(mink3, seq, u_angle, 2000, len(seq) - 1).max()
-        v_angle = float(np.nextafter(edge, np.inf * nudge)) if nudge else float(edge)
-        calls = []
-        angles = projective._angles
-        monkeypatch.setattr(projective, "_angles", lambda *a: calls.append(1) or angles(*a))
+        edge = _edge_angle(mink3, seq, u_angle, 2000)
+        v_angle = float(np.nextafter(edge, np.inf * nudge)) if nudge else edge
         args = (mink3, seq, u_angle, v_angle, 2000)
         got = _outcome(lambda: north_south_certificate(*args))
         assert got == _outcome(lambda: _loop_north_south(*args))
-        # one call classifies the grid, the rest are terms in the band
-        assert len(calls) >= 2
         assert got[0] == ("CertificateError" if nudge < 0 else "ok")
