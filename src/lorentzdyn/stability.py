@@ -313,20 +313,25 @@ def _sines(residual: np.ndarray) -> np.ndarray:
     return np.arcsin(np.minimum(1.0, s))
 
 
-def _linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_sine_distances(a, b) <= CLUSTER_LINK``, with the same stacking.
-
-    With f = |residual|_F^2 of rank-k bases, |R|_2^2 <= f <= k |R|_2^2
-    (Golub & Van Loan, Matrix Computations, 2.3), so f <= sin^2(link)
-    links a pair and f > k sin^2(link) does not.  Only the pairs between
-    those bounds, widened by a relative 1e-9 on each side for rounding,
-    take the SVD.
-    """
+def _sine_bounds(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(R, lo, hi): the residuals R of `_sine_distances(a, b)`, with its
+    stacking, and lo <= |R|_2^2 <= hi, the squared sine, without an SVD.
+    With f = |R|_F^2 of rank-k bases, |R|_2^2 <= f <= k |R|_2^2 (Golub &
+    Van Loan, Matrix Computations, 2.3): lo and hi are f / k and f, widened
+    by a relative 1e-9 for rounding.  The thresholds they are held to lie
+    far above the underflow of f."""
     residual = b - a @ (np.swapaxes(a, -1, -2) @ b)
     f = np.einsum("...ij,...ij->...", residual, residual)
+    return residual, f / b.shape[-1] * (1.0 - 1e-9), f * (1.0 + 1e-9)
+
+
+def _linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_sine_distances(a, b) <= CLUSTER_LINK``, with the same stacking;
+    only the pairs whose `_sine_bounds` straddle the link take the SVD."""
+    residual, lo, hi = _sine_bounds(a, b)
     sin2 = np.sin(CLUSTER_LINK) ** 2
-    linked = f <= sin2 * (1.0 - 1e-9)
-    unsure = ~linked & (f <= b.shape[-1] * sin2 * (1.0 + 1e-9))
+    linked = hi <= sin2
+    unsure = ~linked & (lo <= sin2)
     if unsure.any():
         linked[unsure] = _sines(residual[unsure]) <= CLUSTER_LINK
     return linked
@@ -384,7 +389,9 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     polynomials in x = 1/n and read off at x = 0.  Exponentially settling
     families (detected by the drift decaying much faster than 1/n) instead
     get a geometric tail-sum correction.  Both branches fall back to the
-    last member when they would overshoot the observed drift.
+    last member when they would overshoot the observed drift.  The drift
+    gate and the fit's overshoot test take an SVD only where `_sine_bounds`
+    straddles them.
 
     ``bases`` stacks the family's m orthonormal d x rank bases in tail order.
     """
@@ -392,8 +399,9 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     last = bases[-1]
     if m < 4:
         return last
-    drift = float(_sine_distances(bases[m // 2], last[None])[0])
-    if drift < 1e-11:
+    # the drift, from the middle member to the last, against sin(1e-11)^2
+    residual, (lo,), (hi,) = _sine_bounds(bases[m // 2], last[None])
+    if hi < 1e-22 or lo < 1e-22 and float(_sines(residual)[0]) < 1e-11:
         return last
     projs = bases @ np.swapaxes(bases, 1, 2)
 
@@ -416,9 +424,12 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
         step, moved = _sine_distances(np.stack([bases[-2], basis]), last)
         return basis if moved <= 5.0 * step + 1e-9 else last
 
-    p0 = _fit_at_zero(labels, projs, int(min(6, m - 3)))
-    basis = to_basis(p0)
-    if grassmann_distance(basis, last) > max(5.0 * drift, 1e-6):
+    # overshoot: grassmann_distance(basis, last) > max(5 drift, 1e-6)
+    basis = to_basis(_fit_at_zero(labels, projs, int(min(6, m - 3))))
+    _, g_lo, g_hi = _sine_bounds(basis, last)
+    d_lo, d_hi, g_lo, g_hi = np.arcsin(np.sqrt(np.minimum(1.0, [lo, hi, g_lo, g_hi])))
+    if g_hi > max(5.0 * d_lo, 1e-6) and (g_lo > max(5.0 * d_hi, 1e-6) or grassmann_distance(
+            basis, last) > max(5.0 * float(_sines(residual)[0]), 1e-6)):
         return last
     return basis
 
@@ -508,23 +519,27 @@ def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -
     """Largest operator norm of the tail terms ``rel`` (counted from the
     first tail term), each restricted to the span of its ``bases[rel]``.
 
-    Each restriction X has rank at most r = ``bases.shape[2]``, so
-    |X|_2 <= |X|_F <= sqrt(r) |X|_2 (Golub & Van Loan, Matrix Computations,
-    2.3), and the largest |X|_2 is at least max |X|_F / sqrt(r).  A term
-    with |X|_F^2 under max |X|_F^2 / r, less a relative 1e-9 for rounding,
-    cannot reach it, so only the others take the SVD.  LAPACK factors each
-    matrix of a stack alone, so the largest value is the full stack's bit
-    for bit.  An overflowing or subnormal bound decides nothing.
+    The term with the largest |X|_F^2 is factored first; call its top
+    singular value s.  Every term has |X|_2 <= |X|_F (Golub & Van Loan,
+    Matrix Computations, 2.3), so a term with |X|_F^2 under s^2, less a
+    relative 1e-9 for rounding, cannot exceed s, and only the other terms
+    take a second, stacked SVD (none when no term is left).  LAPACK factors
+    each matrix of a stack alone, so the largest value is the full stack's
+    bit for bit.  An overflowing or subnormal s^2 decides nothing.
     """
     rank = bases.shape[2]
     if rank == 0:
         return 0.0
     x = seq.tail[rel] @ bases[rel]
     f = np.einsum("nij,nij->n", x, x)
-    cut = np.max(f) / rank * (1.0 - 1e-9)
-    if np.finfo(float).tiny <= cut < np.inf:
-        x = x[f >= cut]
-    return float(np.max(np.linalg.svd(x, compute_uv=False)[:, 0]))
+    top = int(np.argmax(f))
+    worst = float(np.linalg.svd(x[top], compute_uv=False)[0])
+    cut = worst * worst * (1.0 - 1e-9)
+    rest = f >= (cut if np.finfo(float).tiny <= cut < np.inf else 0.0)
+    rest[top] = False
+    if rest.any():
+        worst = max(worst, float(np.max(np.linalg.svd(x[rest], compute_uv=False)[:, 0])))
+    return worst
 
 
 def _cartan_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> float:
