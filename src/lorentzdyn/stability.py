@@ -309,7 +309,7 @@ def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sines(residual: np.ndarray) -> np.ndarray:
     """arcsin of the top singular value of each residual b - a a^T b."""
-    s = np.linalg.svd(residual, compute_uv=False)[:, 0]
+    s = np.linalg.svd(residual, compute_uv=False)[..., 0]
     return np.arcsin(np.minimum(1.0, s))
 
 
@@ -350,39 +350,45 @@ def _pair_distances(pairs: list) -> list[float]:
     return out
 
 
-def _cluster_by_linkage(bases: np.ndarray) -> list[list[int]]:
-    """Single-linkage components of the subspaces ``bases[i]`` at
-    Grassmannian scale `CLUSTER_LINK`.
+def _cluster_by_linkage(bases: np.ndarray) -> list[list[list[int]]]:
+    """Single-linkage components of the subspaces ``bases[f, i]`` at
+    Grassmannian scale `CLUSTER_LINK`, one partition per family f.
 
     The components of the graph "distance <= CLUSTER_LINK" do not depend on
     which edges are looked at, so long as no pair joining two separate
-    components is skipped.  Consecutive tail candidates are linked first; then each i
-    is compared only with the later candidates still outside its component.
-    A converging tail costs m - 1 link tests instead of m(m - 1)/2.  The
-    components hold only link decisions, never distances, so `_linked`
-    decides most pairs from a norm bound and the SVD only the rest.
+    components is skipped.  Consecutive tail candidates are linked first,
+    every family's in one test; then each i is compared only with the later
+    candidates still outside its component: a converging tail costs m - 1
+    link tests instead of m(m - 1)/2.  The components hold only link
+    decisions, so `_linked` decides most pairs from a norm bound.
     """
-    m = len(bases)
-    close = _linked(bases[:-1], bases[1:])
-    if close.all():  # a converging tail: one component
-        return [list(range(m))]
-    comp = np.concatenate([[0], np.cumsum(~close)])
-    for i in range(m):
-        outside = comp != comp[i]
-        if not outside.any():
-            break  # one component: every later i has no candidate outside it
-        js = i + 1 + np.flatnonzero(outside[i + 1:])
-        if js.size:
-            linked = js[_linked(bases[i], bases[js])]
-            comp[np.isin(comp, comp[linked])] = comp[i]
-    order = np.argsort(comp, kind="stable")  # members stay in tail order
-    groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
-    return sorted((g.tolist() for g in groups), key=lambda g: (len(g), g[-1]), reverse=True)
+    m = bases.shape[1]
+    partitions = []
+    for family, close in zip(bases, _linked(bases[:, :-1], bases[:, 1:])):
+        if close.all():  # a converging tail: one component
+            partitions.append([list(range(m))])
+            continue
+        comp = np.concatenate([[0], np.cumsum(~close)])
+        for i in range(m):
+            outside = comp != comp[i]
+            if not outside.any():
+                break  # one component: every later i has no candidate outside it
+            js = i + 1 + np.flatnonzero(outside[i + 1:])
+            if js.size:
+                linked = js[_linked(family[i], family[js])]
+                comp[np.isin(comp, comp[linked])] = comp[i]
+        order = np.argsort(comp, kind="stable")  # members stay in tail order
+        groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
+        partitions.append(sorted((g.tolist() for g in groups),
+                                 key=lambda g: (len(g), g[-1]), reverse=True))
+    return partitions
 
 
 def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
-                           rank: int) -> np.ndarray:
-    """Accelerate the limit of a drifting subspace family.
+                           rank: int) -> list:
+    """The limits of F drifting subspace families, one d x rank basis each:
+    ``bases[f]`` holds family f's m orthonormal bases in tail order, all
+    labelled ``labels``; each step runs once, on the families that take it.
 
     Candidate subspaces of unipotent-type sequences drift like 1/n, far too
     slowly for a 40-term tail; their projector entries are fitted as
@@ -392,46 +398,52 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     last member when they would overshoot the observed drift.  The drift
     gate and the fit's overshoot test take an SVD only where `_sine_bounds`
     straddles them.
-
-    ``bases`` stacks the family's m orthonormal d x rank bases in tail order.
     """
-    m, d = bases.shape[:2]
-    last = bases[-1]
+    m, d = bases.shape[1:3]
+    last = bases[:, -1]
+    out = list(last)
     if m < 4:
-        return last
+        return out
     # the drift, from the middle member to the last, against sin(1e-11)^2
-    residual, (lo,), (hi,) = _sine_bounds(bases[m // 2], last[None])
-    if hi < 1e-22 or lo < 1e-22 and float(_sines(residual)[0]) < 1e-11:
-        return last
-    projs = bases @ np.swapaxes(bases, 1, 2)
+    residual, lo, hi = _sine_bounds(bases[:, m // 2], last)
+    live = hi >= 1e-22
+    unsure = live & (lo < 1e-22)
+    if unsure.any():
+        live[unsure] = ~(_sines(residual[unsure]) < 1e-11)
+    fams = np.flatnonzero(live)
+    b = bases[fams]
+    projs = b @ np.swapaxes(b, 2, 3)
 
     def to_basis(p0):
-        p0 = 0.5 * (p0 + p0.T)
-        w, v = np.linalg.eigh(p0)
-        return v[:, np.argsort(w)[-rank:]]
+        w, v = np.linalg.eigh(0.5 * (p0 + np.swapaxes(p0, 1, 2)))
+        return np.take_along_axis(v, np.argsort(w)[:, None, -rank:], axis=2)
 
     # Per-step decay ratios tell geometric (ratio bounded below 1) apart
     # from 1/n-type drift (ratio creeping up to 1).  Each step is the
     # Frobenius norm `norm` takes: the root of one BLAS dot of the raveled
     # difference with itself.
-    diffs = np.diff(projs[max(0, m - 7):], axis=0).reshape(-1, d * d)
+    diffs = np.diff(projs[:, max(0, m - 7):], axis=1).reshape(len(b), min(m, 7) - 1, d * d)
     steps = np.sqrt(_dots(diffs, diffs))
-    ratios = steps[1:] / np.maximum(steps[:-1], 1e-300)
-    if np.max(ratios) <= 0.85:  # m >= 4: at least two ratios
-        q = float(np.median(ratios))
-        d1 = projs[-1] - projs[-2]
-        basis = to_basis(projs[-1] + d1 * (q / (1.0 - q)))
-        step, moved = _sine_distances(np.stack([bases[-2], basis]), last)
-        return basis if moved <= 5.0 * step + 1e-9 else last
-
-    # overshoot: grassmann_distance(basis, last) > max(5 drift, 1e-6)
-    basis = to_basis(_fit_at_zero(labels, projs, int(min(6, m - 3))))
-    _, g_lo, g_hi = _sine_bounds(basis, last)
-    d_lo, d_hi, g_lo, g_hi = np.arcsin(np.sqrt(np.minimum(1.0, [lo, hi, g_lo, g_hi])))
-    if g_hi > max(5.0 * d_lo, 1e-6) and (g_lo > max(5.0 * d_hi, 1e-6) or grassmann_distance(
-            basis, last) > max(5.0 * float(_sines(residual)[0]), 1e-6)):
-        return last
-    return basis
+    ratios = steps[:, 1:] / np.maximum(steps[:, :-1], 1e-300)
+    geo = np.max(ratios, axis=1) <= 0.85  # m >= 4: at least two ratios
+    if geo.any():
+        q = np.median(ratios[geo], axis=1)[:, None, None]
+        p = projs[geo]
+        basis = to_basis(p[:, -1] + (p[:, -1] - p[:, -2]) * (q / (1.0 - q)))
+        step, moved = _sine_distances(np.stack([b[geo, -2], basis], 1), b[geo, -1:]).T
+        for f, new, keep in zip(fams[geo], basis, moved <= 5.0 * step + 1e-9):
+            out[f] = new if keep else out[f]
+    if not geo.all():  # overshoot: grassmann_distance(basis, last) > max(5 drift, 1e-6)
+        fit = fams[~geo]
+        basis = to_basis(_fit_at_zero(labels, projs[~geo], int(min(6, m - 3))))
+        _, g_lo, g_hi = _sine_bounds(basis, last[fit])
+        d_lo, d_hi, g_lo, g_hi = np.arcsin(np.sqrt(np.minimum(1.0, [lo[fit], hi[fit], g_lo, g_hi])))
+        for i, f in enumerate(fit):
+            if not (g_hi[i] > max(5.0 * d_lo[i], 1e-6) and (g_lo[i] > max(5.0 * d_hi[i], 1e-6)
+                    or grassmann_distance(basis[i], last[f])
+                    > max(5.0 * float(_sines(residual[f])), 1e-6))):
+                out[f] = basis[i]
+    return out
 
 
 # the detectors fit the same family labels, and tails of one length share
@@ -460,51 +472,57 @@ def _fit_weights(labels: bytes, deg: int) -> tuple:
 
 
 def _fit_at_zero(labels: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
-    """The symmetric matrix of constant terms of the degree-`deg` least-squares
-    polynomials in x = 1/labels through each entry of the stacked ``projs``.
+    """The symmetric matrices of constant terms of the degree-`deg` least-squares
+    polynomials in x = 1/labels through each entry of the stacked ``projs``
+    (members x d x d, or families x members x d x d).
 
     Every entry is one cached functional of its column (`_fit_weights`), so
-    the fit is one contraction over the (members x d x d) stack; the upper
-    triangle is kept and mirrored.  A rank-deficient fit warns on every
-    call, as `polyfit` does.
+    the fit is one matrix product over the raveled stack (`tensordot` and
+    `einsum` sum in another order); the upper triangle is kept and
+    mirrored.  A rank-deficient fit warns on every call, as `polyfit` does.
     """
     w, rank = _fit_weights(np.asarray(labels, dtype=float).tobytes(), deg)
     if rank != deg + 1:
         warnings.warn("The fit may be poorly conditioned",
                       np.exceptions.RankWarning, stacklevel=2)
-    p0 = np.triu(np.tensordot(w, projs, axes=1))
-    return p0 + np.triu(p0, 1).T
+    d = projs.shape[-1]
+    p0 = np.triu((w @ projs.reshape(-1, len(w), d * d)).reshape(projs.shape[:-3] + (d, d)))
+    return p0 + np.swapaxes(np.triu(p0, 1), -1, -2)
 
 
-def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int):
-    """Cluster the tail candidates ``bases`` (one per tail term, in order),
-    extrapolate the dominant family, intersect the rest.  Returns
-    (subspace, converged, dominant members), the members counted from the
-    first tail term.  A family is extrapolated in 1/n against the 1-based
-    labels n of its terms."""
-    m, d = bases.shape[:2]
-    if rank == 0:
-        return Subspace.zero(d), True, np.arange(m)
-    if rank == d:
-        return Subspace.full(d), True, np.arange(m)
-    clusters = _cluster_by_linkage(bases)
-    limits = []
-    for members in clusters:
-        if len(members) < max(3, m // 10):
-            continue
-        members = np.asarray(members)
-        labels = seq.tail_start + 1.0 + members
-        limits.append((members, _extrapolate_projector(bases[members], labels, rank)))
-    if not limits:
-        raise ConvergenceError("no stable subspace family in the tail",
-                               clusters=[len(c) for c in clusters])
-    dominant_members, dominant_basis = limits[0]
-    if len(limits) == 1 and len(dominant_members) >= 0.9 * m:
-        return Subspace(basis=dominant_basis), True, dominant_members
-    # No single limit: the stable set is the intersection of the
-    # subsequential limit subspaces.
-    inter = _intersect_bases([b for _, b in limits])
-    return Subspace(basis=inter), False, dominant_members
+def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int) -> list:
+    """Cluster each family ``bases[f]`` of tail candidates (one per tail
+    term, in order), extrapolate its dominant cluster, intersect the rest.
+    Returns per family (subspace, converged, dominant members), the members
+    counted from the first tail term; the first family with no cluster to
+    extrapolate is refused.  A cluster is extrapolated in 1/n against the
+    1-based labels n of its terms, with the same members of every family."""
+    f, m, d = bases.shape[:3]
+    if rank in (0, d):
+        return [(Subspace.zero(d) if rank == 0 else Subspace.full(d), True, np.arange(m))] * f
+    partitions = _cluster_by_linkage(bases)
+    found = {}  # by members: the limit of each family with that cluster
+    for i, clusters in enumerate(partitions):
+        for c in clusters:
+            if len(c) >= max(3, m // 10):
+                found.setdefault(tuple(c), {})[i] = None
+    for c, limits in found.items():
+        fams, idx = list(limits), np.asarray(c)
+        limits.update(zip(fams, _extrapolate_projector(
+            bases[np.ix_(fams, idx)], seq.tail_start + 1.0 + idx, rank)))
+    out = []
+    for i, clusters in enumerate(partitions):
+        limits = [(np.asarray(c), found[tuple(c)][i]) for c in clusters
+                  if i in found.get(tuple(c), ())]
+        if not limits:
+            raise ConvergenceError("no stable subspace family in the tail",
+                                   clusters=[len(c) for c in clusters])
+        if len(limits) == 1 and len(limits[0][0]) >= 0.9 * m:
+            out.append((Subspace(basis=limits[0][1]), True, limits[0][0]))
+        else:  # no single limit: the stable set is where the limits meet
+            inter = _intersect_bases([b for _, b in limits])
+            out.append((Subspace(basis=inter), False, limits[0][0]))
+    return out
 
 
 def _intersect_bases(bases: list[np.ndarray]) -> np.ndarray:
@@ -515,44 +533,39 @@ def _intersect_bases(bases: list[np.ndarray]) -> np.ndarray:
     return vt[keep].T
 
 
-def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> float:
-    """Largest operator norm of the tail terms ``rel`` (counted from the
-    first tail term), each restricted to the span of its ``bases[rel]``.
+def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> list:
+    """Per family f, the largest operator norm of the tail terms ``rel``
+    (counted from the first tail term) restricted to the span of ``bases[f, rel]``.
 
-    The term with the largest |X|_F^2 is factored first; call its top
-    singular value s.  Every term has |X|_2 <= |X|_F (Golub & Van Loan,
-    Matrix Computations, 2.3), so a term with |X|_F^2 under s^2, less a
-    relative 1e-9 for rounding, cannot exceed s, and only the other terms
-    take a second, stacked SVD (none when no term is left).  LAPACK factors
-    each matrix of a stack alone, so the largest value is the full stack's
-    bit for bit.  An overflowing or subnormal s^2 decides nothing.
+    The term X with the largest |X|_F^2 is factored first, every family's
+    in one SVD call; call its top singular value s.  As |X|_2 <= |X|_F
+    (Golub & Van Loan, Matrix Computations, 2.3), a term with |X|_F^2 under
+    s^2, less a relative 1e-9 for rounding, cannot exceed s: only the other
+    terms take a second, stacked SVD.  LAPACK factors each matrix of a stack
+    alone, so the result is the full stack's bit for bit.  An overflowing
+    or subnormal s^2 decides nothing.
     """
-    rank = bases.shape[2]
-    if rank == 0:
-        return 0.0
-    x = seq.tail[rel] @ bases[rel]
-    f = np.einsum("nij,nij->n", x, x)
-    top = int(np.argmax(f))
-    worst = float(np.linalg.svd(x[top], compute_uv=False)[0])
-    cut = worst * worst * (1.0 - 1e-9)
-    rest = f >= (cut if np.finfo(float).tiny <= cut < np.inf else 0.0)
-    rest[top] = False
+    if bases.shape[3] == 0:
+        return [0.0] * len(bases)
+    x = seq.tail[rel] @ bases[:, rel]
+    f = np.einsum("...ij,...ij->...", x, x)
+    fams, top = np.arange(len(x)), np.argmax(f, axis=1)
+    worst = np.linalg.svd(x[fams, top], compute_uv=False)[:, 0]
+    with np.errstate(over="ignore"):
+        cut = worst * worst * (1.0 - 1e-9)
+    rest = f >= np.where((np.finfo(float).tiny <= cut) & (cut < np.inf), cut, 0.0)[:, None]
+    rest[fams, top] = False
     if rest.any():
-        worst = max(worst, float(np.max(np.linalg.svd(x[rest], compute_uv=False)[:, 0])))
-    return worst
+        np.maximum.at(worst, np.nonzero(rest)[0], np.linalg.svd(x[rest], compute_uv=False)[:, 0])
+    return worst.tolist()
 
 
-def _cartan_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> float:
-    """`_restricted_norms` when ``bases`` holds the leading columns of the
-    tail's R_n^T, read off D: A_n R_n^T = L_n D_n, so A_n restricted to the
+def _cartan_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -> list:
+    """`_restricted_norms` when each ``bases[f]`` holds the leading columns of
+    the tail's R_n^T, read off D: A_n R_n^T = L_n D_n, so A_n restricted to the
     first `rank` columns of R_n^T has norm D_n[rank - 1] (D ascending)."""
-    rank = bases.shape[2]
-    return float(np.max(seq.cartan.D[rel, rank - 1])) if rank else 0.0
-
-
-def _modulus(worst: float) -> float:
-    """1 / the largest restricted norm; inf on the zero space."""
-    return float("inf") if worst == 0.0 else 1.0 / worst
+    rank = bases.shape[3]
+    return [float(np.max(seq.cartan.D[rel, rank - 1])) if rank else 0.0] * len(bases)
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +582,25 @@ def _gate(seq: MatrixSequence):
 
 
 def _detected(seq: MatrixSequence, bases, rank: int, kind: StabilityKind,
-              worst) -> ASResult:
-    """Stable subspace limit of the leading `rank` columns of the tail terms'
-    candidate bases (``bases`` stacks the d x d basis of every tail term,
-    indexed from the first tail term).  Its modulus inverts ``worst(seq,
-    rel, bases)``, the largest norm of the limit's subsequence ``rel``
-    restricted to its candidates."""
-    bases = bases[:, :, :rank]
-    sub, conv, rel = _subspace_limit(seq, bases, rank)
-    return ASResult(
-        subspace=sub,
-        kind=kind,
-        modulus=_modulus(worst(seq, rel, bases)),
-        converged=conv,
-        subsequence_indices=tuple((seq.tail_start + rel).tolist()),
-    )
+              worsts: list) -> list[ASResult]:
+    """Stable subspace limits of the leading `rank` columns of F families
+    ``bases[f]`` of candidate bases, one d x d basis per tail term, in one
+    pass.  Family f's modulus inverts ``worsts[f](seq, rel, bases)``, the
+    largest norm of its limit's subsequence ``rel`` restricted to its
+    candidates (inf on the zero space), one call for the families that
+    share both."""
+    bases = bases[..., :rank]
+    limits = _subspace_limit(seq, bases, rank)
+    worst = {}
+    for i, (_, _, rel) in enumerate(limits):
+        if i not in worst:
+            fams = [j for j in range(i, len(limits)) if worsts[j] is worsts[i]
+                    and np.array_equal(limits[j][2], rel)]
+            worst.update(zip(fams, worsts[i](seq, rel, bases[fams])))
+    return [ASResult(subspace=sub, kind=kind, converged=conv,
+                     modulus=1.0 / worst[i] if worst[i] else float("inf"),
+                     subsequence_indices=tuple((seq.tail_start + rel).tolist()))
+            for i, (sub, conv, rel) in enumerate(limits)]
 
 
 def _cartan_detected(seq: MatrixSequence, rank: int, kind: StabilityKind) -> ASResult:
@@ -591,10 +608,8 @@ def _cartan_detected(seq: MatrixSequence, rank: int, kind: StabilityKind) -> ASR
     sequence for each (rank, kind); a raised error is not kept."""
     limits = seq._cartan_limits
     if (rank, kind) not in limits:
-        # ascending D puts the bounded directions first; R rows are the
-        # right-singular vectors, so R^T columns realize R^{-1}(R^i x {0}).
-        limits[rank, kind] = _detected(seq, np.swapaxes(seq.cartan.R, 1, 2), rank,
-                                       kind, _cartan_norms)
+        limits[rank, kind] = _detected(seq, _ROUTES["kak"][0](seq)[None], rank, kind,
+                                       [_cartan_norms])[0]
     return limits[rank, kind]
 
 
@@ -612,11 +627,17 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     The axis along eigenvector v of A_n^T A_n has half-length
     min(1, eigenvalue^{-1/2}); axes whose length collapses to zero drop out
     of the Hausdorff limit and the stable space is the span of the rest.
-    The basis comes from the eigh of the normalized Gram, kept separate
-    from the SVD route of `as_subspace_kak`; the rank, the count of axes
-    that survive, is `_stable_rank`'s.
+    The basis comes from the eigh of the normalized Gram (`_ellipsoid_bases`),
+    kept separate from the SVD route of `as_subspace_kak`; the rank, the
+    count of axes that survive, is `_stable_rank`'s.
     """
     _gate(seq)
+    return _detected(seq, _ellipsoid_bases(seq)[None], _stable_rank(seq),
+                     StabilityKind.STABLE, [_restricted_norms])[0]
+
+
+def _ellipsoid_bases(seq: MatrixSequence) -> np.ndarray:
+    """The eigenvectors of each tail term's normalized Gram, ascending."""
     op = seq.norms[seq.tail_start:, None, None]
     grams = _grams(seq.tail)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -624,9 +645,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     if not np.isfinite(grams).all():
         raise NumericalError("a term's |A|^2 underflows the floating-point range, so "
                              "its normalized Gram matrix A^T A / |A|^2 is undefined")
-    _, vecs = np.linalg.eigh(grams)  # ascending eigenvalues
-    return _detected(seq, vecs, _stable_rank(seq), StabilityKind.STABLE,
-                     _restricted_norms)
+    return np.linalg.eigh(grams)[1]
 
 
 def as_subspace_graph(seq: MatrixSequence) -> ASResult:
@@ -637,34 +656,54 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     A direction with exploding image tilts the graph vertical, so its
     first-factor singular value s = (1 + sigma^2)^(-1/2) collapses like
     1/|A_n x|: the directions that keep mass come first, as s descends.
-    The basis comes from the graph's QR; the rank, the count of directions
-    that keep mass, is `_stable_rank`'s.
+    The basis comes from the graph's QR (`_graph_bases`); the rank, the
+    count of directions that keep mass, is `_stable_rank`'s.
     """
     _gate(seq)
-    tail = seq.tail
-    d = seq.dim
+    return _detected(seq, _graph_bases(seq)[None], _stable_rank(seq),
+                     StabilityKind.STABLE, [_restricted_norms])[0]
+
+
+def _graph_bases(seq: MatrixSequence) -> np.ndarray:
+    """The top blocks' left singular vectors of the tail terms' graphs."""
+    tail, d = seq.tail, seq.dim
     graphs = np.concatenate([np.broadcast_to(np.eye(d), tail.shape), tail], axis=1)
     q, _ = np.linalg.qr(graphs)
-    u = np.linalg.svd(q[:, :d, :])[0]  # columns by descending s
-    return _detected(seq, u, _stable_rank(seq), StabilityKind.STABLE,
-                     _restricted_norms)
+    return np.linalg.svd(q[:, :d, :])[0]  # columns by descending s
+
+
+# each detector's candidate bases and restricted norms; with ascending D,
+# kak's R^T columns (right-singular vectors) realize R^{-1}(R^i x {0})
+_ROUTES = {"kak": (lambda seq: np.swapaxes(seq.cartan.R, 1, 2), _cartan_norms),
+           "ellipsoid": (_ellipsoid_bases, _restricted_norms),
+           "graph": (_graph_bases, _restricted_norms)}
 
 
 def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
-    """Run every subspace detector and cross-fill the agreement table."""
-    results = {
-        "kak": as_subspace_kak(seq),
-        "ellipsoid": as_subspace_ellipsoid(seq),
-        "graph": as_subspace_graph(seq),
-    }
-    pairs = [(name, other) for name in results for other in results if other != name]
-    dists = _pair_distances([(results[a].subspace.basis, results[b].subspace.basis)
-                             for a, b in pairs])
-    agreement = {name: {} for name in results}
-    for (name, other), dist in zip(pairs, dists):
-        agreement[name][other] = dist
-    return {name: replace(res, oracle_agreement=agreement[name])
-            for name, res in results.items()}
+    """Run every subspace detector and cross-fill the agreement table.  The
+    gate and the rank are read once, and the detectors with no kept result
+    (kak's is kept by `lorentz_as_check`) share one `_detected` pass.  A
+    refusal is the first the detectors would raise called in turn."""
+    _gate(seq)
+    key = (_stable_rank(seq), StabilityKind.STABLE)  # of kak's kept result
+    names = [name for name in _ROUTES if name != "kak" or key not in seq._cartan_limits]
+    stack = []
+    try:
+        for name in names:
+            stack.append(_ROUTES[name][0](seq))
+    finally:  # a route refused at its bases comes after the limits before it
+        found = dict(zip(names, _detected(seq, np.stack(stack), *key, [
+            _ROUTES[name][1] for name in names]))) if stack else {}
+    return _with_agreement({"kak": seq._cartan_limits.setdefault(key, found.get("kak")), **found})
+
+
+def _with_agreement(results: dict) -> dict[str, ASResult]:
+    """The detector ``results`` with the agreement table cross-filled."""
+    pairs = [(a, b) for a in results for b in results if b != a]
+    dists = iter(_pair_distances([(results[a].subspace.basis, results[b].subspace.basis)
+                                  for a, b in pairs]))
+    return {a: replace(res, oracle_agreement={b: next(dists) for b in results if b != a})
+            for a, res in results.items()}
 
 
 # ---------------------------------------------------------------------------

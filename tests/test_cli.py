@@ -360,20 +360,21 @@ class TestAsFormContract:
 
 
 class TestOneAnalysisPass:
-    @pytest.mark.parametrize("args, passes", [
-        (["chaos40.json", "--form", "split3.json"], 4),
-        (["lorentz4.json", "--form", "mink4.json", "--oracle", "kak"], 2),
+    @pytest.mark.parametrize("args, families", [
+        (["chaos40.json", "--form", "split3.json"], [1, 1, 2]),
+        (["lorentz4.json", "--form", "mink4.json", "--oracle", "kak"], [1, 1]),
     ], ids=["all-oracles", "kak-oracle"])
-    def test_each_subspace_limit_runs_once(self, monkeypatch, tmp_path, args, passes):
-        # one pass per detector plus one for the strongly stable space; the
-        # Lorentz check reads the Cartan-route passes already made
+    def test_each_subspace_limit_runs_once(self, monkeypatch, tmp_path, args, families):
+        # one family per detector plus one for the strongly stable space;
+        # the Lorentz check makes the Cartan-route passes, and the oracles
+        # reuse them, so the ellipsoid and graph share the last pass
         calls = []
         limit = stability._subspace_limit
         monkeypatch.setattr(stability, "_subspace_limit",
-                            lambda *a: calls.append(a) or limit(*a))
+                            lambda *a: calls.append(len(a[1])) or limit(*a))
         argv = ["as"] + [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
         assert main(argv + ["--output", str(tmp_path / "o.json")]) == 0
-        assert len(calls) == passes
+        assert calls == families
 
     @pytest.mark.parametrize("oracle", ["all", "kak", "ellipsoid", "graph", "brute"])
     def test_refused_form_runs_no_analysis(self, monkeypatch, capsys, oracle):

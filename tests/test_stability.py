@@ -943,7 +943,7 @@ class TestBatchedLinkage:
         rng = np.random.default_rng(70 + d)
         for k in range(1, d):
             for name, bases in _linkage_scenarios(d, k, rng):
-                got = stability._cluster_by_linkage(bases)
+                (got,) = stability._cluster_by_linkage(bases[None])
                 assert got == _per_pair_linkage(bases), (d, k, name)
                 if name == "inside-link":
                     assert got == [list(range(len(bases)))]
@@ -973,23 +973,25 @@ class TestBatchedLinkage:
 
         def counting(a, b):
             out = batched(a, b)
-            pairs.append(len(out))
+            pairs.append(out.size)
             return out
 
         monkeypatch.setattr(stability, "_linked", counting)
-        assert stability._cluster_by_linkage(bases) == [list(range(500))]
+        assert stability._cluster_by_linkage(bases[None]) == [[list(range(500))]]
         assert sum(pairs) == 499
 
     def test_converging_tail_makes_one_distance_call(self, monkeypatch):
         # the consecutive chain leaves one component, so the linkage stops
-        # before comparing any candidate with the rest
+        # before comparing any candidate with the rest; the chain of every
+        # family of the stack is one call
         bases = _drifting(np.random.default_rng(6), 5, 3, range(5, 105), 0.01)
         calls = []
         batched = stability._linked
         monkeypatch.setattr(stability, "_linked",
-                            lambda a, b: calls.append(a.ndim) or batched(a, b))
-        assert stability._cluster_by_linkage(bases) == [list(range(100))]
-        assert calls == [3]
+                            lambda a, b: calls.append(a.shape) or batched(a, b))
+        assert stability._cluster_by_linkage(bases[None]) == [[list(range(100))]]
+        assert stability._cluster_by_linkage(np.stack([bases, bases[::-1]])) == [[list(range(100))]] * 2
+        assert calls == [(1, 99, 5, 3), (2, 99, 5, 3)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_linked_equals_sine_distance_test(self, k):
@@ -1093,7 +1095,7 @@ def _package_extrapolation(monkeypatch, family, labels, rank):
     with monkeypatch.context() as patch:
         patch.setattr(stability, "_fit_at_zero", lambda *a: calls.append("fit") or fit(*a))
         patch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
-        got = stability._extrapolate_projector(family, labels, rank)
+        (got,) = stability._extrapolate_projector(family[None], labels, rank)
     last = np.shares_memory(got, family)
     if "fit" in calls:
         return got, "fit-overshoot" if last else "fit"
@@ -1201,14 +1203,14 @@ class TestExtrapolationBounds:
             exact = []
             with monkeypatch.context() as patch:
                 if fit is not None:
-                    patch.setattr(stability, "_fit_at_zero", lambda *a: fit @ fit.T)
+                    patch.setattr(stability, "_fit_at_zero", lambda *a: (fit @ fit.T)[None])
                 if not decide:
                     patch.setattr(stability, "_sine_bounds", undecided)
                 sines, gd = stability._sines, stability.grassmann_distance
                 patch.setattr(stability, "_sines", lambda r: exact.append(1) or sines(r))
                 patch.setattr(stability, "grassmann_distance",
                               lambda a, b: exact.append(1) or gd(a, b))
-                got = stability._extrapolate_projector(family, labels, k)
+                (got,) = stability._extrapolate_projector(family[None], labels, k)
             return got, np.shares_memory(got, family), bool(exact)
 
         cases = []  # (test, family, pinned fit basis or None, returns the last member)
@@ -1298,8 +1300,9 @@ class TestBatchedDetectorLoops:
     def _candidates(monkeypatch, detector, seq):
         seen = {}
 
-        def capture(seq, bases, rank, kind, worst):
-            seen.update(bases=bases, rank=rank)
+        def capture(seq, bases, rank, kind, worsts):
+            (family,) = bases  # a single detector passes one family
+            seen.update(bases=family, rank=rank)
             raise _Captured
 
         monkeypatch.setattr(stability, "_detected", capture)
@@ -1326,12 +1329,14 @@ class TestBatchedDetectorLoops:
     def test_restricted_norms_equal_per_index_loop(self, d):
         seq = _awkward_sequence(d, 100 + d)
         tail = seq.tail
-        for bases in (np.array(_per_term_ellipsoid(seq)), np.array(_per_term_graph(seq))):
-            for indices in (list(range(len(tail))), list(range(0, len(tail), 3))):
-                for rank in range(d + 1):
-                    got = stability._restricted_norms(seq, np.array(indices), bases[:, :, :rank])
-                    ref = _per_index_restricted_norm(tail, bases, indices, rank)
-                    assert got == ref
+        # the ellipsoid and graph candidates as one stack of two families
+        families = np.array([_per_term_ellipsoid(seq), _per_term_graph(seq)])
+        for indices in (list(range(len(tail))), list(range(0, len(tail), 3))):
+            for rank in range(d + 1):
+                got = stability._restricted_norms(seq, np.array(indices), families[..., :rank])
+                ref = [_per_index_restricted_norm(tail, bases, indices, rank)
+                       for bases in families]
+                assert got == ref
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_cartan_modulus_is_the_restricted_norm(self, d):
@@ -1351,7 +1356,8 @@ class TestBatchedDetectorLoops:
                     assert res.modulus == float("inf")
                     continue
                 rel = np.asarray(res.subsequence_indices) - start
-                want = 1.0 / stability._restricted_norms(seq, rel, rt[:, :, :rank])
+                (norm,) = stability._restricted_norms(seq, rel, rt[None, :, :, :rank])
+                want = 1.0 / norm
                 tol = 2 * d * eps * np.max(cartan.D[rel, -1] / cartan.D[rel, rank - 1])
                 assert abs(res.modulus - want) <= tol * want, (kind, rank)
 
@@ -1378,7 +1384,7 @@ class TestRestrictedNormBound:
                 for rank in range(1, d):
                     b = bases[:, :, :rank]
                     for s in (seq, tied):
-                        got = stability._restricted_norms(s, rel, b)
+                        (got,) = stability._restricted_norms(s, rel, b[None])
                         assert got == _full_stack_norm(s, rel, b), (d, rank)
 
     def test_a_tied_top_value_of_another_shape_is_kept(self):
@@ -1390,13 +1396,14 @@ class TestRestrictedNormBound:
         seq = MatrixSequence(terms=np.array([a, b] * 4))
         bases = np.broadcast_to(np.eye(3)[:, :2], (4, 3, 2))
         for rel in (np.arange(4), np.array([1, 0]), np.array([1, 3])):
-            got = stability._restricted_norms(seq, rel, bases)
+            (got,) = stability._restricted_norms(seq, rel, bases[None])
             assert got == _full_stack_norm(seq, rel, bases)
 
     def test_a_term_exactly_at_the_band_edge(self, monkeypatch):
         # the largest |X|_F^2 is X_A = diag(t, t), whose top value s = t is
         # factored alone; X_B = diag(u, v) with |X_B|_F^2 = s^2 (1 - 1e-9)
-        # to the last bit is factored next, one ulp below the edge it is not
+        # to the last bit is factored next, one ulp below the edge it is not;
+        # the top term is factored as a stack of one, the family's
         t, rank = 3.0, 2
         cut = t * t * (1.0 - 1e-9)
 
@@ -1415,10 +1422,10 @@ class TestRestrictedNormBound:
         monkeypatch.setattr(np.linalg, "svd",
                             lambda x, **kw: sizes.append(x.shape[:-2]) or svd(x, **kw))
         bases = np.broadcast_to(np.eye(3)[:, :rank], (2, 3, rank))
-        for target, factored in ((cut, [(), (1,)]), (np.nextafter(cut, 0.0), [()])):
+        for target, factored in ((cut, [(1,), (1,)]), (np.nextafter(cut, 0.0), [(1,)])):
             seq = MatrixSequence(terms=np.array([np.diag([t, t, 1.0]), term_at(target)] * 2))
             sizes.clear()
-            got = stability._restricted_norms(seq, np.arange(2), bases)
+            (got,) = stability._restricted_norms(seq, np.arange(2), bases[None])
             assert sizes == factored
             assert got == _full_stack_norm(seq, np.arange(2), bases) == t
 
@@ -1443,20 +1450,24 @@ class TestDecisionsOncePerSequence:
 
     def test_tail_long_svd_budget(self, monkeypatch):
         # the rotated 200-term fundamental example, after the sequence is
-        # built: the Cartan stack, the graph's top blocks, the fit weights,
-        # one term each for the ellipsoid and graph moduli and the
-        # agreement table; the extrapolation tests are settled by norm bounds
+        # built.  SVDs: the Cartan stack, the graph's top blocks, the fit
+        # weights, one term each for the ellipsoid and graph moduli in one
+        # call, and the agreement table; the extrapolation tests are settled
+        # by norm bounds.  eighs: the ellipsoid's Gram stack, the fits of
+        # the three detectors' stacked pass, and the strongly stable fit
         q = _orth(np.random.default_rng(12).normal(size=(3, 3)))
         seq = MatrixSequence.from_terms([q @ fundamental_term(n) @ q.T for n in range(1, 201)])
         stability._fit_weights.cache_clear()
         calls = []
-        svd, gd = np.linalg.svd, stability.grassmann_distance
+        svd, eigh, gd = np.linalg.svd, np.linalg.eigh, stability.grassmann_distance
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append("svd") or svd(*a, **kw))
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **kw: calls.append("eigh") or eigh(*a, **kw))
         monkeypatch.setattr(stability, "grassmann_distance",
                             lambda *a: calls.append("grassmann") or gd(*a))
         oracles = as_all_oracles(seq)
         spas = spas_subspace(seq)
-        assert calls == ["svd"] * 6
+        assert sorted(calls) == ["eigh"] * 3 + ["svd"] * 5
         assert all(res.converged for res in [*oracles.values(), spas])
 
     def test_a_refused_rank_raises_on_every_call(self, monkeypatch):
@@ -1477,12 +1488,14 @@ class TestTailOnly:
     @pytest.mark.parametrize("n", [40, 41])
     def test_kernels_factor_only_the_tail(self, n, monkeypatch):
         # the stacked kak, eigh and qr of the detectors see the n - n//2
-        # tail terms, once each
+        # tail terms, once each; only the per-term kernels are recorded,
+        # not the eigh of the extrapolated projectors, a stack of at most
+        # the three detectors' d x d limits
         seen = {"kak_stack": [], "eigh": [], "qr": []}
 
         def recording(name, fn):
             def wrapped(a, *args, **kwargs):
-                if np.ndim(a) == 3:
+                if np.ndim(a) == 3 and len(a) > 3:
                     seen[name].append(len(a))
                 return fn(a, *args, **kwargs)
             return wrapped
@@ -1499,20 +1512,20 @@ class TestTailOnly:
     @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 2, 1), (1, 2, 3), (3, 0, 3),
                                        (0, 0, 1), (0, 0, 0), (4, 4, 4)])
     def test_agreement_table_equals_per_pair_distance(self, ranks, monkeypatch):
+        # `as_all_oracles` fills its table with `_with_agreement`
         rng = np.random.default_rng(7 + sum(ranks))
         d = 4
-        subspaces = {}
+        subspaces, results = {}, {}
         for name, rank in zip(("kak", "ellipsoid", "graph"), ranks):
             subspaces[name] = (Subspace(basis=_orth(rng.normal(size=(d, d)))[:, :rank])
                                if rank else Subspace.zero(d))
-            res = stability.ASResult(subspace=subspaces[name],
-                                     kind=StabilityKind.STABLE, modulus=1.0)
-            monkeypatch.setattr(stability, f"as_subspace_{name}", lambda seq, res=res: res)
+            results[name] = stability.ASResult(subspace=subspaces[name],
+                                               kind=StabilityKind.STABLE, modulus=1.0)
         calls = []
         stacked = stability._sine_distances
         monkeypatch.setattr(stability, "_sine_distances",
                             lambda a, b: calls.append(len(a)) or stacked(a, b))
-        table = as_all_oracles(None)
+        table = stability._with_agreement(results)
         assert list(table) == ["kak", "ellipsoid", "graph"]
         for name, res in table.items():
             assert list(res.oracle_agreement) == [o for o in table if o != name]
