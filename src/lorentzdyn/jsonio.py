@@ -102,7 +102,7 @@ def _read_json(path):
 def _float_array(path, data) -> np.ndarray:
     try:
         return np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
         raise PreconditionError(f"{path}: expected numeric arrays ({exc})") from exc
 
 

@@ -134,7 +134,11 @@ class HyperbolicPoint:
 
     @classmethod
     def from_timelike(cls, form: QuadraticForm, v) -> "HyperbolicPoint":
+        """The point on the ray of timelike v.  v is first scaled by a power
+        of two that brings its largest entry into [0.5, 1): exact, so
+        <v, v> neither underflows nor overflows, and the bits are unchanged."""
         u = _as_vector(v, form.dim)
+        u = np.ldexp(u, -np.frexp(np.max(np.abs(u)))[1])
         q = evaluate(form, u, u)
         if q >= 0:
             raise PreconditionError("vector is not timelike")

@@ -691,7 +691,7 @@ def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
     try:
         for name in names:
             stack.append(_ROUTES[name][0](seq))
-    finally:  # a route refused at its bases comes after the limits before it
+    finally:  # on a refusal too: the detectors before a refused route raise first
         found = dict(zip(names, _detected(seq, np.stack(stack), *key, [
             _ROUTES[name][1] for name in names]))) if stack else {}
     return _with_agreement({"kak": seq._cartan_limits.setdefault(key, found.get("kak")), **found})

@@ -6,6 +6,7 @@ or, for an internal invariant, a NumericalError.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +209,44 @@ class TestCommandLine:
         assert main(["limit-set", gens, "--form", form, "--point", "0,1,0"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: vector is not timelike\n" and captured.out == ""
+
+    @pytest.mark.parametrize("point", [repr(2.0 ** 600), repr(2.0 ** -600)],
+                             ids=["2**600", "2**-600"])
+    def test_limit_set_point_of_any_scale(self, tmp_path, capsys, point):
+        # <v, v> of these points overflows or underflows, but the point is
+        # scaled by a power of two first, exactly: the report of (1, 0, 0)
+        golden = Path(__file__).parent / "golden"
+        argv = ["limit-set", str(golden / "boosts4.gens.json"), "--form",
+                str(golden / "mink4.json")]
+        reports = []
+        for p in ("1,0,0,0", f"{point},0,0,0"):
+            assert main(argv + ["--point", p]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("loader, argv", [
+        ("sequence", ["as", "{bad}"]),
+        ("matrix", ["kak", "{bad}"]),
+        ("form", ["as", "{seq}", "--form", "{bad}"]),
+        ("matrices", ["limit-set", "{bad}", "--form", "{gram}"]),
+        ("matrices", ["model", "torus-fixed", "--gram", "{gram}", "--elements", "{bad}"]),
+    ], ids=["as", "kak", "form", "limit-set", "torus-fixed-elements"])
+    def test_integer_past_the_float_range(self, tmp_path, capsys, loader, argv):
+        # JSON reads 10**400 as an exact int, which has no float
+        huge = np.diag([1, 1, 1]).tolist()
+        huge[0][0] = 10 ** 400
+        content = {"sequence": {"d": 3, "terms": [huge]}, "matrix": huge, "form": huge,
+                   "matrices": [huge]}[loader]
+        paths = {"bad": _write(tmp_path, "bad.json", content),
+                 "seq": _write(tmp_path, "seq.json", {"d": 3, "terms": [np.eye(3).tolist()]}),
+                 "gram": _write(tmp_path, "g.json", INTEGER_MINK3.tolist())}
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {paths['bad']}: expected numeric arrays "
+                                "(int too large to convert to float)\n")
 
     def test_torus_fixed_on_plus_minus_identity(self, tmp_path, capsys):
         gram = _write(tmp_path, "g.json", INTEGER_MINK3.tolist())

@@ -990,7 +990,8 @@ class TestBatchedLinkage:
         monkeypatch.setattr(stability, "_linked",
                             lambda a, b: calls.append(a.shape) or batched(a, b))
         assert stability._cluster_by_linkage(bases[None]) == [[list(range(100))]]
-        assert stability._cluster_by_linkage(np.stack([bases, bases[::-1]])) == [[list(range(100))]] * 2
+        stack = np.stack([bases, bases[::-1]])
+        assert stability._cluster_by_linkage(stack) == [[list(range(100))]] * 2
         assert calls == [(1, 99, 5, 3), (2, 99, 5, 3)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -1563,3 +1564,163 @@ class TestTailOnly:
         terms[-1] *= 1e160
         with pytest.raises(NumericalError, match="Gram matrix A\\^T A overflows"):
             as_subspace_ellipsoid(MatrixSequence(terms=terms))
+
+
+# ---------------------------------------------------------------------------
+# the stacked subspace-limit pass against its one-family calls
+
+
+def _frames(family):
+    """d x d candidate frames whose leading columns are the rank-k members of
+    ``family``; the detectors read only those columns."""
+    m, d, k = family.shape
+    return np.concatenate([family, np.zeros((m, d, d - k))], axis=2)
+
+
+def _bits(res):
+    return (res.subspace.basis.tobytes(), res.subspace.basis.shape, res.modulus,
+            res.converged, res.subsequence_indices)
+
+
+def _outcome(run):
+    """The bits of ``run()``'s result or results, or the class and message
+    of its refusal."""
+    try:
+        out = run()
+    except Exception as err:  # the refusal is the outcome
+        return type(err), str(err)
+    return [_bits(res) for res in out.values()] if isinstance(out, dict) else _bits(out)
+
+
+def _boost_conjugate(d, n, seed):
+    """k B(0.12 i) k^-1, i = 1..n, for a random Lorentz transformation k."""
+    rng = np.random.default_rng(seed)
+    k = spatial_rotation(d, _orth(rng.normal(size=(d - 1, d - 1)))) @ boost(d, 0.3)
+    return MatrixSequence.from_terms([k @ boost(d, 0.12 * i) @ np.linalg.inv(k)
+                                      for i in range(1, n + 1)])
+
+
+def _jordan_powers(k, n):
+    return MatrixSequence.from_powers(np.eye(k) + np.eye(k, k=1), n)
+
+
+def _rotated_diagonal(r, n, seed):
+    """q diag(1, i, e^(r i)) q^T, i = 1..n, for a random rotation q."""
+    q = _orth(np.random.default_rng(seed).normal(size=(3, 3)))
+    return MatrixSequence.from_terms([q @ np.diag([1.0, i, np.exp(r * i)]) @ q.T
+                                      for i in range(1, n + 1)])
+
+
+def _scaled(seq, c):
+    return MatrixSequence(terms=c * seq.terms)
+
+
+class TestStackedSubspaceLimits:
+    def test_each_family_gets_its_own_bits(self, monkeypatch):
+        # one stack of rank-2 families in R^4 over a 20-term tail: one the
+        # drift gate settles, a 1/n fit, two geometric corrections, a family of
+        # two interleaved clusters, one whose drift gate straddles its
+        # bounds (two angles of 1e-11 (1 - 1e-9)) and one whose fit, pinned
+        # at angles of max(5 drift, 1e-6) (1 + 1e-9), straddles its
+        # overshoot test; each must come out as from its own call
+        rng = np.random.default_rng(150)
+        d, k = 4, 2
+        labels = np.arange(21.0, 41.0)
+        base, step = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+        families = {
+            "settled": np.array([_orth(base)[:, :k]] * 20),
+            "fit": np.array([_orth(base + 0.3 * step / n)[:, :k] for n in labels]),
+            "geometric": np.array([_orth(base + 0.02 * step * 0.5 ** (n - 20))[:, :k]
+                                   for n in labels]),
+            "geometric-slow": np.array([_orth(step + 0.02 * base * 0.7 ** (n - 20))[:, :k]
+                                        for n in labels]),
+            "two-clusters": _interleaved(rng, d, k, 20, 2, 0.01),
+            "gate-straddle": _linear_family(np.full(k, 1e-11 * (1.0 - 1e-9))),
+            "overshoot-straddle": _linear_family(np.full(k, 1e-4)),
+        }
+        over = families["overshoot-straddle"]
+        drift = float(stability._sine_distances(over[10], over[-1][None])[0])
+        pin = _turned(k, np.full(k, max(5.0 * drift, 1e-6) * (1.0 + 1e-9)))
+        fit, target = stability._fit_at_zero, over[-1] @ over[-1].T
+
+        def pinned(labels, projs, deg):  # the fit of the overshoot family, pinned
+            out = fit(labels, projs, deg)
+            for i, p in enumerate(projs):
+                if np.max(np.abs(p[-1] - target)) < 1e-12:
+                    out[i] = pin @ pin.T
+            return out
+
+        monkeypatch.setattr(stability, "_fit_at_zero", pinned)
+        seq = MatrixSequence.from_terms(list(rng.normal(size=(40, d, d)) + 3.0 * np.eye(d)))
+        stack = np.stack([_frames(f) for f in families.values()])
+        worsts = [stability._cartan_norms] + [stability._restricted_norms] * (len(families) - 1)
+        exact = []
+        sines, gd = stability._sines, stability.grassmann_distance
+        with monkeypatch.context() as patch:
+            patch.setattr(stability, "_sines", lambda r: exact.append("sines") or sines(r))
+            patch.setattr(stability, "grassmann_distance",
+                          lambda a, b: exact.append("grassmann") or gd(a, b))
+            got = dict(zip(families, stability._detected(seq, stack, k, StabilityKind.STABLE,
+                                                         worsts)))
+        assert {"sines", "grassmann"} <= set(exact)
+        for f, name in enumerate(families):
+            (want,) = stability._detected(seq, stack[f:f + 1], k, StabilityKind.STABLE,
+                                          [worsts[f]])
+            assert _bits(got[name]) == _bits(want), name
+        branches = {name: _package_extrapolation(monkeypatch, fam, labels, k)[1]
+                    for name, fam in families.items() if name != "two-clusters"}
+        assert branches == {"settled": "settled", "fit": "fit", "geometric": "geometric",
+                            "geometric-slow": "geometric", "gate-straddle": "settled",
+                            "overshoot-straddle": "fit-overshoot"}
+        assert [res.converged for res in got.values()] == [True] * 4 + [False, True, True]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_stacked_fit_equals_the_per_family_contraction(self, d):
+        # the fit of a stack of families has, row by row, the bits of the
+        # one-family contraction with the same cached weights
+        rng = np.random.default_rng(160 + d)
+        for m in (4, 9, 20, 100):
+            labels = np.arange(m + 1.0, 2.0 * m + 1.0)
+            deg = int(min(6, m - 3))
+            bases = np.array([[_orth(rng.normal(size=(d, d)))[:, :max(1, d // 2)]
+                               for _ in range(m)] for _ in range(5)])
+            projs = bases @ np.swapaxes(bases, 2, 3)
+            got = stability._fit_at_zero(labels, projs, deg)
+            w, _ = stability._fit_weights(labels.tobytes(), deg)
+            for p, g in zip(projs, got):
+                want = np.triu(np.tensordot(w, p, axes=1))
+                assert (want + np.triu(want, 1).T).tobytes() == g.tobytes(), (d, m)
+
+    @pytest.mark.parametrize("make", [
+        lambda: fundamental_sequence(12),
+        lambda: fundamental_sequence(40),
+        lambda: fundamental_sequence(200),
+        lambda: _boost_conjugate(3, 12, 1),
+        lambda: _boost_conjugate(3, 80, 2),
+        lambda: _boost_conjugate(4, 120, 3),
+        lambda: _jordan_powers(3, 12),
+        lambda: _jordan_powers(4, 20),
+        lambda: _jordan_powers(6, 40),
+        lambda: _rotated_diagonal(0.4, 60, 4),
+        lambda: _rotated_diagonal(0.7, 30, 5),
+        lambda: scattered_sequence(),
+        lambda: _scaled(fundamental_sequence(40), 1e160),
+        lambda: _scaled(scattered_sequence(), 1e160),
+    ], ids=["fundamental12", "fundamental40", "fundamental200", "kBk3-12", "kBk3-80",
+            "kBk4-120", "J3^12", "J4^20", "J6^40", "qdiag0.4-60", "qdiag0.7-30", "scattered",
+            "fundamental40-gram-overflow", "scattered-gram-overflow"])
+    def test_all_oracles_equal_the_single_detectors(self, make):
+        # the stacked pass answers, or refuses, as the detectors called in
+        # turn on fresh sequences: the first refusal wins, so kak's
+        # ConvergenceError on the scaled scattered sequence comes before the
+        # ellipsoid's Gram NumericalError; with kak's result kept on the
+        # sequence the ellipsoid and graph share the pass
+        singles = [_outcome(lambda detector=detector: detector(make()))
+                   for detector in (as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph)]
+        refused = [s for s in singles if isinstance(s, tuple) and isinstance(s[0], type)]
+        want = refused[0] if refused else singles
+        assert _outcome(lambda: as_all_oracles(make())) == want
+        seq = make()
+        kak_first = _outcome(lambda: as_subspace_kak(seq))
+        assert kak_first == singles[0]
+        assert _outcome(lambda: as_all_oracles(seq)) == want
