@@ -134,9 +134,10 @@ class HyperbolicPoint:
 
     @classmethod
     def from_timelike(cls, form: QuadraticForm, v) -> "HyperbolicPoint":
-        """The point on the ray of timelike v.  v is first scaled by a power
-        of two that brings its largest entry into [0.5, 1): exact, so
-        <v, v> neither underflows nor overflows, and the bits are unchanged."""
+        """The point on the ray of timelike v.  v is first scaled by the power
+        of two that brings its largest entry into [0.5, 1): exactly, so
+        <v, v> neither underflows nor overflows, and the point's bits are
+        those of the unscaled formula wherever that one neither does."""
         u = _as_vector(v, form.dim)
         u = np.ldexp(u, -np.frexp(np.max(np.abs(u)))[1])
         q = evaluate(form, u, u)

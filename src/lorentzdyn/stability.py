@@ -411,7 +411,7 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     if unsure.any():
         live[unsure] = ~(_sines(residual[unsure]) < 1e-11)
     fams = np.flatnonzero(live)
-    b = bases[fams]
+    b = bases[fams] if len(fams) < len(bases) else bases
     projs = b @ np.swapaxes(b, 2, 3)
 
     def to_basis(p0):
@@ -425,7 +425,7 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     diffs = np.diff(projs[:, max(0, m - 7):], axis=1).reshape(len(b), min(m, 7) - 1, d * d)
     steps = np.sqrt(_dots(diffs, diffs))
     ratios = steps[:, 1:] / np.maximum(steps[:, :-1], 1e-300)
-    geo = np.max(ratios, axis=1) <= 0.85  # m >= 4: at least two ratios
+    geo = ratios.max(axis=1) <= 0.85  # m >= 4: at least two ratios
     if geo.any():
         q = np.median(ratios[geo], axis=1)[:, None, None]
         p = projs[geo]
@@ -496,24 +496,25 @@ def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int) -> list:
     Returns per family (subspace, converged, dominant members), the members
     counted from the first tail term; the first family with no cluster to
     extrapolate is refused.  A cluster is extrapolated in 1/n against the
-    1-based labels n of its terms, with the same members of every family."""
+    1-based labels n of its terms, in one call for all families with the
+    same members, which share one members array."""
     f, m, d = bases.shape[:3]
     if rank in (0, d):
         return [(Subspace.zero(d) if rank == 0 else Subspace.full(d), True, np.arange(m))] * f
     partitions = _cluster_by_linkage(bases)
-    found = {}  # by members: the limit of each family with that cluster
+    found = {}  # by members: (members, limit) of each family with that cluster
     for i, clusters in enumerate(partitions):
         for c in clusters:
             if len(c) >= max(3, m // 10):
                 found.setdefault(tuple(c), {})[i] = None
     for c, limits in found.items():
         fams, idx = list(limits), np.asarray(c)
-        limits.update(zip(fams, _extrapolate_projector(
-            bases[np.ix_(fams, idx)], seq.tail_start + 1.0 + idx, rank)))
+        got = _extrapolate_projector(bases.take(fams, 0).take(idx, 1),
+                                     seq.tail_start + 1.0 + idx, rank)
+        limits.update((i, (idx, basis)) for i, basis in zip(fams, got))
     out = []
     for i, clusters in enumerate(partitions):
-        limits = [(np.asarray(c), found[tuple(c)][i]) for c in clusters
-                  if i in found.get(tuple(c), ())]
+        limits = [found[c][i] for c in map(tuple, clusters) if i in found.get(c, ())]
         if not limits:
             raise ConvergenceError("no stable subspace family in the tail",
                                    clusters=[len(c) for c in clusters])
@@ -547,13 +548,12 @@ def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -
     """
     if bases.shape[3] == 0:
         return [0.0] * len(bases)
-    x = seq.tail[rel] @ bases[:, rel]
+    x = seq.tail.take(rel, 0) @ bases.take(rel, 1)
     f = np.einsum("...ij,...ij->...", x, x)
     fams, top = np.arange(len(x)), np.argmax(f, axis=1)
     worst = np.linalg.svd(x[fams, top], compute_uv=False)[:, 0]
-    with np.errstate(over="ignore"):
-        cut = worst * worst * (1.0 - 1e-9)
-    rest = f >= np.where((np.finfo(float).tiny <= cut) & (cut < np.inf), cut, 0.0)[:, None]
+    cut = [s * s * (1.0 - 1e-9) for s in worst.tolist()]  # Python floats overflow quietly
+    rest = f >= np.array([c if np.finfo(float).tiny <= c < np.inf else 0.0 for c in cut])[:, None]
     rest[fams, top] = False
     if rest.any():
         np.maximum.at(worst, np.nonzero(rest)[0], np.linalg.svd(x[rest], compute_uv=False)[:, 0])
@@ -588,14 +588,14 @@ def _detected(seq: MatrixSequence, bases, rank: int, kind: StabilityKind,
     pass.  Family f's modulus inverts ``worsts[f](seq, rel, bases)``, the
     largest norm of its limit's subsequence ``rel`` restricted to its
     candidates (inf on the zero space), one call for the families that
-    share both."""
+    share both (equal members are one array, see `_subspace_limit`)."""
     bases = bases[..., :rank]
     limits = _subspace_limit(seq, bases, rank)
     worst = {}
     for i, (_, _, rel) in enumerate(limits):
         if i not in worst:
-            fams = [j for j in range(i, len(limits)) if worsts[j] is worsts[i]
-                    and np.array_equal(limits[j][2], rel)]
+            fams = [j for j in range(i, len(limits))
+                    if worsts[j] is worsts[i] and limits[j][2] is rel]
             worst.update(zip(fams, worsts[i](seq, rel, bases[fams])))
     return [ASResult(subspace=sub, kind=kind, converged=conv,
                      modulus=1.0 / worst[i] if worst[i] else float("inf"),
