@@ -304,7 +304,7 @@ def _sine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`grassmann_distance(a[i], b[i])` for stacks of bases of one nonzero
     rank; either may also be one basis, compared with every basis of the
     other.  Each residual gets its own LAPACK call, so the bits match."""
-    return _sines(b - a @ (np.swapaxes(a, -1, -2) @ b))
+    return _sines(b - a @ (a.swapaxes(-1, -2) @ b))
 
 
 def _sines(residual: np.ndarray) -> np.ndarray:
@@ -320,7 +320,7 @@ def _sine_bounds(a: np.ndarray, b: np.ndarray) -> tuple:
     Van Loan, Matrix Computations, 2.3): lo and hi are f / k and f, widened
     by a relative 1e-9 for rounding.  The thresholds they are held to lie
     far above the underflow of f."""
-    residual = b - a @ (np.swapaxes(a, -1, -2) @ b)
+    residual = b - a @ (a.swapaxes(-1, -2) @ b)
     f = np.einsum("...ij,...ij->...", residual, residual)
     return residual, f / b.shape[-1] * (1.0 - 1e-9), f * (1.0 + 1e-9)
 
@@ -386,19 +386,17 @@ def _cluster_by_linkage(bases: np.ndarray) -> list[list[list[int]]]:
 
 def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
                            rank: int) -> list:
-    """The limits of F drifting subspace families, one d x rank basis each:
-    ``bases[f]`` holds family f's m orthonormal bases in tail order, all
-    labelled ``labels``; each step runs once, on the families that take it.
+    """The limits of F drifting subspace families: ``bases[f]`` holds family
+    f's m orthonormal d x rank bases in tail order, labelled ``labels``.
 
     Candidate subspaces of unipotent-type sequences drift like 1/n, far too
     slowly for a 40-term tail; their projector entries are fitted as
     polynomials in x = 1/n and read off at x = 0.  Exponentially settling
     families (detected by the drift decaying much faster than 1/n) instead
     get a geometric tail-sum correction.  Both branches fall back to the
-    last member when they would overshoot the observed drift.  The drift
-    gate and the fit's overshoot test take an SVD only where `_sine_bounds`
-    straddles them.
-    """
+    last member when they would overshoot the observed drift.  Each step
+    runs once, on the families that take it; the drift gate and the fit's
+    overshoot test take an SVD only where `_sine_bounds` straddles them."""
     m, d = bases.shape[1:3]
     last = bases[:, -1]
     out = list(last)
@@ -406,40 +404,45 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
         return out
     # the drift, from the middle member to the last, against sin(1e-11)^2
     residual, lo, hi = _sine_bounds(bases[:, m // 2], last)
-    live = hi >= 1e-22
-    unsure = live & (lo < 1e-22)
-    if unsure.any():
-        live[unsure] = ~(_sines(residual[unsure]) < 1e-11)
-    fams = np.flatnonzero(live)
+    lo, hi = lo.tolist(), hi.tolist()
+    fams = [f for f in range(len(bases)) if not (
+        hi[f] < 1e-22 or lo[f] < 1e-22 and float(_sines(residual[f])) < 1e-11)]
+    if not fams:
+        return out
     b = bases[fams] if len(fams) < len(bases) else bases
-    projs = b @ np.swapaxes(b, 2, 3)
+    projs = b @ b.swapaxes(2, 3)
 
     def to_basis(p0):
-        w, v = np.linalg.eigh(0.5 * (p0 + np.swapaxes(p0, 1, 2)))
+        w, v = np.linalg.eigh(0.5 * (p0 + p0.swapaxes(1, 2)))
         return np.take_along_axis(v, np.argsort(w)[:, None, -rank:], axis=2)
 
     # Per-step decay ratios tell geometric (ratio bounded below 1) apart
     # from 1/n-type drift (ratio creeping up to 1).  Each step is the
     # Frobenius norm `norm` takes: the root of one BLAS dot of the raveled
     # difference with itself.
-    diffs = np.diff(projs[:, max(0, m - 7):], axis=1).reshape(len(b), min(m, 7) - 1, d * d)
+    diffs = np.diff(projs[:, max(0, m - 7):], axis=1).reshape(len(b), -1, d * d)
     steps = np.sqrt(_dots(diffs, diffs))
     ratios = steps[:, 1:] / np.maximum(steps[:, :-1], 1e-300)
-    geo = ratios.max(axis=1) <= 0.85  # m >= 4: at least two ratios
-    if geo.any():
-        q = np.median(ratios[geo], axis=1)[:, None, None]
-        p = projs[geo]
+    geo = (ratios.max(axis=1) <= 0.85).tolist()  # m >= 4: at least two ratios
+    rows = [j for j in range(len(b)) if geo[j]]
+    if rows:  # q, each row's median ratio, as `np.median` takes it
+        q = np.sort(ratios[rows], axis=1)
+        k = q.shape[1]
+        q = (q[:, (k - 1) // 2] + q[:, k // 2])[:, None, None] / 2
+        p = projs[rows]
         basis = to_basis(p[:, -1] + (p[:, -1] - p[:, -2]) * (q / (1.0 - q)))
-        step, moved = _sine_distances(np.stack([b[geo, -2], basis], 1), b[geo, -1:]).T
-        for f, new, keep in zip(fams[geo], basis, moved <= 5.0 * step + 1e-9):
-            out[f] = new if keep else out[f]
-    if not geo.all():  # overshoot: grassmann_distance(basis, last) > max(5 drift, 1e-6)
-        fit = fams[~geo]
-        basis = to_basis(_fit_at_zero(labels, projs[~geo], int(min(6, m - 3))))
+        step, moved = _sine_distances(np.stack([b[rows, -2], basis], 1), b[rows, -1:]).T
+        for j, new, keep in zip(rows, basis, (moved <= 5.0 * step + 1e-9).tolist()):
+            out[fams[j]] = new if keep else out[fams[j]]
+    rows = [j for j in range(len(b)) if not geo[j]]
+    if rows:  # overshoot: grassmann_distance(basis, last) > max(5 drift, 1e-6)
+        fit = [fams[j] for j in rows]
+        basis = to_basis(_fit_at_zero(labels, projs[rows], int(min(6, m - 3))))
         _, g_lo, g_hi = _sine_bounds(basis, last[fit])
-        d_lo, d_hi, g_lo, g_hi = np.arcsin(np.sqrt(np.minimum(1.0, [lo[fit], hi[fit], g_lo, g_hi])))
-        for i, f in enumerate(fit):
-            if not (g_hi[i] > max(5.0 * d_lo[i], 1e-6) and (g_lo[i] > max(5.0 * d_hi[i], 1e-6)
+        angles = np.arcsin(np.sqrt(np.minimum(1.0, [[lo[f] for f in fit], [hi[f] for f in fit],
+                                                    g_lo, g_hi])))
+        for i, (f, (d_lo, d_hi, g_lo, g_hi)) in enumerate(zip(fit, angles.T.tolist())):
+            if not (g_hi > max(5.0 * d_lo, 1e-6) and (g_lo > max(5.0 * d_hi, 1e-6)
                     or grassmann_distance(basis[i], last[f])
                     > max(5.0 * float(_sines(residual[f])), 1e-6))):
                 out[f] = basis[i]
@@ -487,17 +490,16 @@ def _fit_at_zero(labels: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
                       np.exceptions.RankWarning, stacklevel=2)
     d = projs.shape[-1]
     p0 = np.triu((w @ projs.reshape(-1, len(w), d * d)).reshape(projs.shape[:-3] + (d, d)))
-    return p0 + np.swapaxes(np.triu(p0, 1), -1, -2)
+    return p0 + np.triu(p0, 1).swapaxes(-1, -2)
 
 
 def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int) -> list:
-    """Cluster each family ``bases[f]`` of tail candidates (one per tail
-    term, in order), extrapolate its dominant cluster, intersect the rest.
-    Returns per family (subspace, converged, dominant members), the members
-    counted from the first tail term; the first family with no cluster to
-    extrapolate is refused.  A cluster is extrapolated in 1/n against the
-    1-based labels n of its terms, in one call for all families with the
-    same members, which share one members array."""
+    """Cluster each family ``bases[f]`` of tail candidates (one per tail term,
+    in order), extrapolate its dominant cluster, intersect the rest.  Returns
+    per family (subspace, converged, dominant members), the members counted
+    from the first tail term; the first family with no cluster to extrapolate
+    is refused.  A cluster is extrapolated in 1/n against the 1-based labels n
+    of its terms, once for all families with its members, which share one array."""
     f, m, d = bases.shape[:3]
     if rank in (0, d):
         return [(Subspace.zero(d) if rank == 0 else Subspace.full(d), True, np.arange(m))] * f
@@ -509,8 +511,8 @@ def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int) -> list:
                 found.setdefault(tuple(c), {})[i] = None
     for c, limits in found.items():
         fams, idx = list(limits), np.asarray(c)
-        got = _extrapolate_projector(bases.take(fams, 0).take(idx, 1),
-                                     seq.tail_start + 1.0 + idx, rank)
+        family = bases if len(fams) == f else bases.take(fams, 0)
+        got = _extrapolate_projector(family.take(idx, 1), seq.tail_start + 1.0 + idx, rank)
         limits.update((i, (idx, basis)) for i, basis in zip(fams, got))
     out = []
     for i, clusters in enumerate(partitions):
@@ -541,11 +543,10 @@ def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -
     The term X with the largest |X|_F^2 is factored first, every family's
     in one SVD call; call its top singular value s.  As |X|_2 <= |X|_F
     (Golub & Van Loan, Matrix Computations, 2.3), a term with |X|_F^2 under
-    s^2, less a relative 1e-9 for rounding, cannot exceed s: only the other
+    s^2 (1 - 1e-9), the 1e-9 for rounding, cannot exceed s: only the other
     terms take a second, stacked SVD.  LAPACK factors each matrix of a stack
-    alone, so the result is the full stack's bit for bit.  An overflowing
-    or subnormal s^2 decides nothing.
-    """
+    alone, so the result is the full stack's bit for bit; an overflowing or
+    subnormal s^2 decides nothing."""
     if bases.shape[3] == 0:
         return [0.0] * len(bases)
     x = seq.tail.take(rel, 0) @ bases.take(rel, 1)
@@ -596,7 +597,8 @@ def _detected(seq: MatrixSequence, bases, rank: int, kind: StabilityKind,
         if i not in worst:
             fams = [j for j in range(i, len(limits))
                     if worsts[j] is worsts[i] and limits[j][2] is rel]
-            worst.update(zip(fams, worsts[i](seq, rel, bases[fams])))
+            shared = bases if len(fams) == len(bases) else bases[fams]
+            worst.update(zip(fams, worsts[i](seq, rel, shared)))
     return [ASResult(subspace=sub, kind=kind, converged=conv,
                      modulus=1.0 / worst[i] if worst[i] else float("inf"),
                      subsequence_indices=tuple((seq.tail_start + rel).tolist()))
@@ -672,9 +674,8 @@ def _graph_bases(seq: MatrixSequence) -> np.ndarray:
     return np.linalg.svd(q[:, :d, :])[0]  # columns by descending s
 
 
-# each detector's candidate bases and restricted norms; with ascending D,
-# kak's R^T columns (right-singular vectors) realize R^{-1}(R^i x {0})
-_ROUTES = {"kak": (lambda seq: np.swapaxes(seq.cartan.R, 1, 2), _cartan_norms),
+# each detector's candidate bases and restricted norms; kak's are the tail's R_n^T
+_ROUTES = {"kak": (lambda seq: seq.cartan.R.swapaxes(1, 2), _cartan_norms),
            "ellipsoid": (_ellipsoid_bases, _restricted_norms),
            "graph": (_graph_bases, _restricted_norms)}
 

@@ -1087,6 +1087,14 @@ def _family_scenarios(d, rng):
     yield "sparse-1/n", sparse, np.array([_orth(base + step / n) for n in sparse])
 
 
+def _short_geometric(d, rng):
+    """A geometric family of six members: four step ratios, so the median
+    ratio is the mean of the middle two."""
+    base, step = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    lab = np.arange(21.0, 27.0)
+    return "geometric-6", lab, np.array([_orth(base + step * 0.5 ** (n - 20)) for n in lab])
+
+
 def _package_extrapolation(monkeypatch, family, labels, rank):
     """`_extrapolate_projector` on ``family`` and the branch it took, read off
     whether it returned the last member or a new basis, and whether it ran
@@ -1115,7 +1123,7 @@ class TestStackedExtrapolation:
         # limit agrees to rounding; every other branch agrees bit for bit
         rng = np.random.default_rng(90 + d)
         branches = set()
-        for name, labels, frames in _family_scenarios(d, rng):
+        for name, labels, frames in [*_family_scenarios(d, rng), _short_geometric(d, rng)]:
             rt = np.swapaxes(frames, 1, 2)
             for rank in range(1, d):
                 family = rt[:, :, :rank]
