@@ -480,9 +480,9 @@ def _fit_at_zero(labels: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
     (members x d x d, or families x members x d x d).
 
     Every entry is one cached functional of its column (`_fit_weights`), so
-    the fit is one matrix product over the raveled stack (`tensordot` and
-    `einsum` sum in another order); the upper triangle is kept and
-    mirrored.  A rank-deficient fit warns on every call, as `polyfit` does.
+    the fit is one matrix product over the raveled stack (`einsum`, or
+    `tensordot` over the stack, sums in another order); the upper triangle
+    is kept and mirrored.  A rank-deficient fit warns on every call, as `polyfit` does.
     """
     w, rank = _fit_weights(np.asarray(labels, dtype=float).tobytes(), deg)
     if rank != deg + 1:
