@@ -575,33 +575,22 @@ def _word_growth(words: np.ndarray, threshold: float, exact_above: bool) -> np.n
     with a non-finite entry gets inf or NaN.
 
     The bounds are |A|_F / sqrt(d) <= sigma_1 <= |A|_F, from one stacked dot
-    of the flattened words; where they straddle the margin, they tighten to
-    |A^T A|_F / |A|_F <= sigma_1 <= |A^T A|_F^(1/2).  The words they leave,
-    and those whose squared norms are not normal floats, take sigma_1 from one
-    stacked `svd`.  It runs LAPACK on each matrix alone, so every norm it
-    gives is bitwise that of an `svd` of the whole stack.
+    of the flattened words.  The words they leave, and those whose squared
+    norms are not normal floats, take sigma_1 from one stacked `svd`.  It
+    runs LAPACK on each matrix alone, so every norm it gives is bitwise that
+    of an `svd` of the whole stack.
     """
     n, d = len(words), words.shape[-1]
-    lo, hi = threshold * (1 - _BOUND_MARGIN), threshold * (1 + _BOUND_MARGIN)
-    tiny = np.finfo(float).tiny
     finite = np.isfinite(words).all(axis=(1, 2))
     flat = words.reshape(n, d * d)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         fro2 = _dots(flat, flat)
-        # every quotient below stays a normal float, so it keeps its precision
-        bounded = (fro2 > d * tiny) & (fro2 < np.inf)
+        # the bounds' squares stay normal floats, so they keep their precision
+        bounded = (fro2 > d * np.finfo(float).tiny) & (fro2 < np.inf)
         upper = np.sqrt(fro2)
         lower = upper / np.sqrt(d)
-        band = np.flatnonzero(bounded & ~(upper < lo) & ~(lower > hi))
-        w = words[band]
-        gram = (np.swapaxes(w, 1, 2) @ w).reshape(len(band), d * d)
-        g2 = _dots(gram, gram)
-        normal = (g2 > tiny) & (g2 < np.inf)
-        band, g2 = band[normal], g2[normal]
-        upper[band] = np.minimum(upper[band], np.sqrt(np.sqrt(g2)))
-        lower[band] = np.maximum(lower[band], np.sqrt(g2 / fro2[band]))
-    below = bounded & (upper < lo)
-    above = bounded & (lower > hi)
+    below = bounded & (upper < threshold * (1 - _BOUND_MARGIN))
+    above = bounded & (lower > threshold * (1 + _BOUND_MARGIN))
     growth = np.where(below, upper, lower)  # the bound that settles each settled word
     exact = finite & ~below & (exact_above | ~above)
     growth[exact] = np.linalg.svd(words[exact], compute_uv=False)[:, 0]

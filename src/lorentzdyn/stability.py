@@ -63,7 +63,7 @@ from .minkowski import (
     _dots,
     degenerate_kernel,
     evaluate,
-    grassmann_distance,
+    grassmann_distance,  # noqa: F401  (stays importable here)
     orthogonal_complement,
     require_isometry,
 )
@@ -104,8 +104,8 @@ class MatrixSequence:
     (the operator norm of each term, equal to ``norm_growth``) comes from
     the singularity check, and ``cartan`` (the stacked ``kak`` factors of
     the tail) on first use.  The subspace limits of the Cartan route are
-    kept too, one per (rank, kind), so the stable and strongly stable
-    spaces are each computed once however many analyses read them.  So are
+    kept too, so each rank's limit is computed once, for the stable and the
+    strongly stable space alike, however many analyses read it.  So are
     the three growth-rule decisions every analysis starts from: the
     divergence decision (`is_divergent`, which `_gate` reads), the stable
     rank (`_stable_rank`) and the rank of the strongly stable space
@@ -186,8 +186,7 @@ class MatrixSequence:
 
     @classmethod
     def from_terms(cls, mats, generator_spec: str | None = None) -> "MatrixSequence":
-        return cls(terms=np.array([np.asarray(m, float) for m in mats]),
-                   generator_spec=generator_spec)
+        return cls(terms=mats, generator_spec=generator_spec)
 
     def inverse(self) -> "MatrixSequence":
         return MatrixSequence(
@@ -313,25 +312,18 @@ def _sines(residual: np.ndarray) -> np.ndarray:
     return np.arcsin(np.minimum(1.0, s))
 
 
-def _sine_bounds(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(R, lo, hi): the residuals R of `_sine_distances(a, b)`, with its
-    stacking, and lo <= |R|_2^2 <= hi, the squared sine, without an SVD.
-    With f = |R|_F^2 of rank-k bases, |R|_2^2 <= f <= k |R|_2^2 (Golub &
-    Van Loan, Matrix Computations, 2.3): lo and hi are f / k and f, widened
-    by a relative 1e-9 for rounding.  The thresholds they are held to lie
+def _linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_sine_distances(a, b) <= CLUSTER_LINK``, with the same stacking.
+    With f = |R|_F^2 of the residuals R of rank-k bases, the squared sine
+    |R|_2^2 lies in [f / k, f] (Golub & Van Loan, Matrix Computations,
+    2.3); widened by a relative 1e-9 for rounding, these bounds decide most
+    pairs, and only the pairs they straddle take the SVD.  The link lies
     far above the underflow of f."""
     residual = b - a @ (a.swapaxes(-1, -2) @ b)
     f = np.einsum("...ij,...ij->...", residual, residual)
-    return residual, f / b.shape[-1] * (1.0 - 1e-9), f * (1.0 + 1e-9)
-
-
-def _linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_sine_distances(a, b) <= CLUSTER_LINK``, with the same stacking;
-    only the pairs whose `_sine_bounds` straddle the link take the SVD."""
-    residual, lo, hi = _sine_bounds(a, b)
     sin2 = np.sin(CLUSTER_LINK) ** 2
-    linked = hi <= sin2
-    unsure = ~linked & (lo <= sin2)
+    linked = f * (1.0 + 1e-9) <= sin2
+    unsure = ~linked & (f / b.shape[-1] * (1.0 - 1e-9) <= sin2)
     if unsure.any():
         linked[unsure] = _sines(residual[unsure]) <= CLUSTER_LINK
     return linked
@@ -360,7 +352,7 @@ def _cluster_by_linkage(bases: np.ndarray) -> list[list[list[int]]]:
     every family's in one test; then each i is compared only with the later
     candidates still outside its component: a converging tail costs m - 1
     link tests instead of m(m - 1)/2.  The components hold only link
-    decisions, so `_linked` decides most pairs from a norm bound.
+    decisions, so `_linked` decides most pairs from its Frobenius bounds.
     """
     m = bases.shape[1]
     partitions = []
@@ -396,17 +388,14 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     get a geometric tail-sum correction.  Both branches fall back to the
     last member when they would overshoot the observed drift.  Each step
     runs once, on the families that take it; the drift gate and the fit's
-    overshoot test take an SVD only where `_sine_bounds` straddles them."""
+    overshoot test are one stacked `_sine_distances` call each."""
     m, d = bases.shape[1:3]
     last = bases[:, -1]
     out = list(last)
     if m < 4:
         return out
-    # the drift, from the middle member to the last, against sin(1e-11)^2
-    residual, lo, hi = _sine_bounds(bases[:, m // 2], last)
-    lo, hi = lo.tolist(), hi.tolist()
-    fams = [f for f in range(len(bases)) if not (
-        hi[f] < 1e-22 or lo[f] < 1e-22 and float(_sines(residual[f])) < 1e-11)]
+    drift = _sine_distances(bases[:, m // 2], last).tolist()  # middle member to last
+    fams = [f for f in range(len(bases)) if not drift[f] < 1e-11]
     if not fams:
         return out
     b = bases[fams] if len(fams) < len(bases) else bases
@@ -435,17 +424,12 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
         for j, new, keep in zip(rows, basis, (moved <= 5.0 * step + 1e-9).tolist()):
             out[fams[j]] = new if keep else out[fams[j]]
     rows = [j for j in range(len(b)) if not geo[j]]
-    if rows:  # overshoot: grassmann_distance(basis, last) > max(5 drift, 1e-6)
+    if rows:  # overshoot: the fit moved more than max(5 drift, 1e-6) off the last member
         fit = [fams[j] for j in rows]
         basis = to_basis(_fit_at_zero(labels, projs[rows], int(min(6, m - 3))))
-        _, g_lo, g_hi = _sine_bounds(basis, last[fit])
-        angles = np.arcsin(np.sqrt(np.minimum(1.0, [[lo[f] for f in fit], [hi[f] for f in fit],
-                                                    g_lo, g_hi])))
-        for i, (f, (d_lo, d_hi, g_lo, g_hi)) in enumerate(zip(fit, angles.T.tolist())):
-            if not (g_hi > max(5.0 * d_lo, 1e-6) and (g_lo > max(5.0 * d_hi, 1e-6)
-                    or grassmann_distance(basis[i], last[f])
-                    > max(5.0 * float(_sines(residual[f])), 1e-6))):
-                out[f] = basis[i]
+        for f, new, moved in zip(fit, basis, _sine_distances(basis, last[fit]).tolist()):
+            if not moved > max(5.0 * drift[f], 1e-6):
+                out[f] = new
     return out
 
 
@@ -607,11 +591,13 @@ def _detected(seq: MatrixSequence, bases, rank: int, kind: StabilityKind,
 
 def _cartan_detected(seq: MatrixSequence, rank: int, kind: StabilityKind) -> ASResult:
     """Subspace limit of the right-singular directions, computed once per
-    sequence for each (rank, kind); a raised error is not kept."""
+    sequence for each rank: a limit kept under the other kind at the same
+    rank is relabelled, as only the rank sets it.  A raised error is not kept."""
     limits = seq._cartan_limits
     if (rank, kind) not in limits:
-        limits[rank, kind] = _detected(seq, _ROUTES["kak"][0](seq)[None], rank, kind,
-                                       [_cartan_norms])[0]
+        other = next((res for (r, _), res in limits.items() if r == rank), None)
+        limits[rank, kind] = replace(other, kind=kind) if other is not None else _detected(
+            seq, _ROUTES["kak"][0](seq)[None], rank, kind, [_cartan_norms])[0]
     return limits[rank, kind]
 
 

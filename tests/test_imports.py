@@ -15,8 +15,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lorentzdyn"
 # (module, name) pairs imported for outside readers: bench/test_bench.py
-# checks the benchmark tracer's wrapper at the binding `stability.kak`.
-ALLOWED = {("stability", "kak")}
+# checks the benchmark tracer's wrappers at the bindings `stability.kak`
+# and `stability.grassmann_distance`.
+ALLOWED = {("stability", "kak"), ("stability", "grassmann_distance")}
 # (importer, exporter, name) private imports between the package's modules;
 # a new one is new coupling to another module's internals.
 PRIVATE_ALLOWED = {

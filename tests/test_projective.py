@@ -931,7 +931,7 @@ class TestWordGrowthBounds:
 
     @pytest.mark.parametrize("depth, threshold, kind", [
         # b^2 (growth e^180, near 1.5e78) straddles the Frobenius bounds at
-        # 0.9 e^180 and its |b^T b|_F^2 overflows; |b^2|_F settles it at 1.2 e^180
+        # 0.9 e^180, so it takes the svd; |b^2|_F settles it at 1.2 e^180
         (2, 0.9 * math.exp(180.0), "ok"),
         (2, 1.2 * math.exp(180.0), "EquicontinuousError"),
         (4, 1e157, "EquicontinuousError"),  # b^4 (entries near 1e156) is below it
@@ -955,15 +955,19 @@ class TestWordGrowthBounds:
     def test_lapack_sees_only_words_near_the_threshold(self, mink3, monkeypatch, group):
         gens = [boost(3, 1.2)] if group == "cyclic" else list(schottky_pair())
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
+        _, words, _ = _sample_words(gens, 8, 2000, np.random.default_rng(0))
         rows = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rows.append(len(a)) or svd(a, **kw))
         limit_set(mink3, gens, depth=8, samples=2000, s=s, seed=0)
-        assert len(rows) == 1 and rows[0] <= 8
+        # LAPACK sees the distinct words whose bracket |A|_F / sqrt(3) <=
+        # sigma_1 <= |A|_F straddles the threshold 1e3 with its 1e-8 margin
+        fro = np.sqrt(np.sum(words * words, axis=(1, 2)))
+        straddles = ~(fro < 1e3 * (1 - 1e-8)) & ~(fro / np.sqrt(3) > 1e3 * (1 + 1e-8))
+        assert rows == [int(np.sum(straddles))]
         rows.clear()
         limit_set(mink3, gens, depth=8, samples=2000, s=s, seed=0, trace=[])
         # LAPACK sees each distinct kept word once
-        _, words, _ = _sample_words(gens, 8, 2000, np.random.default_rng(0))
         assert rows == [int(np.sum(svd(words, compute_uv=False)[:, 0] >= 1e3))]
 
 

@@ -1198,29 +1198,16 @@ class TestExtrapolationBounds:
     def test_bound_decisions_equal_svd_decisions(self, k, monkeypatch):
         # the drift gate, drift < 1e-11, and the fit's overshoot test,
         # grassmann_distance(basis, last) > max(5 drift, 1e-6), at their
-        # edges +-1e-9 relative, once with their `_sine_bounds` and once
-        # with bounds that decide nothing, so every test takes its SVD as
-        # before the bounds; the fit is pinned to a basis at chosen angles
+        # edges +-1e-9 relative, each with the outcome its side of the edge
+        # must give; the fit is pinned to a basis at chosen angles
         labels = np.arange(21.0, 41.0)
-        bounds = stability._sine_bounds
 
-        def undecided(a, b):
-            residual = bounds(a, b)[0]
-            return residual, np.zeros(residual.shape[:-2]), np.ones(residual.shape[:-2])
-
-        def extrapolate(family, fit, decide):
-            exact = []
+        def extrapolate(family, fit):
             with monkeypatch.context() as patch:
                 if fit is not None:
                     patch.setattr(stability, "_fit_at_zero", lambda *a: (fit @ fit.T)[None])
-                if not decide:
-                    patch.setattr(stability, "_sine_bounds", undecided)
-                sines, gd = stability._sines, stability.grassmann_distance
-                patch.setattr(stability, "_sines", lambda r: exact.append(1) or sines(r))
-                patch.setattr(stability, "grassmann_distance",
-                              lambda a, b: exact.append(1) or gd(a, b))
                 (got,) = stability._extrapolate_projector(family[None], labels, k)
-            return got, np.shares_memory(got, family), bool(exact)
+            return np.shares_memory(got, family)
 
         cases = []  # (test, family, pinned fit basis or None, returns the last member)
         for off in (-1e-9, 1e-9):
@@ -1234,17 +1221,12 @@ class TestExtrapolationBounds:
                     assert (5.0 * d > 1e-6) == fits
                     for angles in _angle_patterns(k, edge):
                         cases.append(("fit", family, _turned(k, angles), off > 0))
-        outcomes, straddled = set(), set()
+        outcomes = set()
         for test, family, fit, returns_last in cases:
-            got, last, exact = extrapolate(family, fit, True)
-            want, want_last, _ = extrapolate(family, fit, False)
-            assert last == want_last == returns_last and np.array_equal(got, want), test
+            last = extrapolate(family, fit)
+            assert last == returns_last, test
             outcomes.add((test, last))
-            straddled.add((test, exact))
         assert outcomes == {("gate", True), ("gate", False), ("fit", True), ("fit", False)}
-        assert {("gate", False), ("fit", False)} <= straddled
-        if k > 1:
-            assert {("gate", True), ("fit", True)} <= straddled
 
 
 def _awkward_sequence(d, seed):
@@ -1461,9 +1443,10 @@ class TestDecisionsOncePerSequence:
         # the rotated 200-term fundamental example, after the sequence is
         # built.  SVDs: the Cartan stack, the graph's top blocks, the fit
         # weights, one term each for the ellipsoid and graph moduli in one
-        # call, and the agreement table; the extrapolation tests are settled
-        # by norm bounds.  eighs: the ellipsoid's Gram stack, the fits of
-        # the three detectors' stacked pass, and the strongly stable fit
+        # call, the agreement table, and the drift gate and the overshoot
+        # test of each of the two passes.  eighs: the ellipsoid's Gram
+        # stack, the fits of the three detectors' stacked pass, and the
+        # strongly stable fit
         q = _orth(np.random.default_rng(12).normal(size=(3, 3)))
         seq = MatrixSequence.from_terms([q @ fundamental_term(n) @ q.T for n in range(1, 201)])
         stability._fit_weights.cache_clear()
@@ -1476,8 +1459,34 @@ class TestDecisionsOncePerSequence:
                             lambda *a: calls.append("grassmann") or gd(*a))
         oracles = as_all_oracles(seq)
         spas = spas_subspace(seq)
-        assert sorted(calls) == ["eigh"] * 3 + ["svd"] * 5
+        assert sorted(calls) == ["eigh"] * 3 + ["svd"] * 9
         assert all(res.converged for res in [*oracles.values(), spas])
+
+    @pytest.mark.parametrize("first", [as_subspace_kak, spas_subspace])
+    def test_equal_ranks_share_one_subspace_limit(self, monkeypatch, first):
+        # the shear [[1, n], [0, 1]]: its stable and strongly stable ranks
+        # are both 1, so the second analysis relabels the first's limit
+        def shear():
+            return MatrixSequence.from_terms([np.array([[1.0, n], [0.0, 1.0]])
+                                              for n in range(1, 41)])
+
+        fresh = {kind: analysis(shear()) for kind, analysis in [
+            (StabilityKind.STABLE, as_subspace_kak),
+            (StabilityKind.STRONGLY_STABLE, spas_subspace)]}
+        seq, passes = shear(), []
+        limit = stability._subspace_limit
+        monkeypatch.setattr(stability, "_subspace_limit",
+                            lambda *a: passes.append(1) or limit(*a))
+        second = spas_subspace if first is as_subspace_kak else as_subspace_kak
+        first(seq)
+        got = second(seq)
+        assert len(passes) == 1 and second(seq) is got
+        want = fresh[StabilityKind.STRONGLY_STABLE if second is spas_subspace
+                     else StabilityKind.STABLE]
+        assert got.kind is want.kind
+        assert got.subspace.basis.tobytes() == want.subspace.basis.tobytes()
+        assert (got.modulus, got.converged, got.subsequence_indices) == (
+            want.modulus, want.converged, want.subsequence_indices)
 
     def test_a_refused_rank_raises_on_every_call(self, monkeypatch):
         # diag(1, 3, n): n grows, but comes within 10 of 3 on the tail
@@ -1627,10 +1636,10 @@ class TestStackedSubspaceLimits:
     def test_each_family_gets_its_own_bits(self, monkeypatch):
         # one stack of rank-2 families in R^4 over a 20-term tail: one the
         # drift gate settles, a 1/n fit, two geometric corrections, a family of
-        # two interleaved clusters, one whose drift gate straddles its
-        # bounds (two angles of 1e-11 (1 - 1e-9)) and one whose fit, pinned
-        # at angles of max(5 drift, 1e-6) (1 + 1e-9), straddles its
-        # overshoot test; each must come out as from its own call
+        # two interleaved clusters, one just under the drift gate (two angles
+        # of 1e-11 (1 - 1e-9)) and one whose fit, pinned at angles of
+        # max(5 drift, 1e-6) (1 + 1e-9), just fails its overshoot test; each
+        # must come out as from its own call
         rng = np.random.default_rng(150)
         d, k = 4, 2
         labels = np.arange(21.0, 41.0)
@@ -1643,10 +1652,10 @@ class TestStackedSubspaceLimits:
             "geometric-slow": np.array([_orth(step + 0.02 * base * 0.7 ** (n - 20))[:, :k]
                                         for n in labels]),
             "two-clusters": _interleaved(rng, d, k, 20, 2, 0.01),
-            "gate-straddle": _linear_family(np.full(k, 1e-11 * (1.0 - 1e-9))),
-            "overshoot-straddle": _linear_family(np.full(k, 1e-4)),
+            "gate-edge": _linear_family(np.full(k, 1e-11 * (1.0 - 1e-9))),
+            "overshoot-edge": _linear_family(np.full(k, 1e-4)),
         }
-        over = families["overshoot-straddle"]
+        over = families["overshoot-edge"]
         drift = float(stability._sine_distances(over[10], over[-1][None])[0])
         pin = _turned(k, np.full(k, max(5.0 * drift, 1e-6) * (1.0 + 1e-9)))
         fit, target = stability._fit_at_zero, over[-1] @ over[-1].T
@@ -1662,15 +1671,8 @@ class TestStackedSubspaceLimits:
         seq = MatrixSequence.from_terms(list(rng.normal(size=(40, d, d)) + 3.0 * np.eye(d)))
         stack = np.stack([_frames(f) for f in families.values()])
         worsts = [stability._cartan_norms] + [stability._restricted_norms] * (len(families) - 1)
-        exact = []
-        sines, gd = stability._sines, stability.grassmann_distance
-        with monkeypatch.context() as patch:
-            patch.setattr(stability, "_sines", lambda r: exact.append("sines") or sines(r))
-            patch.setattr(stability, "grassmann_distance",
-                          lambda a, b: exact.append("grassmann") or gd(a, b))
-            got = dict(zip(families, stability._detected(seq, stack, k, StabilityKind.STABLE,
-                                                         worsts)))
-        assert {"sines", "grassmann"} <= set(exact)
+        got = dict(zip(families, stability._detected(seq, stack, k, StabilityKind.STABLE,
+                                                     worsts)))
         for f, name in enumerate(families):
             (want,) = stability._detected(seq, stack[f:f + 1], k, StabilityKind.STABLE,
                                           [worsts[f]])
@@ -1678,8 +1680,8 @@ class TestStackedSubspaceLimits:
         branches = {name: _package_extrapolation(monkeypatch, fam, labels, k)[1]
                     for name, fam in families.items() if name != "two-clusters"}
         assert branches == {"settled": "settled", "fit": "fit", "geometric": "geometric",
-                            "geometric-slow": "geometric", "gate-straddle": "settled",
-                            "overshoot-straddle": "fit-overshoot"}
+                            "geometric-slow": "geometric", "gate-edge": "settled",
+                            "overshoot-edge": "fit-overshoot"}
         assert [res.converged for res in got.values()] == [True] * 4 + [False, True, True]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
