@@ -152,7 +152,7 @@ class HyperbolicPoint:
 def act_boundary(form: QuadraticForm, A, b: BoundaryPoint) -> BoundaryPoint:
     """Image of a boundary ray under an isometry."""
     m = require_isometry(form, A)
-    return BoundaryPoint(ray=canonical_ray(m @ b.ray))
+    return BoundaryPoint(ray=canonical_ray(m @ _as_vector(b.ray, form.dim)))
 
 
 def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
@@ -167,7 +167,7 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     """
     require_isometry(form, seq.terms)
     require_lorentz(form)
-    orbit = seq.terms @ s.v
+    orbit = seq.terms @ _as_vector(s.v, form.dim)
     norms = np.linalg.norm(orbit, axis=1)
     n = len(norms)
     if not _norms_diverge(norms):
@@ -629,6 +629,7 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     if not gens:
         raise PreconditionError("a limit set needs at least one generator")
     require_lorentz(form)
+    point = _as_vector(s.v, form.dim)
     if depth < 1 or samples < 1:
         raise PreconditionError("depth and samples must be at least 1")
     if not (np.isfinite(cluster_angle) and cluster_angle > 0):
@@ -648,7 +649,7 @@ def limit_set(form: QuadraticForm, generators, s: HyperbolicPoint, depth: int = 
     kept = np.flatnonzero(keep[which])
     at = (np.cumsum(keep) - 1)[which[kept]]  # each kept sample's row among the kept words
     with np.errstate(over="ignore", invalid="ignore"):
-        images = words[keep] @ s.v
+        images = words[keep] @ point
         overflow = ~np.isfinite(_dots(images, images))[at]
     if overflow.any():
         raise NumericalError(f"the image of a word of length {lengths[kept][np.argmax(overflow)]} "

@@ -49,6 +49,7 @@ import numpy as np
 from .cartan import (KakFactorization, kak,  # noqa: F401  (kak stays importable here)
                      kak_stack, require_lorentz)
 from .errors import (
+    BudgetError,
     ConvergenceError,
     DimensionError,
     EquicontinuousError,
@@ -103,14 +104,14 @@ class MatrixSequence:
     The spectral data they read is computed once per sequence: ``norms``
     (the operator norm of each term, equal to ``norm_growth``) comes from
     the singularity check, and ``cartan`` (the stacked ``kak`` factors of
-    the tail) on first use.  The subspace limits of the Cartan route are
-    kept too, so each rank's limit is computed once, for the stable and the
-    strongly stable space alike, however many analyses read it.  So are
-    the three growth-rule decisions every analysis starts from: the
-    divergence decision (`is_divergent`, which `_gate` reads), the stable
-    rank (`_stable_rank`) and the rank of the strongly stable space
-    (`spas_subspace`).  A refused rank is not kept, so it raises again on
-    every read.  All are pure functions of the frozen terms.
+    the tail) on first use.  Every detector's result is kept too, by
+    (route, rank, kind) (`_analyses`), so each is computed once however
+    many analyses read it.  So are the three growth-rule decisions every
+    analysis starts from: the divergence decision (`is_divergent`, which
+    `_gate` reads), the stable rank (`_stable_rank`) and the rank of the
+    strongly stable space (`spas_subspace`).  A refused rank is not kept,
+    so it raises again on every read.  All are pure functions of the
+    frozen terms.
     """
 
     terms: np.ndarray
@@ -153,8 +154,8 @@ class MatrixSequence:
         return fact
 
     @functools.cached_property
-    def _cartan_limits(self) -> dict:
-        """Cartan-route results (`_cartan_detected`) computed so far, by (rank, kind)."""
+    def _limits(self) -> dict:
+        """Detector results (`_analyses`) computed so far, by (route, rank, kind)."""
         return {}
 
     @functools.cached_property
@@ -177,6 +178,8 @@ class MatrixSequence:
     @classmethod
     def from_powers(cls, a, count: int) -> "MatrixSequence":
         m = np.asarray(a, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"powers need a square matrix, got shape {m.shape}")
         terms = []
         acc = m
         for _ in range(count):
@@ -589,23 +592,34 @@ def _detected(seq: MatrixSequence, bases, rank: int, kind: StabilityKind,
             for i, (sub, conv, rel) in enumerate(limits)]
 
 
-def _cartan_detected(seq: MatrixSequence, rank: int, kind: StabilityKind) -> ASResult:
-    """Subspace limit of the right-singular directions, computed once per
-    sequence for each rank: a limit kept under the other kind at the same
-    rank is relabelled, as only the rank sets it.  A raised error is not kept."""
-    limits = seq._cartan_limits
-    if (rank, kind) not in limits:
-        other = next((res for (r, _), res in limits.items() if r == rank), None)
-        limits[rank, kind] = replace(other, kind=kind) if other is not None else _detected(
-            seq, _ROUTES["kak"][0](seq)[None], rank, kind, [_cartan_norms])[0]
-    return limits[rank, kind]
+def _analyses(seq: MatrixSequence, kind: StabilityKind, names: list) -> dict[str, ASResult]:
+    """The results of the `_ROUTES` ``names`` for `kind`, kept in
+    ``seq._limits`` by (route, rank, kind).  A limit kept under the other
+    kind at the same rank is relabelled, as only the rank sets it, and the
+    routes with nothing kept share one `_detected` pass.  A refusal is the
+    first the detectors would raise called in turn; it is not kept."""
+    _gate(seq)
+    rank = _stable_rank(seq) if kind is StabilityKind.STABLE else seq._spas_rank
+    kept = seq._limits
+    for (name, r, _), res in list(kept.items()):
+        if r == rank and name in names and (name, rank, kind) not in kept:
+            kept[name, rank, kind] = replace(res, kind=kind)
+    missing = [name for name in names if (name, rank, kind) not in kept]
+    stack = []
+    try:
+        for name in missing:
+            stack.append(_ROUTES[name][0](seq))
+    finally:  # on a refusal too: the routes before a refused one raise first, or are kept
+        if stack:  # zip keeps the routes built
+            kept.update(zip([(name, rank, kind) for name in missing], _detected(
+                seq, np.stack(stack), rank, kind, [_ROUTES[name][1] for name in missing])))
+    return {name: kept[name, rank, kind] for name in names}
 
 
 def as_subspace_kak(seq: MatrixSequence) -> ASResult:
     """Stable subspace via Cartan factors: the limit of R_n^{-1} applied to
     the span of the non-growing singular directions."""
-    _gate(seq)
-    return _cartan_detected(seq, _stable_rank(seq), StabilityKind.STABLE)
+    return _analyses(seq, StabilityKind.STABLE, ["kak"])["kak"]
 
 
 def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
@@ -619,9 +633,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
     kept separate from the SVD route of `as_subspace_kak`; the rank, the
     count of axes that survive, is `_stable_rank`'s.
     """
-    _gate(seq)
-    return _detected(seq, _ellipsoid_bases(seq)[None], _stable_rank(seq),
-                     StabilityKind.STABLE, [_restricted_norms])[0]
+    return _analyses(seq, StabilityKind.STABLE, ["ellipsoid"])["ellipsoid"]
 
 
 def _ellipsoid_bases(seq: MatrixSequence) -> np.ndarray:
@@ -647,9 +659,7 @@ def as_subspace_graph(seq: MatrixSequence) -> ASResult:
     The basis comes from the graph's QR (`_graph_bases`); the rank, the
     count of directions that keep mass, is `_stable_rank`'s.
     """
-    _gate(seq)
-    return _detected(seq, _graph_bases(seq)[None], _stable_rank(seq),
-                     StabilityKind.STABLE, [_restricted_norms])[0]
+    return _analyses(seq, StabilityKind.STABLE, ["graph"])["graph"]
 
 
 def _graph_bases(seq: MatrixSequence) -> np.ndarray:
@@ -668,20 +678,9 @@ _ROUTES = {"kak": (lambda seq: seq.cartan.R.swapaxes(1, 2), _cartan_norms),
 
 def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
     """Run every subspace detector and cross-fill the agreement table.  The
-    gate and the rank are read once, and the detectors with no kept result
-    (kak's is kept by `lorentz_as_check`) share one `_detected` pass.  A
+    detectors with no kept result share one pass (`_analyses`), and a
     refusal is the first the detectors would raise called in turn."""
-    _gate(seq)
-    key = (_stable_rank(seq), StabilityKind.STABLE)  # of kak's kept result
-    names = [name for name in _ROUTES if name != "kak" or key not in seq._cartan_limits]
-    stack = []
-    try:
-        for name in names:
-            stack.append(_ROUTES[name][0](seq))
-    finally:  # on a refusal too: the detectors before a refused route raise first
-        found = dict(zip(names, _detected(seq, np.stack(stack), *key, [
-            _ROUTES[name][1] for name in names]))) if stack else {}
-    return _with_agreement({"kak": seq._cartan_limits.setdefault(key, found.get("kak")), **found})
+    return _with_agreement(_analyses(seq, StabilityKind.STABLE, list(_ROUTES)))
 
 
 def _with_agreement(results: dict) -> dict[str, ASResult]:
@@ -767,6 +766,9 @@ _CAP_CHUNK = 4096
 # Most cap minima (direction, radius, tail term) one `brute_force_as` call
 # solves; scores past it stay NaN and the result is flagged incomplete.
 BRUTE_BUDGET = 20_000_000
+# Most entries, directions x (d + radii), of the direction grid and score
+# table one `brute_force_as` call builds; more are refused before allocation.
+_BRUTE_GRID = 10_000_000
 
 
 def _nonneg(x: np.ndarray) -> np.ndarray:
@@ -926,6 +928,9 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     if directions < 1:
         raise PreconditionError("the brute-force oracle needs at least one direction")
     radii = _sorted_radii(radii)
+    if directions * (seq.dim + len(radii)) > _BRUTE_GRID:
+        raise BudgetError(f"{directions} directions pass the brute-force grid budget: "
+                          f"directions x (d + radii) must be at most {_BRUTE_GRID}")
     dirs = sphere_points(seq.dim, directions, seed)
     spectra = _spectra(seq.tail)
     # Each (direction, radius) score costs one cap minimum per tail term;
@@ -958,8 +963,7 @@ def spas_subspace(seq: MatrixSequence) -> ASResult:
     directions whose singular values decay to zero.  `lorentz_as_check`
     checks its Lorentz structure (the isotropic orthogonal of the stable
     hyperplane)."""
-    _gate(seq)
-    return _cartan_detected(seq, seq._spas_rank, StabilityKind.STRONGLY_STABLE)
+    return _analyses(seq, StabilityKind.STRONGLY_STABLE, ["kak"])["kak"]
 
 
 @dataclass(frozen=True)

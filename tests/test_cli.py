@@ -239,6 +239,16 @@ class TestAsCommand:
         assert captured.err == "error: --directions must be at least 1\n"
         assert captured.out == ""
 
+    def test_brute_direction_grid_past_its_budget(self, files, capsys):
+        # refused before the grid or the score table is allocated
+        argv = ["as", files["fund_seq.json"], "--oracle", "brute", "--directions",
+                str(10**15)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {10**15} directions pass the brute-force grid "
+                                "budget: directions x (d + radii) must be at most 10000000\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["limit-set", "boost_gen.json", "--form", "mink3.json", "--seed", "-1"],
         # d = 4 seeds the brute-force directions

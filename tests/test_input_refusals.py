@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorentzdyn import (ASResult, BoundaryPoint, HyperbolicPoint, QuadraticForm,
-                        RationalLorentzForm, StabilityKind, Subspace, big_lambda, evaluate,
+from lorentzdyn import (ASResult, BoundaryPoint, HyperbolicPoint, MatrixSequence,
+                        QuadraticForm, RationalLorentzForm, StabilityKind, Subspace,
+                        act_boundary, big_lambda, boost, evaluate, hyperbolic_orbit_limit,
                         is_isometry, limit_set, lorentz_as_check, mobius_rp1,
                         north_south_certificate, orthogonal_complement, split_boost)
 from lorentzdyn.cartan import random_lorentz
@@ -109,6 +110,20 @@ def test_matrix_and_vector_shapes(mink3):
         is_isometry(mink3, np.ones(3))
     with pytest.raises(DimensionError, match="dimension 3, got 2"):
         evaluate(mink3, [1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda f, p, b: hyperbolic_orbit_limit(f, boost_sequence(), p), "dimension 3, got 4"),
+    (lambda f, p, b: limit_set(f, [boost(3, 1.2)], p), "dimension 3, got 4"),
+    (lambda f, p, b: act_boundary(f, boost(3, 1.2), b), "dimension 3, got 4"),
+    (lambda f, p, b: MatrixSequence.from_powers([[1.0, 2.0, 3.0]], 3), "square matrix"),
+], ids=["orbit-limit", "limit-set", "act-boundary", "from-powers"])
+def test_mismatched_shapes_are_refused_at_entry(mink3, call, match):
+    # numpy's own matmul error would otherwise escape the package's errors
+    point = HyperbolicPoint(v=[1.0, 0.0, 0.0, 0.0], form=QuadraticForm.minkowski(4))
+    ray = BoundaryPoint(ray=np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
+    with pytest.raises(DimensionError, match=match):
+        call(mink3, point, ray)
 
 
 def test_plus_minus_identity_check_needs_three_rays():

@@ -1341,7 +1341,8 @@ class TestBatchedDetectorLoops:
         eps = np.finfo(float).eps
         for kind in (StabilityKind.STABLE, StabilityKind.STRONGLY_STABLE):
             for rank in range(d + 1):
-                res = stability._cartan_detected(seq, rank, kind)
+                (res,) = stability._detected(seq, rt[None], rank, kind,
+                                             [stability._cartan_norms])
                 assert res.kind == kind
                 if rank == 0:
                     assert res.modulus == float("inf")
@@ -1421,6 +1422,19 @@ class TestRestrictedNormBound:
             assert got == _full_stack_norm(seq, np.arange(2), bases) == t
 
 
+def _shear():
+    return MatrixSequence.from_terms([np.array([[1.0, n], [0.0, 1.0]]) for n in range(1, 41)])
+
+
+def _passes(monkeypatch) -> list:
+    """The family count of each `_subspace_limit` pass from here on."""
+    passes = []
+    limit = stability._subspace_limit
+    monkeypatch.setattr(stability, "_subspace_limit",
+                        lambda *a: passes.append(len(a[1])) or limit(*a))
+    return passes
+
+
 class TestDecisionsOncePerSequence:
     @pytest.mark.parametrize("args", [
         ["chaos40.json", "--form", "split3.json"],
@@ -1466,17 +1480,10 @@ class TestDecisionsOncePerSequence:
     def test_equal_ranks_share_one_subspace_limit(self, monkeypatch, first):
         # the shear [[1, n], [0, 1]]: its stable and strongly stable ranks
         # are both 1, so the second analysis relabels the first's limit
-        def shear():
-            return MatrixSequence.from_terms([np.array([[1.0, n], [0.0, 1.0]])
-                                              for n in range(1, 41)])
-
-        fresh = {kind: analysis(shear()) for kind, analysis in [
+        fresh = {kind: analysis(_shear()) for kind, analysis in [
             (StabilityKind.STABLE, as_subspace_kak),
             (StabilityKind.STRONGLY_STABLE, spas_subspace)]}
-        seq, passes = shear(), []
-        limit = stability._subspace_limit
-        monkeypatch.setattr(stability, "_subspace_limit",
-                            lambda *a: passes.append(1) or limit(*a))
+        seq, passes = _shear(), _passes(monkeypatch)
         second = spas_subspace if first is as_subspace_kak else as_subspace_kak
         first(seq)
         got = second(seq)
@@ -1487,6 +1494,37 @@ class TestDecisionsOncePerSequence:
         assert got.subspace.basis.tobytes() == want.subspace.basis.tobytes()
         assert (got.modulus, got.converged, got.subsequence_indices) == (
             want.modulus, want.converged, want.subsequence_indices)
+
+    def test_all_oracles_relabel_a_kept_strongly_stable_limit(self, monkeypatch):
+        seq, passes = _shear(), _passes(monkeypatch)
+        spas = spas_subspace(seq)
+        oracles = as_all_oracles(seq)
+        assert passes == [1, 2]  # kak's limit is relabelled, not passed again
+        assert _bits(oracles["kak"]) == _bits(spas)
+        assert oracles["kak"].kind is StabilityKind.STABLE
+
+    def test_single_detectors_read_the_kept_oracles(self, monkeypatch):
+        seq, passes = fundamental_sequence(40), _passes(monkeypatch)
+        oracles = as_all_oracles(seq)
+        assert passes == [3]
+        for name, detector in (("ellipsoid", as_subspace_ellipsoid),
+                               ("graph", as_subspace_graph)):
+            got = detector(seq)
+            assert _bits(got) == _bits(oracles[name])
+            assert detector(seq) is got
+        assert passes == [3]
+
+    def test_a_refused_route_keeps_the_routes_before_it(self, monkeypatch):
+        # kak's limit of the scaled example is kept; the ellipsoid's Gram
+        # overflow is not, so it is raised again
+        seq, passes = _scaled(fundamental_sequence(40), 1e160), _passes(monkeypatch)
+        with pytest.raises(NumericalError, match="Gram matrix A\\^T A overflows"):
+            as_all_oracles(seq)
+        assert passes == [1]
+        assert as_subspace_kak(seq).converged and passes == [1]
+        with pytest.raises(NumericalError, match="Gram matrix A\\^T A overflows"):
+            as_subspace_ellipsoid(seq)
+        assert passes == [1]
 
     def test_a_refused_rank_raises_on_every_call(self, monkeypatch):
         # diag(1, 3, n): n grows, but comes within 10 of 3 on the tail
