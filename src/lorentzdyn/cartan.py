@@ -45,20 +45,20 @@ def kak_stack(terms) -> KakFactorization:
     in SO(d); for det A < 0 one factor necessarily has determinant -1 (the
     sign is pushed into R).  Ties in D leave L and R non-unique; only D is
     contract-stable under such ties.
+
+    Each factor is one fancy index in `argsort`'s order (L a transposed view
+    of rows of U^T), and a +-1 multiply lands L in SO(d): exact, ties too.
     """
     u, s, vt = np.linalg.svd(terms)
     if np.any((s[:, -1] == 0) | (s[:, -1] < _SINGULAR_TOL * s[:, 0]) | (s[:, 0] == 0)):
         raise SingularMatrixError("matrix is numerically singular")
     order = np.argsort(s, axis=-1)  # ascending
-    L = np.take_along_axis(u, order[:, None, :], axis=2)
-    D = np.take_along_axis(s, order, axis=1)
-    R = np.take_along_axis(vt, order[:, :, None], axis=1)
-    # Land L in SO(d) without disturbing D: flip the last column of L and the
-    # matching row of R.
-    flip = np.linalg.det(L) < 0
-    L[flip, :, -1] = -L[flip, :, -1]
-    R[flip, -1, :] = -R[flip, -1, :]
-    return KakFactorization(L=L, D=D, R=R)
+    rows = np.arange(len(s))[:, None]
+    Lt, D, R = u.swapaxes(1, 2)[rows, order], s[rows, order], vt[rows, order]
+    sign = np.where(np.linalg.det(Lt) < 0, -1.0, 1.0)[:, None]
+    Lt[:, -1] *= sign
+    R[:, -1] *= sign
+    return KakFactorization(L=Lt.swapaxes(1, 2), D=D, R=R)
 
 
 def kak(A) -> KakFactorization:

@@ -50,10 +50,10 @@ def _as_vector(v, d: int | None = None) -> np.ndarray:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a . b over the last axis.  Stacked 1 x m by m x 1 products
-    run the same BLAS dot as `a @ b` on 1-D rows, so the bits match a
+    """Row-wise a . b over the last axis, broadcast.  `np.vecdot` runs the
+    same BLAS dot per row as `a @ b` on 1-D rows, so the bits match a
     per-row loop (`einsum` and `norm(axis=...)` sum in another order)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 @dataclass(frozen=True)

@@ -417,12 +417,13 @@ def _merge_close_clusters(form: QuadraticForm, clusters: list[RayCluster],
     """Merge cluster pairs until all centroids are separated by more than
     the clustering angle, closest pair first (the first pair in row-major
     order on a tie).  Also returns the smallest remaining gap, None for a
-    single cluster."""
+    single cluster.  After a merge only the merged centroid's gaps are new
+    (`_ray_angles` is per pair and symmetric, so each gap keeps its bits)."""
     clusters = list(clusters)
+    full = _centroid_gaps(clusters)
     while len(clusters) > 1:
         k = len(clusters)
-        gaps = np.where(np.triu(np.ones((k, k), dtype=bool), 1), _centroid_gaps(clusters),
-                        np.inf)
+        gaps = np.where(np.triu(np.ones((k, k), dtype=bool), 1), full, np.inf)
         best = int(np.argmin(gaps))
         if not gaps.flat[best] <= angle:
             return clusters, float(gaps.flat[best])
@@ -441,9 +442,12 @@ def _merge_close_clusters(form: QuadraticForm, clusters: list[RayCluster],
                 b.angular_radius + centroid.angle_to(b.centroid),
             ),
         )
-        clusters = [c for n, c in enumerate(clusters) if n not in (i, j)]
-        clusters += _snap_clusters(form, [merged])
-        clusters.sort(key=lambda cl: cl.weight, reverse=True)
+        keep = [n for n in range(k) if n not in (i, j)]
+        clusters = [clusters[n] for n in keep] + _snap_clusters(form, [merged])
+        row = _ray_angles(clusters[-1].centroid.ray, np.array([c.centroid.ray for c in clusters]))
+        full = np.vstack([np.column_stack([full[np.ix_(keep, keep)], row[:-1]]), row])
+        order = sorted(range(k - 1), key=lambda n: clusters[n].weight, reverse=True)
+        clusters, full = [clusters[n] for n in order], full[np.ix_(order, order)]
     return clusters, None
 
 

@@ -332,19 +332,6 @@ def _linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return linked
 
 
-def _pair_distances(pairs: list) -> list[float]:
-    """`grassmann_distance(a, b)` for each pair (a, b) of bases, with its
-    conventions: pi/2 between unequal ranks, 0.0 between rank-0 bases.
-    The pairs of each nonzero rank share one `_sine_distances` call."""
-    out = [0.0 if a.shape[1] == b.shape[1] else np.pi / 2 for a, b in pairs]
-    for rank in {a.shape[1] for a, b in pairs if a.shape[1] == b.shape[1]} - {0}:
-        idx = [i for i, (a, b) in enumerate(pairs) if a.shape[1] == b.shape[1] == rank]
-        firsts, seconds = (np.stack([pairs[i][k] for i in idx]) for k in (0, 1))
-        for i, dist in zip(idx, _sine_distances(firsts, seconds).tolist()):
-            out[i] = dist
-    return out
-
-
 def _cluster_by_linkage(bases: np.ndarray) -> list[list[list[int]]]:
     """Single-linkage components of the subspaces ``bases[f, i]`` at
     Grassmannian scale `CLUSTER_LINK`, one partition per family f.
@@ -402,11 +389,12 @@ def _extrapolate_projector(bases: np.ndarray, labels: np.ndarray,
     if not fams:
         return out
     b = bases[fams] if len(fams) < len(bases) else bases
-    projs = b @ b.swapaxes(2, 3)
+    projs = b @ np.ascontiguousarray(b.swapaxes(2, 3))  # gemm, as in `_grams`
 
-    def to_basis(p0):
+    def to_basis(p0):  # the eigenvectors of the top `rank` eigenvalues, ascending
         w, v = np.linalg.eigh(0.5 * (p0 + p0.swapaxes(1, 2)))
-        return np.take_along_axis(v, np.argsort(w)[:, None, -rank:], axis=2)
+        top = np.argsort(w)[:, -rank:]
+        return v.swapaxes(1, 2)[np.arange(len(w))[:, None], top].swapaxes(1, 2)
 
     # Per-step decay ratios tell geometric (ratio bounded below 1) apart
     # from 1/n-type drift (ratio creeping up to 1).  Each step is the
@@ -476,8 +464,17 @@ def _fit_at_zero(labels: np.ndarray, projs: np.ndarray, deg: int) -> np.ndarray:
         warnings.warn("The fit may be poorly conditioned",
                       np.exceptions.RankWarning, stacklevel=2)
     d = projs.shape[-1]
-    p0 = np.triu((w @ projs.reshape(-1, len(w), d * d)).reshape(projs.shape[:-3] + (d, d)))
-    return p0 + np.triu(p0, 1).swapaxes(-1, -2)
+    p0 = (w @ projs.reshape(-1, len(w), d * d)).reshape(projs.shape[:-3] + (d, d))
+    upper, above = _triu_masks(d)
+    p0 = np.where(upper, p0, 0.0)
+    return p0 + np.where(above, p0, 0.0).swapaxes(-1, -2)
+
+
+@functools.lru_cache(maxsize=16)
+def _triu_masks(d: int) -> tuple:
+    """The d x d masks `np.triu` keeps by, from the diagonal and from above
+    it, as read-only views: built once, where each `np.triu` builds its own."""
+    return tuple(np.broadcast_to(~np.tri(d, k=k, dtype=bool), (d, d)) for k in (-1, 0))
 
 
 def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int) -> list:
@@ -499,7 +496,8 @@ def _subspace_limit(seq: MatrixSequence, bases: np.ndarray, rank: int) -> list:
     for c, limits in found.items():
         fams, idx = list(limits), np.asarray(c)
         family = bases if len(fams) == f else bases.take(fams, 0)
-        got = _extrapolate_projector(family.take(idx, 1), seq.tail_start + 1.0 + idx, rank)
+        members = family if len(idx) == m else family.take(idx, 1)
+        got = _extrapolate_projector(members, seq.tail_start + 1.0 + idx, rank)
         limits.update((i, (idx, basis)) for i, basis in zip(fams, got))
     out = []
     for i, clusters in enumerate(partitions):
@@ -536,7 +534,8 @@ def _restricted_norms(seq: MatrixSequence, rel: np.ndarray, bases: np.ndarray) -
     subnormal s^2 decides nothing."""
     if bases.shape[3] == 0:
         return [0.0] * len(bases)
-    x = seq.tail.take(rel, 0) @ bases.take(rel, 1)
+    whole = len(rel) == len(seq.tail)  # no copies for a limit of the whole tail
+    x = seq.tail @ bases if whole else seq.tail.take(rel, 0) @ bases.take(rel, 1)
     f = np.einsum("...ij,...ij->...", x, x)
     fams, top = np.arange(len(x)), np.argmax(f, axis=1)
     worst = np.linalg.svd(x[fams, top], compute_uv=False)[:, 0]
@@ -684,11 +683,18 @@ def as_all_oracles(seq: MatrixSequence) -> dict[str, ASResult]:
 
 
 def _with_agreement(results: dict) -> dict[str, ASResult]:
-    """The detector ``results`` with the agreement table cross-filled."""
-    pairs = [(a, b) for a in results for b in results if b != a]
-    dists = iter(_pair_distances([(results[a].subspace.basis, results[b].subspace.basis)
-                                  for a, b in pairs]))
-    return {a: replace(res, oracle_agreement={b: next(dists) for b in results if b != a})
+    """The detector ``results`` with the agreement table cross-filled, by
+    `grassmann_distance`'s conventions: pi/2 between unequal ranks, 0.0
+    between rank-0 bases.  The pairs of a nonzero rank (of three results,
+    at most one rank has pairs) share one `_sine_distances` call."""
+    bases = {name: res.subspace.basis for name, res in results.items()}
+    dists = {(a, b): 0.0 if bases[a].shape == bases[b].shape else np.pi / 2
+             for a in results for b in results if b != a}
+    same = [p for p, dist in dists.items() if dist == 0.0 and bases[p[0]].size]
+    if same:
+        firsts, seconds = (np.stack([bases[p[k]] for p in same]) for k in (0, 1))
+        dists.update(zip(same, _sine_distances(firsts, seconds).tolist()))
+    return {a: replace(res, oracle_agreement={b: dists[a, b] for b in results if b != a})
             for a, res in results.items()}
 
 
@@ -890,7 +896,7 @@ def _min_image_on_cap(a: np.ndarray, v: np.ndarray, r: float) -> float:
 def _grams(terms: np.ndarray) -> np.ndarray:
     """Stacked A^T A; entries past about 1e154 overflow it, which raises."""
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = np.swapaxes(terms, 1, 2) @ terms
+        grams = np.ascontiguousarray(np.swapaxes(terms, 1, 2)) @ terms  # gemm: syrk is slower
     if not np.isfinite(grams).all():
         raise NumericalError("a term's Gram matrix A^T A overflows the floating-point range")
     return grams

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lorentzdyn import QuadraticForm, boost, kak, lorentz_kak, norm_growth, spatial_rotation
-from lorentzdyn.cartan import _random_rotation, random_lorentz, standardizing_congruence
+from lorentzdyn.cartan import (_random_rotation, kak_stack, random_lorentz,
+                               standardizing_congruence)
 from lorentzdyn.errors import (DimensionError, NotIsometryError, PatternMismatchError,
                                SingularMatrixError)
 
@@ -67,6 +68,50 @@ class TestKak:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             kak(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def _take_along_axis_kak(terms):
+    """Reference: the stacked assembly by `take_along_axis` and boolean-mask
+    flips that `kak_stack` replaced, on the same batched SVD."""
+    u, s, vt = np.linalg.svd(terms)
+    order = np.argsort(s, axis=-1)
+    L = np.take_along_axis(u, order[:, None, :], axis=2)
+    D = np.take_along_axis(s, order, axis=1)
+    R = np.take_along_axis(vt, order[:, :, None], axis=1)
+    flip = np.linalg.det(L) < 0
+    L[flip, :, -1] = -L[flip, :, -1]
+    R[flip, -1, :] = -R[flip, -1, :]
+    return L, D, R
+
+
+class TestKakStack:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_equals_take_along_axis_assembly(self, d, ties):
+        # bit for bit, signed zeros included: tied stacks hold identities,
+        # scaled identities, det < 0 terms and Lorentz terms whose middle
+        # singular values are 1 exactly (boosts, and rotations fixing e_0)
+        rng = np.random.default_rng(60 + d)
+        flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
+        terms = [rng.normal(size=(d, d)) + np.diag(rng.uniform(1, 3, d)) for _ in range(12)]
+        terms += [flip @ t for t in terms[:6]]
+        if ties:
+            rot = spatial_rotation(d, _random_rotation(d - 1, rng))
+            terms += [np.eye(d), 2.0 * np.eye(d), flip, boost(d, 0.7), boost(d, -1.3) @ rot,
+                      rot, flip @ boost(d, 2.0), np.diag(np.r_[3.0, np.ones(d - 2), 1 / 3.0])]
+        terms = np.array(terms)
+        if ties:
+            s = np.linalg.svd(terms, compute_uv=False)
+            assert np.any(s[:, 1:] == s[:, :-1])
+        got = kak_stack(terms)
+        for a, b in zip((got.L, got.D, got.R), _take_along_axis_kak(terms)):
+            assert a.shape == b.shape
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+        assert np.all(np.linalg.det(got.L) > 0)
+        for i, t in enumerate(terms):  # one term at a time, as `kak` takes it
+            one = kak(t)
+            for a, b in zip((one.L, one.D, one.R), (got.L[i], got.D[i], got.R[i])):
+                assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 class TestNormGrowth:

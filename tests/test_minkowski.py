@@ -16,6 +16,7 @@ from lorentzdyn import (
 )
 from lorentzdyn.errors import DegenerateFormError, NotIsotropicError
 from lorentzdyn.minkowski import (
+    _dots,
     canonical_ray,
     degenerate_kernel,
     project_to_cone,
@@ -402,6 +403,38 @@ class TestRays:
     def test_project_far_vector_rejected(self, mink3):
         with pytest.raises(NotIsotropicError):
             project_to_cone(mink3, [1.0, 0.0, 0.0])
+
+
+def _per_row_dots(a, b):
+    """Reference: `a @ b` on each broadcast pair of 1-D rows."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        out[idx] = a[idx] @ b[idx]
+    return out
+
+
+class TestDots:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 9, 36])
+    def test_equals_per_row_matmul(self, d):
+        # bit for bit on the shapes the callers pass: 1-D rows, stacks, a
+        # stack against one row, all pairs by broadcasting, raveled d x d
+        # blocks, reversed and strided views, and rows that overflow
+        rng = np.random.default_rng(20 + d)
+        a = rng.normal(size=(30, d)) * 10.0 ** rng.uniform(-8, 8, size=(30, 1))
+        b = rng.normal(size=(30, d))
+        c = rng.normal(size=(4, 30, d))
+        big = np.full((3, d), 1e200)
+        big[1, 0] = np.inf
+        cases = [(a[0], b[0]), (a, a), (a, b), (a, b[3]), (a[:, None], a[None]),
+                 (c, b), (c.reshape(4, -1, 3 * d), c.reshape(4, -1, 3 * d)[:, ::-1]),
+                 (a[::-1], b), (a[:, ::-1], b[:, ::-1]), (c[:, ::-2], a[::2]),
+                 (np.asfortranarray(a), b), (a[:0], b[:0]), (big, big)]
+        for x, y in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _dots(x, y), _per_row_dots(x, y)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_boost_norms_diverge():

@@ -810,6 +810,36 @@ class TestStackedAgainstLoops:
                 want, want_gap = _loop_merge_close_clusters(mink3, cl, angle)
                 assert _cluster_bits(got) == _cluster_bits(want) and gap == want_gap
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_merge_chains_equal_pair_loop(self, d, monkeypatch):
+        # clusters on the cone of diag(-1, 1, ..., 1) jittered around a few
+        # centres, with tied weights: merges chain, and a merged centroid
+        # can re-sort among the survivors; every gap is computed once
+        form = QuadraticForm.minkowski(d)
+        rng = np.random.default_rng(70 + d)
+        centres = rng.normal(size=(5, d - 1))
+        calls = []
+        gaps = projective._centroid_gaps
+        monkeypatch.setattr(projective, "_centroid_gaps",
+                            lambda cl: calls.append(len(cl)) or gaps(cl))
+        merged = 0
+        for trial in range(6):
+            space = centres[rng.integers(0, 5, size=24)] + 0.04 * rng.normal(size=(24, d - 1))
+            space /= np.linalg.norm(space, axis=1, keepdims=True)
+            rays = canonical_rays(np.column_stack([np.ones(24), space]))
+            clusters = [RayCluster(centroid=BoundaryPoint(ray=r), weight=int(w),
+                                   angular_radius=0.001 * w)
+                        for r, w in zip(rays, rng.integers(1, 4, size=24))]
+            for degrees in (0.5, 2.0, 5.0, 12.0):
+                angle = np.deg2rad(degrees)
+                calls.clear()
+                got, gap = _merge_close_clusters(form, clusters, angle)
+                want, want_gap = _loop_merge_close_clusters(form, clusters, angle)
+                assert _cluster_bits(got) == _cluster_bits(want) and gap == want_gap
+                assert calls == [24]
+                merged = max(merged, 24 - len(got))
+        assert merged >= 10
+
     def test_merge_of_antipodal_representatives(self, split3):
         # e3 and (-t^2, t, 1) are isotropic for x1 x3 + x2^2 and 0.01 rad apart,
         # but their canonical representatives point away from each other

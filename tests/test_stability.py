@@ -1772,3 +1772,63 @@ class TestStackedSubspaceLimits:
         kak_first = _outcome(lambda: as_subspace_kak(seq))
         assert kak_first == singles[0]
         assert _outcome(lambda: as_all_oracles(seq)) == want
+
+
+class TestSmallStackProducts:
+    """The stacked products around the tiny-matrix kernels against the
+    per-matrix products they batch, bit for bit.  numpy sends a product to
+    BLAS or to its own loop by the operands' layout, so each is checked on
+    the layouts the callers pass."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_grams_equal_per_matrix_products(self, d):
+        seq = _awkward_sequence(d, 130 + d)
+        for terms in (seq.tail, seq.terms[::-1], 1e-150 * seq.tail, 1e100 * seq.tail):
+            want = np.array([t.T @ t for t in terms])
+            assert stability._grams(terms).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_linked_residuals_equal_per_pair_products(self, k, monkeypatch):
+        # leading columns of stacked frames, as `_cluster_by_linkage` passes
+        # them, consecutive members and one member against the rest
+        rng = np.random.default_rng(140 + k)
+        d = k + 2
+        frames = np.array([[_orth(rng.normal(size=(d, d))) for _ in range(9)] for _ in range(2)])
+        bases = frames[..., :k]
+        seen = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum",
+                            lambda spec, x, *rest: seen.append(x) or einsum(spec, x, *rest))
+        for a, b in ((bases[:, :-1], bases[:, 1:]), (bases[1, 0], bases[1, 1:])):
+            seen.clear()
+            stability._linked(a, b)
+            a, b = np.broadcast_arrays(a, b)
+            want = np.array([bi - ai @ (ai.T @ bi) for ai, bi in zip(a.reshape(-1, d, k),
+                                                                     b.reshape(-1, d, k))])
+            assert seen[0].tobytes() == want.reshape(seen[0].shape).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_projector_stack_equals_per_member_products(self, d, monkeypatch):
+        # the fitted projectors are each member's b b^T, whether the members
+        # come as a view of the whole tail or as a copy of some of them, and
+        # the limits are the same bits either way
+        rng = np.random.default_rng(150 + d)
+        seen = []
+        fit = stability._fit_at_zero
+        monkeypatch.setattr(stability, "_fit_at_zero",
+                            lambda labels, projs, deg: seen.append(projs) or fit(labels, projs, deg))
+        for name, labels, frames in _family_scenarios(d, rng):
+            stacked = np.stack([frames, frames[:, ::-1]])  # two families, d x d frames
+            for rank in range(1, d):
+                view = stacked[..., :rank]
+                seen.clear()
+                got = stability._extrapolate_projector(view, labels, rank)
+                copied = stability._extrapolate_projector(np.ascontiguousarray(view), labels, rank)
+                for a, b in zip(got, copied):
+                    assert a.tobytes() == b.tobytes(), (name, rank)
+                want = np.array([[m @ m.T for m in family] for family in view])
+                for projs in seen:  # the families that took the fit
+                    assert any(projs.tobytes() == want[fams].tobytes()
+                               for fams in ([0, 1], [0], [1])), (name, rank)
+                if name == "1/n":
+                    assert [len(projs) for projs in seen] == [2, 2]
