@@ -166,6 +166,9 @@ def ray_multiplier(a, ray: BoundaryPoint) -> float:
     """|c| where A ray = c ray; errors if the ray is not preserved."""
     m = np.asarray(a, dtype=float)
     img = m @ ray.ray
+    if not np.all(np.isfinite(img)) or not np.any(img):
+        raise PreconditionError(
+            "cocycle undefined: word maps the chosen ray to zero or to a non-finite vector")
     if ray_angle(img, ray.ray) > 1e-6:
         raise PreconditionError(
             "cocycle undefined: word does not preserve the chosen ray"

@@ -519,6 +519,9 @@ def rational_ray_diagnostic(ray):
     """Denominator-bounded rational approximation of a ray, as a diagnostic
     only (rationality of limit data is an open matter, never asserted)."""
     v = np.asarray(ray.ray if isinstance(ray, BoundaryPoint) else ray, float)
+    if not np.all(np.isfinite(v)) or not np.any(v):
+        raise PreconditionError("a ray must be a finite nonzero vector (the zero vector has no "
+                                "direction)")
     pivot = v[np.argmax(np.abs(v))]
     fracs = [Fraction(float(x / pivot)).limit_denominator(50) for x in v]
     approx = np.array([float(f) for f in fracs])

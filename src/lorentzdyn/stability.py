@@ -180,6 +180,8 @@ class MatrixSequence:
         m = np.asarray(a, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"powers need a square matrix, got shape {m.shape}")
+        if count < 1:
+            raise PreconditionError(f"powers need a count of at least 1, got {count}")
         terms = []
         acc = m
         for _ in range(count):

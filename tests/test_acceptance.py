@@ -15,7 +15,6 @@ from lorentzdyn import (
     BoundaryPoint,
     CardinalityClass,
     HyperbolicPoint,
-    MatrixSequence,
     QuadraticForm,
     RationalLorentzForm,
     Subspace,
@@ -31,8 +30,6 @@ from lorentzdyn import (
     brute_force_as,
     cocycle,
     entropy_dichotomy,
-    evaluate,
-    fixed_isotropic_directions,
     grassmann_distance,
     hopf_return_cocycle,
     HopfModel,
@@ -48,7 +45,6 @@ from lorentzdyn import (
     plus_minus_identity_check,
     rp1_distance,
     spas_subspace,
-    spatial_rotation,
     split_boost,
     split_form_3d,
     split_unipotent,
@@ -58,21 +54,10 @@ from lorentzdyn.cli import main
 from lorentzdyn.models import INFINITY, diagonal_action, second_factor_action_matrix
 from lorentzdyn.projective import ray_angle, sphere_points
 
-from .conftest import (
-    INTEGER_MINK3,
-    INTEGER_SPLIT3,
-    chaos_sequence,
-    fundamental_sequence,
-    fundamental_term,
-    hyperbolic_322,
-    hyperboloid_point,
-    integer_unipotent,
-    random_divergent_sequence,
-)
-
-E12 = Subspace.spanned_by([1, 0, 0], [0, 1, 0])
-E1 = Subspace.spanned_by([1, 0, 0])
-MU = 3.0 + 2.0 * np.sqrt(2.0)
+from .scenarios import (E1, E12, INTEGER_MINK3, INTEGER_SPLIT3, MU, boost_sequence, chaos_sequence,
+                        fundamental_sequence, fundamental_term, hyperbolic_322, hyperboloid_point,
+                        integer_unipotent, random_divergent_sequence, random_sl2, schottky_pair,
+                        shear_sequence)
 
 
 def report(n, text):
@@ -99,9 +84,7 @@ def test_criterion_01_fundamental_example():
 
 
 def test_criterion_02_planar_jordan_case():
-    seq = MatrixSequence.from_terms(
-        [np.array([[1.0, n], [0.0, 1.0]]) for n in range(1, 41)])
-    res = as_subspace_kak(seq)
+    res = as_subspace_kak(shear_sequence(40))
     err = res.subspace.distance(Subspace.spanned_by([1, 0]))
     assert err < 1e-6
     report(2, f"planar shear sequence reduces to the first axis "
@@ -183,7 +166,7 @@ def test_criterion_05_kak_pattern():
 
 def test_criterion_06_north_south_certificate():
     form = QuadraticForm.minkowski(3)
-    seq = MatrixSequence.from_terms([boost(3, 0.5 * n) for n in range(1, 25)])
+    seq = boost_sequence(3, 0.5, 24)
     u_angle = v_angle = np.deg2rad(5.0)
     n_star = north_south_certificate(form, seq, u_angle, v_angle, grid=2000)
     assert 0 <= n_star < len(seq)
@@ -207,8 +190,7 @@ def test_criterion_07_limit_set_cardinalities():
     split3 = split_form_3d()
     s_mink = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
     s_split = HyperbolicPoint(v=np.array([1.0, 0.0, -1.0]), form=split3)
-    rot = spatial_rotation(3, np.array([[0.0, -1.0], [1.0, 0.0]]))
-    schottky = [boost(3, 1.2), rot @ boost(3, 1.2) @ np.linalg.inv(rot)]
+    schottky = list(schottky_pair())
     for seed in (0, 1, 2):
         est = limit_set(mink3, [boost(3, 1.2)], depth=8, samples=2000,
                         s=s_mink, seed=seed)
@@ -225,7 +207,7 @@ def test_criterion_07_limit_set_cardinalities():
 
 def test_criterion_08_section_independence():
     mink3 = QuadraticForm.minkowski(3)
-    seq = MatrixSequence.from_terms([boost(3, 0.5 * n) for n in range(1, 29)])
+    seq = boost_sequence(3, 0.5, 28)
     rng = np.random.default_rng(7)
     limits = [hyperbolic_orbit_limit(mink3, seq, hyperboloid_point(mink3, rng))
               for _ in range(10)]
@@ -305,20 +287,13 @@ def test_criterion_12_ads_suite():
     rng = np.random.default_rng(123)
     gram = ads_form().gram
 
-    def rand_sl2():
-        m = rng.normal(size=(2, 2))
-        m /= np.sqrt(abs(np.linalg.det(m)))
-        if np.linalg.det(m) < 0:
-            m = m @ np.diag([1.0, -1.0])
-        return m
-
     # total isotropy and diagonal invariance
     for alpha in (0.0, 1.0, -3.7, 0.2, INFINITY):
         p = ads_plane_family(alpha)
         scale = max(1.0, np.max(np.abs(p.basis)) ** 2)
         assert np.max(np.abs(p.basis.T @ gram @ p.basis)) < 1e-10 * scale
     for _ in range(50):
-        m = diagonal_action(rand_sl2())
+        m = diagonal_action(random_sl2(rng))
         alpha = float(rng.normal() * 2)
         p = ads_plane_family(alpha)
         assert grassmann_distance(np.linalg.qr(m @ p.basis)[0],
@@ -337,19 +312,19 @@ def test_criterion_12_ads_suite():
             p2 = other_circle
         assert ads_pair_orbit(p1, p2) == expected
         for _ in range(100):
-            g_elt = diagonal_action(rand_sl2()) @ second_factor_action_matrix(rand_sl2())
+            g_elt = diagonal_action(random_sl2(rng)) @ second_factor_action_matrix(random_sl2(rng))
             t1 = IsotropicPlane2(basis=g_elt @ p1.basis)
             t2 = IsotropicPlane2(basis=g_elt @ p2.basis)
             assert ads_pair_orbit(t1, t2) == expected, idx
     # circle action matches the Mobius action and composes contravariantly
     j = np.diag([1.0, -1.0])
     for _ in range(50):
-        h = rand_sl2()
+        h = random_sl2(rng)
         alpha = float(rng.normal() * 2)
         geo = ads_second_factor_action(h, alpha)
         assert rp1_distance(geo, mobius_rp1(j @ h @ j, alpha)) < 1e-8
     for _ in range(20):
-        h1, h2 = rand_sl2(), rand_sl2()
+        h1, h2 = random_sl2(rng), random_sl2(rng)
         alpha = float(rng.normal())
         chained = ads_second_factor_action(h2, ads_second_factor_action(h1, alpha))
         assert rp1_distance(chained, ads_second_factor_action(h2 @ h1, alpha)) < 1e-8

@@ -88,9 +88,9 @@ class TestKakStack:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
     def test_equals_take_along_axis_assembly(self, d, ties):
-        # bit for bit, signed zeros included: tied stacks hold identities,
-        # scaled identities, det < 0 terms and Lorentz terms whose middle
-        # singular values are 1 exactly (boosts, and rotations fixing e_0)
+        """Bitwise pin: the take-along-axis assembly, signed zeros included: tied
+        stacks hold identities, scaled identities, det < 0 terms and Lorentz terms
+        whose middle singular values are 1 exactly (boosts, and rotations fixing e_0)."""
         rng = np.random.default_rng(60 + d)
         flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
         terms = [rng.normal(size=(d, d)) + np.diag(rng.uniform(1, 3, d)) for _ in range(12)]

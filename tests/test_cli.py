@@ -15,8 +15,9 @@ from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import build_parser, main
 from lorentzdyn.projective import WORD_BUDGET
 
-from .conftest import (INTEGER_MINK3, alternating_boost_sequence, barning_power,
-                       fundamental_sequence, hyperbolic_322, scattered_sequence)
+from .scenarios import (INTEGER_MINK3, PARABOLIC_4, alternating_boost_sequence, barning_power,
+                        boost_terms, chaos_terms, conjugated_boost_terms, fundamental_sequence,
+                        hyperbolic_322, scattered_sequence)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -220,8 +221,7 @@ class TestAsCommand:
         assert captured.out == ""
 
     def test_chaos_with_form_reports_lightlike(self, files, tmp_path):
-        from lorentzdyn import split_boost, split_unipotent
-        terms = [(split_boost(n) @ split_unipotent(n)).tolist() for n in range(1, 41)]
+        terms = chaos_terms(40).tolist()
         p = tmp_path / "chaos_seq.json"
         p.write_text(json.dumps({"d": 3, "terms": terms}))
         rc, text = run_to_file(
@@ -323,7 +323,7 @@ class TestAsFormContract:
         # the paper's central case, Lorentz-conjugated boosts k B(0.12 i) k^-1:
         # whatever the clauses find, they come back as the library's report
         k = random_lorentz(3, np.random.default_rng(0))
-        terms = [(k @ boost(3, 0.12 * i) @ np.linalg.inv(k)).tolist() for i in range(1, 41)]
+        terms = conjugated_boost_terms(k, 0.12, 40).tolist()
         path = tmp_path / "conjugated.json"
         path.write_text(json.dumps({"d": 3, "terms": terms}))
         out = tmp_path / "o.json"
@@ -336,7 +336,7 @@ class TestAsFormContract:
 
     def test_non_lorentz_form_is_refused_as_kak_refuses_it(self, tmp_path, capsys):
         # boosts of the (e0, e2) plane preserve diag(-1, -1, 1, 1), signature (2, 2)
-        terms = [boost(4, 0.5 * i, axis=2).tolist() for i in range(1, 17)]
+        terms = boost_terms(4, 0.5, 16, axis=2).tolist()
         for name, obj in (("g.json", np.diag([-1.0, -1, 1, 1]).tolist()),
                           ("seq.json", {"d": 4, "terms": terms}), ("a.json", terms[0])):
             (tmp_path / name).write_text(json.dumps(obj))
@@ -707,8 +707,8 @@ class TestEntropyCommand:
 
     def test_parabolic_report(self, tmp_path, capsys):
         # parabolic: eig moves its triple eigenvalue 1 off the unit circle
-        a = [[-1, -1, 0, 1], [-1, 0, 1, 1], [0, -1, 1, 1], [-1, -1, 1, 2]]
-        for name, m in (("a.json", a), ("g.json", np.diag([1, 1, 1, -1]).tolist())):
+        gram = np.diag([1, 1, 1, -1]).tolist()
+        for name, m in (("a.json", PARABOLIC_4.tolist()), ("g.json", gram)):
             (tmp_path / name).write_text(json.dumps(m))
         assert main(["entropy", str(tmp_path / "a.json"), "--gram", str(tmp_path / "g.json")]) == 0
         out = capsys.readouterr().out

@@ -22,19 +22,8 @@ from lorentzdyn.errors import (
 )
 from lorentzdyn.stability import as_subspace_kak
 
-from .conftest import (
-    INTEGER_MINK3,
-    INTEGER_SPLIT3,
-    barning_power,
-    hyperbolic_322,
-    integer_unipotent,
-    torus_sweep,
-)
-
-MU = 3.0 + 2.0 * np.sqrt(2.0)
-# a parabolic element of O(diag(1, 1, 1, -1), Z): eigenvalue -1 and a 3 x 3
-# Jordan block at 1, whose eigenvalues eig moves off the unit circle by 8e-6
-PARABOLIC_4 = np.array([[-1, -1, 0, 1], [-1, 0, 1, 1], [0, -1, 1, 1], [-1, -1, 1, 2]])
+from .scenarios import (MU, PARABOLIC_4, barning_power, hyperbolic_322, integer_unipotent,
+                        torus_sweep)
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,12 +18,13 @@ from lorentzdyn import (ASResult, BoundaryPoint, HyperbolicPoint, MatrixSequence
                         north_south_certificate, orthogonal_complement, split_boost)
 from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import main
+from lorentzdyn.cocycles import ray_multiplier
 from lorentzdyn.errors import (ConvergenceError, DegenerateFormError, DimensionError,
                                NumericalError, PreconditionError)
 from lorentzdyn.minkowski import degenerate_kernel
-from lorentzdyn.models import IsotropicPlane2, plus_minus_identity_check
+from lorentzdyn.models import IsotropicPlane2, plus_minus_identity_check, rational_ray_diagnostic
 
-from .conftest import INTEGER_MINK3, alternating_boost_sequence, boost_sequence
+from .scenarios import INTEGER_MINK3, alternating_boost_sequence, boost_sequence
 
 
 def _write(tmp_path, name, obj) -> str:
@@ -124,6 +125,27 @@ def test_mismatched_shapes_are_refused_at_entry(mink3, call, match):
     ray = BoundaryPoint(ray=np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
     with pytest.raises(DimensionError, match=match):
         call(mink3, point, ray)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: MatrixSequence.from_powers(np.eye(2), 0), "count of at least 1, got 0"),
+    (lambda: MatrixSequence.from_powers(np.eye(2), -1), "count of at least 1, got -1"),
+    (lambda: rational_ray_diagnostic(np.zeros(3)), "the zero vector has no direction"),
+], ids=["from-powers-0", "from-powers-negative", "rational-zero-ray"])
+def test_empty_input_is_refused_by_name(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("word", [np.zeros((3, 3)), np.diag([0.0, 0.0, 1.0])],
+                         ids=["zero", "diag-0-0-1"])
+def test_a_word_that_kills_the_ray_is_refused(word):
+    # refused before the angle is formed: a NaN angle used to pass the
+    # preservation test, and the multiplier came back as 0 (log: -inf)
+    ray = BoundaryPoint(ray=np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    for call in (lambda: ray_multiplier(word, ray), lambda: big_lambda([word], 1.0, ray)):
+        with pytest.raises(PreconditionError, match="maps the chosen ray to zero"):
+            call()
 
 
 def test_plus_minus_identity_check_needs_three_rays():

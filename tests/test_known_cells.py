@@ -12,21 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorentzdyn import (GroupClass, HyperbolicPoint, MatrixSequence, QuadraticForm, Subspace,
-                        as_subspace_ellipsoid, as_subspace_graph, as_subspace_kak, boost,
-                        classify_elementary, is_divergent, limit_set, lorentz_as_check,
-                        spas_subspace)
+from lorentzdyn import (GroupClass, HyperbolicPoint, MatrixSequence, QuadraticForm,
+                        as_subspace_ellipsoid, as_subspace_graph, classify_elementary,
+                        is_divergent, limit_set, lorentz_as_check, spas_subspace)
 from lorentzdyn.cartan import _random_rotation, random_lorentz
 from lorentzdyn.errors import (ConvergenceError, EquicontinuousError, InsufficientDataError,
                                PreconditionError)
-from lorentzdyn.minkowski import orthogonal_complement
-from lorentzdyn.models import diagonal_action, second_factor_action_matrix
 from lorentzdyn.stability import AGREEMENT_TOL
 
-from .conftest import fundamental_term, random_divergent_sequence
+from .scenarios import (ANALYSES, DETECTORS, E1, E12, ads_pair, boosts_with_identity,
+                        conjugated_boost_terms, fundamental_term, fundamental_terms, jordan_powers,
+                        lorentz_answer, random_divergent_sequence, rotated_diagonal, rotated_terms,
+                        shear_term)
 
 GOLDEN = Path(__file__).parent / "golden"
-DETECTORS = [as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph]
 
 
 def _detector_id(f):
@@ -40,26 +39,21 @@ def _detector_id(f):
 SCALES = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]
 
 
-def _scaled_j3(c: float) -> MatrixSequence:
-    j3 = np.eye(3) + np.diag(np.ones(2), 1)
-    return MatrixSequence.from_terms([c * np.linalg.matrix_power(j3, n) for n in range(1, 41)])
-
-
 class TestScaledJordanCells:
     @pytest.mark.parametrize("c", SCALES)
     @pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
     def test_stable_plane(self, detector, c):
-        res = detector(_scaled_j3(c))
-        assert res.converged and res.subspace.distance(Subspace(basis=np.eye(3)[:, :2])) < 1e-4
+        res = detector(jordan_powers(3, 40, c))
+        assert res.converged and res.subspace.distance(E12) < 1e-4
 
     def test_spas_unit_scale(self):
-        res = spas_subspace(_scaled_j3(1.0))
-        assert res.converged and res.subspace.distance(Subspace.spanned_by([1, 0, 0])) < 1e-4
+        res = spas_subspace(jordan_powers(3, 40))
+        assert res.converged and res.subspace.distance(E1) < 1e-4
 
     @pytest.mark.parametrize("c", [c for c in SCALES if c != 1.0])
     def test_spas_line(self, c):
-        res = spas_subspace(_scaled_j3(c))
-        assert res.converged and res.subspace.distance(Subspace.spanned_by([1, 0, 0])) < 1e-4
+        res = spas_subspace(jordan_powers(3, 40, c))
+        assert res.converged and res.subspace.distance(E1) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +67,12 @@ _LORENTZ_REASON = (
     "stable-hyperplane-not-lightlike or spas-not-isotropic")
 
 
+def _lorentz_k(d: int, seed) -> np.ndarray:
+    return np.eye(d) if seed is None else random_lorentz(d, np.random.default_rng(seed))
+
+
 def _conjugated_boosts(d: int, seed, step: float, count: int) -> MatrixSequence:
-    k = np.eye(d) if seed is None else random_lorentz(d, np.random.default_rng(seed))
-    k_inv = np.linalg.inv(k)
-    return MatrixSequence.from_terms([k @ boost(d, step * i) @ k_inv
-                                      for i in range(1, count + 1)])
+    return MatrixSequence.from_terms(conjugated_boost_terms(_lorentz_k(d, seed), step, count))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -108,8 +103,7 @@ def test_conjugated_boosts_in_the_band(step, count, d, seed):
     form = QuadraticForm.minkowski(d)
     rep = lorentz_as_check(form, _conjugated_boosts(d, seed, step, count))
     assert rep.passed, rep.failures
-    k = random_lorentz(d, np.random.default_rng(seed))
-    stable = orthogonal_complement(form, Subspace.spanned_by(k @ (np.eye(d)[0] - np.eye(d)[1])))
+    stable, _ = lorentz_answer(form, _lorentz_k(d, seed) @ (np.eye(d)[0] - np.eye(d)[1]))
     assert rep.stable.subspace.distance(stable) <= AGREEMENT_TOL
 
 
@@ -151,14 +145,14 @@ def _dip_marks(index, factor):
 def test_dipped_fundamental_example(detector, index, factor):
     """The stable plane span(e1, e2), or a refusal of the rank; a refusal as
     equicontinuous calls this divergent sequence bounded, which is wrong."""
-    seq = _dipped(np.array([fundamental_term(n) for n in range(1, 41)]), index, factor)
+    seq = _dipped(fundamental_terms(40), index, factor)
     try:
         res = detector(seq)
     except EquicontinuousError as exc:
         raise AssertionError(f"divergent sequence refused: {exc}") from exc
     except (InsufficientDataError, ConvergenceError):
         return  # refused: allowed
-    assert res.converged and res.subspace.distance(Subspace(basis=np.eye(3)[:, :2])) < 1e-4
+    assert res.converged and res.subspace.distance(E12) < 1e-4
 
 
 def _dip_bounded(factor):
@@ -190,44 +184,20 @@ def test_dipped_bounded_sequence_is_refused(detector, factor):
 # one low term must still see these (ROADMAP item 15).
 
 
-def _recurring_identity(k: int) -> MatrixSequence:
-    return MatrixSequence.from_terms([np.eye(3) if n % k == 0 else boost(3, 0.3 * n)
-                                      for n in range(1, 41)])
-
-
 @pytest.mark.parametrize("k", range(2, 14))
 def test_recurring_identity_is_not_divergent(k):
-    assert not is_divergent(_recurring_identity(k))
+    assert not is_divergent(boosts_with_identity(0.3, k, 40))
 
 
 @pytest.mark.parametrize("k", range(2, 14))
 @pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
 def test_recurring_identity_is_refused_as_equicontinuous(detector, k):
     with pytest.raises(EquicontinuousError):
-        detector(_recurring_identity(k))
+        detector(boosts_with_identity(0.3, k, 40))
 
 
 # ---------------------------------------------------------------------------
-# anti-de Sitter pairs: X -> g_n X h_n^-1 on R^2 x R^2 with
-# g_n = k1 diag(e^(tn), e^(-tn)) k1^T and h_n likewise at rate s.  The
-# singular values are e^(+-(t+s)n) and e^(+-(t-s)n), with fixed singular
-# directions, so the stable and strongly stable spaces are exact.
-
-
-def _rotation(a: float) -> np.ndarray:
-    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-
-
-def _ads_pair(t: float, s: float, count: int = 40):
-    k1, k2 = _rotation(0.3), _rotation(1.1)
-    terms = [diagonal_action(k1 @ np.diag([np.exp(t * n), np.exp(-t * n)]) @ k1.T)
-             @ second_factor_action_matrix(k2 @ np.diag([np.exp(s * n), np.exp(-s * n)]) @ k2.T)
-             for n in range(1, count + 1)]
-    w, v = np.linalg.eigh(terms[0].T @ terms[0])
-    stable = Subspace.from_spanning(v[:, w <= 1 + 1e-9])
-    strongly = Subspace.from_spanning(v[:, w < 1 - 1e-9])
-    return MatrixSequence.from_terms(terms), stable, strongly
-
+# anti-de Sitter pairs (`scenarios.ads_pair`), whose AS and SPAS are exact
 
 # At s = 0.12 and 0.10 the middle pair e^(+-(t-s)n) grows and decays with
 # envelope slopes past 1/2, but its two values are only e^(2(t-s)n) apart,
@@ -255,7 +225,7 @@ _ADS_CELLS = [
 @pytest.mark.parametrize("t, s, detector", _ADS_CELLS)
 def test_ads_pair_stable_space(t, s, detector):
     """Right, or refused where the middle pair is not yet separated."""
-    seq, stable, _ = _ads_pair(t, s)
+    seq, stable, _ = ads_pair(t, s)
     if (t, s) in _ADS_REFUSED:
         with pytest.raises(InsufficientDataError, match="not yet separated"):
             detector(seq)
@@ -267,7 +237,7 @@ def test_ads_pair_stable_space(t, s, detector):
 
 @pytest.mark.parametrize("detector", DETECTORS, ids=_detector_id)
 def test_ads_pair_separated_on_a_longer_tail(detector):
-    seq, stable, _ = _ads_pair(0.15, 0.10, 46)
+    seq, stable, _ = ads_pair(0.15, 0.10, 46)
     res = detector(seq)
     assert res.converged and res.subspace.dim == stable.dim
     assert res.subspace.distance(stable) < 1e-8
@@ -280,7 +250,7 @@ def test_ads_pair_separated_on_a_longer_tail(detector):
 ])
 def test_ads_pair_strongly_stable_space(t, s):
     """Right, or refused where the middle pair is not yet separated."""
-    seq, _, strongly = _ads_pair(t, s)
+    seq, _, strongly = ads_pair(t, s)
     if (t, s) in _ADS_REFUSED:
         with pytest.raises(InsufficientDataError, match="not yet separated"):
             spas_subspace(seq)
@@ -297,9 +267,7 @@ def test_ads_pair_strongly_stable_space(t, s):
 
 
 def test_weak_conjugated_boosts_are_refused():
-    k = random_lorentz(3, np.random.default_rng(0))
-    seq = MatrixSequence.from_terms(
-        [k @ boost(3, 0.05 * i) @ np.linalg.inv(k) for i in range(1, 17)])
+    seq = _conjugated_boosts(3, 0, 0.05, 16)
     for detector in DETECTORS + [spas_subspace]:
         with pytest.raises(PreconditionError):
             detector(seq)
@@ -323,13 +291,6 @@ _POLY_EXP_GRAPH_WRONG = {(0.7, seed) for seed in (1, 2, 4, 6, 8, 9)}
 _POLY_EXP_LINE_LOST = {(0.7, 2), (0.7, 6)}
 
 
-def _poly_under_exp(r: float, seed: int):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
-    seq = MatrixSequence.from_terms([q @ np.diag([1.0, n, np.exp(r * n)]) @ q.T
-                                     for n in range(1, 41)])
-    return seq, Subspace.spanned_by(q[:, 0])
-
-
 def _poly_exp_marks(r, seed, detector):
     if detector is as_subspace_ellipsoid and r >= 0.5:
         return pytest.mark.xfail(strict=True, raises=AssertionError, reason=_GRAM_LOSS)
@@ -344,7 +305,7 @@ def _poly_exp_marks(r, seed, detector):
                  if (r, seed) in _POLY_EXP_LINE_LOST else ())
     for r in _POLY_EXP_RATES for seed in range(10)])
 def test_poly_under_exp_detectors_agree_on_dimension(r, seed):
-    seq, _ = _poly_under_exp(r, seed)
+    seq, _ = rotated_diagonal(r, seed)
     assert [detector(seq).subspace.dim for detector in DETECTORS] == [1, 1, 1]
 
 
@@ -353,7 +314,7 @@ def test_poly_under_exp_detectors_agree_on_dimension(r, seed):
                  marks=_poly_exp_marks(r, seed, detector))
     for r in _POLY_EXP_RATES for seed in range(10) for detector in DETECTORS])
 def test_poly_under_exp_stable_line(r, seed, detector):
-    seq, line = _poly_under_exp(r, seed)
+    seq, line = rotated_diagonal(r, seed)
     res = detector(seq)
     assert res.converged and res.subspace.dim == 1
     assert res.subspace.distance(line) < AGREEMENT_TOL
@@ -391,19 +352,11 @@ def test_schottky_limit_set_at_depth_6(seed):
 # fundamental example and of the planar shear, and random SO(1, d-1)
 # sequences.
 
-ANALYSES = DETECTORS + [spas_subspace]
-
-
-def _shear_term(n: int) -> np.ndarray:
-    return np.array([[1.0, n], [0.0, 1.0]])
-
-
 def _scale_family(name: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if name in ("fundamental", "shear"):
-        term, d = (fundamental_term, 3) if name == "fundamental" else (_shear_term, 2)
-        c = _random_rotation(d, rng)
-        return np.array([c @ term(n) @ c.T for n in range(1, 41)])
+        term, d = (fundamental_term, 3) if name == "fundamental" else (shear_term, 2)
+        return rotated_terms(_random_rotation(d, rng), term, 40)
     return random_divergent_sequence(int(name[-1]), rng)[0].terms
 
 

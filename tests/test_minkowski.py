@@ -24,7 +24,7 @@ from lorentzdyn.minkowski import (
 )
 from lorentzdyn.models import ads_form
 
-from .conftest import boost_sequence
+from .scenarios import boost_sequence, boost_terms
 
 
 class TestQuadraticForm:
@@ -140,6 +140,7 @@ class TestIsometry:
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_stacked_gate_matches_per_term_loop(self, d):
+        """Bitwise pin: the stacked isometry gate against the one-matrix gate, term by term."""
         from lorentzdyn.cartan import boost, random_lorentz
         from lorentzdyn.errors import NotIsometryError
         from lorentzdyn.minkowski import require_isometry
@@ -211,10 +212,9 @@ class TestIsometry:
         yield QuadraticForm(gram=q @ np.diag([-1.0, 2.0, 7.0]) @ q.T), q
 
     def test_bound_first_gate_matches_svd_route_at_the_allowance(self):
-        # each term is moved along A(s) = A0 diag(1 + s, 1, ...) to the
-        # last s that the SVD route passes; there, and a few ulps either
-        # side, the defect sits at the allowance, where the bounds cannot
-        # decide and the verdicts must still be the SVD route's
+        """Bitwise pin: each term is moved along A(s) = A0 diag(1 + s, 1, ...) to the last s that
+        the SVD route passes; there, and a few ulps either side, the defect sits at the
+        allowance, where the bounds cannot decide and the verdicts must still be the SVD route's."""
         from lorentzdyn import boost, spatial_rotation
         verdicts = set()
         for form, q in self._gate_forms():
@@ -274,7 +274,7 @@ class TestIsometry:
             return norm(x, ord, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", spy)
-        terms = np.array([boost(3, 0.5 * k) for k in range(1, 41)])
+        terms = boost_terms(3, 0.5, 40)
         assert self._gate(mink3, terms) and self._gate(mink3, terms[7])
         assert not self._gate(mink3, terms * 1.01)
         assert not self._gate(mink3, np.zeros((3, 3)))
@@ -284,9 +284,8 @@ class TestIsometry:
         assert two_norms
 
     def test_bound_first_gate_with_an_overflowing_frobenius_norm(self):
-        # |A|_F^2 overflows while |A|_2^2 does not, so the bounds decide
-        # nothing; the defect 3e139 is over the allowance 3.4e134 of the
-        # tiny form
+        """Bitwise pin: |A|_F^2 overflows while |A|_2^2 does not, so the bounds decide nothing; the
+        defect 3e139 is over the allowance 3.4e134 of the tiny form."""
         form = QuadraticForm(gram=0.5e-160 * np.fliplr(np.eye(4)))
         a = 2.0 ** 511.7
         for last, want in ((1 / a, True), (1e146, False)):
@@ -417,9 +416,9 @@ def _per_row_dots(a, b):
 class TestDots:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 9, 36])
     def test_equals_per_row_matmul(self, d):
-        # bit for bit on the shapes the callers pass: 1-D rows, stacks, a
-        # stack against one row, all pairs by broadcasting, raveled d x d
-        # blocks, reversed and strided views, and rows that overflow
+        """Bitwise pin: per-row products on the shapes the callers pass: 1-D rows, stacks, a stack
+        against one row, all pairs by broadcasting, raveled d x d blocks, reversed and strided
+        views, and rows that overflow."""
         rng = np.random.default_rng(20 + d)
         a = rng.normal(size=(30, d)) * 10.0 ** rng.uniform(-8, 8, size=(30, 1))
         b = rng.normal(size=(30, d))

@@ -23,7 +23,6 @@ from lorentzdyn import (
     plus_minus_identity_check,
     rp1_distance,
     split_boost,
-    split_form_3d,
     split_unipotent,
 )
 from lorentzdyn import models
@@ -38,15 +37,8 @@ from lorentzdyn.models import (
 )
 from lorentzdyn.projective import ray_angle
 
-from .conftest import INTEGER_MINK3, INTEGER_SPLIT3, hyperbolic_322, torus_sweep
-
-
-def random_sl2(rng):
-    m = rng.normal(size=(2, 2))
-    m /= np.sqrt(abs(np.linalg.det(m)))
-    if np.linalg.det(m) < 0:
-        m = m @ np.diag([1.0, -1.0])
-    return m
+from .scenarios import (INTEGER_MINK3, INTEGER_SPLIT3, hyperbolic_322, integer_unipotent,
+                        random_sl2, torus_sweep)
 
 
 class TestIntegerEnumeration:
@@ -96,7 +88,6 @@ class TestIntegerEnumeration:
     def test_split_integer_form(self, int_split3):
         elems = integer_isometries(int_split3, 2)
         keys = {a.tobytes() for a in elems}
-        from .conftest import integer_unipotent
         assert integer_unipotent().tobytes() in keys
 
     @pytest.mark.parametrize("gram", [INTEGER_MINK3, INTEGER_SPLIT3], ids=["mink3", "split3"])
@@ -231,6 +222,7 @@ class TestFixedDirections:
         (np.diag([1, 1, 1, -1]), 2),
     ], ids=["mink3-h2", "split3-h2", "mink4-h1", "mink4-h2"])
     def test_equals_per_element_reference_bitwise(self, gram, height):
+        """Bitwise pin: fixed rays against the per-element reference."""
         g = RationalLorentzForm(gram=gram)
         elems = integer_isometries(g, height)
         for a in elems:
@@ -241,9 +233,8 @@ class TestFixedDirections:
 
     @pytest.mark.parametrize("copies", [1, 40])
     def test_commuting_elements_equal_reference_bitwise(self, int_mink3, copies):
-        # powers of one hyperbolic element share its two rays: they stay
-        # fixed through every block of elements, and each reappears among
-        # the candidates of every element
+        """Bitwise pin: powers of one hyperbolic element share its two rays: they stay fixed through
+        every block of elements, and each reappears among the candidates of every element."""
         h = hyperbolic_322()
         h_inv = INTEGER_MINK3 @ h.T @ INTEGER_MINK3
         elems = [np.linalg.matrix_power(m, k) for m in (h, h_inv) for k in (1, 2, 3)] * copies

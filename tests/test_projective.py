@@ -50,20 +50,12 @@ from lorentzdyn.projective import (
 )
 from lorentzdyn.stability import MatrixSequence, as_subspace_kak, sphere_points
 
-from .conftest import (
-    boost_sequence,
-    chaos_sequence,
-    hyperboloid_point,
-    random_divergent_sequence,
-)
+from .scenarios import (alternating_boost_sequence, boost_sequence, boosts_with_identity,
+                        chaos_sequence, conjugated_boost_terms, hyperboloid_point,
+                        random_divergent_sequence, rotated_terms, schottky_pair,
+                        split_unipotent_sequence)
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def schottky_pair():
-    b1 = boost(3, 1.2, axis=1)
-    r = spatial_rotation(3, ROT90)
-    return b1, r @ b1 @ np.linalg.inv(r)
 
 
 class TestBoundaryPoint:
@@ -140,21 +132,18 @@ class TestOrbitLimit:
     @pytest.mark.parametrize("period, count", [(2, 13), (3, 14)])
     def test_orbit_with_a_bounded_subsequence_rejected(self, mink3, period, count):
         # I every 2nd or 3rd term, the sequence ending on boosts
-        terms = [np.eye(3) if n % period == 0 else boost(3, float(n))
-                 for n in range(1, count + 1)]
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
         with pytest.raises(EquicontinuousError):
-            hyperbolic_orbit_limit(mink3, MatrixSequence.from_terms(terms), s)
+            hyperbolic_orbit_limit(mink3, boosts_with_identity(1.0, period, count), s)
 
     def test_unipotent_orbit_under_split_form(self, split3):
-        seq = MatrixSequence.from_terms([split_unipotent(n) for n in range(1, 401)])
+        seq = split_unipotent_sequence(400)
         s = HyperbolicPoint(v=np.array([1.0, 0.0, -1.0]), form=split3)
         lim = hyperbolic_orbit_limit(split3, seq, s)
         assert lim.angle_to(BoundaryPoint.from_vector(split3, [1, 0, 0])) < 5e-3
 
     def test_oscillating_orbit_reports_clusters(self, mink3):
-        terms = [boost(3, 0.5 * n, axis=1 if n % 2 else 2) for n in range(1, 25)]
-        seq = MatrixSequence.from_terms(terms)
+        seq = alternating_boost_sequence(0.5, 24, first_axis=1)
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
         with pytest.raises(ConvergenceError) as err:
             hyperbolic_orbit_limit(mink3, seq, s)
@@ -164,8 +153,7 @@ class TestOrbitLimit:
         # boosts of the (e1, e2) plane preserve diag(-1, -1, 1), signature (2, 1)
         form = QuadraticForm.from_gram(np.diag([-1.0, -1.0, 1.0]))
         cycle = np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0]])  # e0 -> e1 -> e2
-        seq = MatrixSequence.from_terms([cycle @ boost(3, 0.5 * n) @ cycle.T
-                                         for n in range(1, 25)])
+        seq = MatrixSequence.from_terms(rotated_terms(cycle, lambda n: boost(3, 0.5 * n), 24))
         s = HyperbolicPoint.from_timelike(form, [1, 0, 0])
         with pytest.raises(PatternMismatchError, match=r"signature \(2, 1\)"):
             hyperbolic_orbit_limit(form, seq, s)
@@ -287,7 +275,7 @@ class TestLimitSet:
 
         from lorentzdyn import as_subspace_kak
         from lorentzdyn.minkowski import degenerate_kernel
-        seq = MatrixSequence.from_terms([split_unipotent(n) for n in range(1, 41)])
+        seq = split_unipotent_sequence(40)
         fwd = as_subspace_kak(seq)
         bwd = as_subspace_kak(seq.inverse())
         assert fwd.subspace.distance(bwd.subspace) < 1e-5
@@ -603,6 +591,7 @@ class TestStackedAgainstLoops:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-40, 1e40])
     def test_ray_angles_match_scalar_formula_bitwise(self, scale):
+        """Bitwise pin: the stacked ray angles against the scalar formula."""
         rng = np.random.default_rng(7)
         for d in (2, 3, 4, 6):
             u = rng.standard_normal((200, d)) * scale
@@ -618,6 +607,7 @@ class TestStackedAgainstLoops:
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_limit_set_words_match_per_word_loop(self, d):
+        """Bitwise pin: limit-set traces against the per-word loop."""
         form = QuadraticForm.minkowski(d)
         s = HyperbolicPoint.from_timelike(form, np.eye(d)[0])
         cases = [([boost(d, 15.0)], 60, 50, 0, 1e3),  # a word overflows
@@ -645,6 +635,7 @@ class TestStackedAgainstLoops:
         assert outcomes.count("ok") >= 3
 
     def test_schottky_limit_set_matches_per_word_loop(self, mink3):
+        """Bitwise pin: the Schottky trace against the per-word loop."""
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
         trace = []
         est = limit_set(mink3, list(schottky_pair()), s=s, seed=4, trace=trace)
@@ -653,7 +644,7 @@ class TestStackedAgainstLoops:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_sampled_words_match_per_letter_stream(self, g):
-        # g = 1 takes the whole stream in one call, g >= 2 one call per word
+        """Bitwise pin: g = 1 takes the whole stream in one call, g >= 2 one call per word."""
         for depth in range(1, 13):
             for seed in range(3):
                 rng = np.random.default_rng(1000 * g + 10 * depth + seed)
@@ -668,7 +659,7 @@ class TestStackedAgainstLoops:
                 assert words[which].tobytes() == np.array([w for _, w in want]).tobytes()
 
     def test_hand_drawn_words_match_numpy(self):
-        # the by-hand reference reads numpy's raw stream as numpy does
+        """Bitwise pin: the by-hand reference reads numpy's raw stream as numpy does."""
         gens = [boost(3, 1.2), spatial_rotation(3, ROT90) @ boost(3, 0.7)]
         for g, depth, seed in [(1, 1, 0), (1, 9, 1), (2, 1, 2), (2, 12, 3), (2, 9, 4)]:
             raw = np.random.default_rng(seed).integers(0, 2**32, size=5000, dtype=np.uint32)
@@ -679,7 +670,7 @@ class TestStackedAgainstLoops:
                 [w for _, w in numpy_drawn]).tobytes()
 
     def test_sampled_words_drop_rejected_raw_words(self):
-        # raw word 0 is rejected under 9 values (cutoff 4) and under 3 (cutoff 1)
+        """Bitwise pin: raw word 0 is rejected under 9 values (cutoff 4) and under 3 (cutoff 1)."""
         assert 0 < (2**32 - 9) % 9 and 0 < (2**32 - 3) % 3
         gens = [boost(3, 1.2), spatial_rotation(3, ROT90) @ boost(3, 0.7)]
         tail = np.random.default_rng(7).integers(0, 2**32, size=2000, dtype=np.uint32).tolist()
@@ -705,6 +696,7 @@ class TestStackedAgainstLoops:
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_limit_set_matches_parent_loops(self, d):
+        """Bitwise pin: whole limit sets against the per-word, per-ray loops."""
         form = QuadraticForm.minkowski(d)
         s = HyperbolicPoint.from_timelike(form, np.eye(d)[0] + 0.3 * np.eye(d)[1])
         cases = [([boost(d, 1.2)], 8, 2000, 0, 1e3, 5.0),
@@ -730,6 +722,7 @@ class TestStackedAgainstLoops:
         assert sum(isinstance(o, int) and o > 2 for o in outcomes) >= 2
 
     def test_rays_match_per_ray_loops(self):
+        """Bitwise pin: canonical and cone-projected rays against the per-ray loops."""
         rng = np.random.default_rng(5)
         forms = [(QuadraticForm.minkowski(3), []), (QuadraticForm.minkowski(5), []),
                  (split_form_3d(), []),
@@ -763,6 +756,7 @@ class TestStackedAgainstLoops:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_cluster_rays_matches_greedy_loop(self, d):
+        """Bitwise pin: ray clusters against the greedy per-ray loop."""
         rng = np.random.default_rng(d)
         for trial in range(12):
             angle = np.deg2rad((5.0, 2.0, 30.0)[trial % 3])
@@ -785,8 +779,8 @@ class TestStackedAgainstLoops:
         (80.0, [70.0] * 30 + [110.0] + [60.0, 120.0] * 20),
     ], ids=["new-cluster", "sign"])
     def test_cluster_rays_block_drift_flips_a_later_ray(self, degrees, block):
-        # 32 rays at 0 degrees, then a block of rays that drags the running
-        # centroid
+        """Bitwise pin: 32 rays at 0 degrees, then a block of rays that drags the
+        running centroid."""
         t = np.deg2rad([0.0] * 32 + block)
         rays = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
         angle = np.deg2rad(degrees)
@@ -794,7 +788,7 @@ class TestStackedAgainstLoops:
             _loop_cluster_rays(rays, angle))
 
     def test_merge_ties_resolve_row_major(self, mink3):
-        # gaps (0, 1) and (0, 2) are equal bit for bit, so the first pair merges
+        """Bitwise pin: gaps (0, 1) and (0, 2) are equal bit for bit, so the first pair merges."""
         c = math.cos(np.deg2rad(3.0))
         rays = [np.array([1.0, 1.0, 0.0]), np.array([1.0, c, math.sqrt(1 - c * c)]),
                 np.array([1.0, c, -math.sqrt(1 - c * c)]), np.array([1.0, -1.0, 0.0])]
@@ -812,9 +806,9 @@ class TestStackedAgainstLoops:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_merge_chains_equal_pair_loop(self, d, monkeypatch):
-        # clusters on the cone of diag(-1, 1, ..., 1) jittered around a few
-        # centres, with tied weights: merges chain, and a merged centroid
-        # can re-sort among the survivors; every gap is computed once
+        """Bitwise pin: clusters on the cone of diag(-1, 1, ..., 1) jittered around a few centres,
+        with tied weights: merges chain, and a merged centroid can re-sort among the survivors;
+        every gap is computed once."""
         form = QuadraticForm.minkowski(d)
         rng = np.random.default_rng(70 + d)
         centres = rng.normal(size=(5, d - 1))
@@ -841,8 +835,8 @@ class TestStackedAgainstLoops:
         assert merged >= 10
 
     def test_merge_of_antipodal_representatives(self, split3):
-        # e3 and (-t^2, t, 1) are isotropic for x1 x3 + x2^2 and 0.01 rad apart,
-        # but their canonical representatives point away from each other
+        """Bitwise pin: e3 and (-t^2, t, 1) are isotropic for x1 x3 + x2^2 and 0.01 rad apart, but
+        their canonical representatives point away from each other."""
         rays = [canonical_ray([0.0, 0.0, 1.0]), canonical_ray([-1e-4, 1e-2, 1.0])]
         assert np.dot(rays[0], rays[1]) < 0
         clusters = [RayCluster(centroid=BoundaryPoint(ray=r), weight=w, angular_radius=0.0)
@@ -855,6 +849,7 @@ class TestStackedAgainstLoops:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_north_south_matches_per_term_loop(self, d):
+        """Bitwise pin: certificates against the per-point, per-term loop."""
         form = QuadraticForm.minkowski(d)
         results = []
         for seed in range(4):
@@ -920,6 +915,7 @@ class TestWordGrowthBounds:
 
     @pytest.mark.parametrize("depth", range(3, 11))
     def test_matches_all_words_svd(self, monkeypatch, depth):
+        """Bitwise pin: estimates and traces against the all-words SVD route."""
         kinds = set()
         for form, gens, base in self.groups():
             s = HyperbolicPoint(v=np.array(base), form=form)
@@ -933,6 +929,7 @@ class TestWordGrowthBounds:
         assert "ok" in kinds
 
     def test_threshold_at_a_word_growth_keeps_it(self, mink3, monkeypatch):
+        """Bitwise pin: a threshold at a word's growth, against the all-words SVD route."""
         gens = list(schottky_pair())
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
         _, words, which = _sample_words(gens, 8, 2000, np.random.default_rng(3))
@@ -973,7 +970,7 @@ class TestWordGrowthBounds:
     ])
     def test_overflowing_bounds_take_the_exact_path(self, mink3, monkeypatch, depth, threshold,
                                                     kind):
-        # the squared Frobenius norm of b^k overflows from k = 4 on
+        """Bitwise pin: the squared Frobenius norm of b^k overflows from k = 4 on."""
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
         for traced in (False, True):
             got, want = _both_routes(monkeypatch, mink3, [boost(3, 90.0)], traced=traced,
@@ -1104,6 +1101,7 @@ class TestDistinctWords:
 
     @pytest.mark.parametrize("group", [0, 1, 2], ids=["cyclic", "unipotent", "schottky"])
     def test_limit_set_matches_all_samples_pipeline(self, group):
+        """Bitwise pin: limit sets against the pipeline that builds every sample's word."""
         form, gens, base = TestWordGrowthBounds.groups()[group]
         s = HyperbolicPoint(v=np.array(base), form=form)
         kinds = set()
@@ -1121,6 +1119,7 @@ class TestDistinctWords:
         (2, 0.9 * math.exp(180.0)), (2, 1.2 * math.exp(180.0)), (4, 1e157), (4, 1e156),
         (4, 1e3), (4, np.nan), (7, 1e300), (8, 1e300)])
     def test_overflowing_words_match_all_samples_pipeline(self, mink3, depth, threshold):
+        """Bitwise pin: overflowing words against the all-samples pipeline."""
         s = HyperbolicPoint.from_timelike(mink3, [1, 0, 0])
         for traced in (False, True):
             got, want = _shared_and_all_samples(mink3, [boost(3, 90.0)], traced, depth=depth,
@@ -1129,13 +1128,12 @@ class TestDistinctWords:
             assert got == want
 
     def test_certificate_scan_matches_forward_loop(self, mink3):
-        # k B(step n) k^-1 for n = 1..24, scanned from the last term down
+        """Bitwise pin: k B(step n) k^-1 for n = 1..24, scanned from the last term down."""
         rng = np.random.default_rng(11)
         results = []
         for step in (0.3, 0.45, 0.55):
             k = random_lorentz(3, rng, max_rapidity=0.5)
-            seq = MatrixSequence.from_terms([k @ boost(3, step * n) @ np.linalg.inv(k)
-                                             for n in range(1, 25)])
+            seq = MatrixSequence.from_terms(conjugated_boost_terms(k, step, 24))
             for u, v in [(5, 5), (10, 10), (60, 60), (2, 0.5), (1, 1e-6)]:
                 args = (mink3, seq, np.deg2rad(u), np.deg2rad(v), 500)
                 want = _outcome(lambda: _loop_north_south(*args))
@@ -1175,6 +1173,7 @@ class TestCertifiedClusters:
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_duplicated_word_streams(self, monkeypatch, d):
+        """Bitwise pin: certified clusters of shuffled word streams against the greedy loop."""
         rng = np.random.default_rng(30 + d)
         paths = []
         for trial in range(40):
@@ -1191,17 +1190,17 @@ class TestCertifiedClusters:
 
     @pytest.mark.parametrize("scale", [1.0, 1.2, 1.4, 1.6, 1.8, 2.0])
     def test_rows_one_to_two_angles_from_a_leader(self, monkeypatch, scale):
-        # a leader at 0 with members up to 2 degrees off, and a row `scale`
-        # clustering angles away: certified only past angle + rho
+        """Bitwise pin: a leader at 0 with members up to 2 degrees off, and a row `scale` clustering
+        angles away: certified only past angle + rho."""
         rows = _plane_rows([0.0, 2.0, -1.0, 5.0 * scale, 5.0 * scale + 0.5])
         at = [0, 1, 0, 3, 2, 4, 1, 3, 0, 4] * 20
         certified = self.assert_greedy(monkeypatch, rows, at, np.deg2rad(5.0))
         assert certified == (5.0 * scale > 5.0 + 2.0)
 
     def test_running_centroid_captures_a_row_beyond_every_member(self, monkeypatch):
-        # two rows 5.1 degrees from e1 and 4.9 apart: their mean is about
-        # 4.5 degrees from e1, so e1 joins their cluster though it is more
-        # than 5 degrees from both; only the leader's radius rho shows it
+        """Bitwise pin: two rows 5.1 degrees from e1 and 4.9 apart: their mean is about 4.5 degrees
+        from e1, so e1 joins their cluster though it is more than 5 degrees from both; only the
+        leader's radius rho shows it."""
         theta, sep = np.deg2rad(5.1), np.deg2rad(4.9)
         phi = 0.5 * np.arccos((np.cos(sep) - np.cos(theta) ** 2) / np.sin(theta) ** 2)
         rows = np.array([[np.cos(theta), np.sin(theta) * np.cos(p), np.sin(theta) * np.sin(p)]
@@ -1214,7 +1213,7 @@ class TestCertifiedClusters:
         assert not self.assert_greedy(monkeypatch, rows, [0, 1, 2, 2, 0], angle)
 
     def test_row_within_the_angle_of_two_leaders(self, monkeypatch):
-        # the row at 4 degrees is within 5 degrees of both leaders, 0 and 7.5
+        """Bitwise pin: the row at 4 degrees is within 5 degrees of both leaders, 0 and 7.5."""
         rows = _plane_rows([0.0, 7.5, 4.0])
         for at in ([0, 1, 2] * 30, [1, 0, 2] * 30, [0, 2, 1, 2] * 30):
             assert not self.assert_greedy(monkeypatch, rows, at, np.deg2rad(5.0))
@@ -1224,15 +1223,15 @@ class TestCertifiedClusters:
         (80.0, [70.0] * 30 + [110.0] + [60.0, 120.0] * 20),
     ], ids=["new-cluster", "sign"])
     def test_block_drift_geometry_with_repeated_words(self, monkeypatch, degrees, block):
-        # `test_cluster_rays_block_drift_flips_a_later_ray`'s rays as words:
-        # a running centroid that drifts fails the certificate
+        """Bitwise pin: `test_cluster_rays_block_drift_flips_a_later_ray`'s rays as words: a running
+        centroid that drifts fails the certificate."""
         t = [0.0] * 32 + block
         distinct, at = np.unique(t, return_inverse=True)
         assert not self.assert_greedy(monkeypatch, _plane_rows(distinct), at,
                                       np.deg2rad(degrees))
 
     def test_antipodal_duplicates(self, monkeypatch):
-        # a row and its antipode as two words: one cluster, signs by the leader
+        """Bitwise pin: a row and its antipode as two words: one cluster, signs by the leader."""
         rows = _plane_rows([1.0, 181.0, 0.5, 180.2, 90.0, 270.5])
         at = [1, 0, 2, 3, 4, 5, 0, 1, 3, 5, 4, 2] * 15
         assert self.assert_greedy(monkeypatch, rows, at, np.deg2rad(5.0))
@@ -1241,7 +1240,7 @@ class TestCertifiedClusters:
         assert not self.assert_greedy(monkeypatch, rows, [0, 1, 2, 3] * 10, np.deg2rad(5.0))
 
     def test_signed_zero_entries_keep_their_bits(self, monkeypatch):
-        # each sum starts from its leader row: 0.0 + (-0.0) would drop a bit
+        """Bitwise pin: each sum starts from its leader row: 0.0 + (-0.0) would drop a bit."""
         rows = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [1.0, -0.0, 0.0],
                          [-1.0, 0.0, -0.0]])
         at = [0, 1, 2, 3, 1, 0, 3, 2, 0]
@@ -1252,8 +1251,8 @@ class TestCertifiedClusters:
 
     @pytest.mark.parametrize("angle", [0.0, -1.0, np.nan, 1e-12, 1e-7, np.inf])
     def test_degenerate_angles(self, monkeypatch, angle):
-        # with no angle to speak of, every row is one cluster, aligned with
-        # the first: certified while the rows span less than pi/2
+        """Bitwise pin: with no angle to speak of, every row is one cluster, aligned with the first:
+        certified while the rows span less than pi/2."""
         rows = _plane_rows([0.0, 1e-6, 3.0, 40.0])
         with np.errstate(invalid="ignore"):
             certified = self.assert_greedy(monkeypatch, rows, [0, 1, 2, 3, 2, 1, 0] * 5, angle)
@@ -1265,6 +1264,7 @@ class TestCertifiedClusters:
     @pytest.mark.parametrize("group, certified", [(0, True), (1, True), (2, False)],
                              ids=["cyclic", "unipotent", "schottky"])
     def test_benchmark_groups_take_their_path(self, monkeypatch, group, certified):
+        """Bitwise pin: the benchmark groups' clusters against the greedy loop, on their path."""
         form, gens, base = TestWordGrowthBounds.groups()[group]
         s = HyperbolicPoint(v=np.array(base), form=form)
         args = []
@@ -1305,6 +1305,7 @@ class TestNorthSouthBounds:
                                          np.pi / 2, 2.0],
                              ids=["0", "1e-12", "5deg", "89.9deg", "half-pi", "2"])
     def test_matches_per_term_loop(self, v_angle):
+        """Bitwise pin: the cosine-test certificate against the per-term loop."""
         results = []
         for d, seed in [(3, 0), (3, 1), (4, 2), (5, 3)]:
             form = QuadraticForm.minkowski(d)
@@ -1325,8 +1326,8 @@ class TestNorthSouthBounds:
 
     @pytest.mark.parametrize("nudge", [0, -1, 1])
     def test_image_on_the_cone_edge(self, mink3, nudge):
-        # v_angle at the smallest angle whose cos^2 holds every image under
-        # the last term (one ulp either side): that term fails just below it
+        """Bitwise pin: v_angle at the smallest angle whose cos^2 holds every image under the last
+        term (one ulp either side): that term fails just below it."""
         seq = boost_sequence(3, 0.5, 24)
         u_angle = np.deg2rad(5.0)
         edge = _edge_angle(mink3, seq, u_angle, 2000)

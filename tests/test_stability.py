@@ -22,7 +22,6 @@ from lorentzdyn import (
     spas_subspace,
     spatial_rotation,
     split_boost,
-    split_unipotent,
 )
 from lorentzdyn.errors import (
     ConvergenceError,
@@ -39,15 +38,11 @@ from lorentzdyn import cli, stability
 from lorentzdyn.minkowski import grassmann_distance, orthogonal_complement
 from lorentzdyn.stability import AGREEMENT_TOL, CLUSTER_LINK, brute_force_score
 
-from .conftest import (
-    alternating_boost_sequence,
-    boost_sequence,
-    chaos_sequence,
-    fundamental_sequence,
-    fundamental_term,
-    random_divergent_sequence,
-    scattered_sequence,
-)
+from .scenarios import (ANALYSES, DETECTORS, E1, E12, alternating_boost_sequence, boost_sequence,
+                        boosts_with_identity, chaos_sequence, conjugated_boost_terms,
+                        fundamental_sequence, fundamental_term, jordan_answer, jordan_powers, orth,
+                        random_divergent_sequence, rotated_diagonal, rotated_terms, rotation_powers,
+                        scattered_sequence, shear_sequence, split_unipotent_sequence)
 
 
 def _per_term_kak(a):
@@ -62,8 +57,6 @@ def _per_term_kak(a):
 
 
 EPS = np.finfo(float).eps
-E12 = Subspace.spanned_by([1, 0, 0], [0, 1, 0])
-E1 = Subspace.spanned_by([1, 0, 0])
 
 
 class TestMatrixSequence:
@@ -82,10 +75,9 @@ class TestMatrixSequence:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_cached_spectra_equal_per_term_kak(self, d):
-        # the shared tail factors and the norms of every term must be
-        # bit-for-bit what the per-term kak and norm_growth return, including
-        # on tied singular values, det < 0 terms and identities, which sit in
-        # the tail
+        """Bitwise pin: the shared tail factors and the norms of every term must be bit-for-bit what
+        the per-term kak and norm_growth return, including on tied singular values, det < 0 terms
+        and identities, which sit in the tail."""
         rng = np.random.default_rng(40 + d)
         flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
         tied = np.diag(np.concatenate([[3.0], np.ones(d - 2), [1 / 3.0]]))
@@ -116,17 +108,12 @@ class TestIsDivergent:
         assert is_divergent(fundamental_sequence(40))
 
     def test_rotations_are_not(self):
-        rot = spatial_rotation(3, np.array([[np.cos(1.0), -np.sin(1.0)],
-                                            [np.sin(1.0), np.cos(1.0)]]))
-        seq = MatrixSequence.from_powers(rot, 20)
-        assert not is_divergent(seq)
+        assert not is_divergent(rotation_powers(1.0, 20))
 
     def test_alternating_boost_identity(self):
         # I every 2nd or 3rd term, the sequence ending on one, two or no boosts
         for period, count in ((2, 12), (2, 13), (3, 14), (3, 15)):
-            terms = [np.eye(3) if n % period == 0 else boost(3, float(n))
-                     for n in range(1, count + 1)]
-            assert not is_divergent(MatrixSequence.from_terms(terms)), (period, count)
+            assert not is_divergent(boosts_with_identity(1.0, period, count)), (period, count)
 
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_scale_free(self, c):
@@ -134,16 +121,14 @@ class TestIsDivergent:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_term_tail_is_not_divergent(self, n):
-        seq = MatrixSequence.from_terms([boost(3, 5.0 * i) for i in range(1, n + 1)])
-        assert not is_divergent(seq)
+        assert not is_divergent(boost_sequence(3, 5.0, n))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_two_term_tail_is_not_divergent(self, n):
-        seq = MatrixSequence.from_terms([boost(3, 2.0 * i) for i in range(1, n + 1)])
-        assert not is_divergent(seq)
+        assert not is_divergent(boost_sequence(3, 2.0, n))
 
     def test_three_term_tail_can_diverge(self):
-        assert is_divergent(MatrixSequence.from_terms([boost(3, 2.0 * i) for i in range(1, 6)]))
+        assert is_divergent(boost_sequence(3, 2.0, 5))
 
 
 class TestGrowthRule:
@@ -173,10 +158,10 @@ class TestGrowthRule:
         # under the rounding of the ellipsoid's Gram and the graph's QR, whose
         # noise grows with |A_n|; every detector ranks from the Cartan
         # spectrum, so that noise never reads as growth
-        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+        q = orth(np.random.default_rng(seed).normal(size=(4, 4)))
         ex = np.array([-0.58, 0.0, 0.0, 0.125])
-        seq = MatrixSequence.from_terms([q @ np.diag(np.exp(ex * n)) @ q.T for n in range(1, 41)])
-        for detector in (as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph):
+        seq = MatrixSequence.from_terms(rotated_terms(q, lambda n: np.diag(np.exp(ex * n)), 40))
+        for detector in DETECTORS:
             assert detector(seq).subspace.dim == 3
 
 
@@ -196,10 +181,7 @@ class TestFundamentalExample:
         assert res.subspace.distance(E1) < 1e-5
 
     def test_2d_jordan_reduces_to_first_axis(self):
-        seq = MatrixSequence.from_terms(
-            [np.array([[1.0, n], [0.0, 1.0]]) for n in range(1, 41)]
-        )
-        res = as_subspace_kak(seq)
+        res = as_subspace_kak(shear_sequence(40))
         assert res.subspace.distance(Subspace.spanned_by([1, 0])) < 1e-6
 
     @pytest.mark.parametrize("d,expected_dim", [(2, 1), (3, 2), (4, 2)])
@@ -222,24 +204,16 @@ class TestFundamentalExample:
 
 
 
-def _jordan_powers(k: int, count: int) -> MatrixSequence:
-    """J_k(1)^n for n = 1..count: singular values grow like n^(k-1-2i), so
-    the stable space has dimension k // 2 and the strongly stable space
-    (the decaying directions) the same."""
-    return MatrixSequence.from_powers(np.eye(k) + np.diag(np.ones(k - 1), 1), count)
-
-
-_JORDAN_ANALYSES = [as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph, spas_subspace]
 # (analysis, k, n) answered within AGREEMENT_TOL of the analytic space
-_JORDAN_RIGHT = [(f, k, n) for f in _JORDAN_ANALYSES
+_JORDAN_RIGHT = [(f, k, n) for f in ANALYSES
                  for k, n in [(2, 20), (2, 40), (3, 40), (4, 40), (4, 200)]] + [
                      (spas_subspace, 3, 20)]
 # ... and answered wrong, though reported as converged: J_2 at n = 12 is
 # 5.0e-2 off, J_3's stable space at n = 20 1.1e-5, J_5 at n = 30 1.3e-4
 # (SPAS 9.5e-5) and at n = 40 3.1e-5 (SPAS 1.6e-5), J_6 at n = 40 1.4e-4
-_JORDAN_SILENT = [(f, 2, 12) for f in _JORDAN_ANALYSES] + [
-    (f, 3, 20) for f in _JORDAN_ANALYSES[:3]] + [
-    (f, k, n) for f in _JORDAN_ANALYSES for k, n in [(5, 30), (5, 40), (6, 40)]]
+_JORDAN_SILENT = [(f, 2, 12) for f in ANALYSES] + [
+    (f, 3, 20) for f in ANALYSES[:3]] + [
+    (f, k, n) for f in ANALYSES for k, n in [(5, 30), (5, 40), (6, 40)]]
 _JORDAN_SLOW = ("slow polynomial drift: the tail family's extrapolation (the 1/n fit; for "
                 "J_2 at n = 12 the geometric correction over 6 members) lands past "
                 "AGREEMENT_TOL off the analytic space, yet one cluster holds the tail, so "
@@ -251,12 +225,11 @@ def _jordan_id(cell):
 
 
 def _jordan_error(analysis, k: int, n: int) -> float:
-    """Distance of J_k's converged answer at length n from span(e_1..e_j),
-    j = ceil(k/2) for the stable space and floor(k/2) for SPAS."""
-    res = analysis(_jordan_powers(k, n))
-    dim = k // 2 if analysis is spas_subspace else (k + 1) // 2
-    assert res.converged and res.subspace.dim == dim
-    return res.subspace.distance(Subspace.from_spanning(np.eye(k)[:, :dim]))
+    """Distance of J_k's converged answer at length n from `jordan_answer`."""
+    res = analysis(jordan_powers(k, n))
+    want = jordan_answer(k)[analysis is spas_subspace]
+    assert res.converged and res.subspace.dim == want.dim
+    return res.subspace.distance(want)
 
 
 class TestJordanPowerCells:
@@ -278,17 +251,16 @@ class TestJordanPowerCells:
     def test_silent_cells_basis(self, analysis, k, n):
         assert _jordan_error(analysis, k, n) < AGREEMENT_TOL
 
-    @pytest.mark.parametrize("detector", [as_subspace_kak, as_subspace_ellipsoid,
-                                          as_subspace_graph], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("detector", DETECTORS, ids=lambda f: f.__name__)
     def test_j6_stable_dimension(self, detector):
-        assert detector(_jordan_powers(6, 40)).subspace.dim == 3
+        assert detector(jordan_powers(6, 40)).subspace.dim == 3
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_spas_dimension_short(self, k):
-        assert spas_subspace(_jordan_powers(k, 40)).subspace.dim == k // 2
+        assert spas_subspace(jordan_powers(k, 40)).subspace.dim == k // 2
 
     def test_spas_dimension_j4_long(self):
-        res = spas_subspace(_jordan_powers(4, 200))
+        res = spas_subspace(jordan_powers(4, 200))
         assert res.subspace.dim == 2 and res.converged
 
 class TestDiagonalCases:
@@ -343,18 +315,12 @@ class TestOscillation:
     def test_two_limit_families_intersect(self):
         # alternate boosts along two axes: the candidates accumulate on two
         # distinct lightlike planes whose intersection is the stable set
-        terms = []
-        for n in range(1, 17):
-            axis = 1 if n % 2 else 2
-            terms.append(boost(3, 0.4 * n, axis=axis))
-        res = as_subspace_kak(MatrixSequence.from_terms(terms))
+        res = as_subspace_kak(alternating_boost_sequence(0.4, 16, first_axis=1))
         assert not res.converged
         assert res.subspace.dim == 1
         assert res.subspace.distance(Subspace.spanned_by([1, -1, -1])) < 1e-4
 
-    @pytest.mark.parametrize("detector", [as_subspace_kak, as_subspace_ellipsoid,
-                                          as_subspace_graph, spas_subspace],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("detector", ANALYSES, ids=lambda f: f.__name__)
     def test_scattered_tail_has_no_family(self, detector):
         # every cluster is a singleton, below the size a family must have
         with pytest.raises(ConvergenceError, match="no stable subspace family in the tail") as err:
@@ -543,10 +509,9 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9])
     def test_batched_solver_equals_scalar_loop(self, d, monkeypatch):
-        # every score is within 8 d eps max_n |A_n|^2, in squares, of the
-        # per-(direction, radius, term) bisection reference, and the same
-        # bits for every chunk size and budget; the scenarios reach each of
-        # the reference's exits
+        """Bitwise pin: every score is within 8 d eps max_n |A_n|^2, in squares, of the
+        per-(direction, radius, term) bisection reference, and the same bits for every chunk size
+        and budget; the scenarios reach each of the reference's exits."""
         rng = np.random.default_rng(70 + d)
         radii = (0.5, 0.3, 0.0, 2.5)
         branches = set()
@@ -598,8 +563,8 @@ class TestBruteForce:
         return branches
 
     def test_solver_rows_stopping_from_step_4_to_86(self):
-        # Rows the reference bisection stops at step 4 and at step 86 (mu
-        # near 0 under a bracket near 7.7e10), and rows near 1e150.
+        """Bitwise pin: rows the reference bisection stops at step 4 and at step 86 (mu near 0 under
+        a bracket near 7.7e10), and rows near 1e150."""
         rng = np.random.default_rng(5)
         big = 2.0 ** 86 * 1e-15
         beta = np.array([[2.01009858e-18, 2.37227479e-18],  # stops at step 4
@@ -614,15 +579,15 @@ class TestBruteForce:
         assert self._solver_matches_scalar(beta, gamma) == {"bisection"}
 
     def test_solver_rows_whose_pole_start_would_overflow(self):
-        # |gamma| / (beta + mu) at mu = -beta_min + eps passes 1e154, so |y|^2
-        # would overflow there; the start max(|gamma| - beta) keeps |y_i| <= 1
+        """Bitwise pin: |gamma| / (beta + mu) at mu = -beta_min + eps passes 1e154, so |y|^2 would
+        overflow there; the start max(|gamma| - beta) keeps |y_i| <= 1."""
         beta = np.array([[0.0, 1.0], [1e-3, 2.0]])
         gamma = np.array([[1e150, 1e150], [1e140, -3e150]])
         assert self._solver_matches_scalar(beta, gamma) == {"bisection"}
 
     @pytest.mark.parametrize("m", [1, 3, 8, 9])
     def test_solver_batches_that_never_bisect(self, m):
-        # all rows in the hard case, or all with gamma = 0: no Newton step
+        """Bitwise pin: all rows in the hard case, or all with gamma = 0: no Newton step."""
         beta = np.sort(np.random.default_rng(m).uniform(1.0, 5.0, size=(6, m)), axis=1)
         hard = np.zeros((6, m))
         hard[:, 1:] = 1e-3
@@ -633,6 +598,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("m", [2, 8, 9])
     def test_solver_mixed_batch_equals_scalar_loop(self, m):
+        """Bitwise pin: rows in all three exits against the scalar bisection reference."""
         rng = np.random.default_rng(40 + m)
         beta = np.sort(rng.uniform(0.0, 4.0, size=(60, m)), axis=1)
         gamma = rng.normal(size=(60, m)) * 10.0 ** rng.uniform(-3, 3, size=(60, 1))
@@ -756,8 +722,7 @@ class TestStronglyStable:
 
 class TestLorentzCheck:
     def test_chaos_unipotent_factors(self, split3):
-        seq = MatrixSequence.from_terms([split_unipotent(n) for n in range(1, 41)])
-        rep = lorentz_as_check(split3, seq)
+        rep = lorentz_as_check(split3, split_unipotent_sequence(40))
         assert rep.passed, rep.failures
         assert rep.stable.subspace.distance(E12) < 1e-5
         assert rep.strongly_stable.subspace.distance(E1) < 1e-5
@@ -854,17 +819,15 @@ class TestLorentzCheck:
         # signature (2, 2) without the lightlike hyperplane the check is
         # about; boosts of the (e0, e1) plane do not preserve it
         form = QuadraticForm(gram=np.diag([-1.0, -1, 1, 1]))
-        seq = MatrixSequence.from_terms([boost(4, 0.5 * i, axis) for i in range(1, 17)])
+        seq = boost_sequence(4, 0.5, 16, axis)
         with pytest.raises(error, match=message):
             lorentz_as_check(form, seq)
 
 
 class TestGates:
     def test_equicontinuous_error(self):
-        rot = spatial_rotation(3, np.array([[np.cos(1.0), -np.sin(1.0)],
-                                            [np.sin(1.0), np.cos(1.0)]]))
         with pytest.raises(EquicontinuousError):
-            as_subspace_kak(MatrixSequence.from_powers(rot, 20))
+            as_subspace_kak(rotation_powers(1.0, 20))
 
     def test_insufficient_data(self):
         seq = fundamental_sequence(5)
@@ -899,14 +862,10 @@ def _per_pair_linkage(bases, link=CLUSTER_LINK):
     return sorted(groups.values(), key=lambda g: (len(g), max(g)), reverse=True)
 
 
-def _orth(x):
-    return np.linalg.qr(x)[0]
-
-
 def _drifting(rng, d, k, labels, scale):
     """Candidates drifting like scale/n towards a random k-plane."""
     base, step = rng.normal(size=(d, k)), rng.normal(size=(d, k))
-    return np.array([_orth(base + scale * step / n) for n in labels])
+    return np.array([orth(base + scale * step / n) for n in labels])
 
 
 def _interleaved(rng, d, k, m, families, scale):
@@ -929,10 +888,10 @@ def _linkage_scenarios(d, k, rng):
     yield "partly-broken", _drifting(rng, d, k, range(1, 41), 1.0)
     for families in (2, 3):
         yield f"{families}-interleaved", _interleaved(rng, d, k, 45, families, 0.01)
-    yield "singletons", np.array([_orth(rng.normal(size=(d, k))) for _ in range(12)])
+    yield "singletons", np.array([orth(rng.normal(size=(d, k))) for _ in range(12)])
     yield "m=1", _drifting(rng, d, k, [3], 0.01)
     yield "m=2", _drifting(rng, d, k, [3, 4], 0.01)
-    yield "m=2-apart", np.array([_orth(rng.normal(size=(d, k))) for _ in range(2)])
+    yield "m=2-apart", np.array([orth(rng.normal(size=(d, k))) for _ in range(2)])
     yield "inside-link", _rotating(d, k, 12, CLUSTER_LINK - 1e-9)
     yield "outside-link", _rotating(d, k, 12, CLUSTER_LINK + 1e-9)
 
@@ -940,6 +899,7 @@ def _linkage_scenarios(d, k, rng):
 class TestBatchedLinkage:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_partitions_equal_per_pair_linkage(self, d):
+        """Bitwise pin: partitions against the per-pair union-find reference."""
         rng = np.random.default_rng(70 + d)
         for k in range(1, d):
             for name, bases in _linkage_scenarios(d, k, rng):
@@ -1010,8 +970,8 @@ class TestBatchedLinkage:
         angles += list(rng.uniform(0.0, 2.0 * link, size=(40, k)))
         firsts, seconds = [], []
         for theta in angles:
-            q = _orth(rng.normal(size=(d, d)))
-            turn = _orth(rng.normal(size=(k, k)))
+            q = orth(rng.normal(size=(d, d)))
+            turn = orth(rng.normal(size=(k, k)))
             e = np.eye(d)
             turned = e[:, :k] * np.cos(theta) + e[:, k:] * np.sin(theta)
             firsts.append(q @ e[:, :k] @ turn)
@@ -1077,14 +1037,14 @@ def _family_scenarios(d, rng):
     """(name, labels, d x d orthonormal frames) of drifting families."""
     base, step = rng.normal(size=(d, d)), rng.normal(size=(d, d))
     lab = np.arange(21.0, 41.0)
-    yield "1/n", lab, np.array([_orth(base + 0.3 * step / n) for n in lab])
-    yield "geometric", lab, np.array([_orth(base + step * 0.5 ** (n - 20)) for n in lab])
-    yield "geometric-slow", lab, np.array([_orth(base + step * 0.84 ** (n - 20)) for n in lab])
-    yield "noisy", lab, np.array([_orth(base + 0.01 * rng.normal(size=(d, d))) for _ in lab])
-    yield "m=3", lab[:3], np.array([_orth(base + step / n) for n in lab[:3]])
-    yield "settled", lab, np.array([_orth(base + 1e-14 * rng.normal(size=(d, d))) for _ in lab])
+    yield "1/n", lab, np.array([orth(base + 0.3 * step / n) for n in lab])
+    yield "geometric", lab, np.array([orth(base + step * 0.5 ** (n - 20)) for n in lab])
+    yield "geometric-slow", lab, np.array([orth(base + step * 0.84 ** (n - 20)) for n in lab])
+    yield "noisy", lab, np.array([orth(base + 0.01 * rng.normal(size=(d, d))) for _ in lab])
+    yield "m=3", lab[:3], np.array([orth(base + step / n) for n in lab[:3]])
+    yield "settled", lab, np.array([orth(base + 1e-14 * rng.normal(size=(d, d))) for _ in lab])
     sparse = lab[::3]
-    yield "sparse-1/n", sparse, np.array([_orth(base + step / n) for n in sparse])
+    yield "sparse-1/n", sparse, np.array([orth(base + step / n) for n in sparse])
 
 
 def _short_geometric(d, rng):
@@ -1092,7 +1052,7 @@ def _short_geometric(d, rng):
     ratio is the mean of the middle two."""
     base, step = rng.normal(size=(d, d)), rng.normal(size=(d, d))
     lab = np.arange(21.0, 27.0)
-    return "geometric-6", lab, np.array([_orth(base + step * 0.5 ** (n - 20)) for n in lab])
+    return "geometric-6", lab, np.array([orth(base + step * 0.5 ** (n - 20)) for n in lab])
 
 
 def _package_extrapolation(monkeypatch, family, labels, rank):
@@ -1116,11 +1076,10 @@ def _package_extrapolation(monkeypatch, family, labels, rank):
 class TestStackedExtrapolation:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_per_member_loop(self, d, monkeypatch):
-        # families are the leading columns of transposed frames, as the
-        # Cartan route passes R^T, taken by index as `_subspace_limit` does.
-        # Every branch is the reference's.  The 1/n fit is one cached
-        # linear functional, not the reference's per-entry polyfit, so its
-        # limit agrees to rounding; every other branch agrees bit for bit
+        """Bitwise pin: families are the leading columns of transposed frames, as the Cartan route
+        passes R^T, taken by index as `_subspace_limit` does. Every branch is the reference's.
+        The 1/n fit is one cached linear functional, not the reference's per-entry polyfit, so
+        its limit agrees to rounding; every other branch agrees bit for bit."""
         rng = np.random.default_rng(90 + d)
         branches = set()
         for name, labels, frames in [*_family_scenarios(d, rng), _short_geometric(d, rng)]:
@@ -1141,6 +1100,7 @@ class TestStackedExtrapolation:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_fit_at_zero_matches_polyfit_per_entry(self, d):
+        """Bitwise pin: the 1/n fit against numpy's polyfit, entry by entry."""
         rng = np.random.default_rng(120 + d)
         for name, labels, frames in _family_scenarios(d, rng):
             if len(labels) < 4:
@@ -1196,10 +1156,10 @@ def _linear_family(drift_angles):
 class TestExtrapolationBounds:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_bound_decisions_equal_svd_decisions(self, k, monkeypatch):
-        # the drift gate, drift < 1e-11, and the fit's overshoot test,
-        # grassmann_distance(basis, last) > max(5 drift, 1e-6), at their
-        # edges +-1e-9 relative, each with the outcome its side of the edge
-        # must give; the fit is pinned to a basis at chosen angles
+        """Bitwise pin: the drift gate, drift < 1e-11, and the fit's overshoot test,
+        grassmann_distance(basis, last) > max(5 drift, 1e-6), at their edges +-1e-9 relative,
+        each with the outcome its side of the edge must give; the fit is pinned to a basis at
+        chosen angles."""
         labels = np.arange(21.0, 41.0)
 
         def extrapolate(family, fit):
@@ -1235,7 +1195,7 @@ def _awkward_sequence(d, seed):
     rng = np.random.default_rng(seed)
     flip = np.diag(np.concatenate([[-1.0], np.ones(d - 1)]))
     tied = np.diag(np.concatenate([[3.0], np.ones(d - 2), [1 / 3.0]]))
-    q = _orth(rng.normal(size=(d, d)))
+    q = orth(rng.normal(size=(d, d)))
     awkward = [np.eye(d), flip, tied, flip @ tied, 2.0 * np.eye(d), q @ tied @ q.T, flip @ q]
     terms = []
     for n in range(1, 13):
@@ -1307,6 +1267,7 @@ class TestBatchedDetectorLoops:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_candidates_equal_per_term_loops(self, d, monkeypatch):
+        """Bitwise pin: ellipsoid and graph candidates against the per-term eigh and QR loops."""
         seq = _awkward_sequence(d, 90 + d)
         for detector, reference in ((as_subspace_ellipsoid, _per_term_ellipsoid),
                                     (as_subspace_graph, _per_term_graph)):
@@ -1318,6 +1279,7 @@ class TestBatchedDetectorLoops:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_restricted_norms_equal_per_index_loop(self, d):
+        """Bitwise pin: restricted norms against the per-index operator-norm loop."""
         seq = _awkward_sequence(d, 100 + d)
         tail = seq.tail
         # the ellipsoid and graph candidates as one stack of two families
@@ -1363,10 +1325,11 @@ def _full_stack_norm(seq, rel, bases):
 class TestRestrictedNormBound:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_equals_full_stack_svd(self, d):
+        """Bitwise pin: the bound-first restricted norm against one SVD of every term."""
         seq = _awkward_sequence(d, 130 + d)
         m = len(seq.tail)
         rng = np.random.default_rng(140 + d)
-        frames = np.array([_orth(rng.normal(size=(d, d))) for _ in range(m)])
+        frames = np.array([orth(rng.normal(size=(d, d))) for _ in range(m)])
         ties = np.array([seq.tail[0]] * m)  # every term tied with every other
         tied = MatrixSequence(terms=np.concatenate([ties, ties]))
         for bases in (np.array(_per_term_ellipsoid(seq)), np.array(_per_term_graph(seq)),
@@ -1380,9 +1343,9 @@ class TestRestrictedNormBound:
                         assert got == _full_stack_norm(s, rel, b), (d, rank)
 
     def test_a_tied_top_value_of_another_shape_is_kept(self):
-        # X_A = diag(t, t) spreads |X|_F^2 = 2 t^2 evenly, X_B = diag(t, 0)
-        # has the same top value at half of it, the least |X|_F^2 any
-        # rank-2 restriction with top value t can have: B stays in the SVD
+        """Bitwise pin: X_A = diag(t, t) spreads |X|_F^2 = 2 t^2 evenly, X_B = diag(t, 0) has the
+        same top value at half of it, the least |X|_F^2 any rank-2 restriction with top value t
+        can have: B stays in the SVD."""
         t = 3.0
         a, b = np.diag([t, t, 1.0]), np.diag([t, 1e-3, 1.0])
         seq = MatrixSequence(terms=np.array([a, b] * 4))
@@ -1392,10 +1355,10 @@ class TestRestrictedNormBound:
             assert got == _full_stack_norm(seq, rel, bases)
 
     def test_a_term_exactly_at_the_band_edge(self, monkeypatch):
-        # the largest |X|_F^2 is X_A = diag(t, t), whose top value s = t is
-        # factored alone; X_B = diag(u, v) with |X_B|_F^2 = s^2 (1 - 1e-9)
-        # to the last bit is factored next, one ulp below the edge it is not;
-        # the top term is factored as a stack of one, the family's
+        """Bitwise pin: the largest |X|_F^2 is X_A = diag(t, t), whose top value s = t is factored
+        alone; X_B = diag(u, v) with |X_B|_F^2 = s^2 (1 - 1e-9) to the last bit is factored next,
+        one ulp below the edge it is not; the top term is factored as a stack of one, the
+        family's."""
         t, rank = 3.0, 2
         cut = t * t * (1.0 - 1e-9)
 
@@ -1420,10 +1383,6 @@ class TestRestrictedNormBound:
             (got,) = stability._restricted_norms(seq, np.arange(2), bases[None])
             assert sizes == factored
             assert got == _full_stack_norm(seq, np.arange(2), bases) == t
-
-
-def _shear():
-    return MatrixSequence.from_terms([np.array([[1.0, n], [0.0, 1.0]]) for n in range(1, 41)])
 
 
 def _passes(monkeypatch) -> list:
@@ -1461,8 +1420,8 @@ class TestDecisionsOncePerSequence:
         # test of each of the two passes.  eighs: the ellipsoid's Gram
         # stack, the fits of the three detectors' stacked pass, and the
         # strongly stable fit
-        q = _orth(np.random.default_rng(12).normal(size=(3, 3)))
-        seq = MatrixSequence.from_terms([q @ fundamental_term(n) @ q.T for n in range(1, 201)])
+        q = orth(np.random.default_rng(12).normal(size=(3, 3)))
+        seq = MatrixSequence.from_terms(rotated_terms(q, fundamental_term, 200))
         stability._fit_weights.cache_clear()
         calls = []
         svd, eigh, gd = np.linalg.svd, np.linalg.eigh, stability.grassmann_distance
@@ -1480,10 +1439,10 @@ class TestDecisionsOncePerSequence:
     def test_equal_ranks_share_one_subspace_limit(self, monkeypatch, first):
         # the shear [[1, n], [0, 1]]: its stable and strongly stable ranks
         # are both 1, so the second analysis relabels the first's limit
-        fresh = {kind: analysis(_shear()) for kind, analysis in [
+        fresh = {kind: analysis(shear_sequence()) for kind, analysis in [
             (StabilityKind.STABLE, as_subspace_kak),
             (StabilityKind.STRONGLY_STABLE, spas_subspace)]}
-        seq, passes = _shear(), _passes(monkeypatch)
+        seq, passes = shear_sequence(), _passes(monkeypatch)
         second = spas_subspace if first is as_subspace_kak else as_subspace_kak
         first(seq)
         got = second(seq)
@@ -1496,7 +1455,7 @@ class TestDecisionsOncePerSequence:
             want.modulus, want.converged, want.subsequence_indices)
 
     def test_all_oracles_relabel_a_kept_strongly_stable_limit(self, monkeypatch):
-        seq, passes = _shear(), _passes(monkeypatch)
+        seq, passes = shear_sequence(), _passes(monkeypatch)
         spas = spas_subspace(seq)
         oracles = as_all_oracles(seq)
         assert passes == [1, 2]  # kak's limit is relabelled, not passed again
@@ -1573,7 +1532,7 @@ class TestTailOnly:
         d = 4
         subspaces, results = {}, {}
         for name, rank in zip(("kak", "ellipsoid", "graph"), ranks):
-            subspaces[name] = (Subspace(basis=_orth(rng.normal(size=(d, d)))[:, :rank])
+            subspaces[name] = (Subspace(basis=orth(rng.normal(size=(d, d)))[:, :rank])
                                if rank else Subspace.zero(d))
             results[name] = stability.ASResult(subspace=subspaces[name],
                                                kind=StabilityKind.STABLE, modulus=1.0)
@@ -1650,20 +1609,8 @@ def _outcome(run):
 def _boost_conjugate(d, n, seed):
     """k B(0.12 i) k^-1, i = 1..n, for a random Lorentz transformation k."""
     rng = np.random.default_rng(seed)
-    k = spatial_rotation(d, _orth(rng.normal(size=(d - 1, d - 1)))) @ boost(d, 0.3)
-    return MatrixSequence.from_terms([k @ boost(d, 0.12 * i) @ np.linalg.inv(k)
-                                      for i in range(1, n + 1)])
-
-
-def _jordan_powers(k, n):
-    return MatrixSequence.from_powers(np.eye(k) + np.eye(k, k=1), n)
-
-
-def _rotated_diagonal(r, n, seed):
-    """q diag(1, i, e^(r i)) q^T, i = 1..n, for a random rotation q."""
-    q = _orth(np.random.default_rng(seed).normal(size=(3, 3)))
-    return MatrixSequence.from_terms([q @ np.diag([1.0, i, np.exp(r * i)]) @ q.T
-                                      for i in range(1, n + 1)])
+    k = spatial_rotation(d, orth(rng.normal(size=(d - 1, d - 1)))) @ boost(d, 0.3)
+    return MatrixSequence.from_terms(conjugated_boost_terms(k, 0.12, n))
 
 
 def _scaled(seq, c):
@@ -1672,22 +1619,21 @@ def _scaled(seq, c):
 
 class TestStackedSubspaceLimits:
     def test_each_family_gets_its_own_bits(self, monkeypatch):
-        # one stack of rank-2 families in R^4 over a 20-term tail: one the
-        # drift gate settles, a 1/n fit, two geometric corrections, a family of
-        # two interleaved clusters, one just under the drift gate (two angles
-        # of 1e-11 (1 - 1e-9)) and one whose fit, pinned at angles of
-        # max(5 drift, 1e-6) (1 + 1e-9), just fails its overshoot test; each
-        # must come out as from its own call
+        """Bitwise pin: one stack of rank-2 families in R^4 over a 20-term tail: one the drift gate
+        settles, a 1/n fit, two geometric corrections, a family of two interleaved clusters, one
+        just under the drift gate (two angles of 1e-11 (1 - 1e-9)) and one whose fit, pinned at
+        angles of max(5 drift, 1e-6) (1 + 1e-9), just fails its overshoot test; each must come
+        out as from its own call."""
         rng = np.random.default_rng(150)
         d, k = 4, 2
         labels = np.arange(21.0, 41.0)
         base, step = rng.normal(size=(d, d)), rng.normal(size=(d, d))
         families = {
-            "settled": np.array([_orth(base)[:, :k]] * 20),
-            "fit": np.array([_orth(base + 0.3 * step / n)[:, :k] for n in labels]),
-            "geometric": np.array([_orth(base + 0.02 * step * 0.5 ** (n - 20))[:, :k]
+            "settled": np.array([orth(base)[:, :k]] * 20),
+            "fit": np.array([orth(base + 0.3 * step / n)[:, :k] for n in labels]),
+            "geometric": np.array([orth(base + 0.02 * step * 0.5 ** (n - 20))[:, :k]
                                    for n in labels]),
-            "geometric-slow": np.array([_orth(step + 0.02 * base * 0.7 ** (n - 20))[:, :k]
+            "geometric-slow": np.array([orth(step + 0.02 * base * 0.7 ** (n - 20))[:, :k]
                                         for n in labels]),
             "two-clusters": _interleaved(rng, d, k, 20, 2, 0.01),
             "gate-edge": _linear_family(np.full(k, 1e-11 * (1.0 - 1e-9))),
@@ -1724,13 +1670,13 @@ class TestStackedSubspaceLimits:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_stacked_fit_equals_the_per_family_contraction(self, d):
-        # the fit of a stack of families has, row by row, the bits of the
-        # one-family contraction with the same cached weights
+        """Bitwise pin: the fit of a stack of families has, row by row, the bits of the one-family
+        contraction with the same cached weights."""
         rng = np.random.default_rng(160 + d)
         for m in (4, 9, 20, 100):
             labels = np.arange(m + 1.0, 2.0 * m + 1.0)
             deg = int(min(6, m - 3))
-            bases = np.array([[_orth(rng.normal(size=(d, d)))[:, :max(1, d // 2)]
+            bases = np.array([[orth(rng.normal(size=(d, d)))[:, :max(1, d // 2)]
                                for _ in range(m)] for _ in range(5)])
             projs = bases @ np.swapaxes(bases, 2, 3)
             got = stability._fit_at_zero(labels, projs, deg)
@@ -1746,11 +1692,11 @@ class TestStackedSubspaceLimits:
         lambda: _boost_conjugate(3, 12, 1),
         lambda: _boost_conjugate(3, 80, 2),
         lambda: _boost_conjugate(4, 120, 3),
-        lambda: _jordan_powers(3, 12),
-        lambda: _jordan_powers(4, 20),
-        lambda: _jordan_powers(6, 40),
-        lambda: _rotated_diagonal(0.4, 60, 4),
-        lambda: _rotated_diagonal(0.7, 30, 5),
+        lambda: jordan_powers(3, 12),
+        lambda: jordan_powers(4, 20),
+        lambda: jordan_powers(6, 40),
+        lambda: rotated_diagonal(0.4, 4, 60)[0],
+        lambda: rotated_diagonal(0.7, 5, 30)[0],
         lambda: scattered_sequence(),
         lambda: _scaled(fundamental_sequence(40), 1e160),
         lambda: _scaled(scattered_sequence(), 1e160),
@@ -1764,7 +1710,7 @@ class TestStackedSubspaceLimits:
         # ellipsoid's Gram NumericalError; with kak's result kept on the
         # sequence the ellipsoid and graph share the pass
         singles = [_outcome(lambda detector=detector: detector(make()))
-                   for detector in (as_subspace_kak, as_subspace_ellipsoid, as_subspace_graph)]
+                   for detector in DETECTORS]
         refused = [s for s in singles if isinstance(s, tuple) and isinstance(s[0], type)]
         want = refused[0] if refused else singles
         assert _outcome(lambda: as_all_oracles(make())) == want
@@ -1782,6 +1728,7 @@ class TestSmallStackProducts:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_grams_equal_per_matrix_products(self, d):
+        """Bitwise pin: the stacked Grams against the per-matrix products."""
         seq = _awkward_sequence(d, 130 + d)
         for terms in (seq.tail, seq.terms[::-1], 1e-150 * seq.tail, 1e100 * seq.tail):
             want = np.array([t.T @ t for t in terms])
@@ -1789,11 +1736,11 @@ class TestSmallStackProducts:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_linked_residuals_equal_per_pair_products(self, k, monkeypatch):
-        # leading columns of stacked frames, as `_cluster_by_linkage` passes
-        # them, consecutive members and one member against the rest
+        """Bitwise pin: leading columns of stacked frames, as `_cluster_by_linkage` passes them,
+        consecutive members and one member against the rest."""
         rng = np.random.default_rng(140 + k)
         d = k + 2
-        frames = np.array([[_orth(rng.normal(size=(d, d))) for _ in range(9)] for _ in range(2)])
+        frames = np.array([[orth(rng.normal(size=(d, d))) for _ in range(9)] for _ in range(2)])
         bases = frames[..., :k]
         seen = []
         einsum = np.einsum
@@ -1809,9 +1756,9 @@ class TestSmallStackProducts:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_projector_stack_equals_per_member_products(self, d, monkeypatch):
-        # the fitted projectors are each member's b b^T, whether the members
-        # come as a view of the whole tail or as a copy of some of them, and
-        # the limits are the same bits either way
+        """Bitwise pin: the fitted projectors are each member's b b^T, whether the members come as a
+        view of the whole tail or as a copy of some of them, and the limits are the same bits
+        either way."""
         rng = np.random.default_rng(150 + d)
         seen = []
         fit = stability._fit_at_zero
