@@ -113,7 +113,7 @@ def _hyperbolic_pair(aut: TorusAutomorphism):
         # raw eig leaves ~1e-13 cross-contamination that word powers amplify
         for _ in range(30):
             vec = refine @ vec
-            vec /= np.linalg.norm(vec)
+            vec /= np.sqrt(vec @ vec)
         if abs(evaluate(form, vec, vec)) > 1e-8:
             raise NotHyperbolicError("normal eigendirection is not isotropic")
         out.append((float(w[i].real), BoundaryPoint.from_vector(form, vec)))

@@ -160,24 +160,20 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     """Boundary limit of the orbit A_n . s of a hyperboloid point.
 
     The orbit must leave every compact set (`is_divergent`'s test on the
-    orbit norms); its directions must settle into a single angular cluster
-    of radius 0.01 over the tail, else a ConvergenceError carries the
-    cluster breakdown.  The limit is snapped onto the cone.  By the
+    tail's orbit norms); its directions must settle into a single angular
+    cluster of radius 0.01 over the tail, else a ConvergenceError carries
+    the cluster breakdown.  The limit is snapped onto the cone.  By the
     section-independence fact the result does not depend on s.
     """
     require_isometry(form, seq.terms)
     require_lorentz(form)
-    orbit = seq.terms @ _as_vector(s.v, form.dim)
+    orbit = seq.tail @ _as_vector(s.v, form.dim)
     norms = np.linalg.norm(orbit, axis=1)
-    n = len(norms)
-    if not _norms_diverge(norms):
-        raise EquicontinuousError(
-            "orbit remains in a bounded region; sequence acts equicontinuously "
-            "at the base point"
-        )
-    rays = orbit / norms[:, None]
-    last = rays[-1]
-    tail_rays = rays[n // 2:]
+    if not _norms_diverge(norms, len(seq)):
+        raise EquicontinuousError("orbit remains in a bounded region; sequence acts "
+                                  "equicontinuously at the base point")
+    tail_rays = orbit / norms[:, None]
+    last = tail_rays[-1]
     if np.max(_ray_angles(tail_rays, last)) > 1e-2:
         clusters = _cluster_rays(tail_rays, 1e-2)
         raise ConvergenceError(

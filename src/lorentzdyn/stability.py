@@ -31,8 +31,8 @@ of c A_n is that of A_n for every c > 0.
 
 Approximate stability is a limit in n, so the tail decides it: every
 detector, and the brute-force oracle, reads and factors only the terms
-n//2..n-1 (`MatrixSequence.tail`), and the divergence gate reads only
-their norms.  Only the singularity check covers every term.
+n//2..n-1 (`MatrixSequence.tail`), and the construction's singularity
+check and the divergence gate read only their singular values.
 """
 
 from __future__ import annotations
@@ -94,24 +94,23 @@ class StabilityKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MatrixSequence:
-    """Finite indexed family of invertible d x d matrices.
+    """Finite indexed family of d x d matrices, invertible from n//2 on.
 
     ``generator_spec`` is free-form provenance (e.g. "powers of A", "words in
     two boosts") used only in reports.
 
     The detectors read and factor only the ``tail``, the terms from
-    ``tail_start`` = n//2 on; tail spectra are indexed from its start.
-    The spectral data they read is computed once per sequence: ``norms``
-    (the operator norm of each term, equal to ``norm_growth``) comes from
-    the singularity check, and ``cartan`` (the stacked ``kak`` factors of
-    the tail) on first use.  Every detector's result is kept too, by
-    (route, rank, kind) (`_analyses`), so each is computed once however
-    many analyses read it.  So are the three growth-rule decisions every
-    analysis starts from: the divergence decision (`is_divergent`, which
-    `_gate` reads), the stable rank (`_stable_rank`) and the rank of the
-    strongly stable space (`spas_subspace`).  A refused rank is not kept,
-    so it raises again on every read.  All are pure functions of the
-    frozen terms.
+    ``tail_start`` = n//2 on; tail spectra, ``norms`` too, are indexed from
+    its start.  The spectral data they read is computed once per sequence:
+    ``norms`` (each tail term's ``norm_growth``) by the tail's singularity
+    check, and ``cartan`` (the stacked ``kak`` factors of the tail) on
+    first use.  Every detector's result is kept too, by (route, rank, kind)
+    (`_analyses`), so each is computed once however many analyses read it.
+    So are the three growth-rule decisions every analysis starts from: the
+    divergence decision (`is_divergent`, which `_gate` reads), the stable
+    rank (`_stable_rank`) and the rank of the strongly stable space
+    (`spas_subspace`).  A refused rank is not kept, so it raises again on
+    every read.  All are pure functions of the frozen terms.
     """
 
     terms: np.ndarray
@@ -124,12 +123,9 @@ class MatrixSequence:
             raise SingularMatrixError("terms must be a list of square matrices")
         if not np.all(np.isfinite(t)):
             raise SingularMatrixError("terms must be finite (no NaN or infinity)")
-        sv = np.linalg.svd(t, compute_uv=False)
-        if np.any(sv[:, -1] <= 1e-13 * sv[:, 0]):
-            raise SingularMatrixError("sequence contains a numerically singular term")
         t = t.copy()
         t.flags.writeable = False
-        norms = sv[:, 0].copy()
+        norms = _singular_values(t[len(t) // 2:])[:, 0].copy()
         norms.flags.writeable = False
         object.__setattr__(self, "terms", t)
         object.__setattr__(self, "norms", norms)
@@ -161,7 +157,7 @@ class MatrixSequence:
     @functools.cached_property
     def _divergent(self) -> bool:
         """The growth rule on the tail norms (`_norms_diverge`)."""
-        return _norms_diverge(self.norms)
+        return _norms_diverge(self.norms, len(self))
 
     @functools.cached_property
     def _stable_rank(self) -> int:
@@ -194,6 +190,8 @@ class MatrixSequence:
         return cls(terms=mats, generator_spec=generator_spec)
 
     def inverse(self) -> "MatrixSequence":
+        """The termwise inverses; the head's singularity check is made here."""
+        _singular_values(self.terms[:self.tail_start])
         return MatrixSequence(
             terms=np.linalg.inv(self.terms),
             generator_spec=f"inverses of ({self.generator_spec})",
@@ -231,12 +229,19 @@ def is_divergent(seq: MatrixSequence) -> bool:
     return seq._divergent
 
 
-def _norms_diverge(norms: np.ndarray) -> bool:
-    """`is_divergent`'s test on a list of norms: the growth rule on the
-    tail's norms as a one-value spectrum.  A tail of under three terms has
-    no slope."""
-    n = len(norms)
-    return n - n // 2 >= 3 and _growth_rule(norms[n // 2:, None], n) == 1
+def _singular_values(terms: np.ndarray) -> np.ndarray:
+    """Each term's singular values, descending; refuses a singular term."""
+    sv = np.linalg.svd(terms, compute_uv=False)
+    if np.any(sv[:, -1] <= 1e-13 * sv[:, 0]):
+        raise SingularMatrixError("sequence contains a numerically singular term")
+    return sv
+
+
+def _norms_diverge(tail_norms: np.ndarray, n: int) -> bool:
+    """`is_divergent`'s test: the growth rule on the norms of an n-term
+    sequence's tail as a one-value spectrum.  A tail of under three terms
+    has no slope."""
+    return len(tail_norms) >= 3 and _growth_rule(tail_norms[:, None], n) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +644,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
 
 def _ellipsoid_bases(seq: MatrixSequence) -> np.ndarray:
     """The eigenvectors of each tail term's normalized Gram, ascending."""
-    op = seq.norms[seq.tail_start:, None, None]
+    op = seq.norms[:, None, None]
     grams = _grams(seq.tail)
     with np.errstate(divide="ignore", invalid="ignore"):
         grams = grams / (op * op)
@@ -948,9 +953,8 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     scores = np.full(total, np.nan)
     scores[:max(done, 0)] = _cap_scores(spectra, dirs, radii, done)
     scores = scores.reshape(directions, len(radii))
-    complete = done == total
     return BruteForceScores(directions=dirs, radii=radii, scores=scores,
-                            complete=complete)
+                            complete=done == total)
 
 
 def brute_force_score(seq: MatrixSequence, v,

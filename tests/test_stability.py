@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +35,15 @@ from lorentzdyn.errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from lorentzdyn import cli, stability
+from lorentzdyn import cli, jsonio, stability
 from lorentzdyn.minkowski import grassmann_distance, orthogonal_complement
+from lorentzdyn.projective import hyperbolic_orbit_limit, north_south_certificate
 from lorentzdyn.stability import AGREEMENT_TOL, CLUSTER_LINK, brute_force_score
 
 from .scenarios import (ANALYSES, DETECTORS, E1, E12, alternating_boost_sequence, boost_sequence,
                         boosts_with_identity, chaos_sequence, conjugated_boost_terms,
-                        fundamental_sequence, fundamental_term, jordan_answer, jordan_powers, orth,
+                        fundamental_sequence, fundamental_term, fundamental_terms,
+                        hyperboloid_point, jordan_answer, jordan_powers, orth,
                         random_divergent_sequence, rotated_diagonal, rotated_terms, rotation_powers,
                         scattered_sequence, shear_sequence, split_unipotent_sequence)
 
@@ -75,7 +78,7 @@ class TestMatrixSequence:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_cached_spectra_equal_per_term_kak(self, d):
-        """Bitwise pin: the shared tail factors and the norms of every term must be bit-for-bit what
+        """Bitwise pin: the shared tail factors and the tail-indexed norms must be bit-for-bit what
         the per-term kak and norm_growth return, including on tied singular values, det < 0 terms
         and identities, which sit in the tail."""
         rng = np.random.default_rng(40 + d)
@@ -90,17 +93,17 @@ class TestMatrixSequence:
                   q, q @ tied @ q.T, flip @ q @ tied]
         seq = MatrixSequence.from_terms(terms)
         start = seq.tail_start
-        assert start == len(terms) // 2 and len(seq.cartan.D) == len(terms) - start
+        assert start == len(terms) // 2 and len(seq.cartan.D) == len(seq.norms) == len(terms) - start
         for i, t in enumerate(terms):
             f = kak(t)
             factors = [(f.L, f.D, f.R)]
             if i >= start:
                 factors.append((seq.cartan.L[i - start], seq.cartan.D[i - start],
                                 seq.cartan.R[i - start]))
+                assert seq.norms[i - start] == norm_growth(t)
             for got in factors:
                 for a, b in zip(got, _per_term_kak(t)):
                     assert np.array_equal(a, b)
-            assert seq.norms[i] == norm_growth(t)
 
 
 class TestIsDivergent:
@@ -1217,7 +1220,7 @@ def _rank_or_refusal(seq, rule=stability._stable_rank):
 def _per_term_ellipsoid(seq):
     """Reference: the per-term eigh of the normalized Gram, over the tail."""
     return [np.linalg.eigh((t.T @ t) / (op * op))[1]
-            for t, op in zip(seq.tail, seq.norms[seq.tail_start:])]
+            for t, op in zip(seq.tail, seq.norms)]
 
 
 def _per_term_graph(seq):
@@ -1502,11 +1505,12 @@ class TestDecisionsOncePerSequence:
 class TestTailOnly:
     @pytest.mark.parametrize("n", [40, 41])
     def test_kernels_factor_only_the_tail(self, n, monkeypatch):
-        # the stacked kak, eigh and qr of the detectors see the n - n//2
-        # tail terms, once each; only the per-term kernels are recorded,
-        # not the eigh of the extrapolated projectors, a stack of at most
-        # the three detectors' d x d limits
-        seen = {"kak_stack": [], "eigh": [], "qr": []}
+        # the construction's values-only SVD and the stacked kak, eigh and
+        # qr of the detectors see the n - n//2 tail terms, once each; only
+        # the per-term kernels are recorded, not the eigh of the
+        # extrapolated projectors, a stack of at most the three detectors'
+        # d x d limits
+        seen = {"svd": [], "kak_stack": [], "eigh": [], "qr": []}
 
         def recording(name, fn):
             def wrapped(a, *args, **kwargs):
@@ -1518,11 +1522,13 @@ class TestTailOnly:
         monkeypatch.setattr(stability, "kak_stack", recording("kak_stack", stability.kak_stack))
         monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "qr", recording("qr", np.linalg.qr))
-        seq = fundamental_sequence(n)
+        with monkeypatch.context() as construction:
+            construction.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+            seq = fundamental_sequence(n)
         as_all_oracles(seq)
         spas_subspace(seq)
         tail = n - n // 2
-        assert seen == {"kak_stack": [tail], "eigh": [tail], "qr": [tail]}
+        assert seen == {"svd": [tail], "kak_stack": [tail], "eigh": [tail], "qr": [tail]}
 
     @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 2, 1), (1, 2, 3), (3, 0, 3),
                                        (0, 0, 1), (0, 0, 0), (4, 4, 4)])
@@ -1578,6 +1584,67 @@ class TestTailOnly:
         terms[-1] *= 1e160
         with pytest.raises(NumericalError, match="Gram matrix A\\^T A overflows"):
             as_subspace_ellipsoid(MatrixSequence(terms=terms))
+
+
+_SINGULAR = "^sequence contains a numerically singular term$"
+
+
+def _with_singular_head(terms, head):
+    """``terms`` with head terms 0 and 3 replaced by ``head``."""
+    terms = terms.copy()
+    terms[[0, 3]] = head
+    return terms
+
+
+class TestSingularHead:
+    """Only the tail is checked for singular terms at construction, as no
+    analysis reads the head; `inverse()`, which inverts every term, checks
+    the head itself."""
+
+    HEADS = {"zero": np.zeros((3, 3)),
+             "rank_one": np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0])}
+
+    @pytest.mark.parametrize("head", list(HEADS))
+    def test_every_analysis_answers_as_on_the_clean_sequence(self, head, tmp_path):
+        def answers(terms):
+            out = {}
+            for analysis in [as_all_oracles, *ANALYSES]:
+                got = analysis(MatrixSequence.from_terms(terms))
+                out[analysis.__name__] = ({k: jsonio.as_result_to_dict(v) for k, v in got.items()}
+                                          if isinstance(got, dict) else jsonio.as_result_to_dict(got))
+            out["brute"] = jsonio.brute_to_dict(brute_force_as(MatrixSequence.from_terms(terms)))
+            path, report = tmp_path / "seq.json", tmp_path / "report.json"
+            path.write_text(json.dumps({"terms": terms.tolist()}))
+            assert cli.main(["as", str(path), "--output", str(report)]) == 0
+            return jsonio.dumps(out), report.read_bytes()
+
+        clean = fundamental_terms(40)
+        assert answers(_with_singular_head(clean, self.HEADS[head])) == answers(clean)
+
+    @pytest.mark.parametrize("head", list(HEADS))
+    def test_inverse_refuses_a_singular_head_term(self, head, mink3):
+        seq = MatrixSequence.from_terms(_with_singular_head(fundamental_terms(40), self.HEADS[head]))
+        with pytest.raises(SingularMatrixError, match=_SINGULAR):
+            seq.inverse()
+        with pytest.raises(SingularMatrixError, match=_SINGULAR):
+            north_south_certificate(mink3, seq, 0.1, 0.1)
+        singular_tail = fundamental_terms(40)
+        singular_tail[-1] = self.HEADS[head]
+        with pytest.raises(SingularMatrixError, match=_SINGULAR):
+            MatrixSequence.from_terms(singular_tail)
+
+    def test_isometry_gate_refuses_a_singular_head_term(self, mink3, tmp_path, capsys):
+        terms = _with_singular_head(boost_sequence().terms, 0.0)
+        seq = MatrixSequence.from_terms(terms)
+        for check in (lambda: lorentz_as_check(mink3, seq),
+                      lambda: hyperbolic_orbit_limit(mink3, seq, hyperboloid_point(mink3, np.random.default_rng(0)))):
+            with pytest.raises(NotIsometryError, match="does not preserve the form"):
+                check()
+        seq_path, form_path = tmp_path / "seq.json", tmp_path / "form.json"
+        seq_path.write_text(json.dumps({"terms": terms.tolist()}))
+        form_path.write_text(json.dumps(mink3.gram.tolist()))
+        assert cli.main(["as", str(seq_path), "--form", str(form_path)]) == 2
+        assert capsys.readouterr().err == "error: matrix does not preserve the form\n"
 
 
 # ---------------------------------------------------------------------------
