@@ -170,8 +170,10 @@ def hyperbolic_orbit_limit(form: QuadraticForm, seq: MatrixSequence,
     orbit = seq.tail @ _as_vector(s.v, form.dim)
     norms = np.linalg.norm(orbit, axis=1)
     if not _norms_diverge(norms, len(seq)):
-        raise EquicontinuousError("orbit remains in a bounded region; sequence acts "
-                                  "equicontinuously at the base point")
+        raise EquicontinuousError(
+            "orbit remains in a bounded region; sequence acts equicontinuously "
+            "at the base point"
+        )
     tail_rays = orbit / norms[:, None]
     last = tail_rays[-1]
     if np.max(_ray_angles(tail_rays, last)) > 1e-2:
@@ -201,6 +203,7 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     angle formed.  cos^2 is -inf from pi/2 on, so past pi/2 no grid
     direction is a probe and every image is inside.
     """
+    inverse = seq.inverse()  # first: it refuses a singular head term
     if form.dim != seq.dim:
         raise DimensionError(f"the form has dimension {form.dim}, the sequence {seq.dim}")
     if not (np.isfinite(u_angle) and np.isfinite(v_angle) and u_angle >= 0 and v_angle >= 0):
@@ -208,7 +211,7 @@ def north_south_certificate(form: QuadraticForm, seq: MatrixSequence,
     if grid < 1:
         raise PreconditionError("the grid needs at least one point")
     stable = as_subspace_kak(seq)
-    unstable = as_subspace_kak(seq.inverse())
+    unstable = as_subspace_kak(inverse)
     if not (stable.converged and unstable.converged):
         raise ConvergenceError("stable subspaces of the sequence or its inverse "
                                "did not converge")

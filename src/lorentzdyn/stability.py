@@ -100,22 +100,22 @@ class MatrixSequence:
     two boosts") used only in reports.
 
     The detectors read and factor only the ``tail``, the terms from
-    ``tail_start`` = n//2 on; tail spectra, ``norms`` too, are indexed from
-    its start.  The spectral data they read is computed once per sequence:
-    ``norms`` (each tail term's ``norm_growth``) by the tail's singularity
-    check, and ``cartan`` (the stacked ``kak`` factors of the tail) on
-    first use.  Every detector's result is kept too, by (route, rank, kind)
-    (`_analyses`), so each is computed once however many analyses read it.
-    So are the three growth-rule decisions every analysis starts from: the
-    divergence decision (`is_divergent`, which `_gate` reads), the stable
-    rank (`_stable_rank`) and the rank of the strongly stable space
+    ``tail_start`` = n//2 on; tail spectra are indexed from its start.  The
+    spectral data they read is computed once per sequence: ``tail_norms``
+    (each tail term's ``norm_growth``) by the tail's singularity check, and
+    ``cartan`` (the stacked ``kak`` factors of the tail) on first use.  Every
+    detector's result is kept too, by (route, rank, kind) (`_analyses`), so
+    each is computed once however many analyses read it.  So are the three
+    growth-rule decisions every analysis starts from: the divergence
+    decision (`is_divergent`, which `_gate` reads), the stable rank
+    (`_stable_rank`) and the rank of the strongly stable space
     (`spas_subspace`).  A refused rank is not kept, so it raises again on
     every read.  All are pure functions of the frozen terms.
     """
 
     terms: np.ndarray
     generator_spec: str | None = None
-    norms: np.ndarray = field(init=False, repr=False, compare=False)
+    tail_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.terms, dtype=float)
@@ -128,7 +128,7 @@ class MatrixSequence:
         norms = _singular_values(t[len(t) // 2:])[:, 0].copy()
         norms.flags.writeable = False
         object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "tail_norms", norms)
 
     @property
     def tail_start(self) -> int:
@@ -157,7 +157,7 @@ class MatrixSequence:
     @functools.cached_property
     def _divergent(self) -> bool:
         """The growth rule on the tail norms (`_norms_diverge`)."""
-        return _norms_diverge(self.norms, len(self))
+        return _norms_diverge(self.tail_norms, len(self))
 
     @functools.cached_property
     def _stable_rank(self) -> int:
@@ -644,7 +644,7 @@ def as_subspace_ellipsoid(seq: MatrixSequence) -> ASResult:
 
 def _ellipsoid_bases(seq: MatrixSequence) -> np.ndarray:
     """The eigenvectors of each tail term's normalized Gram, ascending."""
-    op = seq.norms[:, None, None]
+    op = seq.tail_norms[:, None, None]
     grams = _grams(seq.tail)
     with np.errstate(divide="ignore", invalid="ignore"):
         grams = grams / (op * op)
@@ -953,8 +953,9 @@ def brute_force_as(seq: MatrixSequence, directions: int = 64,
     scores = np.full(total, np.nan)
     scores[:max(done, 0)] = _cap_scores(spectra, dirs, radii, done)
     scores = scores.reshape(directions, len(radii))
+    complete = done == total
     return BruteForceScores(directions=dirs, radii=radii, scores=scores,
-                            complete=done == total)
+                            complete=complete)
 
 
 def brute_force_score(seq: MatrixSequence, v,

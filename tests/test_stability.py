@@ -93,14 +93,14 @@ class TestMatrixSequence:
                   q, q @ tied @ q.T, flip @ q @ tied]
         seq = MatrixSequence.from_terms(terms)
         start = seq.tail_start
-        assert start == len(terms) // 2 and len(seq.cartan.D) == len(seq.norms) == len(terms) - start
+        assert start == len(terms) // 2 and len(seq.cartan.D) == len(seq.tail_norms) == len(terms) - start
         for i, t in enumerate(terms):
             f = kak(t)
             factors = [(f.L, f.D, f.R)]
             if i >= start:
                 factors.append((seq.cartan.L[i - start], seq.cartan.D[i - start],
                                 seq.cartan.R[i - start]))
-                assert seq.norms[i - start] == norm_growth(t)
+                assert seq.tail_norms[i - start] == norm_growth(t)
             for got in factors:
                 for a, b in zip(got, _per_term_kak(t)):
                     assert np.array_equal(a, b)
@@ -1220,7 +1220,7 @@ def _rank_or_refusal(seq, rule=stability._stable_rank):
 def _per_term_ellipsoid(seq):
     """Reference: the per-term eigh of the normalized Gram, over the tail."""
     return [np.linalg.eigh((t.T @ t) / (op * op))[1]
-            for t, op in zip(seq.tail, seq.norms)]
+            for t, op in zip(seq.tail, seq.tail_norms)]
 
 
 def _per_term_graph(seq):
@@ -1632,6 +1632,19 @@ class TestSingularHead:
         singular_tail[-1] = self.HEADS[head]
         with pytest.raises(SingularMatrixError, match=_SINGULAR):
             MatrixSequence.from_terms(singular_tail)
+
+    @pytest.mark.parametrize("head", list(HEADS))
+    def test_certificate_refuses_a_singular_head_before_anything_else(self, head, mink3):
+        """The parent refused such a sequence at construction, so the head's
+        refusal comes before the certificate's own: a bounded tail, a tail
+        too short for the detectors, or a negative angle."""
+        short = fundamental_terms(6)
+        short[0] = self.HEADS[head]
+        for terms, angle in ((_with_singular_head(rotation_powers(1.0, 20).terms, self.HEADS[head]), 0.1),
+                             (short, 0.1),
+                             (_with_singular_head(fundamental_terms(40), self.HEADS[head]), -1.0)):
+            with pytest.raises(SingularMatrixError, match=_SINGULAR):
+                north_south_certificate(mink3, MatrixSequence.from_terms(terms), angle, 0.1)
 
     def test_isometry_gate_refuses_a_singular_head_term(self, mink3, tmp_path, capsys):
         terms = _with_singular_head(boost_sequence().terms, 0.0)
