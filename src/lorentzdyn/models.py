@@ -32,9 +32,8 @@ from .projective import BoundaryPoint, _ray_angles, ray_angle
 
 # Column-candidate evaluations allowed in one integer enumeration.
 ENUMERATION_BUDGET = 50_000_000
-# Rows of the column table built at once, cross-product entries tested in
-# one block of an enumeration level, and (candidate ray, element) pairs in
-# one block of the fixed-ray test.
+# Rows of the column table built at once, and cross-product entries tested
+# in one block of an enumeration level.
 _LEVEL_CHUNK = 1 << 16
 
 INFINITY = float("inf")
@@ -195,36 +194,17 @@ def fixed_isotropic_directions(g: RationalLorentzForm, elements):
     real = (np.abs(w.imag).ravel() <= 1e-8) & (nv >= 1e-8)
     vecs = vecs[real] / nv[real, None]
     on_cone = np.abs(_dots((vecs[:, None, :] @ g.to_quadratic_form().gram)[:, 0], vecs)) <= 1e-8
-    rays = canonical_rays(vecs[on_cone])
+    rest = canonical_rays(vecs[on_cone])
+    for a in acting:
+        rest = rest[_ray_angles((a @ rest[..., None])[..., 0], rest) <= 1e-8]
+        if not len(rest):
+            break
     # the first ray left is kept, and every later one within 1e-9 of it dropped
-    rest = rays[_fixed_by_all(acting, rays)]
     fixed = []
     while len(rest):
         fixed.append(rest[0])
         rest = rest[1:][_ray_angles(rest[1:], rest[0]) >= 1e-9]
     return [BoundaryPoint(ray=r) for r in fixed]
-
-
-def _fixed_by_all(acting: np.ndarray, rays: np.ndarray) -> np.ndarray:
-    """Mask of the rows of `rays` that every matrix of `acting` fixes,
-    ``ray_angle(a @ ray, ray) <= 1e-8``.
-
-    The rays still standing meet the next block of elements, twice as many
-    as the last and at most about `_LEVEL_CHUNK` (ray, element) pairs, so
-    a ray that the first elements move, as most do, costs a few tests.
-    """
-    alive = np.arange(len(rays))
-    start, width = 0, 1
-    while alive.size and start < len(acting):
-        width = max(1, min(2 * width, _LEVEL_CHUNK // alive.size))
-        stop = start + width
-        r = rays[alive, None, :]
-        images = (acting[start:stop] @ r[..., None])[..., 0]
-        alive = alive[np.all(_ray_angles(images, r) <= 1e-8, axis=1)]
-        start = stop
-    mask = np.zeros(len(rays), dtype=bool)
-    mask[alive] = True
-    return mask
 
 
 def plus_minus_identity_check(g: RationalLorentzForm, a, rays) -> bool:

@@ -521,8 +521,7 @@ def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
     identity, built level by level.  With the samples sorted longest first,
     the words alive at a level are a leading slice; each distinct (prefix,
     letter) pair among them, found with a boolean prefixes x 2g table, is
-    multiplied once.  Once no two live words share a prefix, the rows
-    follow the words and each later level is one product over a slice.
+    multiplied once.
     """
     try:
         letters = np.array(list(generators) + [np.linalg.inv(g) for g in generators])
@@ -537,12 +536,12 @@ def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
     # live[level] words, the leading ones in `order`, take a letter at level
     live = samples - np.cumsum(np.bincount(lengths, minlength=depth + 1))
     row = np.empty(samples, dtype=int)  # each sorted sample's row in the result
-    done = []  # the words that end at each shared level, each once
+    done = []  # the words that end at each level, each once
     finished = 0
     # the distinct words built up to this level, and each live word's row in them
     prefixes, parent = np.eye(letters.shape[1])[None], np.zeros(samples, dtype=int)
-    level, n, shared = 0, samples, samples > 1
-    while n and shared:  # some live words may share a prefix
+    level, n = 0, samples
+    while n:
         m = live[level + 1]
         pair = parent[:n] * (2 * g) + picks[:n, level]
         seen = np.zeros(len(prefixes) * 2 * g, dtype=bool)
@@ -557,18 +556,10 @@ def _sample_words(generators: list[np.ndarray], depth: int, samples: int,
             row[m:n] = finished + (np.cumsum(ends) - 1)[parent[m:]]
             done.append(prefixes[ends])
             finished += len(done[-1])
-        shared = len(pairs) < n
         level, n = level + 1, m
-    # no two live words share a prefix: each takes a row of its own
-    words = prefixes[parent[:n]]
-    row[:n] = finished + np.arange(n)
-    while live[level]:
-        k = live[level]
-        words[:k] = words[:k] @ letters[picks[:k, level]]
-        level += 1
     which = np.empty_like(row)
     which[order] = row
-    return lengths, np.concatenate(done + [words]), which
+    return lengths, np.concatenate(done), which
 
 
 def _word_growth(words: np.ndarray, threshold: float, exact_above: bool) -> np.ndarray:

@@ -62,11 +62,11 @@ from .minkowski import (
     QuadraticForm,
     Subspace,
     _dots,
-    degenerate_kernel,
     evaluate,
     grassmann_distance,  # noqa: F401  (stays importable here)
     orthogonal_complement,
     require_isometry,
+    restricted_gram,
 )
 
 # A singular value grows when the log of its tail envelope climbs with
@@ -1012,14 +1012,12 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence) -> LorentzStabili
         failures.append("stable-subspace-not-converged")
     if stable.subspace.dim != d - 1:
         failures.append(f"stable-dimension-{stable.subspace.dim}-not-{d - 1}")
-    kernel = degenerate_kernel(form, stable.subspace)
-    if stable.subspace.dim == d - 1:
-        g = stable.subspace.basis.T @ form.gram @ stable.subspace.basis
-        eig = np.linalg.eigvalsh(g)
-        scale = max(np.max(np.abs(eig)), 1.0)
-        negatives = int(np.sum(eig < -1e-6 * scale))
-        if negatives or kernel.dim != 1:
-            failures.append("stable-hyperplane-not-lightlike")
+    # the kernel is `degenerate_kernel`'s: eigenvalues within 1e-6 max(1, |largest|) of 0
+    eig = np.linalg.eigvalsh(restricted_gram(form, stable.subspace))
+    tol = 1e-6 * np.max(np.abs(eig), initial=1.0)
+    kernel_dim = int(np.sum(np.abs(eig) <= tol))
+    if stable.subspace.dim == d - 1 and (np.any(eig < -tol) or kernel_dim != 1):
+        failures.append("stable-hyperplane-not-lightlike")
     perp = orthogonal_complement(form, stable.subspace)
     if strongly.subspace.dim != 1 or not strongly.subspace.isclose(perp, tol=AGREEMENT_TOL):
         failures.append("spas-not-orthogonal-of-stable")
@@ -1032,6 +1030,6 @@ def lorentz_as_check(form: QuadraticForm, seq: MatrixSequence) -> LorentzStabili
         failures=tuple(failures),
         stable=stable,
         strongly_stable=strongly,
-        kernel_dim=kernel.dim,
+        kernel_dim=kernel_dim,
         modulus=stable.modulus,
     )

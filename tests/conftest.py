@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from lorentzdyn import QuadraticForm, RationalLorentzForm, split_form_3d
 
 from .scenarios import INTEGER_MINK3, INTEGER_SPLIT3
+
+# every property test draws the same examples on every run, and keeps no database
+settings.register_profile("lorentzdyn", derandomize=True, database=None)
+settings.load_profile("lorentzdyn")
 
 
 @pytest.fixture

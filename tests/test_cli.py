@@ -885,7 +885,7 @@ def _exit_code(argv):
     return rc
 
 
-@settings(max_examples=50, deadline=None, derandomize=True,
+@settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=_JSON_VALUES | _sequence_payloads())
 # one tail term whose |A|^2 underflows: the ellipsoid's Gram was 0/0
@@ -897,7 +897,7 @@ def test_as_fuzzed_payloads_honour_exit_codes(tmp_path, payload):
     assert _exit_code(["as", str(path)]) in (0, 2, 3)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True,
+@settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=_JSON_VALUES | _matrix_payloads())
 def test_kak_and_limit_set_fuzzed_payloads_honour_exit_codes(files, payload):

@@ -14,13 +14,13 @@ import pytest
 from lorentzdyn import (ASResult, BoundaryPoint, HyperbolicPoint, MatrixSequence,
                         QuadraticForm, RationalLorentzForm, StabilityKind, Subspace,
                         act_boundary, big_lambda, boost, evaluate, hyperbolic_orbit_limit,
-                        is_isometry, limit_set, lorentz_as_check, mobius_rp1,
+                        is_isometry, limit_set, lorentz_as_check, lorentz_kak, mobius_rp1,
                         north_south_certificate, orthogonal_complement, split_boost)
 from lorentzdyn.cartan import random_lorentz
 from lorentzdyn.cli import main
 from lorentzdyn.cocycles import ray_multiplier
 from lorentzdyn.errors import (ConvergenceError, DegenerateFormError, DimensionError,
-                               NumericalError, PreconditionError)
+                               NumericalError, PatternMismatchError, PreconditionError)
 from lorentzdyn.minkowski import degenerate_kernel
 from lorentzdyn.models import IsotropicPlane2, plus_minus_identity_check, rational_ray_diagnostic
 
@@ -291,6 +291,34 @@ class TestCommandLine:
                                            (-np.eye(3, dtype=int)).tolist()])
         assert main(["model", "torus-fixed", "--gram", gram, "--elements", elems]) == 0
         assert capsys.readouterr().out == '{"fixed": "entire-cone"}\n'
+
+
+def _doubled_boost():
+    """2 B(15.8): |A^T g A - g|_F is 5.19, under the isometry gate's roundoff
+    allowance of 9.03 for a matrix of this norm."""
+    return 2 * boost(3, 15.8)
+
+
+def test_a_doubled_boost_is_refused_by_its_singular_values(mink3, tmp_path, capsys):
+    # the gate lets it through, so the D-pattern check is what refuses it
+    a = _doubled_boost()
+    with pytest.raises(PatternMismatchError, match="form/basis mismatch"):
+        lorentz_kak(mink3, a)
+    argv = ["kak", _write(tmp_path, "a.json", a.tolist()),
+            "--form", _write(tmp_path, "g.json", np.diag([-1.0, 1, 1]).tolist())]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: singular values do not match "
+                            "diag(lambda, 1, ..., 1, 1/lambda): form/basis mismatch\n")
+    assert captured.out == ""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "isometry gate blind spot: past |A| of about 6e6 the roundoff allowance "
+    "64 d eps |A|^2 |g| outgrows the defect of a matrix that does not preserve "
+    "the form (CHANGES.md, FOUND on minkowski.require_isometry)"))
+def test_the_isometry_gate_refuses_a_doubled_boost(mink3):
+    assert not is_isometry(mink3, _doubled_boost())
 
 
 def test_quadratic_form_needs_a_square_gram():

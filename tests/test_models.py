@@ -234,7 +234,7 @@ class TestFixedDirections:
     @pytest.mark.parametrize("copies", [1, 40])
     def test_commuting_elements_equal_reference_bitwise(self, int_mink3, copies):
         """Bitwise pin: powers of one hyperbolic element share its two rays: they stay fixed through
-        every block of elements, and each reappears among the candidates of every element."""
+        every element, and each reappears among the candidates of every element."""
         h = hyperbolic_322()
         h_inv = INTEGER_MINK3 @ h.T @ INTEGER_MINK3
         elems = [np.linalg.matrix_power(m, k) for m in (h, h_inv) for k in (1, 2, 3)] * copies

@@ -896,6 +896,8 @@ def _linkage_scenarios(d, k, rng):
     yield "m=2", _drifting(rng, d, k, [3, 4], 0.01)
     yield "m=2-apart", np.array([orth(rng.normal(size=(d, k))) for _ in range(2)])
     yield "inside-link", _rotating(d, k, 12, CLUSTER_LINK - 1e-9)
+    # consecutive candidates are two or three steps apart and never link; the steps join them all
+    yield "reordered-link", _rotating(d, k, 6, 0.012)[[0, 2, 4, 1, 3, 5]]
     yield "outside-link", _rotating(d, k, 12, CLUSTER_LINK + 1e-9)
 
 
@@ -908,7 +910,7 @@ class TestBatchedLinkage:
             for name, bases in _linkage_scenarios(d, k, rng):
                 (got,) = stability._cluster_by_linkage(bases[None])
                 assert got == _per_pair_linkage(bases), (d, k, name)
-                if name == "inside-link":
+                if name in ("inside-link", "reordered-link"):
                     assert got == [list(range(len(bases)))]
                 if name == "outside-link":
                     assert len(got) == len(bases)
